@@ -1,4 +1,9 @@
-"""fibertap: heterodyne fiber-tap eavesdropping simulator and DSP toolkit."""
+"""fibertap: heterodyne fiber-tap eavesdropping simulator and DSP toolkit.
+
+No module of the package imports scipy at module level: each function that
+needs a scipy submodule imports it where it runs, so importing the package
+costs numpy and PyYAML, and a command loads only the scipy it uses.
+"""
 
 __version__ = "0.1.0"
 

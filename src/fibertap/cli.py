@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as _signal
 
 from . import __version__
 from .config import load_config
@@ -107,7 +106,8 @@ def _resample_to(samples, rate_in, rate_out):
         raise ConfigurationError(
             f"audio rate {rate_in} is not rationally related to the "
             f"simulation rate {rate_out}")
-    return _signal.resample_poly(samples, frac.numerator, frac.denominator)
+    from scipy import signal
+    return signal.resample_poly(samples, frac.numerator, frac.denominator)
 
 
 def cmd_simulate(args) -> int:
@@ -137,7 +137,8 @@ def cmd_simulate(args) -> int:
     noise_on = config.noise.enabled and not args.no_noise
     het = synthesize_heterodyne(
         ifo, voice_phase=phase,
-        noise_seed=args.seed if noise_on else None)
+        noise_seed=args.seed if noise_on else None,
+        flatten_below=config.noise.flatten_below_hz)
     stages.stop()
 
     stages.start("write")

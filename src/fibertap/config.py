@@ -88,6 +88,11 @@ class NoiseSettings:
     flatten_below_hz: float = 10.0
     snr_threshold: float = 1.0
 
+    def __post_init__(self):
+        if self.flatten_below_hz < 0:
+            raise ConfigurationError(
+                f"noise.flatten_below_hz must be >= 0, got {self.flatten_below_hz}")
+
 
 @dataclass(frozen=True)
 class DemodSettings:

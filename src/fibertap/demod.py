@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal
 
 from .errors import ConfigurationError, InputError, NyquistError
 from .noise import AudioBand
@@ -73,6 +72,7 @@ class DemodConfig:
 
 def _kaiser_lowpass(pass_edge, stop_edge, atten_db, fs):
     """Odd-length linear-phase FIR with -6 dB point mid-transition."""
+    from scipy import signal
     width = stop_edge - pass_edge
     numtaps, beta = signal.kaiserord(atten_db, width / (0.5 * fs))
     numtaps |= 1
@@ -117,6 +117,7 @@ def iq_demodulate(het: SampledTrace, cfg: DemodConfig) -> SampledTrace:
     if het.kind != HETERODYNE:
         raise InputError(f"iq_demodulate expects a {HETERODYNE!r} trace, got {het.kind!r}")
     cfg.validate_rate(het.sample_rate)
+    from scipy import signal
     fs = het.sample_rate
     taps = _iq_taps(cfg, fs)
     t = np.arange(het.n_samples) / fs
@@ -144,6 +145,7 @@ def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace
             f"highpass cutoff must lie in (0, fs/2), got {cutoff} at {trace.sample_rate} S/s")
     if order < 1 or int(order) != order:
         raise ConfigurationError(f"highpass order must be a positive integer, got {order}")
+    from scipy import signal
     sos = signal.butter(int(order), cutoff, btype="highpass",
                         fs=trace.sample_rate, output="sos")
     return trace.with_samples(signal.sosfiltfilt(sos, trace.samples))
@@ -179,9 +181,6 @@ def decimate_to_audio(trace: SampledTrace, target_rate: float,
     pass_edge = band.f_high
     stop_edge = target_rate / 2.0
     taps = _kaiser_lowpass(pass_edge, stop_edge, DECIMATE_STOPBAND_DB, fs * up)
-    if up == 1:
-        filtered = signal.fftconvolve(trace.samples, taps, mode="same")
-        out = filtered[::down]
-    else:
-        out = signal.resample_poly(trace.samples, up, down, window=taps)
+    from scipy import signal
+    out = signal.resample_poly(trace.samples, up, down, window=taps)
     return SampledTrace(target_rate, out, trace.kind)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import ConfigurationError, EstimationError, InputError
 from .trace import SampledTrace
@@ -61,7 +60,9 @@ class SpectralSubtractParams:
         hop = self.hop if self.hop is not None else frame // 2
         if not 0 < hop <= frame:
             raise ConfigurationError(f"hop must satisfy 0 < hop <= frame_length, got {hop}")
-        win = signal.get_window("hann", frame, fftbins=True)
+        # periodic Hann, as scipy.signal.get_window("hann", frame) computes it
+        fac = np.linspace(-np.pi, np.pi, frame + 1)
+        win = (0.5 + 0.5 * np.cos(fac))[:-1]
         return frame, hop, win
 
 

@@ -7,7 +7,6 @@ import json
 import os
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import FileFormatError, InputError
 from .noise import BudgetRow
@@ -26,6 +25,7 @@ def sidecar_path(path) -> str:
 
 def read_wav(path):
     """Mono WAV as (sample_rate, float64 samples). PCM16 scaled to [-1, 1)."""
+    from scipy.io import wavfile
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -47,6 +47,7 @@ def read_wav(path):
 
 def write_wav(path, sample_rate, samples, normalize=False):
     """Write float32 WAV; returns the scale divided out (1.0 unless normalizing)."""
+    from scipy.io import wavfile
     samples = np.asarray(samples, dtype=np.float64)
     scale = 1.0
     if normalize:
@@ -92,7 +93,11 @@ def write_trace(trace: SampledTrace, path, normalize=False, extra_meta=None) -> 
 
 
 def read_trace(path, kind=None) -> SampledTrace:
-    """Read a WAV or CSV trace, applying any sidecar scale/kind."""
+    """Read a WAV or CSV trace, applying any sidecar scale/kind.
+
+    `kind` names the kind the caller expects. It supplies the kind of a file
+    without a sidecar; a sidecar that records a different kind is rejected.
+    """
     path = str(path)
     meta = {}
     side = sidecar_path(path)
@@ -130,6 +135,9 @@ def read_trace(path, kind=None) -> SampledTrace:
         raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
 
     scale = float(meta.get("scale", 1.0))
+    if kind and "kind" in meta and meta["kind"] != kind:
+        raise InputError(
+            f"{path}: sidecar says kind {meta['kind']!r}, expected {kind!r}")
     resolved_kind = kind or meta.get("kind")
     if resolved_kind not in KINDS:
         raise InputError(

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .errors import ConfigurationError, InputError, NyquistError
 from .trace import AUDIO, HETERODYNE, PHASE, SampledTrace
 
-SPEED_OF_LIGHT = constants.c
-BOLTZMANN = constants.k
+#: Exact SI values (m/s and J/K), equal to ``scipy.constants.c`` and ``.k``.
+SPEED_OF_LIGHT = 299792458.0
+BOLTZMANN = 1.380649e-23
 
 #: Reference pressure for dB SPL (20 micropascal).
 SPL_REFERENCE_PA = 2e-5
@@ -229,7 +229,8 @@ def synthesize_heterodyne(config: InterferometerConfig,
                           voice_phase: SampledTrace | None = None,
                           noise_phase: SampledTrace | None = None,
                           duration: float | None = None,
-                          noise_seed: int | None = None) -> SampledTrace:
+                          noise_seed: int | None = None,
+                          flatten_below: float | None = None) -> SampledTrace:
     """Synthesize the sampled photodiode beat signal.
 
     Parameters
@@ -248,6 +249,9 @@ def synthesize_heterodyne(config: InterferometerConfig,
         When given (and `noise_phase` is not), thermal and laser phase noise
         are synthesized internally from `config`; the result is deterministic
         in the seed.
+    flatten_below : float, optional
+        Frequency (Hz) below which the synthesized noise PSD is held flat;
+        ``None`` uses ``noise.DEFAULT_FLATTEN_HZ``. Applies with `noise_seed`.
 
     Returns
     -------
@@ -284,8 +288,10 @@ def synthesize_heterodyne(config: InterferometerConfig,
             f"duration {duration} s is inconsistent with trace length {n} at {fs} S/s")
 
     if noise_seed is not None:
-        from .noise import synthesize_system_noise
-        noise_phase = synthesize_system_noise(config, n, noise_seed)
+        from .noise import DEFAULT_FLATTEN_HZ, synthesize_system_noise
+        noise_phase = synthesize_system_noise(
+            config, n, noise_seed,
+            flatten_below=DEFAULT_FLATTEN_HZ if flatten_below is None else flatten_below)
 
     t = np.arange(n) / fs
     phase = 2.0 * np.pi * config.intermediate_frequency * t + config.initial_phase

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, InputError, SynthesisError
 from .model import (
@@ -159,6 +158,7 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str = "appro
                            + laser.flicker_coeff * np.log(band.f_high / band.f_low))
         return float(np.sqrt(var))
     if form == "full":
+        from scipy import integrate
         var, _ = integrate.quad(
             lambda f: laser_phase_psd_full(laser, tau0, f),
             band.f_low, band.f_high, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)

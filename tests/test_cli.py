@@ -61,6 +61,17 @@ class TestSimulate:
         assert m1["config_digest"] == m2["config_digest"]
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_flatten_below_reaches_synthesis(self, tmp_path, chirp_wav):
+        outs = []
+        for hz in (10, 1000):
+            conf = tmp_path / f"flat{hz}.yaml"
+            conf.write_text(f"noise:\n  flatten_below_hz: {hz}\n")
+            out = tmp_path / f"het{hz}.wav"
+            assert main(["simulate", "--config", str(conf), "--audio", str(chirp_wav),
+                         "--out", str(out), "--seed", "3"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] != outs[1]
+
     def test_nyquist_config_exits_4_naming_keys(self, tmp_path, chirp_wav, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("interferometer:\n  intermediate_frequency_hz: 250000.0\n")
@@ -141,6 +152,16 @@ class TestDemod:
         phase = read_trace(pcsv)
         assert phase.kind == PHASE
         assert phase.sample_rate == FS
+
+    def test_phase_csv_is_not_a_heterodyne_input(self, tmp_path):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.05)
+        het = self.run_sim(tmp_path, src)
+        pcsv = tmp_path / "phase.csv"
+        assert main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
+                     "--phase-csv", str(pcsv)]) == 0
+        assert main(["demod", "--in", str(pcsv),
+                     "--out", str(tmp_path / "again.wav")]) == 2
 
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
         from fibertap import (

@@ -108,6 +108,12 @@ class TestUserOverrides:
         with pytest.raises(NyquistError):
             load_config(p)
 
+    def test_negative_flatten_below_rejected(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text("noise:\n  flatten_below_hz: -1.0\n")
+        with pytest.raises(ConfigurationError, match="noise.flatten_below_hz"):
+            load_config(p)
+
     def test_dump_round_trip(self, tmp_path, cfg):
         p = tmp_path / "dump.yaml"
         p.write_text(dump_config(cfg))

@@ -245,6 +245,19 @@ class TestDecimateToAudio:
         out = decimate_to_audio(tone, 16e3, band=AudioBand(f_low=100.0, f_high=4e3))
         assert out.sample_rate == 16e3
 
+    @pytest.mark.parametrize("n", [40000, 40001, 40005, 40006])
+    def test_polyphase_matches_full_rate_filter_then_subsample(self, n):
+        from scipy import signal
+        from fibertap.demod import DECIMATE_STOPBAND_DB, _kaiser_lowpass
+        rng = np.random.default_rng(n)
+        x = highpass(SampledTrace(FS, rng.standard_normal(n), PHASE), 500.0, 4)
+        out = decimate_to_audio(x, 40e3)
+        band = AudioBand()
+        taps = _kaiser_lowpass(band.f_high, 20e3, DECIMATE_STOPBAND_DB, FS)
+        ref = signal.fftconvolve(x.samples, taps, mode="same")[::10]
+        assert out.n_samples == ref.size
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_irrational_ratio_rejected(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
         with pytest.raises(ConfigurationError):

@@ -98,6 +98,14 @@ class TestTraceFiles:
         back = read_trace(p, kind=PHASE)
         assert back.sample_rate == 1000.0
 
+    def test_kind_contradicting_sidecar_rejected(self, tmp_path):
+        tr = SampledTrace(1000.0, np.array([1.0, 2.0, 3.0]), PHASE)
+        p = tmp_path / "phase.csv"
+        write_trace(tr, p)
+        with pytest.raises(InputError, match="heterodyne"):
+            read_trace(p, kind=HETERODYNE)
+        assert read_trace(p, kind=PHASE).kind == PHASE
+
     def test_kind_required_without_sidecar(self, tmp_path):
         p = tmp_path / "x.wav"
         write_wav(p, 8000, np.zeros(16))
