@@ -14,6 +14,8 @@ measured system and regenerable from them:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .model import AcousticCoupling, FiberSpec, spl_to_pressure
@@ -36,13 +38,7 @@ def calibrate_sensitivity(fiber_template: FiberSpec, wavelength: float,
                           anchor_level_db: float = 30.0,
                           spl_reference: float = 2e-5) -> float:
     """Coupling sensitivity (rad / Pa m) pinned to the thermal anchor."""
-    anchor_fiber = FiberSpec(
-        length=anchor_length,
-        refractive_index=fiber_template.refractive_index,
-        bulk_modulus_area_product=fiber_template.bulk_modulus_area_product,
-        loss_angle=fiber_template.loss_angle,
-        temperature=fiber_template.temperature)
-    rms = thermal_rms(anchor_fiber, wavelength, band)
+    rms = thermal_rms(replace(fiber_template, length=anchor_length), wavelength, band)
     pressure = spl_to_pressure(anchor_level_db, spl_reference)
     return float(rms * np.sqrt(2.0) / (sensing_length * pressure))
 

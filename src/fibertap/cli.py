@@ -8,9 +8,9 @@ noise profile).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +28,7 @@ from .demod import (
 from .enhance import (
     detect_silent_frames,
     estimate_noise_spectrum,
+    frame_count,
     segmental_snr,
     spectral_subtract,
 )
@@ -46,6 +47,7 @@ from .fileio import (
     read_wav,
     sha256_file,
     write_budget_csv,
+    write_json,
     write_mitigation_csv,
     write_trace,
     write_wav,
@@ -63,19 +65,20 @@ EXIT_NO_SILENCE = 5
 
 
 class _Stages:
-    """Accumulates (stage, seconds) timings for the run manifest."""
+    """Accumulates [stage, seconds] timings for the run manifest.
+
+    ``with stages("load"): ...`` times one stage; a stage that raises is
+    not recorded.
+    """
 
     def __init__(self):
         self.timings = []
-        self._t0 = None
-        self._name = None
 
-    def start(self, name):
-        self._name = name
-        self._t0 = time.perf_counter()
-
-    def stop(self):
-        self.timings.append([self._name, time.perf_counter() - self._t0])
+    @contextmanager
+    def __call__(self, name):
+        t0 = time.perf_counter()
+        yield
+        self.timings.append([name, time.perf_counter() - t0])
 
 
 def _write_manifest(out_path, command, config, seed, inputs, outputs, stages):
@@ -92,9 +95,7 @@ def _write_manifest(out_path, command, config, seed, inputs, outputs, stages):
         "stage_timings": stages.timings,
     }
     path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -112,38 +113,33 @@ def _resample_to(samples, rate_in, rate_out):
 
 def cmd_simulate(args) -> int:
     stages = _Stages()
-    stages.start("load")
-    config = load_config(args.config)
-    ifo = config.interferometer
-    rate, samples = read_wav(args.audio)
-    stages.stop()
+    with stages("load"):
+        config = load_config(args.config)
+        ifo = config.interferometer
+        rate, samples = read_wav(args.audio)
 
-    stages.start("prepare-audio")
-    samples = _resample_to(samples, rate, ifo.sample_rate)
-    if args.level_db is not None:
-        peak = float(np.max(np.abs(samples)))
-        if peak == 0:
-            raise InputError("cannot scale a silent input to a sound level")
-        samples = samples * (spl_to_pressure(args.level_db,
-                                             config.coupling.spl_reference) / peak)
-    audio = SampledTrace(ifo.sample_rate, samples, AUDIO)
-    stages.stop()
+    with stages("prepare-audio"):
+        samples = _resample_to(samples, rate, ifo.sample_rate)
+        if args.level_db is not None:
+            peak = float(np.max(np.abs(samples)))
+            if peak == 0:
+                raise InputError("cannot scale a silent input to a sound level")
+            samples = samples * (spl_to_pressure(args.level_db,
+                                                 config.coupling.spl_reference) / peak)
+        audio = SampledTrace(ifo.sample_rate, samples, AUDIO)
 
-    stages.start("voice-to-phase")
-    phase = voice_to_phase(audio, config.coupling, ifo.sensing_length)
-    stages.stop()
+    with stages("voice-to-phase"):
+        phase = voice_to_phase(audio, config.coupling, ifo.sensing_length)
 
-    stages.start("synthesize")
-    noise_on = config.noise.enabled and not args.no_noise
-    het = synthesize_heterodyne(
-        ifo, voice_phase=phase,
-        noise_seed=args.seed if noise_on else None,
-        flatten_below=config.noise.flatten_below_hz)
-    stages.stop()
+    with stages("synthesize"):
+        noise_on = config.noise.enabled and not args.no_noise
+        het = synthesize_heterodyne(
+            ifo, voice_phase=phase,
+            noise_seed=args.seed if noise_on else None,
+            flatten_below=config.noise.flatten_below_hz)
 
-    stages.start("write")
-    write_trace(het, args.out)
-    stages.stop()
+    with stages("write"):
+        write_trace(het, args.out)
     _write_manifest(args.out, "simulate", config, args.seed,
                     {"audio": args.audio}, {"heterodyne": args.out}, stages)
     print(f"wrote {args.out}")
@@ -152,10 +148,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_demod(args) -> int:
     stages = _Stages()
-    stages.start("load")
-    config = load_config(args.config)
-    het = read_trace(args.trace_in, kind=HETERODYNE)
-    stages.stop()
+    with stages("load"):
+        config = load_config(args.config)
+        het = read_trace(args.trace_in, kind=HETERODYNE)
 
     beat = args.beat_frequency if args.beat_frequency is not None \
         else config.interferometer.intermediate_frequency
@@ -166,9 +161,8 @@ def cmd_demod(args) -> int:
                       highpass_cutoff=hp_cut,
                       filter_order=config.demod.filter_order)
 
-    stages.start("iq-demodulate")
-    phase = unwrap_phase(iq_demodulate(het, cfg))
-    stages.stop()
+    with stages("iq-demodulate"):
+        phase = unwrap_phase(iq_demodulate(het, cfg))
 
     audio_rate = args.audio_rate if args.audio_rate is not None \
         else config.demod.audio_rate_hz
@@ -187,22 +181,18 @@ def cmd_demod(args) -> int:
     start_time = guard / het.sample_rate
 
     if not args.no_highpass:
-        stages.start("highpass")
-        phase = highpass(phase, cfg.highpass_cutoff, cfg.filter_order)
-        stages.stop()
+        with stages("highpass"):
+            phase = highpass(phase, cfg.highpass_cutoff, cfg.filter_order)
 
     if args.phase_csv:
-        stages.start("write-phase")
-        write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
-        stages.stop()
+        with stages("write-phase"):
+            write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
 
-    stages.start("decimate")
-    audio = decimate_to_audio(phase, audio_rate, config.band)
-    stages.stop()
+    with stages("decimate"):
+        audio = decimate_to_audio(phase, audio_rate, config.band)
 
-    stages.start("write")
-    write_trace(audio, args.out, extra_meta={"start_time_s": start_time})
-    stages.stop()
+    with stages("write"):
+        write_trace(audio, args.out, extra_meta={"start_time_s": start_time})
 
     outputs = {"audio": args.out}
     if args.phase_csv:
@@ -215,43 +205,37 @@ def cmd_demod(args) -> int:
 
 def cmd_enhance(args) -> int:
     stages = _Stages()
-    stages.start("load")
-    config = load_config(args.config)
-    rate, samples = read_wav(args.audio_in)
-    noisy = SampledTrace(rate, samples, AUDIO)
-    params = config.enhance_params(rate)
-    stages.stop()
+    with stages("load"):
+        config = load_config(args.config)
+        params = config.enhance
+        rate, samples = read_wav(args.audio_in)
+        noisy = SampledTrace(rate, samples, AUDIO)
+        frame, hop, _ = params.resolve(rate)
 
-    stages.start("estimate-noise")
-    if args.noise_profile:
-        prate, psamples = read_wav(args.noise_profile)
-        if prate != rate:
-            raise InputError(
-                f"noise profile rate {prate} differs from input rate {rate}")
-        profile = SampledTrace(prate, psamples, AUDIO)
-        n_frames_profile = 1 + int(np.ceil(
-            (profile.n_samples - params.frame_length) / params.hop))
-        noise_spectrum = estimate_noise_spectrum(
-            profile, np.arange(n_frames_profile), params)
-        silent = None
-    else:
-        silent = detect_silent_frames(noisy, params)
-        noise_spectrum = estimate_noise_spectrum(noisy, silent, params)
-    stages.stop()
+    with stages("estimate-noise"):
+        if args.noise_profile:
+            prate, psamples = read_wav(args.noise_profile)
+            if prate != rate:
+                raise InputError(
+                    f"noise profile rate {prate} differs from input rate {rate}")
+            profile = SampledTrace(prate, psamples, AUDIO)
+            noise_spectrum = estimate_noise_spectrum(
+                profile, np.arange(frame_count(profile.n_samples, frame, hop)), params)
+            silent = None
+        else:
+            silent = detect_silent_frames(noisy, params)
+            noise_spectrum = estimate_noise_spectrum(noisy, silent, params)
 
-    stages.start("subtract")
-    enhanced = spectral_subtract(noisy, noise_spectrum, params)
-    stages.stop()
+    with stages("subtract"):
+        enhanced = spectral_subtract(noisy, noise_spectrum, params)
 
-    stages.start("write")
-    write_wav(args.out, rate, enhanced.samples)
-    stages.stop()
+    with stages("write"):
+        write_wav(args.out, rate, enhanced.samples)
 
-    n_frames = 1 + int(np.ceil((noisy.n_samples - params.frame_length) / params.hop))
     report = {
-        "frame_length": params.frame_length,
-        "hop": params.hop,
-        "n_frames": n_frames,
+        "frame_length": frame,
+        "hop": hop,
+        "n_frames": frame_count(noisy.n_samples, frame, hop),
         "n_silent_frames": None if silent is None else int(silent.size),
         "noise_source": "profile" if args.noise_profile else "silent-frames",
         "segmental_snr_before_db": None,
@@ -263,15 +247,13 @@ def cmd_enhance(args) -> int:
         if rrate != rate or rsamples.size != noisy.n_samples:
             raise InputError("reference must match the input rate and length")
         ref = SampledTrace(rrate, rsamples, AUDIO)
-        before = segmental_snr(noisy, ref, params.frame_length)
-        after = segmental_snr(enhanced, ref, params.frame_length)
+        before = segmental_snr(noisy, ref, frame)
+        after = segmental_snr(enhanced, ref, frame)
         report.update(segmental_snr_before_db=before,
                       segmental_snr_after_db=after,
                       gain_db=after - before)
     report_path = args.report or (str(args.out) + ".report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, report)
 
     inputs = {"audio": args.audio_in}
     if args.noise_profile:
@@ -286,34 +268,29 @@ def cmd_enhance(args) -> int:
 
 def cmd_budget(args) -> int:
     stages = _Stages()
-    stages.start("load")
-    config = load_config(args.config)
-    stages.stop()
+    with stages("load"):
+        config = load_config(args.config)
 
-    stages.start("sweep")
-    points = np.geomspace(args.sweep_from, args.sweep_to, args.points) \
-        if args.points > 1 else np.array([args.sweep_from])
-    if args.sweep == "length":
-        rows = detection_limit_vs_length(
-            points, config.coupling, config.interferometer.sensing_length,
-            config.band, config.interferometer,
-            snr_threshold=config.noise.snr_threshold)
-    else:
-        rows = detection_limit_vs_mismatch(
-            points, config.interferometer.laser, config.coupling,
-            config.interferometer.sensing_length, config.band,
-            config.interferometer, include_thermal=args.include_thermal,
-            snr_threshold=config.noise.snr_threshold)
-    stages.stop()
+    with stages("sweep"):
+        points = np.geomspace(args.sweep_from, args.sweep_to, args.points) \
+            if args.points > 1 else np.array([args.sweep_from])
+        if args.sweep == "length":
+            rows = detection_limit_vs_length(
+                points, config.coupling, config.interferometer.sensing_length,
+                config.band, config.interferometer,
+                snr_threshold=config.noise.snr_threshold)
+        else:
+            rows = detection_limit_vs_mismatch(
+                points, config.interferometer.laser, config.coupling,
+                config.interferometer.sensing_length, config.band,
+                config.interferometer, include_thermal=args.include_thermal,
+                snr_threshold=config.noise.snr_threshold)
 
-    stages.start("write")
-    if args.format == "json":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([r.__dict__ for r in rows], fh, indent=2)
-            fh.write("\n")
-    else:
-        write_budget_csv(rows, args.out)
-    stages.stop()
+    with stages("write"):
+        if args.format == "json":
+            write_json(args.out, [r.__dict__ for r in rows])
+        else:
+            write_budget_csv(rows, args.out)
     _write_manifest(args.out, "budget", config, None, {}, {"table": args.out}, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -321,28 +298,23 @@ def cmd_budget(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     stages = _Stages()
-    stages.start("load")
-    config = load_config(args.config)
-    stages.stop()
+    with stages("load"):
+        config = load_config(args.config)
 
-    stages.start("compare")
-    scen = config.scenarios
-    rows = compare_mitigations(scen.baseline, list(scen.variants),
-                               config.coupling, scen.test_level_db)
-    stages.stop()
+    with stages("compare"):
+        scen = config.scenarios
+        rows = compare_mitigations(scen.baseline, list(scen.variants),
+                                   config.coupling, scen.test_level_db)
 
-    stages.start("write")
-    write_mitigation_csv(rows, args.out)
-    summary = {
-        "test_level_db": scen.test_level_db,
-        "baseline": scen.baseline.label,
-        "rows": [r.__dict__ for r in rows],
-    }
-    summary_path = str(args.out) + ".summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    stages.stop()
+    with stages("write"):
+        write_mitigation_csv(rows, args.out)
+        summary = {
+            "test_level_db": scen.test_level_db,
+            "baseline": scen.baseline.label,
+            "rows": [r.__dict__ for r in rows],
+        }
+        summary_path = str(args.out) + ".summary.json"
+        write_json(summary_path, summary)
     _write_manifest(args.out, "sensitivity", config, None, {},
                     {"table": args.out, "summary": summary_path}, stages)
     print(f"wrote {args.out}")

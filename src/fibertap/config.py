@@ -120,18 +120,6 @@ class SimulationConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def enhance_params(self, sample_rate: float) -> SpectralSubtractParams:
-        """Enhance parameters with the frame length resolved at a given rate."""
-        enh = self.raw["enhance"]
-        frame = max(2, int(round(enh["frame_ms"] * 1e-3 * sample_rate)))
-        frame += frame % 2
-        hop = max(1, int(round(frame * (1.0 - enh["overlap"]))))
-        return SpectralSubtractParams(
-            frame_length=frame, hop=hop,
-            oversubtraction=self.enhance.oversubtraction,
-            spectral_floor=self.enhance.spectral_floor,
-            silence_threshold_db=self.enhance.silence_threshold_db)
-
 
 def _build(tree: dict) -> SimulationConfig:
     laser_d, fiber_d = tree["laser"], tree["fiber"]
@@ -179,11 +167,11 @@ def _build(tree: dict) -> SimulationConfig:
         audio_rate_hz=_number(demod_d, "audio_rate_hz", "demod"))
 
     enhance = SpectralSubtractParams(
+        frame_ms=_number(enh_d, "frame_ms", "enhance"),
+        overlap=_number(enh_d, "overlap", "enhance"),
         oversubtraction=_number(enh_d, "oversubtraction", "enhance"),
         spectral_floor=_number(enh_d, "spectral_floor", "enhance"),
         silence_threshold_db=_number(enh_d, "silence_threshold_db", "enhance"))
-    _number(enh_d, "frame_ms", "enhance")
-    _number(enh_d, "overlap", "enhance")
 
     if not isinstance(noise_d.get("enabled"), bool):
         raise ConfigurationError("config key noise.enabled must be a boolean")

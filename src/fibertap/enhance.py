@@ -3,9 +3,9 @@
 The background noise is treated as stationary, so its power spectrum is
 estimated by averaging windowed periodograms over silent frames and removed
 from every frame with Berouti-style oversubtraction and a spectral floor.
-Analysis uses a periodic Hann window at 50 % overlap; synthesis is plain
-overlap-add normalized by the accumulated window, which reconstructs an
-unmodified signal exactly.
+Analysis uses a periodic Hann window, at 50 % overlap by default;
+synthesis is plain overlap-add normalized by the accumulated window, which
+reconstructs an unmodified signal exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, InputError
 from .trace import SampledTrace
@@ -25,23 +26,28 @@ SEGSNR_CEIL_DB = 35.0
 class SpectralSubtractParams:
     """Frame and subtraction parameters.
 
-    ``frame_length``/``hop`` are in samples; ``None`` resolves to 20 ms
-    frames with 50 % overlap at the trace rate. ``silence_threshold_db`` is
-    the offset below the median frame energy that still counts as silent:
-    the default -10 marks every frame quieter than 10 dB above the median,
-    so stationary noise is silent throughout while speech bursts stand out.
+    ``frame_length``/``hop`` are in samples and win when given; ``None``
+    resolves them at the trace rate from ``frame_ms`` and ``overlap`` (the
+    fraction of a frame shared by neighbouring frames). Analysis uses a
+    periodic Hann window. ``silence_threshold_db`` is the offset below the
+    median frame energy that still counts as silent: the default -10 marks
+    every frame quieter than 10 dB above the median, so stationary noise is
+    silent throughout while speech bursts stand out.
     """
 
     frame_length: int | None = None
     hop: int | None = None
-    window: str = "hann"
+    frame_ms: float = 20.0
+    overlap: float = 0.5
     oversubtraction: float = 2.0
     spectral_floor: float = 0.02
     silence_threshold_db: float = -10.0
 
     def __post_init__(self):
-        if self.window != "hann":
-            raise ConfigurationError(f"only the hann window is supported, got {self.window!r}")
+        if not self.frame_ms > 0:
+            raise ConfigurationError(f"frame_ms must be > 0, got {self.frame_ms}")
+        if not 0 <= self.overlap < 1:
+            raise ConfigurationError(f"overlap must be in [0, 1), got {self.overlap}")
         if self.oversubtraction < 1:
             raise ConfigurationError(
                 f"oversubtraction must be >= 1, got {self.oversubtraction}")
@@ -55,9 +61,11 @@ class SpectralSubtractParams:
         """Concrete (frame_length, hop, window array) for a given rate."""
         frame = self.frame_length
         if frame is None:
-            frame = max(2, int(round(0.02 * sample_rate)))
+            frame = max(2, int(round(self.frame_ms * 1e-3 * sample_rate)))
             frame += frame % 2
-        hop = self.hop if self.hop is not None else frame // 2
+        hop = self.hop
+        if hop is None:
+            hop = max(1, int(round(frame * (1.0 - self.overlap))))
         if not 0 < hop <= frame:
             raise ConfigurationError(f"hop must satisfy 0 < hop <= frame_length, got {hop}")
         # periodic Hann, as scipy.signal.get_window("hann", frame) computes it
@@ -66,16 +74,31 @@ class SpectralSubtractParams:
         return frame, hop, win
 
 
-def _frames(x, frame, hop):
-    """Frame matrix at offsets m*hop, last frame zero-padded to full length."""
-    n = x.size
+def frame_count(n, frame, hop):
+    """Frames at offsets m*hop over `n` samples, the last one zero-padded."""
     if n < frame:
         raise InputError(f"trace of {n} samples is shorter than one frame ({frame})")
-    m = 1 + int(np.ceil((n - frame) / hop))
-    out = np.zeros((m, frame))
-    for i in range(m):
-        seg = x[i * hop:i * hop + frame]
-        out[i, :seg.size] = seg
+    return 1 + -(-(n - frame) // hop)
+
+
+def _frames(x, frame, hop):
+    """Read-only frame matrix at offsets m*hop, last frame zero-padded."""
+    m = frame_count(x.size, frame, hop)
+    padded = np.concatenate([x, np.zeros((m - 1) * hop + frame - x.size)])
+    return sliding_window_view(padded, frame)[::hop]
+
+
+def _overlap_add(frames, hop):
+    """Sum the rows of `frames` placed at offsets m*hop.
+
+    One strided add per hop-wide column block; the blocks go from last to
+    first so every output sample sums its frames in frame order.
+    """
+    m, frame = frames.shape
+    out = np.zeros((m - 1 + -(-frame // hop)) * hop)
+    for k in reversed(range(0, frame, hop)):
+        w = min(hop, frame - k)
+        out[k:k + m * hop].reshape(m, hop)[:, :w] += frames[:, k:k + w]
     return out
 
 
@@ -139,24 +162,21 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
             f"got shape {noise_spectrum.shape}")
     x = noisy.samples
     n = x.size
-    if n < frame:
-        raise InputError(f"trace of {n} samples is shorter than one frame ({frame})")
+    frame_count(n, frame, hop)  # rejects a trace shorter than one frame
 
-    # pad half a frame so every input sample sees the full window sum
-    pad = hop
-    xp = np.concatenate([np.zeros(pad), x, np.zeros(frame)])
-    out = np.zeros(xp.size)
-    wsum = np.zeros(xp.size)
-    for start in range(0, xp.size - frame + 1, hop):
-        spec = np.fft.rfft(xp[start:start + frame] * win)
-        power = np.abs(spec) ** 2
-        out_power = subtract_power_spectrum(power, noise_spectrum, params)
-        gain = np.sqrt(np.divide(out_power, power,
-                                 out=np.zeros_like(power), where=power > 0))
-        out[start:start + frame] += np.fft.irfft(spec * gain, n=frame)
-        wsum[start:start + frame] += win
+    # a hop of zeros in front gives the first samples their full window sum
+    xp = np.concatenate([np.zeros(hop), x, np.zeros(frame)])
+    frames = _frames(xp, frame, hop)
+    spec = np.fft.rfft(frames * win, axis=1)
+    power = np.abs(spec) ** 2
+    out_power = subtract_power_spectrum(
+        power, np.broadcast_to(noise_spectrum, power.shape), params)
+    gain = np.sqrt(np.divide(out_power, power,
+                             out=np.zeros_like(power), where=power > 0))
+    out = _overlap_add(np.fft.irfft(spec * gain, n=frame, axis=1), hop)
+    wsum = _overlap_add(np.broadcast_to(win, frames.shape), hop)
     y = np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
-    return noisy.with_samples(y[pad:pad + n])
+    return noisy.with_samples(y[hop:hop + n])
 
 
 def segmental_snr(processed: SampledTrace, reference: SampledTrace,
@@ -180,17 +200,13 @@ def segmental_snr(processed: SampledTrace, reference: SampledTrace,
     if n_frames < 1:
         raise InputError("traces are shorter than one metric frame")
 
-    values = np.empty(n_frames)
-    for i in range(n_frames):
-        ref = reference.samples[i * frame_length:(i + 1) * frame_length]
-        err = ref - processed.samples[i * frame_length:(i + 1) * frame_length]
-        num = np.sum(ref ** 2)
-        den = np.sum(err ** 2)
-        if den == 0.0:
-            values[i] = SEGSNR_CEIL_DB
-        elif num == 0.0:
-            values[i] = SEGSNR_FLOOR_DB
-        else:
-            values[i] = np.clip(10.0 * np.log10(num / den),
-                                SEGSNR_FLOOR_DB, SEGSNR_CEIL_DB)
+    shape = (n_frames, frame_length)
+    ref = reference.samples[:n_frames * frame_length].reshape(shape)
+    err = ref - processed.samples[:n_frames * frame_length].reshape(shape)
+    num = np.sum(ref ** 2, axis=1)
+    den = np.sum(err ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.clip(10.0 * np.log10(num / den), SEGSNR_FLOOR_DB, SEGSNR_CEIL_DB)
+    values = np.where(den == 0.0, SEGSNR_CEIL_DB,
+                      np.where(num == 0.0, SEGSNR_FLOOR_DB, snr))
     return float(np.mean(values))

@@ -23,6 +23,13 @@ def sidecar_path(path) -> str:
     return str(path) + ".meta.json"
 
 
+def write_json(path, obj):
+    """Write `obj` as JSON with indent 2, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def read_wav(path):
     """Mono WAV as (sample_rate, float64 samples). PCM16 scaled to [-1, 1)."""
     from scipy.io import wavfile
@@ -86,9 +93,7 @@ def write_trace(trace: SampledTrace, path, normalize=False, extra_meta=None) -> 
     if extra_meta:
         meta.update(extra_meta)
     side = sidecar_path(path)
-    with open(side, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(side, meta)
     return side
 
 

@@ -259,9 +259,6 @@ def synthesize_heterodyne(config: InterferometerConfig,
         Heterodyne intensity trace, kind ``heterodyne``.
     """
     fs = config.sample_rate
-    if not 0 < config.intermediate_frequency < fs / 2:
-        raise NyquistError(
-            "interferometer.intermediate_frequency must lie in (0, sample_rate/2)")
     if noise_phase is not None and noise_seed is not None:
         raise InputError("pass either noise_phase or noise_seed, not both")
 

@@ -18,7 +18,7 @@ configurable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -292,12 +292,7 @@ def detection_limit_vs_length(lengths, coupling: AcousticCoupling, sensing_lengt
     for length in lengths:
         if length < 0:
             raise InputError(f"lengths must be >= 0, got {length}")
-        fiber = FiberSpec(length=float(length),
-                          refractive_index=template.refractive_index,
-                          bulk_modulus_area_product=template.bulk_modulus_area_product,
-                          loss_angle=template.loss_angle,
-                          temperature=template.temperature)
-        th = thermal_rms(fiber, config.laser.wavelength, band)
+        th = thermal_rms(replace(template, length=float(length)), config.laser.wavelength, band)
         limit = phase_rms_to_spl(snr_threshold * th, coupling, sensing_length) \
             if th > 0 else float("-inf")
         rows.append(BudgetRow(x_value=float(length), thermal_rms=th,

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fibertap import AUDIO, PHASE, SampledTrace, default_config
+
+# property tests draw the same examples on every run and have no time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -230,6 +230,20 @@ class TestEnhance:
                    "--out", str(tmp_path / "out.wav")])
         assert rc == 5
 
+    @pytest.mark.parametrize("key,value", [
+        ("overlap", 1.0), ("overlap", 1.5), ("overlap", -0.1),
+        ("frame_ms", 0), ("frame_ms", -5),
+    ])
+    def test_bad_framing_config_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        src = self.make_bursty(tmp_path)
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(f"enhance:\n  {key}: {value}\n")
+        rc = main(["enhance", "--config", str(cfgp), "--in", str(src),
+                   "--out", str(tmp_path / "out.wav")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_noise_profile_skips_detection(self, tmp_path):
         rng = np.random.default_rng(6)
         noisy = tmp_path / "noisy.wav"
@@ -247,6 +261,16 @@ class TestEnhance:
         report = json.loads((tmp_path / "out.wav.report.json").read_text())
         assert report["noise_source"] == "profile"
         assert report["n_silent_frames"] is None
+
+    @pytest.mark.parametrize("n_profile", [100, 200])
+    def test_profile_shorter_than_a_frame_exits_2(self, tmp_path, capsys, n_profile):
+        src = self.make_bursty(tmp_path)
+        profile = tmp_path / "prof.wav"
+        wavfile.write(profile, 16000, np.ones(n_profile, dtype=np.float32))
+        rc = main(["enhance", "--in", str(src), "--out", str(tmp_path / "out.wav"),
+                   "--noise-profile", str(profile)])
+        assert rc == 2
+        assert "shorter than one frame" in capsys.readouterr().err
 
     def test_reference_reporting(self, tmp_path):
         src = self.make_bursty(tmp_path)

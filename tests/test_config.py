@@ -40,9 +40,7 @@ class TestDefaults:
         assert laser.flicker_coeff == pytest.approx(expected, rel=1e-9)
 
     def test_enhance_params_resolution(self, cfg):
-        params = cfg.enhance_params(16000.0)
-        assert params.frame_length == 320
-        assert params.hop == 160
+        assert cfg.enhance.resolve(16000.0)[:2] == (320, 160)
 
     def test_scenarios_present(self, cfg):
         labels = [v.label for v in cfg.scenarios.variants]
@@ -112,6 +110,16 @@ class TestUserOverrides:
         p = tmp_path / "user.yaml"
         p.write_text("noise:\n  flatten_below_hz: -1.0\n")
         with pytest.raises(ConfigurationError, match="noise.flatten_below_hz"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("overlap", 1.0), ("overlap", 1.5), ("overlap", -0.1),
+        ("frame_ms", 0), ("frame_ms", -5),
+    ])
+    def test_bad_enhance_framing_rejected(self, tmp_path, key, value):
+        p = tmp_path / "user.yaml"
+        p.write_text(f"enhance:\n  {key}: {value}\n")
+        with pytest.raises(ConfigurationError, match=key):
             load_config(p)
 
     def test_dump_round_trip(self, tmp_path, cfg):

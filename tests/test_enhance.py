@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibertap import (
     AUDIO,
@@ -11,6 +13,7 @@ from fibertap import (
     spectral_subtract,
     subtract_power_spectrum,
 )
+from fibertap.enhance import SEGSNR_CEIL_DB, SEGSNR_FLOOR_DB, _frames, frame_count
 from fibertap.errors import ConfigurationError, EstimationError, InputError
 
 FS = 16000.0
@@ -35,10 +38,60 @@ def periodic_noise(n, seed, n_harmonics=79):
     return x / np.sqrt(np.mean(x ** 2))
 
 
+# Per-frame loop versions of the framing, kept as references for the
+# vectorised code.
+
+def frames_loop(x, frame, hop):
+    n = x.size
+    m = 1 + int(np.ceil((n - frame) / hop))
+    out = np.zeros((m, frame))
+    for i in range(m):
+        seg = x[i * hop:i * hop + frame]
+        out[i, :seg.size] = seg
+    return out
+
+
+def spectral_subtract_loop(noisy, noise_spectrum, params):
+    frame, hop, win = params.resolve(noisy.sample_rate)
+    x = noisy.samples
+    n = x.size
+    xp = np.concatenate([np.zeros(hop), x, np.zeros(frame)])
+    out = np.zeros(xp.size)
+    wsum = np.zeros(xp.size)
+    for start in range(0, xp.size - frame + 1, hop):
+        spec = np.fft.rfft(xp[start:start + frame] * win)
+        power = np.abs(spec) ** 2
+        out_power = subtract_power_spectrum(power, noise_spectrum, params)
+        gain = np.sqrt(np.divide(out_power, power,
+                                 out=np.zeros_like(power), where=power > 0))
+        out[start:start + frame] += np.fft.irfft(spec * gain, n=frame)
+        wsum[start:start + frame] += win
+    y = np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
+    return y[hop:hop + n]
+
+
+def segmental_snr_loop(processed, reference, frame_length=None):
+    if frame_length is None:
+        frame_length = max(2, int(round(0.02 * reference.sample_rate)))
+    n_frames = reference.n_samples // frame_length
+    values = np.empty(n_frames)
+    for i in range(n_frames):
+        ref = reference.samples[i * frame_length:(i + 1) * frame_length]
+        err = ref - processed.samples[i * frame_length:(i + 1) * frame_length]
+        num = np.sum(ref ** 2)
+        den = np.sum(err ** 2)
+        if den == 0.0:
+            values[i] = SEGSNR_CEIL_DB
+        elif num == 0.0:
+            values[i] = SEGSNR_FLOOR_DB
+        else:
+            values[i] = np.clip(10.0 * np.log10(num / den),
+                                SEGSNR_FLOOR_DB, SEGSNR_CEIL_DB)
+    return float(np.mean(values))
+
+
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SpectralSubtractParams(window="hamming")
         with pytest.raises(ConfigurationError):
             SpectralSubtractParams(oversubtraction=0.5)
         with pytest.raises(ConfigurationError):
@@ -51,9 +104,88 @@ class TestParams:
         assert frame == FRAME and hop == HOP
         assert win.size == FRAME
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(frame_ms=0.0), dict(frame_ms=-5.0), dict(frame_ms=float("nan")),
+        dict(overlap=1.0), dict(overlap=1.5), dict(overlap=-0.1),
+    ])
+    def test_framing_validation(self, kwargs):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            SpectralSubtractParams(**kwargs)
+
+    def test_resolution_from_frame_ms_and_overlap(self):
+        params = SpectralSubtractParams(frame_ms=25.0, overlap=0.75)
+        assert params.resolve(FS)[:2] == (400, 100)
+        # an odd frame length is made even; no overlap means hop = frame
+        assert SpectralSubtractParams(frame_ms=1.0, overlap=0.0).resolve(FS)[:2] == (16, 16)
+
+    def test_explicit_lengths_win(self):
+        params = SpectralSubtractParams(frame_length=321, frame_ms=25.0, overlap=0.75)
+        assert params.resolve(FS)[:2] == (321, 80)
+        params = SpectralSubtractParams(frame_length=321, hop=107, overlap=0.75)
+        assert params.resolve(FS)[:2] == (321, 107)
+
     def test_bad_hop(self):
         with pytest.raises(ConfigurationError):
             SpectralSubtractParams(frame_length=64, hop=100).resolve(FS)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("frame,hop", [(320, 160), (321, 107), (8, 3), (5, 5), (2, 1)])
+    @pytest.mark.parametrize("extra", [0, 1, 2, 17, 160])
+    def test_frames_match_loop(self, frame, hop, extra):
+        x = np.random.default_rng(extra).standard_normal(frame + extra)
+        ref = frames_loop(x, frame, hop)
+        assert np.array_equal(_frames(x, frame, hop), ref)
+        assert frame_count(x.size, frame, hop) == ref.shape[0]
+
+    def test_frame_count_rejects_short_record(self):
+        with pytest.raises(InputError):
+            frame_count(FRAME - 1, FRAME, HOP)
+
+    @pytest.mark.parametrize("frame,hop", [(320, 160), (800, 400), (882, 441), (322, 161)])
+    @pytest.mark.parametrize("extra", [0, 1, 41, 160, 1001])
+    def test_subtract_equals_loop_at_half_frame_hop(self, frame, hop, extra):
+        rng = np.random.default_rng(frame + extra)
+        tr = trace(rng.standard_normal(3 * frame + extra))
+        params = SpectralSubtractParams(frame_length=frame, hop=hop)
+        noise = rng.uniform(0, 2 * frame, frame // 2 + 1)
+        out = spectral_subtract(tr, noise, params).samples
+        assert np.array_equal(out, spectral_subtract_loop(tr, noise, params))
+
+    @pytest.mark.parametrize("frame,hop", [(321, 107), (400, 100), (882, 617), (64, 1), (30, 29)])
+    @pytest.mark.parametrize("extra", [0, 1, 41, 1000])
+    def test_subtract_matches_loop_at_other_hops(self, frame, hop, extra):
+        rng = np.random.default_rng(frame + hop + extra)
+        tr = trace(rng.standard_normal(frame + extra))
+        params = SpectralSubtractParams(frame_length=frame, hop=hop)
+        noise = rng.uniform(0, 2 * frame, frame // 2 + 1)
+        out = spectral_subtract(tr, noise, params).samples
+        ref = spectral_subtract_loop(tr, noise, params)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("rate", [16000.0, 40000.0, 44100.0])
+    def test_segmental_snr_equals_loop(self, rate):
+        rng = np.random.default_rng(int(rate))
+        n = int(rate) + 123
+        ref = rng.standard_normal(n)
+        proc = ref + 0.3 * rng.standard_normal(n)
+        ref[:2000] = 0.0          # silent reference frames clamp low
+        proc[5000:9000] = ref[5000:9000]  # zero-error frames clamp high
+        a = SampledTrace(rate, proc, AUDIO)
+        b = SampledTrace(rate, ref, AUDIO)
+        assert segmental_snr(a, b) == segmental_snr_loop(a, b)
+        assert segmental_snr(a, b, 321) == segmental_snr_loop(a, b, 321)
+
+    @given(frame=st.integers(2, 512), data=st.data())
+    def test_zero_noise_is_identity_for_any_overlapping_geometry(self, frame, data):
+        # hop < frame: with hop == frame the periodic Hann window is zero
+        # at every frame start, so those samples cannot be reconstructed
+        hop = data.draw(st.integers(1, frame - 1), label="hop")
+        n = data.draw(st.integers(frame, frame + 1024), label="n")
+        x = np.random.default_rng(n).standard_normal(n)
+        params = SpectralSubtractParams(frame_length=frame, hop=hop)
+        out = spectral_subtract(trace(x), np.zeros(frame // 2 + 1), params).samples
+        assert np.linalg.norm(out - x) <= 1e-10 * np.linalg.norm(x)
 
 
 class TestDetectSilentFrames:
