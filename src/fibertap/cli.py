@@ -168,15 +168,19 @@ def cmd_demod(args) -> int:
         else config.demod.audio_rate_hz
 
     # drop the FIR edge transients, keeping the decimation grid aligned
-    guard = iq_transient_samples(cfg, het.sample_rate)
+    transient = iq_transient_samples(cfg, het.sample_rate)
     step = int(round(het.sample_rate / audio_rate)) \
         if (het.sample_rate / audio_rate).is_integer() else 1
-    guard = int(np.ceil(guard / step) * step)
+    guard = int(np.ceil(transient / step) * step)
     if phase.n_samples > 3 * guard:
         phase = SampledTrace(phase.sample_rate,
                              phase.samples[guard:phase.n_samples - guard],
                              phase.kind)
     else:
+        print(f"warning: record of {phase.n_samples} samples is not longer than "
+              f"3 x the {guard}-sample edge guard; keeping "
+              f"{min(transient, phase.n_samples)} FIR transient samples at each edge",
+              file=sys.stderr)
         guard = 0
     start_time = guard / het.sample_rate
 

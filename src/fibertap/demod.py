@@ -6,7 +6,9 @@ interferometer phase and whose magnitude tracks the beat amplitude. The
 low-pass is a linear-phase Kaiser FIR applied with a centered kernel, so the
 recovered phase has no group delay; the audio-band high-pass that strips
 slow environmental drift is a forward-backward Butterworth for the same
-reason.
+reason. Mixing, filtering and unwrapping go block by block (overlap-save for
+the FIR), so their working set beyond the record and its results is a few
+blocks, not whole-record spectra.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from .trace import BASEBAND, HETERODYNE, PHASE, SampledTrace
 #: term, mixed down to -f_beat, perturbs the recovered phase by < 1e-6 rad
 #: even against the weakest supported beat amplitude.
 IQ_STOPBAND_DB = 140.0
+
+#: Samples per block of `iq_demodulate` (its overlap-save FFT length) and of
+#: `unwrap_phase`. The FFT grows to the next power of two of at least twice
+#: the FIR length when the taps are longer, so a block always yields more new
+#: output than it overlaps.
+IQ_BLOCK = 2 ** 15
 
 #: Stopband attenuation of the decimation anti-alias FIR.
 DECIMATE_STOPBAND_DB = 80.0
@@ -117,12 +125,26 @@ def iq_demodulate(het: SampledTrace, cfg: DemodConfig) -> SampledTrace:
     if het.kind != HETERODYNE:
         raise InputError(f"iq_demodulate expects a {HETERODYNE!r} trace, got {het.kind!r}")
     cfg.validate_rate(het.sample_rate)
-    from scipy import signal
+    from scipy import fft
     fs = het.sample_rate
     taps = _iq_taps(cfg, fs)
-    t = np.arange(het.n_samples) / fs
-    mixed = het.samples * np.exp(-2j * np.pi * cfg.beat_frequency * t)
-    baseband = signal.fftconvolve(mixed, taps, mode="same")
+    # overlap-save over the record zero-extended by half the taps on each
+    # side, which gives the centered ("same") convolution, edges included
+    half = taps.size // 2
+    nfft = max(IQ_BLOCK, 1 << (2 * taps.size - 1).bit_length())
+    step = nfft - taps.size + 1
+    spectrum = fft.fft(taps, nfft)
+    x = het.samples
+    baseband = np.empty(x.size, dtype=np.complex128)
+    for start in range(0, x.size, step):
+        lo, hi = max(start - half, 0), min(start - half + nfft, x.size)
+        t = np.arange(lo, hi) / fs
+        block = np.zeros(nfft, dtype=np.complex128)
+        block[lo - start + half:hi - start + half] = \
+            x[lo:hi] * np.exp(-2j * np.pi * cfg.beat_frequency * t)
+        out = fft.ifft(fft.fft(block, overwrite_x=True) * spectrum, overwrite_x=True)
+        n = min(step, x.size - start)
+        baseband[start:start + n] = out[taps.size - 1:taps.size - 1 + n]
     return SampledTrace(fs, baseband, BASEBAND)
 
 
@@ -131,11 +153,30 @@ def unwrap_phase(baseband: SampledTrace) -> SampledTrace:
 
     Consecutive differences are brought into (-pi, pi] by adding multiples
     of 2 pi; valid while the true sample-to-sample phase step stays below pi,
-    which audio-band modulation at the native oversampling guarantees.
+    which audio-band modulation at the native oversampling guarantees. The
+    record goes block by block, each block continuing from the previous
+    one's last wrapped phase and running correction, so the result is
+    `np.unwrap` over the whole record, bit for bit.
     """
     if baseband.kind != BASEBAND:
         raise InputError(f"unwrap_phase expects a {BASEBAND!r} trace, got {baseband.kind!r}")
-    return SampledTrace(baseband.sample_rate, np.unwrap(np.angle(baseband.samples)), PHASE)
+    z = baseband.samples
+    phase = np.empty(z.size)
+    for start in range(0, z.size, IQ_BLOCK):
+        block = np.angle(z[start:start + IQ_BLOCK])
+        if start == 0:
+            last, correction = block[0], 0.0
+        # np.unwrap's rule: a step of pi or more in size is replaced by its
+        # wrap into [-pi, pi), except that +pi stays +pi
+        step = np.diff(block, prepend=last)
+        wrapped = np.mod(step + np.pi, 2 * np.pi) - np.pi
+        wrapped[(wrapped == -np.pi) & (step > 0)] = np.pi
+        fix = np.where(np.abs(step) < np.pi, 0.0, wrapped - step)
+        fix[0] += correction
+        np.cumsum(fix, out=fix)
+        phase[start:start + block.size] = block + fix
+        last, correction = block[-1], fix[-1]
+    return SampledTrace(baseband.sample_rate, phase, PHASE)
 
 
 def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace:

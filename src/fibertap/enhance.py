@@ -29,7 +29,8 @@ class SpectralSubtractParams:
     ``frame_length``/``hop`` are in samples and win when given; ``None``
     resolves them at the trace rate from ``frame_ms`` and ``overlap`` (the
     fraction of a frame shared by neighbouring frames). Analysis uses a
-    periodic Hann window. ``silence_threshold_db`` is the offset below the
+    periodic Hann window, which is 0 at each frame start, so the hop must be
+    shorter than the frame. ``silence_threshold_db`` is the offset below the
     median frame energy that still counts as silent: the default -10 marks
     every frame quieter than 10 dB above the median, so stationary noise is
     silent throughout while speech bursts stand out.
@@ -66,8 +67,12 @@ class SpectralSubtractParams:
         hop = self.hop
         if hop is None:
             hop = max(1, int(round(frame * (1.0 - self.overlap))))
-        if not 0 < hop <= frame:
-            raise ConfigurationError(f"hop must satisfy 0 < hop <= frame_length, got {hop}")
+            if hop >= frame:
+                raise ConfigurationError(
+                    f"overlap {self.overlap} gives hop {hop} = frame length {frame}; "
+                    "frames must overlap, since the Hann window is 0 at each frame start")
+        if not 0 < hop < frame:
+            raise ConfigurationError(f"hop must satisfy 0 < hop < frame_length, got {hop}")
         # periodic Hann, as scipy.signal.get_window("hann", frame) computes it
         fac = np.linspace(-np.pi, np.pi, frame + 1)
         win = (0.5 + 0.5 * np.cos(fac))[:-1]

@@ -163,6 +163,25 @@ class TestDemod:
         assert main(["demod", "--in", str(pcsv),
                      "--out", str(tmp_path / "again.wav")]) == 2
 
+    def test_short_record_warns_of_kept_transients(self, tmp_path, capsys):
+        # 800 samples against a 300-sample guard (297 taps on the 10:1 grid)
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.002)
+        het = self.run_sim(tmp_path, src)
+        capsys.readouterr()
+        rec = tmp_path / "rec.wav"
+        assert main(["demod", "--in", str(het), "--out", str(rec)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning:")
+        assert "800 samples" in err[0] and "keeping 297 FIR transient samples" in err[0]
+        assert read_trace(rec).n_samples == 80
+
+    def test_long_record_does_not_warn(self, tmp_path, chirp_wav, capsys):
+        het = self.run_sim(tmp_path, chirp_wav)
+        capsys.readouterr()
+        assert main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
         from fibertap import (
             DemodConfig,
@@ -233,6 +252,8 @@ class TestEnhance:
     @pytest.mark.parametrize("key,value", [
         ("overlap", 1.0), ("overlap", 1.5), ("overlap", -0.1),
         ("frame_ms", 0), ("frame_ms", -5),
+        # a hop of a whole frame would zero every frame's first sample
+        ("overlap", 0.0), ("overlap", 0.001),
     ])
     def test_bad_framing_config_exits_2_naming_key(self, tmp_path, capsys, key, value):
         src = self.make_bursty(tmp_path)

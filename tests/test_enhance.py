@@ -115,8 +115,8 @@ class TestParams:
     def test_resolution_from_frame_ms_and_overlap(self):
         params = SpectralSubtractParams(frame_ms=25.0, overlap=0.75)
         assert params.resolve(FS)[:2] == (400, 100)
-        # an odd frame length is made even; no overlap means hop = frame
-        assert SpectralSubtractParams(frame_ms=1.0, overlap=0.0).resolve(FS)[:2] == (16, 16)
+        # an odd frame length is made even
+        assert SpectralSubtractParams(frame_ms=1.0625, overlap=0.25).resolve(FS)[:2] == (18, 14)
 
     def test_explicit_lengths_win(self):
         params = SpectralSubtractParams(frame_length=321, frame_ms=25.0, overlap=0.75)
@@ -127,6 +127,22 @@ class TestParams:
     def test_bad_hop(self):
         with pytest.raises(ConfigurationError):
             SpectralSubtractParams(frame_length=64, hop=100).resolve(FS)
+
+    @pytest.mark.parametrize("kwargs,key", [
+        (dict(overlap=0.0), "overlap"), (dict(overlap=0.001), "overlap"),
+        (dict(frame_ms=1.0, overlap=0.0), "overlap"),
+        (dict(frame_length=FRAME, hop=FRAME), "hop"),
+        (dict(frame_length=2, hop=2), "hop"),
+    ])
+    def test_hop_of_a_whole_frame_rejected(self, kwargs, key):
+        # the periodic Hann window is 0 at every frame start, so without
+        # overlap those samples have no window sum to reconstruct from
+        params = SpectralSubtractParams(**kwargs)
+        with pytest.raises(ConfigurationError, match=key):
+            params.resolve(FS)
+        x = trace(np.random.default_rng(0).standard_normal(4 * FRAME))
+        with pytest.raises(ConfigurationError, match=key):
+            spectral_subtract(x, np.zeros(FRAME // 2 + 1), params)
 
 
 class TestFraming:
@@ -178,8 +194,7 @@ class TestFraming:
 
     @given(frame=st.integers(2, 512), data=st.data())
     def test_zero_noise_is_identity_for_any_overlapping_geometry(self, frame, data):
-        # hop < frame: with hop == frame the periodic Hann window is zero
-        # at every frame start, so those samples cannot be reconstructed
+        # every hop that resolve() accepts: 1 <= hop < frame
         hop = data.draw(st.integers(1, frame - 1), label="hop")
         n = data.draw(st.integers(frame, frame + 1024), label="n")
         x = np.random.default_rng(n).standard_normal(n)
@@ -235,12 +250,12 @@ class TestEstimateNoiseSpectrum:
     def test_white_noise_flat_per_bin(self):
         rng = np.random.default_rng(4)
         sigma = 0.7
-        # non-overlapping frames keep the periodograms independent
-        params = SpectralSubtractParams(frame_length=FRAME, hop=FRAME)
+        # every other half-overlapping frame: the 400 non-overlapping ones
+        # keep the periodograms independent
         n_frames = 400
         tr = trace(sigma * rng.standard_normal(FRAME * n_frames))
-        est = estimate_noise_spectrum(tr, np.arange(n_frames), params)
-        _, _, win = params.resolve(FS)
+        est = estimate_noise_spectrum(tr, np.arange(0, 2 * n_frames, 2), PARAMS)
+        _, _, win = PARAMS.resolve(FS)
         expected = sigma ** 2 * np.sum(win ** 2)
         err_db = 10 * np.log10(est / expected)
         assert np.max(np.abs(err_db)) < 1.0
