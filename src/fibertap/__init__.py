@@ -13,7 +13,6 @@ from .model import (
     FiberSpec,
     InterferometerConfig,
     LaserSpec,
-    amplitude_from_power_reflectivity,
     pressure_to_spl,
     spl_to_pressure,
     synthesize_heterodyne,

@@ -18,8 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import AcousticCoupling, FiberSpec, spl_to_pressure
-from .noise import AudioBand, mismatch_to_delay, thermal_rms
+from .model import AcousticCoupling, FiberSpec
+from .noise import AudioBand, mismatch_to_delay, thermal_rms, voice_rms_phase
 
 
 def white_psd_from_linewidth(linewidth_hz: float) -> float:
@@ -37,10 +37,14 @@ def calibrate_sensitivity(fiber_template: FiberSpec, wavelength: float,
                           anchor_length: float = 3000.0,
                           anchor_level_db: float = 30.0,
                           spl_reference: float = 2e-5) -> float:
-    """Coupling sensitivity (rad / Pa m) pinned to the thermal anchor."""
+    """Coupling sensitivity (rad / Pa m) pinned to the thermal anchor.
+
+    The voice RMS phase is proportional to the sensitivity, so the anchor
+    sensitivity is the thermal RMS over the voice RMS at unit sensitivity.
+    """
     rms = thermal_rms(replace(fiber_template, length=anchor_length), wavelength, band)
-    pressure = spl_to_pressure(anchor_level_db, spl_reference)
-    return float(rms * np.sqrt(2.0) / (sensing_length * pressure))
+    return float(rms / voice_rms_phase(anchor_level_db, AcousticCoupling(1.0, spl_reference),
+                                       sensing_length))
 
 
 def calibrate_flicker(white_freq_psd: float, coupling: AcousticCoupling,
@@ -50,8 +54,7 @@ def calibrate_flicker(white_freq_psd: float, coupling: AcousticCoupling,
                       anchor_level_db: float = 60.0) -> float:
     """Flicker coefficient (rad^2 s^-2) pinned to the mismatch anchor."""
     tau0 = mismatch_to_delay(anchor_mismatch, refractive_index)
-    pressure = spl_to_pressure(anchor_level_db, coupling.spl_reference)
-    target_rms = coupling.sensitivity * sensing_length * pressure / np.sqrt(2.0)
+    target_rms = voice_rms_phase(anchor_level_db, coupling, sensing_length)
     target_var_rate = (target_rms / tau0) ** 2
     k = (target_var_rate - white_freq_psd * (band.f_high - band.f_low)) \
         / np.log(band.f_high / band.f_low)

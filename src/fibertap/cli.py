@@ -11,7 +11,6 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .demod import (
     highpass,
     iq_demodulate,
     iq_transient_samples,
+    resample_ratio,
     unwrap_phase,
 )
 from .enhance import (
@@ -43,12 +43,13 @@ from .errors import (
     SynthesisError,
 )
 from .fileio import (
+    BUDGET_HEADER,
+    MITIGATION_HEADER,
     read_trace,
     read_wav,
     sha256_file,
-    write_budget_csv,
+    write_csv_table,
     write_json,
-    write_mitigation_csv,
     write_trace,
     write_wav,
 )
@@ -99,18 +100,6 @@ def _write_manifest(out_path, command, config, seed, inputs, outputs, stages):
     return path
 
 
-def _resample_to(samples, rate_in, rate_out):
-    if rate_in == rate_out:
-        return samples
-    frac = Fraction(rate_out / rate_in).limit_denominator(10000)
-    if abs(rate_in * frac.numerator / frac.denominator - rate_out) > 1e-6 * rate_out:
-        raise ConfigurationError(
-            f"audio rate {rate_in} is not rationally related to the "
-            f"simulation rate {rate_out}")
-    from scipy import signal
-    return signal.resample_poly(samples, frac.numerator, frac.denominator)
-
-
 def cmd_simulate(args) -> int:
     stages = _Stages()
     with stages("load"):
@@ -119,7 +108,10 @@ def cmd_simulate(args) -> int:
         rate, samples = read_wav(args.audio)
 
     with stages("prepare-audio"):
-        samples = _resample_to(samples, rate, ifo.sample_rate)
+        if rate != ifo.sample_rate:
+            up, down = resample_ratio(rate, ifo.sample_rate)
+            from scipy import signal
+            samples = signal.resample_poly(samples, up, down)
         if args.level_db is not None:
             peak = float(np.max(np.abs(samples)))
             if peak == 0:
@@ -160,17 +152,16 @@ def cmd_demod(args) -> int:
                       lowpass_cutoff=config.demod.lowpass_cutoff_hz,
                       highpass_cutoff=hp_cut,
                       filter_order=config.demod.filter_order)
+    audio_rate = args.audio_rate if args.audio_rate is not None \
+        else config.demod.audio_rate_hz
+    up, down = resample_ratio(het.sample_rate, audio_rate)
 
     with stages("iq-demodulate"):
         phase = unwrap_phase(iq_demodulate(het, cfg))
 
-    audio_rate = args.audio_rate if args.audio_rate is not None \
-        else config.demod.audio_rate_hz
-
     # drop the FIR edge transients, keeping the decimation grid aligned
     transient = iq_transient_samples(cfg, het.sample_rate)
-    step = int(round(het.sample_rate / audio_rate)) \
-        if (het.sample_rate / audio_rate).is_integer() else 1
+    step = down if up == 1 else 1
     guard = int(np.ceil(transient / step) * step)
     if phase.n_samples > 3 * guard:
         phase = SampledTrace(phase.sample_rate,
@@ -294,7 +285,7 @@ def cmd_budget(args) -> int:
         if args.format == "json":
             write_json(args.out, [r.__dict__ for r in rows])
         else:
-            write_budget_csv(rows, args.out)
+            write_csv_table(args.out, BUDGET_HEADER, rows)
     _write_manifest(args.out, "budget", config, None, {}, {"table": args.out}, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -311,7 +302,7 @@ def cmd_sensitivity(args) -> int:
                                    config.coupling, scen.test_level_db)
 
     with stages("write"):
-        write_mitigation_csv(rows, args.out)
+        write_csv_table(args.out, MITIGATION_HEADER, rows)
         summary = {
             "test_level_db": scen.test_level_db,
             "baseline": scen.baseline.label,

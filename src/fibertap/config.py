@@ -58,6 +58,13 @@ def _number(section, key, where, allow_none=False):
     return float(value)
 
 
+def _integer(section, key, where):
+    value = _number(section, key, where)
+    if not value.is_integer():
+        raise ConfigurationError(f"config key {where}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _scenario(block, where) -> MitigationScenario:
     if not isinstance(block, dict):
         raise ConfigurationError(f"{where} must be a mapping")
@@ -147,7 +154,6 @@ def _build(tree: dict) -> SimulationConfig:
         detect_fiber=fiber(_number(ifo_d, "detect_length_m", "interferometer")),
         reference_fiber=fiber(_number(ifo_d, "reference_length_m", "interferometer")),
         sensing_length=_number(ifo_d, "sensing_length_m", "interferometer"),
-        aom_shift=_number(ifo_d, "aom_shift_hz", "interferometer"),
         reflection_amplitude=_number(ifo_d, "reflection_amplitude", "interferometer"),
         intermediate_frequency=_number(ifo_d, "intermediate_frequency_hz", "interferometer"),
         sample_rate=_number(ifo_d, "sample_rate_hz", "interferometer"),
@@ -163,7 +169,7 @@ def _build(tree: dict) -> SimulationConfig:
     demod = DemodSettings(
         lowpass_cutoff_hz=_number(demod_d, "lowpass_cutoff_hz", "demod", allow_none=True),
         highpass_cutoff_hz=_number(demod_d, "highpass_cutoff_hz", "demod"),
-        filter_order=int(_number(demod_d, "filter_order", "demod")),
+        filter_order=_integer(demod_d, "filter_order", "demod"),
         audio_rate_hz=_number(demod_d, "audio_rate_hz", "demod"))
 
     enhance = SpectralSubtractParams(

@@ -192,36 +192,46 @@ def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace
     return trace.with_samples(signal.sosfiltfilt(sos, trace.samples))
 
 
+def resample_ratio(rate_in: float, rate_out: float) -> tuple[int, int]:
+    """Polyphase factors (up, down) that take `rate_in` to `rate_out`.
+
+    The ratio is the fraction nearest ``rate_out / rate_in`` with a
+    denominator of at most 10000, and it must reproduce `rate_out` within
+    1e-9 relative: 400 kS/s reaches 40, 32 and 44.1 kHz (1/10, 2/25,
+    441/4000), while a rate needing a larger denominator is rejected rather
+    than resampled approximately.
+    """
+    if not np.isfinite(rate_out) or rate_out <= 0:
+        raise ConfigurationError(f"resampling rate must be finite and > 0, got {rate_out}")
+    frac = Fraction(rate_out / rate_in).limit_denominator(10000)
+    up, down = frac.numerator, frac.denominator
+    if abs(rate_in * up / down - rate_out) > 1e-9 * rate_out:
+        raise ConfigurationError(
+            f"rate {rate_out} is not rationally related to {rate_in} "
+            "(no up/down ratio with denominator <= 10000)")
+    return up, down
+
+
 def decimate_to_audio(trace: SampledTrace, target_rate: float,
                       band: AudioBand | None = None) -> SampledTrace:
     """Anti-alias filter and resample a phase trace to an audio rate.
 
-    The target rate must relate rationally to the input rate and its Nyquist
-    frequency must clear the audio band. The anti-alias FIR passes the band
-    edge and stops at the new Nyquist frequency, so in-band content survives
-    within a small fraction of a dB while everything that would alias is
-    pushed below the design stopband.
+    The target rate must relate rationally to the input rate (see
+    `resample_ratio`) and its Nyquist frequency must clear the audio band.
+    The anti-alias FIR passes the band edge and stops at the new Nyquist
+    frequency, so in-band content survives within a small fraction of a dB
+    while everything that would alias is pushed below the design stopband.
     """
     band = band or AudioBand()
     fs = trace.sample_rate
     if target_rate == fs:
         return trace
-    if target_rate <= 0:
-        raise ConfigurationError(f"target_rate must be > 0, got {target_rate}")
+    up, down = resample_ratio(fs, target_rate)
     if target_rate / 2.0 <= band.f_high:
         raise ConfigurationError(
             f"target_rate {target_rate} cannot carry the audio band "
             f"(need target_rate/2 > {band.f_high})")
-    frac = Fraction(target_rate / fs).limit_denominator(1000)
-    up, down = frac.numerator, frac.denominator
-    if abs(fs * up / down - target_rate) > 1e-9 * target_rate:
-        raise ConfigurationError(
-            f"target_rate {target_rate} is not rationally related to {fs} "
-            "(no up/down ratio with denominator <= 1000)")
-
-    pass_edge = band.f_high
-    stop_edge = target_rate / 2.0
-    taps = _kaiser_lowpass(pass_edge, stop_edge, DECIMATE_STOPBAND_DB, fs * up)
+    taps = _kaiser_lowpass(band.f_high, target_rate / 2.0, DECIMATE_STOPBAND_DB, fs * up)
     from scipy import signal
     out = signal.resample_poly(trace.samples, up, down, window=taps)
     return SampledTrace(target_rate, out, trace.kind)

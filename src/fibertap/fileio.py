@@ -5,18 +5,23 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import astuple
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import FileFormatError, InputError
 from .noise import BudgetRow
-from .sensitivity import MitigationRow
 from .trace import KINDS, SampledTrace
 
 BUDGET_HEADER = ("x_value", "thermal_rms_rad", "laser_rms_rad", "total_rms_rad", "limit_db")
 MITIGATION_HEADER = ("label", "sensing_length_m", "bulk_modulus_scale",
                      "reflection_amplitude", "signal_rms_rad",
                      "delta_db_vs_baseline", "carrier_delta_db")
+
+#: Rows a trace CSV is written and read in per block, which bounds the
+#: text and the temporary arrays held at once.
+CSV_BLOCK_ROWS = 2 ** 12
 
 
 def sidecar_path(path) -> str:
@@ -80,13 +85,13 @@ def write_trace(trace: SampledTrace, path, normalize=False, extra_meta=None) -> 
         scale = write_wav(path, trace.sample_rate, trace.samples, normalize=normalize)
     elif ext == ".csv":
         scale = 1.0
-        times = trace.times()
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# sample_rate_hz={trace.sample_rate!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow(("time_s", "value"))
-            for t, v in zip(times, trace.samples):
-                writer.writerow((repr(float(t)), repr(float(v))))
+            fh.write(f"# sample_rate_hz={trace.sample_rate!r}\ntime_s,value\r\n")
+            for start in range(0, trace.n_samples, CSV_BLOCK_ROWS):
+                values = trace.samples[start:start + CSV_BLOCK_ROWS]
+                times = np.arange(start, start + values.size) / trace.sample_rate
+                fh.write("".join(map("{!r},{!r}\r\n".format,
+                                     times.tolist(), values.tolist())))
     else:
         raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
     meta = {"kind": trace.kind, "sample_rate_hz": trace.sample_rate, "scale": scale}
@@ -95,6 +100,39 @@ def write_trace(trace: SampledTrace, path, normalize=False, extra_meta=None) -> 
     side = sidecar_path(path)
     write_json(side, meta)
     return side
+
+
+def _read_csv_trace(path):
+    """(sample rate, values) of a trace CSV.
+
+    Blank, ``#`` and ``time_s`` lines before the first row are the header;
+    a ``# sample_rate_hz=`` line there gives the rate, else the first two
+    times do. `np.loadtxt` reads the rows in blocks: freeing one whole-file
+    array of both columns would make glibc serve later record-sized arrays
+    from its heap, which raises the peak RSS of `demod` by one of them.
+    """
+    rate, first = None, None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = map(str.strip, fh)
+            for line in lines:
+                if line.startswith("#") and "sample_rate_hz=" in line:
+                    rate = float(line.split("sample_rate_hz=")[1])
+                elif line and not line.startswith(("#", "time_s")):
+                    first = line
+                    break
+            rows = filter(None, chain([first], lines) if first else ())
+            blocks = [np.loadtxt(block, delimiter=",", ndmin=2)
+                      for block in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), [])]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: expected 'time,value' rows of numbers ({exc})") from exc
+    if any(block.shape[1] != 2 for block in blocks):
+        raise FileFormatError(f"{path}: expected 'time,value' rows")
+    if sum(block.shape[0] for block in blocks) < 2:
+        raise FileFormatError(f"{path}: CSV trace needs at least two samples")
+    if rate is None:
+        rate = 1.0 / (blocks[0][1, 0] - blocks[0][0, 0])
+    return rate, np.concatenate([block[:, 1] for block in blocks])
 
 
 def read_trace(path, kind=None) -> SampledTrace:
@@ -113,29 +151,7 @@ def read_trace(path, kind=None) -> SampledTrace:
     if ext == ".wav":
         rate, samples = read_wav(path)
     elif ext == ".csv":
-        rate = None
-        times, values = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "sample_rate_hz=" in line:
-                        rate = float(line.split("sample_rate_hz=")[1])
-                    continue
-                if line.startswith("time_s"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise FileFormatError(f"{path}: expected 'time,value' rows")
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
-        if len(values) < 2:
-            raise FileFormatError(f"{path}: CSV trace needs at least two samples")
-        if rate is None:
-            rate = 1.0 / (times[1] - times[0])
-        samples = np.asarray(values)
+        rate, samples = _read_csv_trace(path)
     else:
         raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
 
@@ -151,18 +167,13 @@ def read_trace(path, kind=None) -> SampledTrace:
     return SampledTrace(rate, samples * scale, resolved_kind)
 
 
-def _format(value) -> str:
-    return repr(float(value))
-
-
-def write_budget_csv(rows: list[BudgetRow], path):
+def write_csv_table(path, header, rows):
+    """Write dataclass rows under `header`; numbers as ``repr(float)``, text as is."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(BUDGET_HEADER)
-        for r in rows:
-            writer.writerow((_format(r.x_value), _format(r.thermal_rms),
-                             _format(r.laser_rms), _format(r.total_rms),
-                             _format(r.limit_db)))
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in astuple(r)]
+                         for r in rows)
 
 
 def read_budget_csv(path) -> list[BudgetRow]:
@@ -175,19 +186,6 @@ def read_budget_csv(path) -> list[BudgetRow]:
         for rec in reader:
             rows.append(BudgetRow(*(float(v) for v in rec)))
     return rows
-
-
-def write_mitigation_csv(rows: list[MitigationRow], path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MITIGATION_HEADER)
-        for r in rows:
-            writer.writerow((r.label, _format(r.sensing_length),
-                             _format(r.bulk_modulus_scale),
-                             _format(r.reflection_amplitude),
-                             _format(r.signal_rms_rad),
-                             _format(r.delta_db_vs_baseline),
-                             _format(r.carrier_delta_db)))
 
 
 def sha256_file(path) -> str:

@@ -65,11 +65,6 @@ class LaserSpec:
         if self.flicker_coeff < 0:
             raise ConfigurationError(f"laser.flicker_coeff must be >= 0, got {self.flicker_coeff}")
 
-    @property
-    def center_frequency(self) -> float:
-        """Angular carrier frequency 2 pi c / wavelength, rad/s."""
-        return 2.0 * np.pi * SPEED_OF_LIGHT / self.wavelength
-
 
 @dataclass(frozen=True)
 class FiberSpec:
@@ -139,7 +134,6 @@ class InterferometerConfig:
     detect_fiber: FiberSpec
     reference_fiber: FiberSpec
     sensing_length: float = 3.0
-    aom_shift: float = 80e6
     reflection_amplitude: float = 0.2
     intermediate_frequency: float = 25e3
     sample_rate: float = 400e3
@@ -165,8 +159,6 @@ class InterferometerConfig:
             raise ConfigurationError(
                 "interferometer.sensing_length cannot exceed the detecting arm length: "
                 f"{self.sensing_length} > {self.detect_fiber.length}")
-        if self.aom_shift < 0:
-            raise ConfigurationError(f"interferometer.aom_shift must be >= 0, got {self.aom_shift}")
 
     def arm_mismatch(self) -> float:
         """Unbalanced optical length |reference - 2 x detect| in meters."""
@@ -187,13 +179,6 @@ def pressure_to_spl(pressure, spl_reference=SPL_REFERENCE_PA):
     p = np.asarray(pressure, dtype=float)
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(p / spl_reference)
-
-
-def amplitude_from_power_reflectivity(reflectivity):
-    """Amplitude scale alpha for a given power reflectivity (alpha = sqrt(R))."""
-    if reflectivity < 0 or reflectivity > 1:
-        raise ConfigurationError(f"power reflectivity must be in [0, 1], got {reflectivity}")
-    return float(np.sqrt(reflectivity))
 
 
 def voice_to_phase(audio: SampledTrace, coupling: AcousticCoupling,

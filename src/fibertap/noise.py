@@ -31,6 +31,7 @@ from .model import (
     InterferometerConfig,
     LaserSpec,
     pressure_to_spl,
+    spl_to_pressure,
 )
 from .trace import PHASE, SampledTrace
 
@@ -245,8 +246,8 @@ def voice_rms_phase(level_db: float, coupling: AcousticCoupling,
                     sensing_length: float) -> float:
     """RMS phase of a sine at the given dB SPL level on the sensing fiber."""
     amplitude = coupling.sensitivity * sensing_length \
-        * coupling.spl_reference * 10.0 ** (level_db / 20.0)
-    return amplitude / np.sqrt(2.0)
+        * spl_to_pressure(level_db, coupling.spl_reference)
+    return float(amplitude / np.sqrt(2.0))
 
 
 def phase_rms_to_spl(rms_phase: float, coupling: AcousticCoupling,

@@ -11,12 +11,13 @@ the carrier rather than the phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import AcousticCoupling, spl_to_pressure
+from .model import AcousticCoupling
+from .noise import voice_rms_phase
 
 #: Elastic small-strain bound used to validate strain inputs.
 MAX_STRAIN = 1e-2
@@ -112,11 +113,13 @@ def absolute_phase_change(rel_change: float, length: float, wavelength: float,
 
 def scenario_voice_rms(scenario: MitigationScenario, coupling: AcousticCoupling,
                        test_level_db: float) -> float:
-    """Sine-equivalent voice RMS phase of a scenario at the test level."""
-    pressure = spl_to_pressure(test_level_db, coupling.spl_reference)
-    amplitude = (coupling.sensitivity / scenario.bulk_modulus_scale) \
-        * scenario.sensing_length * pressure
-    return float(amplitude / np.sqrt(2.0))
+    """Sine-equivalent voice RMS phase of a scenario at the test level.
+
+    A cable `bulk_modulus_scale` times stiffer divides the coupling
+    sensitivity by that factor.
+    """
+    stiffened = replace(coupling, sensitivity=coupling.sensitivity / scenario.bulk_modulus_scale)
+    return voice_rms_phase(test_level_db, stiffened, scenario.sensing_length)
 
 
 def compare_mitigations(baseline: MitigationScenario, variants,

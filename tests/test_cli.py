@@ -93,6 +93,24 @@ class TestSimulate:
                    "--out", str(tmp_path / "het.wav")])
         assert rc == 2
 
+    def test_removed_aom_shift_key_exits_2(self, tmp_path, chirp_wav, capsys):
+        bad = tmp_path / "aom.yaml"
+        bad.write_text("interferometer:\n  aom_shift_hz: 80.0e+6\n")
+        rc = main(["simulate", "--config", str(bad), "--audio", str(chirp_wav),
+                   "--out", str(tmp_path / "het.wav")])
+        assert rc == 2
+        assert "unknown config key: interferometer.aom_shift_hz" in capsys.readouterr().err
+
+    def test_rate_needing_a_large_denominator_exits_2(self, tmp_path, capsys):
+        # 400000 / 10573 has denominator 10573 (= 97 x 109) in lowest terms
+        src = tmp_path / "odd.wav"
+        wavfile.write(src, 10573, np.zeros(1000, dtype=np.float32))
+        out = tmp_path / "het.wav"
+        rc = main(["simulate", "--audio", str(src), "--out", str(out)])
+        assert rc == 2
+        assert "10573" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDemod:
     def run_sim(self, tmp_path, chirp_wav, **flags):
@@ -162,6 +180,63 @@ class TestDemod:
                      "--phase-csv", str(pcsv)]) == 0
         assert main(["demod", "--in", str(pcsv),
                      "--out", str(tmp_path / "again.wav")]) == 2
+
+    def fail_if_demodulated(self, monkeypatch):
+        import fibertap.cli
+
+        def iq_demodulate(*args, **kwargs):
+            raise AssertionError("iq-demodulate ran before the rate check")
+        monkeypatch.setattr(fibertap.cli, "iq_demodulate", iq_demodulate)
+
+    def test_zero_audio_rate_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = self.run_sim(tmp_path, src)
+        self.fail_if_demodulated(monkeypatch)
+        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
+                   "--audio-rate", "0"])
+        assert rc == 2
+        assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
+
+    def test_zero_audio_rate_config_exits_2(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = self.run_sim(tmp_path, src)
+        conf = tmp_path / "zero.yaml"
+        conf.write_text("demod:\n  audio_rate_hz: 0\n")
+        self.fail_if_demodulated(monkeypatch)
+        rc = main(["demod", "--config", str(conf), "--in", str(het),
+                   "--out", str(tmp_path / "rec.wav")])
+        assert rc == 2
+        assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
+    def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.05)
+        het = self.run_sim(tmp_path, src)
+        rec, pcsv = tmp_path / "rec.wav", tmp_path / "phase.csv"
+        assert main(["demod", "--in", str(het), "--out", str(rec),
+                     "--audio-rate", str(rate), "--phase-csv", str(pcsv)]) == 0
+        n = read_trace(pcsv).n_samples
+        audio = read_trace(rec)
+        assert audio.sample_rate == rate
+        assert audio.n_samples == -(-n * up // down)
+
+    def test_non_numeric_csv_value_exits_3_naming_file(self, tmp_path, capsys):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = tmp_path / "het.csv"
+        assert main(["simulate", "--audio", str(src), "--out", str(het),
+                     "--no-noise"]) == 0
+        lines = het.read_bytes().split(b"\r\n")
+        lines[3] = lines[3].split(b",")[0] + b",abc"
+        het.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "het.csv" in err and "abc" in err
 
     def test_short_record_warns_of_kept_transients(self, tmp_path, capsys):
         # 800 samples against a 300-sample guard (297 taps on the 10:1 grid)

@@ -112,6 +112,18 @@ class TestUserOverrides:
         with pytest.raises(ConfigurationError, match="noise.flatten_below_hz"):
             load_config(p)
 
+    @pytest.mark.parametrize("value", ["2.5", "0.5", "true"])
+    def test_non_integer_filter_order_rejected(self, tmp_path, value):
+        p = tmp_path / "user.yaml"
+        p.write_text(f"demod:\n  filter_order: {value}\n")
+        with pytest.raises(ConfigurationError, match="demod.filter_order"):
+            load_config(p)
+
+    def test_integral_float_filter_order_accepted(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text("demod:\n  filter_order: 6.0\n")
+        assert load_config(p).demod.filter_order == 6
+
     @pytest.mark.parametrize("key,value", [
         ("overlap", 1.0), ("overlap", 1.5), ("overlap", -0.1),
         ("frame_ms", 0), ("frame_ms", -5),

@@ -21,7 +21,7 @@ from fibertap import (
     synthesize_heterodyne,
     unwrap_phase,
 )
-from fibertap.demod import IQ_BLOCK
+from fibertap.demod import IQ_BLOCK, resample_ratio
 from fibertap.errors import ConfigurationError, InputError, NyquistError
 
 from conftest import make_tone, tone_amplitude, tone_phase
@@ -359,7 +359,37 @@ class TestDecimateToAudio:
         assert out.n_samples == ref.size
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_cd_rate_from_the_record_rate(self):
+        tone = make_tone(FS, 1000.0, 0.05, 1.0)
+        out = decimate_to_audio(tone, 44100.0)
+        assert out.sample_rate == 44100.0
+        assert out.n_samples == -(-tone.n_samples * 441 // 4000)
+
     def test_irrational_ratio_rejected(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
         with pytest.raises(ConfigurationError):
             decimate_to_audio(tone, FS / np.pi * 0.9)
+
+
+class TestResampleRatio:
+    @pytest.mark.parametrize("rate_in,rate_out,expected", [
+        (400e3, 40e3, (1, 10)), (400e3, 32e3, (2, 25)), (400e3, 16e3, (1, 25)),
+        (400e3, 48e3, (3, 25)), (400e3, 44100.0, (441, 4000)),
+        (400e3, 22050.0, (441, 8000)), (44100.0, 400e3, (4000, 441)),
+        (48e3, 32e3, (2, 3)), (400e3, 400e3, (1, 1)),
+    ])
+    def test_standard_rates(self, rate_in, rate_out, expected):
+        assert resample_ratio(rate_in, rate_out) == expected
+
+    @pytest.mark.parametrize("rate_out", [0.0, -40e3, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_rejected(self, rate_out):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            resample_ratio(400e3, rate_out)
+
+    @pytest.mark.parametrize("rate_in,rate_out", [
+        (10573.0, 400e3),          # needs denominator 10573
+        (400e3, 400e3 / np.pi),    # irrational
+    ])
+    def test_unrelated_rates_rejected(self, rate_in, rate_out):
+        with pytest.raises(ConfigurationError, match="not rationally related"):
+            resample_ratio(rate_in, rate_out)

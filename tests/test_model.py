@@ -10,7 +10,6 @@ from fibertap import (
     InterferometerConfig,
     LaserSpec,
     SampledTrace,
-    amplitude_from_power_reflectivity,
     pressure_to_spl,
     spl_to_pressure,
     synthesize_heterodyne,
@@ -38,11 +37,6 @@ def small_config(**overrides):
 
 
 class TestLaserSpec:
-    def test_center_frequency_identity(self):
-        laser = LaserSpec(wavelength=1.55e-6)
-        expected = 2.0 * np.pi * SPEED_OF_LIGHT / 1.55e-6
-        assert abs(laser.center_frequency - expected) <= 1e-12 * expected
-
     def test_invariants(self):
         with pytest.raises(ConfigurationError):
             LaserSpec(wavelength=0.0)
@@ -175,9 +169,6 @@ class TestSynthesizeHeterodyne:
         assert np.max(het.samples) == pytest.approx(1.04 + 0.4, abs=1e-12)
         assert np.min(het.samples) == pytest.approx(1.04 - 0.4, abs=1e-12)
         assert np.ptp(het.samples) == pytest.approx(0.8, abs=1e-12)
-
-    def test_power_reflectivity_four_percent_is_amplitude_point_two(self):
-        assert amplitude_from_power_reflectivity(0.04) == pytest.approx(0.2, rel=1e-15)
 
     def test_mean_is_dc_term_over_integer_periods(self):
         # 0.01 s at 25 kHz = 250 whole beat periods
