@@ -2,8 +2,9 @@
 
 A 0.25 s gated tone, at 44.1 kHz and at 400 kS/s, goes through `simulate`
 (WAV and CSV, seed 3), `demod` (40 kHz with ``--phase-csv`` from the WAV,
-32 kHz from the CSV), `enhance`, `budget` (both sweeps, CSV and JSON) and
-`sensitivity`, in process. The sha256 of every data file and sidecar is
+32 kHz from the CSV, and from the WAV once with ``--beat-frequency`` and
+``--highpass-cutoff`` and once with ``--no-highpass``), `enhance`, `budget`
+(both sweeps, CSV and JSON) and `sensitivity`, in process. The sha256 of every data file and sidecar is
 compared with the digests below. Manifests hold timings and are left out,
 as is `print-config`.
 
@@ -45,6 +46,14 @@ GOLDEN = {
         "599adf1ff5ca4dfdf6698accf6691eaa41b424220685f0e4c3c622a11b9e7612",
     "rec32.wav.meta.json":
         "dce37e81c5a4daa0c353ee2be2f03b329e06be7f5dd0a03b2f439d2cbb550e94",
+    "rec_flags.wav":
+        "84f7c17bd8a45e62fda8aeb919aecf019945d0bdd38e62185ca440dbd665306b",
+    "rec_nohp.wav":
+        "b7c94b9db83d8d2e1aca7350aea7642ac27df7cbaa5b88353d4764f843345aa4",
+    "rec_flags.wav.meta.json":
+        "fbe1f54e8d8332bd2ad6ad78ea347c751167b6a21864dd8827b2e5a1ab8ad0e0",
+    "rec_nohp.wav.meta.json":
+        "fbe1f54e8d8332bd2ad6ad78ea347c751167b6a21864dd8827b2e5a1ab8ad0e0",
     "enh.wav":
         "4f35a6c29cb835d107b572603da5179cadbc03c0b51be9e7b19a1133b755331f",
     "enh.wav.report.json":
@@ -85,6 +94,9 @@ def run_pipeline(d):
     run("demod", "--in", d / "het.wav", "--out", d / "rec40.wav",
         "--audio-rate", 40000, "--phase-csv", d / "phase.csv")
     run("demod", "--in", d / "het.csv", "--out", d / "rec32.wav", "--audio-rate", 32000)
+    run("demod", "--in", d / "het.wav", "--out", d / "rec_flags.wav",
+        "--beat-frequency", 25000, "--highpass-cutoff", 300)
+    run("demod", "--in", d / "het.wav", "--out", d / "rec_nohp.wav", "--no-highpass")
     run("enhance", "--in", d / "rec40.wav", "--out", d / "enh.wav")
     for sweep in ("length", "mismatch"):
         for fmt in ("csv", "json"):
@@ -93,7 +105,7 @@ def run_pipeline(d):
     run("sensitivity", "--out", d / "mitigations.csv")
 
     names = ["het.wav", "het.csv", "het400k.wav", "rec40.wav", "phase.csv",
-             "rec32.wav"]
+             "rec32.wav", "rec_flags.wav", "rec_nohp.wav"]
     files = names + [n + ".meta.json" for n in names]
     files += ["enh.wav", "enh.wav.report.json", "mitigations.csv",
               "mitigations.csv.summary.json"]
