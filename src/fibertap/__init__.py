@@ -40,6 +40,7 @@ from .noise import (
 from .demod import (
     DemodConfig,
     decimate_to_audio,
+    edge_guard,
     highpass,
     iq_demodulate,
     iq_transient_samples,

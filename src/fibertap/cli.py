@@ -11,17 +11,17 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import load_config
 from .demod import (
-    DemodConfig,
     decimate_to_audio,
+    edge_guard,
     highpass,
     iq_demodulate,
-    iq_transient_samples,
     resample_ratio,
     unwrap_phase,
 )
@@ -143,26 +143,14 @@ def cmd_demod(args) -> int:
     with stages("load"):
         config = load_config(args.config)
         het = read_trace(args.trace_in, kind=HETERODYNE)
-
-    beat = args.beat_frequency if args.beat_frequency is not None \
-        else config.interferometer.intermediate_frequency
-    hp_cut = args.highpass_cutoff if args.highpass_cutoff is not None \
-        else config.demod.highpass_cutoff_hz
-    cfg = DemodConfig(beat_frequency=beat,
-                      lowpass_cutoff=config.demod.lowpass_cutoff_hz,
-                      highpass_cutoff=hp_cut,
-                      filter_order=config.demod.filter_order)
-    audio_rate = args.audio_rate if args.audio_rate is not None \
-        else config.demod.audio_rate_hz
-    up, down = resample_ratio(het.sample_rate, audio_rate)
+        flags = {name: getattr(args, name)
+                 for name in ("beat_frequency", "highpass_cutoff", "audio_rate")}
+        cfg = replace(config.demod, **{k: v for k, v in flags.items() if v is not None})
+        transient, guard = edge_guard(cfg, het.sample_rate, config.band)
 
     with stages("iq-demodulate"):
         phase = unwrap_phase(iq_demodulate(het, cfg))
 
-    # drop the FIR edge transients, keeping the decimation grid aligned
-    transient = iq_transient_samples(cfg, het.sample_rate)
-    step = down if up == 1 else 1
-    guard = int(np.ceil(transient / step) * step)
     if phase.n_samples > 3 * guard:
         phase = SampledTrace(phase.sample_rate,
                              phase.samples[guard:phase.n_samples - guard],
@@ -184,7 +172,7 @@ def cmd_demod(args) -> int:
             write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
 
     with stages("decimate"):
-        audio = decimate_to_audio(phase, audio_rate, config.band)
+        audio = decimate_to_audio(phase, cfg.audio_rate, config.band)
 
     with stages("write"):
         write_trace(audio, args.out, extra_meta={"start_time_s": start_time})

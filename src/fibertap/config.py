@@ -16,6 +16,8 @@ from importlib import resources
 
 import yaml
 
+from .calibrate import white_psd_from_linewidth
+from .demod import DemodConfig
 from .enhance import SpectralSubtractParams
 from .errors import ConfigurationError
 from .model import AcousticCoupling, FiberSpec, InterferometerConfig, LaserSpec
@@ -102,21 +104,13 @@ class NoiseSettings:
 
 
 @dataclass(frozen=True)
-class DemodSettings:
-    lowpass_cutoff_hz: float | None = None
-    highpass_cutoff_hz: float = 500.0
-    filter_order: int = 4
-    audio_rate_hz: float = 40000.0
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """Typed view of one resolved config tree."""
 
     interferometer: InterferometerConfig
     coupling: AcousticCoupling
     band: AudioBand
-    demod: DemodSettings
+    demod: DemodConfig
     enhance: SpectralSubtractParams
     noise: NoiseSettings
     scenarios: ScenarioSet
@@ -139,6 +133,10 @@ def _build(tree: dict) -> SimulationConfig:
         linewidth=_number(laser_d, "linewidth_hz", "laser"),
         white_freq_psd=_number(laser_d, "white_freq_psd", "laser"),
         flicker_coeff=_number(laser_d, "flicker_coeff", "laser"))
+    lorentzian_psd = white_psd_from_linewidth(laser.linewidth)
+    if abs(laser.white_freq_psd - lorentzian_psd) > 1e-9 * lorentzian_psd:
+        raise ConfigurationError(f"laser.white_freq_psd ({laser.white_freq_psd}) must equal "
+                                 f"4*pi*laser.linewidth_hz ({lorentzian_psd}) to 1e-9 relative")
 
     def fiber(length):
         return FiberSpec(
@@ -166,11 +164,12 @@ def _build(tree: dict) -> SimulationConfig:
     band = AudioBand(f_low=_number(band_d, "f_low_hz", "band"),
                      f_high=_number(band_d, "f_high_hz", "band"))
 
-    demod = DemodSettings(
-        lowpass_cutoff_hz=_number(demod_d, "lowpass_cutoff_hz", "demod", allow_none=True),
-        highpass_cutoff_hz=_number(demod_d, "highpass_cutoff_hz", "demod"),
+    demod = DemodConfig(
+        beat_frequency=interferometer.intermediate_frequency,
+        lowpass_cutoff=_number(demod_d, "lowpass_cutoff_hz", "demod", allow_none=True),
+        highpass_cutoff=_number(demod_d, "highpass_cutoff_hz", "demod"),
         filter_order=_integer(demod_d, "filter_order", "demod"),
-        audio_rate_hz=_number(demod_d, "audio_rate_hz", "demod"))
+        audio_rate=_number(demod_d, "audio_rate_hz", "demod"))
 
     enhance = SpectralSubtractParams(
         frame_ms=_number(enh_d, "frame_ms", "enhance"),

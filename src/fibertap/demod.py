@@ -39,33 +39,37 @@ DECIMATE_STOPBAND_DB = 80.0
 
 @dataclass(frozen=True)
 class DemodConfig:
-    """IQ demodulation parameters.
+    """Parameters of `demod`: IQ demodulation, high-pass and audio rate.
 
     ``beat_frequency`` must equal the carrier actually present in the record
-    (the synthesis intermediate frequency). ``lowpass_cutoff`` defaults to
-    half the beat frequency, the widest choice that still rejects the mixed
-    DC term and the double-frequency image.
+    (`load_config` takes it from ``interferometer.intermediate_frequency_hz``).
+    ``lowpass_cutoff`` defaults to half the beat frequency, the widest choice
+    that still rejects the mixed DC term and the double-frequency image.
+    `edge_guard` checks the parameters against a record's sample rate.
     """
 
     beat_frequency: float
     lowpass_cutoff: float | None = None
     highpass_cutoff: float = 500.0
     filter_order: int = 4
+    audio_rate: float = 40000.0
 
     def __post_init__(self):
-        if self.beat_frequency <= 0:
+        if not 0 < self.beat_frequency < np.inf:
             raise ConfigurationError(
-                f"demod.beat_frequency must be > 0, got {self.beat_frequency}")
+                f"demod.beat_frequency must be finite and > 0, got {self.beat_frequency}")
         if self.lowpass_cutoff is not None and not 0 < self.lowpass_cutoff < self.beat_frequency:
             raise ConfigurationError(
                 "demod.lowpass_cutoff must lie in (0, beat_frequency): "
                 f"got {self.lowpass_cutoff} with beat {self.beat_frequency}")
-        if self.highpass_cutoff < 0:
+        if not 0 <= self.highpass_cutoff < np.inf:
             raise ConfigurationError(
-                f"demod.highpass_cutoff must be >= 0, got {self.highpass_cutoff}")
+                f"demod.highpass_cutoff must be finite and >= 0, got {self.highpass_cutoff}")
         if self.filter_order < 1:
             raise ConfigurationError(
                 f"demod.filter_order must be >= 1, got {self.filter_order}")
+        if not np.isfinite(self.audio_rate):
+            raise ConfigurationError(f"demod.audio_rate must be finite, got {self.audio_rate}")
 
     def resolved_cutoff(self) -> float:
         return self.lowpass_cutoff if self.lowpass_cutoff is not None \
@@ -90,9 +94,6 @@ def _kaiser_lowpass(pass_edge, stop_edge, atten_db, fs):
 
 def _iq_taps(cfg: DemodConfig, fs: float):
     cutoff = cfg.resolved_cutoff()
-    if not 0 < cutoff < cfg.beat_frequency:
-        raise ConfigurationError(
-            f"lowpass cutoff {cutoff} must lie in (0, beat_frequency)")
     # stop by the beat frequency so the mixed-down DC term is fully attenuated
     stop_edge = min(2.0 * cutoff, cfg.beat_frequency)
     return _kaiser_lowpass(cutoff, stop_edge, IQ_STOPBAND_DB, fs)
@@ -101,6 +102,23 @@ def _iq_taps(cfg: DemodConfig, fs: float):
 def iq_transient_samples(cfg: DemodConfig, sample_rate: float) -> int:
     """Edge samples of `iq_demodulate` output contaminated by the FIR ramp."""
     return _iq_taps(cfg, sample_rate).size
+
+
+def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand) -> tuple[int, int]:
+    """Check `cfg` against a record at `sample_rate`; size the edge guard.
+
+    Runs every rule that ties the parameters to the record rate (beat below
+    Nyquist; audio rate rational and clear of `band`, as `decimate_to_audio`
+    needs), so a record is rejected before any of it is demodulated. Returns
+    ``(transient, guard)``: the FIR transient samples at each edge of the
+    `iq_demodulate` output, and that count rounded up to a whole decimation
+    step, which keeps the trimmed audio on the grid of the whole record.
+    """
+    cfg.validate_rate(sample_rate)
+    up, down = _audio_ratio(sample_rate, cfg.audio_rate, band)
+    transient = iq_transient_samples(cfg, sample_rate)
+    step = down if up == 1 else 1
+    return transient, -(-transient // step) * step
 
 
 def iq_demodulate(het: SampledTrace, cfg: DemodConfig) -> SampledTrace:
@@ -212,6 +230,16 @@ def resample_ratio(rate_in: float, rate_out: float) -> tuple[int, int]:
     return up, down
 
 
+def _audio_ratio(rate_in: float, audio_rate: float, band: AudioBand) -> tuple[int, int]:
+    """`resample_ratio` to an audio rate, which must carry `band` if it differs."""
+    up, down = resample_ratio(rate_in, audio_rate)
+    if audio_rate != rate_in and audio_rate / 2.0 <= band.f_high:
+        raise ConfigurationError(
+            f"audio rate {audio_rate} cannot carry the audio band "
+            f"(need audio rate/2 > {band.f_high})")
+    return up, down
+
+
 def decimate_to_audio(trace: SampledTrace, target_rate: float,
                       band: AudioBand | None = None) -> SampledTrace:
     """Anti-alias filter and resample a phase trace to an audio rate.
@@ -226,11 +254,7 @@ def decimate_to_audio(trace: SampledTrace, target_rate: float,
     fs = trace.sample_rate
     if target_rate == fs:
         return trace
-    up, down = resample_ratio(fs, target_rate)
-    if target_rate / 2.0 <= band.f_high:
-        raise ConfigurationError(
-            f"target_rate {target_rate} cannot carry the audio band "
-            f"(need target_rate/2 > {band.f_high})")
+    up, down = _audio_ratio(fs, target_rate, band)
     taps = _kaiser_lowpass(band.f_high, target_rate / 2.0, DECIMATE_STOPBAND_DB, fs * up)
     from scipy import signal
     out = signal.resample_poly(trace.samples, up, down, window=taps)

@@ -57,34 +57,28 @@ def read_wav(path):
     return float(rate), samples
 
 
-def write_wav(path, sample_rate, samples, normalize=False):
-    """Write float32 WAV; returns the scale divided out (1.0 unless normalizing)."""
+def write_wav(path, sample_rate, samples):
+    """Write samples, in physical units, as a float32 WAV."""
     from scipy.io import wavfile
     samples = np.asarray(samples, dtype=np.float64)
-    scale = 1.0
-    if normalize:
-        peak = float(np.max(np.abs(samples))) if samples.size else 0.0
-        if peak > 0:
-            scale = peak / 0.9
-    wavfile.write(path, int(round(sample_rate)), (samples / scale).astype(np.float32))
-    return scale
+    wavfile.write(path, int(round(sample_rate)), samples.astype(np.float32))
 
 
-def write_trace(trace: SampledTrace, path, normalize=False, extra_meta=None) -> str:
+def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     """Write a real trace as WAV or CSV (by extension) plus a sidecar.
 
     The sidecar records kind, sample rate and the scale factor that converts
-    file values back to physical units (``physical = file_value * scale``),
-    plus any `extra_meta` entries. Returns the sidecar path.
+    file values back to physical units (``physical = file_value * scale``;
+    always 1.0 as written here, honoured by `read_trace`), plus any
+    `extra_meta` entries. Returns the sidecar path.
     """
     if np.iscomplexobj(trace.samples):
         raise InputError("complex baseband traces have no file representation")
     path = str(path)
     ext = os.path.splitext(path)[1].lower()
     if ext == ".wav":
-        scale = write_wav(path, trace.sample_rate, trace.samples, normalize=normalize)
+        write_wav(path, trace.sample_rate, trace.samples)
     elif ext == ".csv":
-        scale = 1.0
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# sample_rate_hz={trace.sample_rate!r}\ntime_s,value\r\n")
             for start in range(0, trace.n_samples, CSV_BLOCK_ROWS):
@@ -94,7 +88,7 @@ def write_trace(trace: SampledTrace, path, normalize=False, extra_meta=None) -> 
                                      times.tolist(), values.tolist())))
     else:
         raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
-    meta = {"kind": trace.kind, "sample_rate_hz": trace.sample_rate, "scale": scale}
+    meta = {"kind": trace.kind, "sample_rate_hz": trace.sample_rate, "scale": 1.0}
     if extra_meta:
         meta.update(extra_meta)
     side = sidecar_path(path)

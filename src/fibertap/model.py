@@ -40,8 +40,8 @@ class LaserSpec:
     wavelength : float
         Vacuum wavelength in meters.
     linewidth : float
-        Lorentzian linewidth in Hz (informational; the white PSD level is
-        carried explicitly in `white_freq_psd`).
+        Lorentzian linewidth in Hz. A config must set `white_freq_psd` to
+        its ``4 pi linewidth`` (within 1e-9 relative) or `load_config` fails.
     white_freq_psd : float
         One-sided white PSD of angular-frequency fluctuations, rad^2 s^-2 / Hz.
         For a Lorentzian line of width ``dv`` this is ``4 pi dv``.

@@ -59,15 +59,6 @@ class SampledTrace:
     def n_samples(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        """Trace length in seconds."""
-        return self.n_samples / self.sample_rate
-
-    def times(self) -> np.ndarray:
-        """Sample instants t_i = i / sample_rate."""
-        return np.arange(self.n_samples) / self.sample_rate
-
-    def with_samples(self, samples, kind=None) -> "SampledTrace":
-        """New trace at the same rate with different samples (and optionally kind)."""
-        return SampledTrace(self.sample_rate, samples, self.kind if kind is None else kind)
+    def with_samples(self, samples) -> "SampledTrace":
+        """New trace of the same rate and kind with different samples."""
+        return SampledTrace(self.sample_rate, samples, self.kind)

@@ -210,6 +210,45 @@ class TestDemod:
         assert rc == 2
         assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
 
+    def test_non_finite_beat_flag_exits_2_before_demodulating(self, tmp_path, monkeypatch,
+                                                               capsys):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = self.run_sim(tmp_path, src)
+        self.fail_if_demodulated(monkeypatch)
+        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
+                   "--beat-frequency", "nan"])
+        assert rc == 2
+        assert "demod.beat_frequency must be finite" in capsys.readouterr().err
+
+    def test_audio_rate_below_the_band_exits_2_writing_nothing(self, tmp_path, monkeypatch,
+                                                              capsys):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = self.run_sim(tmp_path, src)
+        self.fail_if_demodulated(monkeypatch)
+        rec, pcsv = tmp_path / "rec.wav", tmp_path / "p.csv"
+        rc = main(["demod", "--in", str(het), "--out", str(rec),
+                   "--audio-rate", "16000", "--phase-csv", str(pcsv)])
+        assert rc == 2
+        assert "cannot carry the audio band" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["het.wav", "het.wav.manifest.json", "het.wav.meta.json", "short.wav"]
+
+    def test_beat_flag_does_not_rescue_a_contradictory_config(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the flag's beat would clear the cutoff, but the config must hold alone
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = self.run_sim(tmp_path, src)
+        conf = tmp_path / "lowpass.yaml"
+        conf.write_text("demod:\n  lowpass_cutoff_hz: 30000.0\n")
+        self.fail_if_demodulated(monkeypatch)
+        rc = main(["demod", "--config", str(conf), "--in", str(het),
+                   "--out", str(tmp_path / "rec.wav"), "--beat-frequency", "80000"])
+        assert rc == 2
+        assert "demod.lowpass_cutoff" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
         src = tmp_path / "short.wav"
@@ -258,13 +297,7 @@ class TestDemod:
         assert capsys.readouterr().err == ""
 
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
-        from fibertap import (
-            DemodConfig,
-            iq_demodulate,
-            iq_transient_samples,
-            synthesize_heterodyne,
-            unwrap_phase,
-        )
+        from fibertap import edge_guard, iq_demodulate, synthesize_heterodyne, unwrap_phase
         het_file = self.run_sim(tmp_path, chirp_wav)
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--in", str(het_file), "--out", str(rec)]) == 0
@@ -276,18 +309,44 @@ class TestDemod:
         audio = SampledTrace(rate0, src / np.max(np.abs(src)) * level, AUDIO)
         phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
         het = synthesize_heterodyne(cfg.interferometer, voice_phase=phase)
-        dm = DemodConfig(beat_frequency=cfg.interferometer.intermediate_frequency)
+        dm = cfg.demod
         full = unwrap_phase(iq_demodulate(het, dm))
-        guard = iq_transient_samples(dm, rate0)
-        step = int(round(rate0 / 40000.0))
-        guard = int(np.ceil(guard / step) * step)
+        _, guard = edge_guard(dm, rate0, cfg.band)
         trimmed = SampledTrace(rate0, full.samples[guard:full.n_samples - guard],
                                PHASE)
-        rec2 = decimate_to_audio(highpass(trimmed, 500.0, 4), 40000.0, cfg.band)
+        rec2 = decimate_to_audio(highpass(trimmed, dm.highpass_cutoff, dm.filter_order),
+                                 dm.audio_rate, cfg.band)
         # equality up to float32 storage of the heterodyne trace and output
         scale = np.max(np.abs(rec2.samples))
         np.testing.assert_allclose(via_files.samples, rec2.samples,
                                    atol=2e-5 * scale)
+
+
+class TestConfigCheckedOnLoad:
+    """A config that contradicts itself fails every command before any work:
+    with real inputs missing, a command that got past `load_config` would
+    exit 3 or write a table."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--audio", "missing.wav", "--out", "out.wav"],
+        "demod": ["demod", "--in", "missing.wav", "--out", "out.wav"],
+        "enhance": ["enhance", "--in", "missing.wav", "--out", "out.wav"],
+        "budget": ["budget", "--sweep", "length", "--out", "out.csv"],
+        "sensitivity": ["sensitivity", "--out", "out.csv"],
+        "print-config": ["print-config", "--out", "out.yaml"],
+    }
+
+    @pytest.mark.parametrize("text,key", [
+        ("demod:\n  lowpass_cutoff_hz: 30000.0\n", "demod.lowpass_cutoff"),
+        ("laser:\n  linewidth_hz: 200\n", "laser.linewidth_hz"),
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, command, text, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.yaml").write_text(text)
+        assert main(self.COMMANDS[command] + ["--config", "bad.yaml"]) == 2
+        assert key in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
 
 
 class TestEnhance:

@@ -1,6 +1,6 @@
 import pytest
 
-from fibertap import default_config, load_config
+from fibertap import DemodConfig, default_config, load_config
 from fibertap.calibrate import (
     calibrate_flicker,
     calibrate_sensitivity,
@@ -38,6 +38,11 @@ class TestDefaults:
             cfg.interferometer.detect_fiber.refractive_index,
             sensing_length=cfg.interferometer.sensing_length)
         assert laser.flicker_coeff == pytest.approx(expected, rel=1e-9)
+
+    def test_demod_is_a_demod_config(self, cfg):
+        assert isinstance(cfg.demod, DemodConfig)
+        assert cfg.demod.beat_frequency == cfg.interferometer.intermediate_frequency
+        assert cfg.demod.audio_rate == 40000.0
 
     def test_enhance_params_resolution(self, cfg):
         assert cfg.enhance.resolve(16000.0)[:2] == (320, 160)
@@ -133,6 +138,37 @@ class TestUserOverrides:
         p.write_text(f"enhance:\n  {key}: {value}\n")
         with pytest.raises(ConfigurationError, match=key):
             load_config(p)
+
+    @pytest.mark.parametrize("text,key", [
+        ("demod:\n  lowpass_cutoff_hz: 25000.0\n", "demod.lowpass_cutoff"),
+        ("demod:\n  lowpass_cutoff_hz: 12000.0\n"
+         "interferometer:\n  intermediate_frequency_hz: 10000.0\n", "demod.lowpass_cutoff"),
+        ("demod:\n  highpass_cutoff_hz: .inf\n", "demod.highpass_cutoff"),
+        ("demod:\n  audio_rate_hz: .nan\n", "demod.audio_rate"),
+    ])
+    def test_demod_keys_checked_against_the_interferometer(self, tmp_path, text, key):
+        p = tmp_path / "user.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(p)
+
+    @pytest.mark.parametrize("text", [
+        "laser:\n  linewidth_hz: 200.0\n",
+        "laser:\n  white_freq_psd: 1256.64\n",
+        "laser:\n  linewidth_hz: 0.0\n",
+    ])
+    def test_white_psd_contradicting_linewidth_rejected(self, tmp_path, text):
+        p = tmp_path / "user.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigurationError,
+                           match=r"laser\.white_freq_psd .*laser\.linewidth_hz"):
+            load_config(p)
+
+    def test_white_psd_matching_linewidth_accepted(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text(f"laser:\n  linewidth_hz: 200.0\n"
+                     f"  white_freq_psd: {white_psd_from_linewidth(200.0)!r}\n")
+        assert load_config(p).interferometer.laser.linewidth == 200.0
 
     def test_dump_round_trip(self, tmp_path, cfg):
         p = tmp_path / "dump.yaml"

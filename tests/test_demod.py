@@ -15,6 +15,7 @@ from fibertap import (
     InterferometerConfig,
     SampledTrace,
     decimate_to_audio,
+    edge_guard,
     highpass,
     iq_demodulate,
     iq_transient_samples,
@@ -70,6 +71,12 @@ class TestDemodConfig:
         with pytest.raises(ConfigurationError):
             DemodConfig(beat_frequency=25e3, filter_order=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["beat_frequency", "highpass_cutoff", "audio_rate"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"demod.{field} must be finite"):
+            DemodConfig(**{"beat_frequency": 25e3, field: value})
+
     def test_nyquist_check(self):
         cfg = DemodConfig(beat_frequency=250e3)
         with pytest.raises(NyquistError):
@@ -77,6 +84,39 @@ class TestDemodConfig:
 
     def test_default_cutoff_is_half_beat(self):
         assert DemodConfig(beat_frequency=25e3).resolved_cutoff() == 12.5e3
+
+
+class TestEdgeGuard:
+    """`edge_guard` holds every rule that ties a `DemodConfig` to a record rate."""
+
+    @pytest.mark.parametrize("audio_rate,guard", [
+        (40e3, 300), (80e3, 300), (25e3, 304), (32e3, 297), (44100.0, 297), (FS, 297),
+    ])
+    def test_guard_rounds_up_to_the_decimation_step(self, audio_rate, guard):
+        cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
+        assert iq_transient_samples(cfg, FS) == 297
+        assert edge_guard(cfg, FS, AudioBand()) == (297, guard)
+
+    def test_beat_above_nyquist_rejected(self):
+        with pytest.raises(NyquistError):
+            edge_guard(DemodConfig(beat_frequency=25e3), 48e3, AudioBand())
+
+    @pytest.mark.parametrize("audio_rate", [
+        16e3, 20e3, 20001.0, 22050.0, 32e3, 40e3, FS / 3, FS / np.pi, 0.0, -40e3,
+    ])
+    def test_same_audio_rate_rule_as_decimate_to_audio(self, audio_rate):
+        def error(run):
+            try:
+                run()
+            except ConfigurationError as exc:
+                return str(exc)
+            return None
+
+        cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
+        tone = make_tone(FS, 1000.0, 0.01, 1.0)
+        expected = error(lambda: decimate_to_audio(tone, audio_rate, AudioBand()))
+        assert error(lambda: edge_guard(cfg, FS, AudioBand())) == expected
+        assert (expected is None) == (audio_rate in (22050.0, 32e3, 40e3, FS / 3))
 
 
 class TestIqDemodulate:

@@ -59,14 +59,6 @@ class TestWav:
         with pytest.raises(FileFormatError):
             read_wav(p)
 
-    def test_normalize_returns_scale(self, tmp_path):
-        p = tmp_path / "f.wav"
-        x = np.array([0.0, 4.5, -9.0])
-        scale = write_wav(p, 8000, x, normalize=True)
-        _, back = read_wav(p)
-        assert np.max(np.abs(back)) == pytest.approx(0.9, rel=1e-6)
-        np.testing.assert_allclose(back * scale, x, rtol=1e-6)
-
 
 class TestTraceFiles:
     def test_wav_trace_with_sidecar(self, tmp_path):
@@ -115,11 +107,13 @@ class TestTraceFiles:
             read_trace(p)
 
     def test_normalized_trace_rescaled_on_read(self, tmp_path):
-        tr = SampledTrace(8000.0, np.array([0.0, 2.0, -4.0]), PHASE)
         p = tmp_path / "n.wav"
-        write_trace(tr, p, normalize=True)
+        write_wav(p, 8000, np.array([0.0, 0.5, -1.0]))
+        (tmp_path / "n.wav.meta.json").write_text(
+            '{"kind": "phase", "sample_rate_hz": 8000.0, "scale": 2.0}')
         back = read_trace(p)
-        np.testing.assert_allclose(back.samples, tr.samples, rtol=1e-6, atol=1e-9)
+        assert back.kind == PHASE
+        np.testing.assert_array_equal(back.samples, [0.0, 1.0, -2.0])
 
     def test_unknown_extension_rejected(self, tmp_path):
         tr = SampledTrace(8000.0, np.zeros(4), PHASE)

@@ -4,9 +4,9 @@ A 0.25 s gated tone, at 44.1 kHz and at 400 kS/s, goes through `simulate`
 (WAV and CSV, seed 3), `demod` (40 kHz with ``--phase-csv`` from the WAV,
 32 kHz from the CSV, and from the WAV once with ``--beat-frequency`` and
 ``--highpass-cutoff`` and once with ``--no-highpass``), `enhance`, `budget`
-(both sweeps, CSV and JSON) and `sensitivity`, in process. The sha256 of every data file and sidecar is
-compared with the digests below. Manifests hold timings and are left out,
-as is `print-config`.
+(both sweeps, CSV and JSON) and `sensitivity`, in process. The sha256 of
+every data file and sidecar is compared with the digests below. Manifests
+hold timings and are left out, as is `print-config`.
 
 The digests are tied to the numpy/scipy build they were recorded with
 (numpy 2.x and scipy 1.x wheels on x86-64 Linux): a different BLAS, FFT or
