@@ -210,44 +210,28 @@ class TestDemod:
         assert rc == 2
         assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
 
-    def test_non_finite_beat_flag_exits_2_before_demodulating(self, tmp_path, monkeypatch,
-                                                               capsys):
-        src = tmp_path / "short.wav"
-        write_chirp(src, duration=0.01)
-        het = self.run_sim(tmp_path, src)
-        self.fail_if_demodulated(monkeypatch)
-        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
-                   "--beat-frequency", "nan"])
-        assert rc == 2
-        assert "demod.beat_frequency must be finite" in capsys.readouterr().err
-
-    def test_audio_rate_below_the_band_exits_2_writing_nothing(self, tmp_path, monkeypatch,
-                                                              capsys):
-        src = tmp_path / "short.wav"
-        write_chirp(src, duration=0.01)
-        het = self.run_sim(tmp_path, src)
-        self.fail_if_demodulated(monkeypatch)
-        rec, pcsv = tmp_path / "rec.wav", tmp_path / "p.csv"
-        rc = main(["demod", "--in", str(het), "--out", str(rec),
-                   "--audio-rate", "16000", "--phase-csv", str(pcsv)])
-        assert rc == 2
-        assert "cannot carry the audio band" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["het.wav", "het.wav.manifest.json", "het.wav.meta.json", "short.wav"]
-
-    def test_beat_flag_does_not_rescue_a_contradictory_config(self, tmp_path, monkeypatch,
-                                                              capsys):
+    @pytest.mark.parametrize("config,flags,message", [
+        ("", ["--beat-frequency", "nan"], "demod.beat_frequency must be finite"),
+        ("", ["--audio-rate", "16000"], "cannot carry the audio band"),
         # the flag's beat would clear the cutoff, but the config must hold alone
+        ("demod:\n  lowpass_cutoff_hz: 30000.0\n", ["--beat-frequency", "80000"],
+         "demod.lowpass_cutoff"),
+    ])
+    def test_rejected_before_demodulating_writing_nothing(self, tmp_path, monkeypatch,
+                                                          capsys, config, flags, message):
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.01)
         het = self.run_sim(tmp_path, src)
-        conf = tmp_path / "lowpass.yaml"
-        conf.write_text("demod:\n  lowpass_cutoff_hz: 30000.0\n")
+        conf = tmp_path / "demod.yaml"
+        conf.write_text(config)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
         self.fail_if_demodulated(monkeypatch)
         rc = main(["demod", "--config", str(conf), "--in", str(het),
-                   "--out", str(tmp_path / "rec.wav"), "--beat-frequency", "80000"])
+                   "--out", str(tmp_path / "rec.wav"),
+                   "--phase-csv", str(tmp_path / "p.csv")] + flags)
         assert rc == 2
-        assert "demod.lowpass_cutoff" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
