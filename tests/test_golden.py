@@ -1,7 +1,8 @@
 """Golden output bytes: a tiny fixed pipeline must write the same files.
 
 A 0.25 s gated tone, at 44.1 kHz and at 400 kS/s, goes through `simulate`
-(WAV and CSV, seed 3), `demod` (40 kHz with ``--phase-csv`` from the WAV,
+(WAV and CSV, seed 3; the tone is read as float32, and also as float64 at
+400 kS/s and, unscaled, as 16-bit PCM at 44.1 kHz), `demod` (40 kHz with ``--phase-csv`` from the WAV,
 32 kHz from the CSV, and from the WAV once with ``--beat-frequency`` and
 ``--highpass-cutoff`` and once with ``--no-highpass``), `enhance`, `budget`
 (both sweeps, CSV and JSON) and `sensitivity`, in process. The sha256 of
@@ -28,6 +29,10 @@ GOLDEN = {
         "4f5a848a859f9ae25f16f32f761a7ab80ff791f8a0ab2db1a2eee9e6031d56db",
     "het400k.wav":
         "a0468e234174be5876d1d04160b0414b21b7a7262d6967e3c5acd8f54025e83c",
+    "het400k_f64.wav":
+        "0537a0729d21d23c6d990cb497fccc9dedd87bcec13a09d750890d7839ac30d7",
+    "het_pcm16.wav":
+        "037611e83e575ebc97de8500dcb1097d8c23ba402c4cc09f1e821b8dd5f76a2c",
     "rec40.wav":
         "e386f3d189f48e3245e22bfa2e9164dbd69122a29382e6e304ce7555418d62f2",
     "phase.csv":
@@ -39,6 +44,10 @@ GOLDEN = {
     "het.csv.meta.json":
         "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
     "het400k.wav.meta.json":
+        "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
+    "het400k_f64.wav.meta.json":
+        "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
+    "het_pcm16.wav.meta.json":
         "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
     "rec40.wav.meta.json":
         "fbe1f54e8d8332bd2ad6ad78ea347c751167b6a21864dd8827b2e5a1ab8ad0e0",
@@ -73,11 +82,14 @@ GOLDEN = {
 }
 
 
-def gated_tone(path, rate, duration=0.25, f0=1000.0, edge=0.08):
-    """A 1 kHz tone with `edge` seconds of silence at each end, float32 WAV."""
+def gated_tone(path, rate, dtype=np.float32, duration=0.25, f0=1000.0, edge=0.08):
+    """A 1 kHz tone with `edge` seconds of silence at each end, as a WAV of
+    `dtype` samples (float, or int16 at 0.5 of full scale)."""
     t = np.arange(int(round(rate * duration))) / rate
     x = np.sin(2 * np.pi * f0 * t) * ((t >= edge) & (t < duration - edge))
-    wavfile.write(path, int(rate), x.astype(np.float32))
+    if dtype == np.int16:
+        x = np.round(x * 16384.0)
+    wavfile.write(path, int(rate), x.astype(dtype))
 
 
 def run_pipeline(d):
@@ -87,10 +99,16 @@ def run_pipeline(d):
 
     gated_tone(d / "tone44k.wav", 44100)
     gated_tone(d / "tone400k.wav", 400000)
+    gated_tone(d / "tone400k_f64.wav", 400000, np.float64)
+    gated_tone(d / "tone44k_pcm16.wav", 44100, np.int16)
     for src, out in (("tone44k.wav", "het.wav"), ("tone44k.wav", "het.csv"),
-                     ("tone400k.wav", "het400k.wav")):
+                     ("tone400k.wav", "het400k.wav"),
+                     ("tone400k_f64.wav", "het400k_f64.wav")):
         run("simulate", "--audio", d / src, "--out", d / out,
             "--seed", 3, "--level-db", 70)
+    # no --level-db: the PCM16 samples, scaled by 1/32768, are the pressure
+    run("simulate", "--audio", d / "tone44k_pcm16.wav", "--out", d / "het_pcm16.wav",
+        "--seed", 3)
     run("demod", "--in", d / "het.wav", "--out", d / "rec40.wav",
         "--audio-rate", 40000, "--phase-csv", d / "phase.csv")
     run("demod", "--in", d / "het.csv", "--out", d / "rec32.wav", "--audio-rate", 32000)
@@ -104,7 +122,8 @@ def run_pipeline(d):
                 "--out", d / f"budget_{sweep}.{fmt}")
     run("sensitivity", "--out", d / "mitigations.csv")
 
-    names = ["het.wav", "het.csv", "het400k.wav", "rec40.wav", "phase.csv",
+    names = ["het.wav", "het.csv", "het400k.wav", "het400k_f64.wav", "het_pcm16.wav",
+             "rec40.wav", "phase.csv",
              "rec32.wav", "rec_flags.wav", "rec_nohp.wav"]
     files = names + [n + ".meta.json" for n in names]
     files += ["enh.wav", "enh.wav.report.json", "mitigations.csv",
