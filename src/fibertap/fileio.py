@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import struct
 from dataclasses import astuple
 from itertools import chain, islice
 
@@ -23,6 +24,13 @@ MITIGATION_HEADER = ("label", "sensing_length_m", "bulk_modulus_scale",
 #: text and the temporary arrays held at once.
 CSV_BLOCK_ROWS = 2 ** 12
 
+#: WAVE format tags. An extensible file names its real tag in the first four
+#: bytes of a sub-format GUID that ends in `_GUID_TAIL`.
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+#: Sample dtype of each (format tag, bits per sample) that `read_wav` reads.
+_WAV_DTYPES = {(_PCM, 16): "<i2", (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
+
 
 def sidecar_path(path) -> str:
     return str(path) + ".meta.json"
@@ -35,33 +43,80 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def read_wav(path):
-    """Mono WAV as (sample_rate, float64 samples). PCM16 scaled to [-1, 1)."""
-    from scipy.io import wavfile
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise FileFormatError(f"cannot read WAV file {path}: {exc}") from exc
-    if data.ndim != 1:
-        raise InputError(f"{path}: only mono WAV is supported, got {data.ndim} channels")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
+def _wav_format(body, path):
+    """(rate, sample dtype) from the body of a ``fmt `` chunk."""
+    if len(body) < 16:
+        raise FileFormatError(f"{path}: fmt chunk of {len(body)} bytes is too short")
+    tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", body)
+    # WAVE_FORMAT_EXTENSIBLE: the sub-format GUID's first four bytes hold the tag
+    if tag == _EXTENSIBLE and body[28:40] == _GUID_TAIL:
+        tag = struct.unpack_from("<I", body, 24)[0]
+    if channels != 1:
+        raise InputError(f"{path}: only mono WAV is supported, got {channels} channels")
+    dtype = _WAV_DTYPES.get((tag, bits))
+    if dtype is None or align != bits // 8:
         raise FileFormatError(
-            f"{path}: unsupported WAV sample format {data.dtype}; "
-            "use 16-bit PCM or 32-bit float")
-    return float(rate), samples
+            f"{path}: unsupported WAV sample format (format tag {tag:#x}, {bits} bits, "
+            f"block align {align}); use 16-bit PCM or 32/64-bit float")
+    return float(rate), np.dtype(dtype)
+
+
+def read_wav(path):
+    """Mono WAV as (sample_rate, float64 samples). PCM16 scaled to [-1, 1).
+
+    Reads little-endian RIFF holding 16-bit PCM or 32/64-bit IEEE float,
+    plain or WAVE_FORMAT_EXTENSIBLE. Chunks other than ``fmt `` and
+    ``data`` are skipped, with the pad byte after an odd-sized chunk. Other
+    files raise FileFormatError, and more than one channel InputError.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        riff = fh.read(12)
+        if riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise FileFormatError(
+                f"{path}: not a little-endian RIFF/WAVE file (RIFX and RF64 are not read)")
+        fmt = None
+        while True:
+            head = fh.read(8)
+            if len(head) < 8:
+                raise FileFormatError(f"{path}: WAV file has no data chunk")
+            chunk, n = struct.unpack("<4sI", head)
+            if fh.tell() + n > size:
+                raise FileFormatError(
+                    f"{path}: WAV {chunk!r} chunk of {n} bytes runs past the end of the file")
+            if chunk == b"data":
+                break
+            if chunk == b"fmt ":
+                fmt = _wav_format(fh.read(n), path)
+            else:
+                fh.seek(n, os.SEEK_CUR)
+            fh.seek(n % 2, os.SEEK_CUR)
+        if fmt is None:
+            raise FileFormatError(f"{path}: WAV data chunk comes before any fmt chunk")
+        rate, dtype = fmt
+        data = np.fromfile(fh, dtype=dtype, count=n // dtype.itemsize)
+    samples = data.astype(np.float64, copy=False)
+    if dtype.kind == "i":
+        samples /= 32768.0
+    return rate, samples
 
 
 def write_wav(path, sample_rate, samples):
-    """Write samples, in physical units, as a float32 WAV."""
-    from scipy.io import wavfile
-    samples = np.asarray(samples, dtype=np.float64)
-    wavfile.write(path, int(round(sample_rate)), samples.astype(np.float32))
+    """Write samples, in physical units, as a mono float32 WAV.
+
+    The bytes are those scipy's wavfile writer gives float32 data: a 58-byte
+    header of RIFF, an 18-byte ``fmt `` chunk (IEEE float, cbSize 0) and a
+    ``fact`` chunk holding the sample count, then the ``data`` chunk.
+    """
+    data = np.asarray(samples, dtype=np.float64).astype("<f4")
+    rate = int(round(sample_rate))
+    header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI",
+                         b"RIFF", 50 + data.nbytes, b"WAVE",
+                         b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
+                         b"fact", 4, data.size, b"data", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        data.tofile(fh)
 
 
 def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:

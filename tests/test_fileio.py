@@ -1,11 +1,16 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
 from fibertap import HETERODYNE, PHASE, SampledTrace
+from fibertap.cli import main
 from fibertap.errors import FileFormatError, InputError
 from fibertap.fileio import (
     BUDGET_HEADER,
@@ -21,6 +26,51 @@ from fibertap.fileio import (
 )
 from fibertap.noise import BudgetRow
 from fibertap.sensitivity import MitigationRow
+
+
+def chunk(cid, body, order="<"):
+    """A RIFF chunk, with the pad byte that follows an odd-sized body."""
+    return cid + struct.pack(order + "I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag, bits, channels=1, rate=8000, order="<"):
+    align = channels * bits // 8
+    return chunk(b"fmt ", struct.pack(order + "HHIIHH", tag, channels, rate,
+                                      rate * align, align, bits), order)
+
+
+def extensible_fmt_chunk(tag, bits, rate=8000):
+    """A WAVE_FORMAT_EXTENSIBLE ``fmt `` chunk whose sub-format is `tag`."""
+    align = bits // 8
+    return chunk(b"fmt ", struct.pack("<HHIIHHHHII", 0xFFFE, 1, rate, rate * align,
+                                      align, bits, 22, bits, 4, tag)
+                 + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+
+
+def riff(*chunks, magic=b"RIFF", order="<"):
+    body = b"WAVE" + b"".join(chunks)
+    return magic + struct.pack(order + "I", len(body)) + body
+
+
+def rf64(fmt, data):
+    """An RF64 file: sizes in a ``ds64`` chunk, 0xFFFFFFFF in their usual places."""
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", 4 + 36 + len(fmt) + 8 + len(data),
+                                      len(data), len(data) // 4, 0))
+    return b"RF64\xff\xff\xff\xffWAVE" + ds64 + fmt + b"data\xff\xff\xff\xff" + data
+
+
+SAMPLES = np.array([0.5, -0.25, 1.0, -1.0, 3e-7], dtype=np.float32)
+PCM = np.array([0, 16384, -16384, 32767, -32768], dtype=np.int16)
+
+
+def assert_rejected(path, error, exit_code, tmp_path, capsys):
+    """`read_wav` raises `error` naming the file; `enhance` exits `exit_code`."""
+    with pytest.raises(error, match=str(path.name)):
+        read_wav(path)
+    capsys.readouterr()
+    assert main(["enhance", "--in", str(path), "--out", str(tmp_path / "out.wav")]) == exit_code
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
 
 
 class TestWav:
@@ -41,23 +91,78 @@ class TestWav:
         assert rate == 8000.0
         np.testing.assert_allclose(back, data / 32768.0)
 
-    def test_stereo_rejected(self, tmp_path):
+    def test_stereo_rejected(self, tmp_path, capsys):
         p = tmp_path / "c.wav"
         wavfile.write(p, 8000, np.zeros((10, 2), dtype=np.int16))
-        with pytest.raises(InputError):
-            read_wav(p)
+        assert_rejected(p, InputError, 2, tmp_path, capsys)
 
-    def test_unsupported_dtype_rejected(self, tmp_path):
+    def test_unsupported_dtype_rejected(self, tmp_path, capsys):
         p = tmp_path / "d.wav"
         wavfile.write(p, 8000, np.zeros(10, dtype=np.int32))
-        with pytest.raises(FileFormatError):
-            read_wav(p)
+        assert_rejected(p, FileFormatError, 3, tmp_path, capsys)
 
-    def test_garbage_file_rejected(self, tmp_path):
+    def test_garbage_file_rejected(self, tmp_path, capsys):
         p = tmp_path / "e.wav"
         p.write_bytes(b"not a wav at all")
-        with pytest.raises(FileFormatError):
-            read_wav(p)
+        assert_rejected(p, FileFormatError, 3, tmp_path, capsys)
+
+    @pytest.mark.parametrize("content", [
+        riff(fmt_chunk(1, 8), chunk(b"data", bytes(range(8)))),
+        riff(fmt_chunk(1, 24), chunk(b"data", bytes(range(12)))),
+        riff(fmt_chunk(3, 32, order=">"), chunk(b"data", SAMPLES.astype(">f4").tobytes(), ">"),
+             magic=b"RIFX", order=">"),
+        rf64(fmt_chunk(3, 32), SAMPLES.tobytes()),
+        riff(fmt_chunk(3, 32)),
+        riff(chunk(b"data", SAMPLES.tobytes()), fmt_chunk(3, 32)),
+        riff(fmt_chunk(3, 32), chunk(b"data", SAMPLES.tobytes()))[:-4],
+        riff(chunk(b"fmt ", b"\x03\x00\x01\x00"), chunk(b"data", SAMPLES.tobytes())),
+        riff(extensible_fmt_chunk(1, 32), chunk(b"data", PCM.tobytes())),
+    ], ids=["pcm8", "pcm24", "rifx", "rf64", "no-data", "data-before-fmt",
+            "data-past-end", "short-fmt", "extensible-pcm32"])
+    def test_malformed_or_unsupported_rejected(self, tmp_path, capsys, content):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(content)
+        assert_rejected(p, FileFormatError, 3, tmp_path, capsys)
+
+    @pytest.mark.parametrize("rate", [8000, 44100, 400000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 2 ** 16 + 1])
+    def test_writer_bytes_equal_scipy(self, tmp_path, n, rate):
+        x = np.random.default_rng(n).standard_normal(n)
+        write_wav(tmp_path / "ours.wav", rate, x)
+        wavfile.write(tmp_path / "scipy.wav", rate, x.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize("content", [
+        riff(fmt_chunk(1, 16), chunk(b"data", PCM.tobytes())),
+        riff(fmt_chunk(3, 32), chunk(b"data", SAMPLES.tobytes())),
+        riff(fmt_chunk(3, 64), chunk(b"data", SAMPLES.astype(np.float64).tobytes())),
+        riff(extensible_fmt_chunk(3, 32), chunk(b"data", SAMPLES.tobytes())),
+        riff(extensible_fmt_chunk(1, 16), chunk(b"data", PCM.tobytes())),
+        riff(fmt_chunk(1, 16), chunk(b"LIST", b"INFOISFT\x05\x00\x00\x00abcd\x00"),
+             chunk(b"fact", b"\x05\x00\x00\x00"), chunk(b"data", PCM.tobytes())),
+        riff(chunk(b"odd ", b"xyz"), fmt_chunk(3, 32), chunk(b"junk", b"q"),
+             chunk(b"data", SAMPLES.tobytes()), chunk(b"LIST", b"INFO")),
+    ], ids=["pcm16", "float32", "float64", "extensible-float32", "extensible-pcm16",
+            "list-chunk", "odd-sized-chunks"])
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_reader_equals_scipy(self, tmp_path, content):
+        p = tmp_path / "in.wav"
+        p.write_bytes(content)
+        rate, samples = read_wav(p)
+        srate, data = wavfile.read(p)
+        expected = data.astype(np.float64) / (32768.0 if data.dtype == np.int16 else 1.0)
+        assert rate == float(srate)
+        assert samples.dtype == np.float64
+        np.testing.assert_array_equal(samples, expected)
+
+    @given(x=arrays(np.float64, st.integers(0, 300), elements=st.floats(width=32)),
+           rate=st.floats(1.0, 1e6))
+    def test_round_trip_property(self, tmp_path_factory, x, rate):
+        p = tmp_path_factory.getbasetemp() / "round_trip.wav"
+        write_wav(p, rate, x)
+        back_rate, back = read_wav(p)
+        assert back_rate == float(int(round(rate)))
+        np.testing.assert_array_equal(back, x.astype(np.float32))
 
 
 class TestTraceFiles:
