@@ -62,9 +62,9 @@ class DemodConfig:
             raise ConfigurationError(
                 "demod.lowpass_cutoff must lie in (0, beat_frequency): "
                 f"got {self.lowpass_cutoff} with beat {self.beat_frequency}")
-        if not 0 <= self.highpass_cutoff < np.inf:
+        if not 0 < self.highpass_cutoff < np.inf:
             raise ConfigurationError(
-                f"demod.highpass_cutoff must be finite and >= 0, got {self.highpass_cutoff}")
+                f"demod.highpass_cutoff must be finite and > 0, got {self.highpass_cutoff}")
         if self.filter_order < 1:
             raise ConfigurationError(
                 f"demod.filter_order must be >= 1, got {self.filter_order}")
@@ -107,14 +107,19 @@ def iq_transient_samples(cfg: DemodConfig, sample_rate: float) -> int:
 def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand) -> tuple[int, int]:
     """Check `cfg` against a record at `sample_rate`; size the edge guard.
 
-    Runs every rule that ties the parameters to the record rate (beat below
-    Nyquist; audio rate rational and clear of `band`, as `decimate_to_audio`
-    needs), so a record is rejected before any of it is demodulated. Returns
-    ``(transient, guard)``: the FIR transient samples at each edge of the
-    `iq_demodulate` output, and that count rounded up to a whole decimation
-    step, which keeps the trimmed audio on the grid of the whole record.
+    Runs every rule that ties the parameters to the record rate (beat and
+    high-pass cutoff below Nyquist; audio rate rational and clear of `band`,
+    as `decimate_to_audio` needs), so a record is rejected before any of it
+    is demodulated. Returns ``(transient, guard)``: the FIR transient samples
+    at each edge of the `iq_demodulate` output, and that count rounded up to
+    a whole decimation step, which keeps the trimmed audio on the grid of
+    the whole record.
     """
     cfg.validate_rate(sample_rate)
+    if cfg.highpass_cutoff >= sample_rate / 2:
+        raise ConfigurationError(
+            "demod.highpass_cutoff must lie below sample_rate/2: "
+            f"got {cfg.highpass_cutoff} at {sample_rate} S/s")
     up, down = _audio_ratio(sample_rate, cfg.audio_rate, band)
     transient = iq_transient_samples(cfg, sample_rate)
     step = down if up == 1 else 1

@@ -216,6 +216,8 @@ class TestDemod:
         # the flag's beat would clear the cutoff, but the config must hold alone
         ("demod:\n  lowpass_cutoff_hz: 30000.0\n", ["--beat-frequency", "80000"],
          "demod.lowpass_cutoff"),
+        ("", ["--highpass-cutoff", "0"], "demod.highpass_cutoff must be finite and > 0"),
+        ("", ["--highpass-cutoff", "200000"], "demod.highpass_cutoff must lie below"),
     ])
     def test_rejected_before_demodulating_writing_nothing(self, tmp_path, monkeypatch,
                                                           capsys, config, flags, message):

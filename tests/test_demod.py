@@ -68,6 +68,8 @@ class TestDemodConfig:
             DemodConfig(beat_frequency=25e3, lowpass_cutoff=30e3)
         with pytest.raises(ConfigurationError):
             DemodConfig(beat_frequency=25e3, highpass_cutoff=-1.0)
+        with pytest.raises(ConfigurationError, match="highpass_cutoff must be finite and > 0"):
+            DemodConfig(beat_frequency=25e3, highpass_cutoff=0.0)
         with pytest.raises(ConfigurationError):
             DemodConfig(beat_frequency=25e3, filter_order=0)
 
@@ -100,6 +102,19 @@ class TestEdgeGuard:
     def test_beat_above_nyquist_rejected(self):
         with pytest.raises(NyquistError):
             edge_guard(DemodConfig(beat_frequency=25e3), 48e3, AudioBand())
+
+    @pytest.mark.parametrize("cutoff", [500.0, FS / 2 - 1, FS / 2, FS])
+    def test_highpass_cutoff_checked_as_highpass_does(self, cutoff):
+        cfg = DemodConfig(beat_frequency=25e3, highpass_cutoff=cutoff)
+        tone = make_tone(FS, 1000.0, 0.01, 1.0)
+        if cutoff < FS / 2:
+            edge_guard(cfg, FS, AudioBand())
+            highpass(tone, cutoff)
+        else:
+            with pytest.raises(ConfigurationError, match="must lie below sample_rate/2"):
+                edge_guard(cfg, FS, AudioBand())
+            with pytest.raises(ConfigurationError):
+                highpass(tone, cutoff)
 
     @pytest.mark.parametrize("audio_rate", [
         16e3, 20e3, 20001.0, 22050.0, 32e3, 40e3, FS / 3, FS / np.pi, 0.0, -40e3,
