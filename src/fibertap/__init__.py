@@ -1,8 +1,9 @@
 """fibertap: heterodyne fiber-tap eavesdropping simulator and DSP toolkit.
 
-No module of the package imports scipy at module level: each function that
-needs a scipy submodule imports it where it runs, so importing the package
-costs numpy and PyYAML, and a command loads only the scipy it uses.
+The package runs on numpy and PyYAML. The one use of scipy, the adaptive
+quadrature behind ``noise.laser_rms(..., form="full")``, imports
+``scipy.integrate`` where it runs, so importing the package and running any
+command of the CLI load no scipy.
 """
 
 __version__ = "0.1.0"
@@ -44,6 +45,7 @@ from .demod import (
     highpass,
     iq_demodulate,
     iq_transient_samples,
+    resample,
     unwrap_phase,
 )
 from .enhance import (

@@ -20,8 +20,10 @@ from .config import load_config
 from .demod import (
     decimate_to_audio,
     edge_guard,
+    guard_trim,
     highpass,
     iq_demodulate,
+    resample,
     resample_ratio,
     unwrap_phase,
 )
@@ -109,9 +111,7 @@ def cmd_simulate(args) -> int:
 
     with stages("prepare-audio"):
         if rate != ifo.sample_rate:
-            up, down = resample_ratio(rate, ifo.sample_rate)
-            from scipy import signal
-            samples = signal.resample_poly(samples, up, down)
+            samples = resample(samples, *resample_ratio(rate, ifo.sample_rate))
         if args.level_db is not None:
             peak = float(np.max(np.abs(samples)))
             if peak == 0:
@@ -146,22 +146,23 @@ def cmd_demod(args) -> int:
         flags = {name: getattr(args, name)
                  for name in ("beat_frequency", "highpass_cutoff", "audio_rate")}
         cfg = replace(config.demod, **{k: v for k, v in flags.items() if v is not None})
-        transient, guard = edge_guard(cfg, het.sample_rate, config.band)
+        transient, guard = edge_guard(cfg, het.sample_rate, config.band,
+                                      None if args.no_highpass else het.n_samples)
 
     with stages("iq-demodulate"):
         phase = unwrap_phase(iq_demodulate(het, cfg))
 
-    if phase.n_samples > 3 * guard:
+    trim = guard_trim(phase.n_samples, guard)
+    if trim:
         phase = SampledTrace(phase.sample_rate,
-                             phase.samples[guard:phase.n_samples - guard],
+                             phase.samples[trim:phase.n_samples - trim],
                              phase.kind)
     else:
         print(f"warning: record of {phase.n_samples} samples is not longer than "
               f"3 x the {guard}-sample edge guard; keeping "
               f"{min(transient, phase.n_samples)} FIR transient samples at each edge",
               file=sys.stderr)
-        guard = 0
-    start_time = guard / het.sample_rate
+    start_time = trim / het.sample_rate
 
     if not args.no_highpass:
         with stages("highpass"):

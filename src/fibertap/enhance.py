@@ -73,7 +73,7 @@ class SpectralSubtractParams:
                     "frames must overlap, since the Hann window is 0 at each frame start")
         if not 0 < hop < frame:
             raise ConfigurationError(f"hop must satisfy 0 < hop < frame_length, got {hop}")
-        # periodic Hann, as scipy.signal.get_window("hann", frame) computes it
+        # periodic Hann, as scipy's get_window("hann", frame) computes it
         fac = np.linspace(-np.pi, np.pi, frame + 1)
         win = (0.5 + 0.5 * np.cos(fac))[:-1]
         return frame, hop, win

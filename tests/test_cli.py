@@ -282,6 +282,41 @@ class TestDemod:
         assert main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav")]) == 0
         assert capsys.readouterr().err == ""
 
+    def short_het(self, tmp_path, n):
+        src = tmp_path / "short.wav"
+        wavfile.write(src, FS, np.sin(2 * np.pi * 1000 * np.arange(n) / FS).astype(np.float32))
+        return self.run_sim(tmp_path, src)
+
+    # the high-pass pads 3 x (order + 1) samples at each edge and needs more
+    @pytest.mark.parametrize("order,n", [(4, 10), (4, 15), (1, 6), (5, 18)])
+    def test_record_too_short_for_the_highpass_exits_2(self, tmp_path, monkeypatch,
+                                                        capsys, order, n):
+        het = self.short_het(tmp_path, n)
+        conf = tmp_path / "order.yaml"
+        conf.write_text(f"demod:\n  filter_order: {order}\n")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        self.fail_if_demodulated(monkeypatch)
+        capsys.readouterr()
+        rc = main(["demod", "--config", str(conf), "--in", str(het),
+                   "--out", str(tmp_path / "rec.wav"), "--phase-csv", str(tmp_path / "p.csv")])
+        assert rc == 2
+        need = 3 * (order + 1) + 1
+        assert (f"order-{order} high-pass needs a phase record of at least {need} samples; "
+                f"this record gives it {n}") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("order,n,flags", [
+        (4, 16, []), (1, 7, []), (4, 10, ["--no-highpass"]), (4, 2, ["--no-highpass"]),
+    ])
+    def test_shortest_records_demodulate(self, tmp_path, order, n, flags):
+        het = self.short_het(tmp_path, n)
+        conf = tmp_path / "order.yaml"
+        conf.write_text(f"demod:\n  filter_order: {order}\n")
+        rec = tmp_path / "rec.wav"
+        assert main(["demod", "--config", str(conf), "--in", str(het),
+                     "--out", str(rec)] + flags) == 0
+        assert read_trace(rec).n_samples == -(-n // 10)
+
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
         from fibertap import edge_guard, iq_demodulate, synthesize_heterodyne, unwrap_phase
         het_file = self.run_sim(tmp_path, chirp_wav)

@@ -22,7 +22,17 @@ from fibertap import (
     synthesize_heterodyne,
     unwrap_phase,
 )
-from fibertap.demod import IQ_BLOCK, resample_ratio
+from fibertap.demod import (
+    DECIMATE_STOPBAND_DB,
+    IQ_BLOCK,
+    _butter_highpass_sos,
+    _iq_taps,
+    _kaiser_lowpass,
+    _firwin_lowpass,
+    highpass_padlen,
+    resample,
+    resample_ratio,
+)
 from fibertap.errors import ConfigurationError, InputError, NyquistError
 
 from conftest import make_tone, tone_amplitude, tone_phase
@@ -250,7 +260,9 @@ class TestMemory:
     """Peak allocations (tracemalloc) of the blocked steps on a 1 s record
     at 400 kS/s, in bytes per sample plus a constant for the blocks. The
     whole-record path took ~88 B/sample in iq_demodulate and ~48 B/sample
-    in unwrap_phase."""
+    in unwrap_phase; scipy's sosfiltfilt took 9 609 509 B (24.0 B/sample)
+    for the high-pass of this record's phase, and resample_poly 684 247 B
+    for its decimation to 40 kHz."""
 
     #: 2.5 x the complex128 output: the output and its copy into the trace
     IQ_BYTES_PER_SAMPLE = 40
@@ -258,6 +270,14 @@ class TestMemory:
     UNWRAP_BYTES_PER_SAMPLE = 20
     #: block buffers, spectra and the taps
     BLOCK_BYTES = 4 * 2 ** 20
+    #: the odd-extended record, filtered in place, and its trimmed copy
+    HIGHPASS_BYTES_PER_SAMPLE = 16
+    #: the high-pass's FFT blocks and impulse response
+    HIGHPASS_BLOCK_BYTES = 2 * 2 ** 20
+    #: per output sample: the output, its copy into the trace and the
+    #: trace's finiteness mask
+    DECIMATE_BYTES_PER_OUTPUT = 17
+    DECIMATE_EXTRA_BYTES = 4 * 2 ** 10
 
     @staticmethod
     def traced_peak(fn, *args):
@@ -285,6 +305,24 @@ class TestMemory:
         baseband = iq_demodulate(het, cfg)
         peak = self.traced_peak(unwrap_phase, baseband)
         assert peak <= self.UNWRAP_BYTES_PER_SAMPLE * het.n_samples + self.BLOCK_BYTES
+
+    def test_highpass_peak(self, record):
+        het, cfg = record
+        phase = unwrap_phase(iq_demodulate(het, cfg))
+        peak = self.traced_peak(highpass, phase, 500.0, 4)
+        bound = self.HIGHPASS_BYTES_PER_SAMPLE * phase.n_samples + self.HIGHPASS_BLOCK_BYTES
+        assert bound <= 9609509
+        assert peak <= bound
+
+    def test_decimate_to_audio_peak(self, record):
+        het, cfg = record
+        phase = highpass(unwrap_phase(iq_demodulate(het, cfg)), 500.0, 4)
+        decimate_to_audio(phase, 40e3)  # imports
+        peak = self.traced_peak(decimate_to_audio, phase, 40e3)
+        bound = self.DECIMATE_BYTES_PER_OUTPUT * phase.n_samples // 10 \
+            + self.DECIMATE_EXTRA_BYTES
+        assert bound <= 684247
+        assert peak <= bound
 
 
 class TestUnwrapPhase:
@@ -361,6 +399,137 @@ class TestHighpass:
             highpass(tone, 300e3, 4)
         with pytest.raises(ConfigurationError):
             highpass(tone, 500.0, 0)
+
+
+def extended_sosfiltfilt(sos, x):
+    """scipy's sosfiltfilt steps (odd extension by 3 x (order + 1), forward
+    and backward sosfilt from the held-input state) in np.longdouble, with
+    the high-pass's exact held-input state: the first section's zi for a
+    constant input x0 and a zero output is (-b0, b2) x0, and the others'
+    is zero."""
+    from scipy import signal
+    sos = sos.astype(np.longdouble)
+    pad = 3 * (2 * len(sos) + 1 - int(np.sum(sos[:, 2] == 0)))
+    x = x.astype(np.longdouble)
+    ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-pad - 2:-1]))
+    zi = np.zeros((len(sos), 2), dtype=np.longdouble)
+    zi[0] = -sos[0, 0], sos[0, 2]
+    y = signal.sosfilt(sos, ext, zi=zi * ext[0])[0]
+    y = signal.sosfilt(sos, y[::-1], zi=zi * y[-1])[0][::-1]
+    return y[pad:-pad].astype(float)
+
+
+def wandering_record(n, seed):
+    """A 700 Hz tone on a random walk and an offset: low-frequency drift
+    for the high-pass to remove."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    return (3.0 * np.sin(2 * np.pi * 700.0 * t)
+            + 0.5 * np.cumsum(rng.standard_normal(n)) / np.sqrt(n) + 0.7)
+
+
+class TestScipyReference:
+    """The numpy FIR designs, Butterworth sections, high-pass and resampler
+    against scipy.signal, which only the tests import."""
+
+    @pytest.mark.parametrize("beat", [25e3, 31e3, 50e3])
+    def test_iq_taps_equal_kaiserord_firwin(self, beat):
+        from scipy import signal
+        cfg = DemodConfig(beat_frequency=beat)
+        cutoff = cfg.resolved_cutoff()
+        stop = min(2.0 * cutoff, beat)
+        numtaps, beta = signal.kaiserord(140.0, (stop - cutoff) / (0.5 * FS))
+        expected = signal.firwin(numtaps | 1, (cutoff + stop) / 2.0,
+                                 window=("kaiser", beta), fs=FS)
+        assert np.array_equal(_iq_taps(cfg, FS), expected)
+
+    @pytest.mark.parametrize("rate", [40e3, 32e3, 44100.0])
+    def test_decimation_taps_equal_kaiserord_firwin(self, rate):
+        from scipy import signal
+        up, _ = resample_ratio(FS, rate)
+        fs = FS * up
+        numtaps, beta = signal.kaiserord(DECIMATE_STOPBAND_DB, (rate / 2 - 10e3) / (0.5 * fs))
+        expected = signal.firwin(numtaps | 1, (10e3 + rate / 2) / 2.0,
+                                 window=("kaiser", beta), fs=fs)
+        taps = _kaiser_lowpass(10e3, rate / 2, DECIMATE_STOPBAND_DB, fs)
+        assert np.array_equal(taps, expected)
+
+    def test_default_resampling_taps_equal_firwin(self):
+        from scipy import signal
+        # resample_poly's design for 4000/441 (44.1 kHz audio into 400 kS/s)
+        expected = signal.firwin(80001, 1.0 / 4000, window=("kaiser", 5.0))
+        assert np.array_equal(_firwin_lowpass(80001, 1.0 / 4000, 5.0), expected)
+
+    @pytest.mark.parametrize("cutoff", [20.0, 300.0, 500.0, 5000.0])
+    @pytest.mark.parametrize("order", [1, 3, 4, 5])
+    def test_sections_equal_butter(self, order, cutoff):
+        from scipy import signal
+        expected = signal.butter(order, cutoff, btype="highpass", fs=FS, output="sos")
+        sos = _butter_highpass_sos(order, cutoff, FS)
+        assert sos.shape == expected.shape
+        assert np.max(np.abs(sos - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("length", ["padlen+1", "padlen+2", 4099, 400001])
+    @pytest.mark.parametrize("cutoff", [20.0, 300.0, 500.0])
+    @pytest.mark.parametrize("order", [1, 3, 4, 5])
+    def test_highpass_matches_sosfiltfilt(self, order, cutoff, length):
+        from scipy import signal
+        if isinstance(length, str):
+            length = highpass_padlen(order) + int(length[-1])
+        x = wandering_record(length, length)
+        sos = signal.butter(order, cutoff, btype="highpass", fs=FS, output="sos")
+        out = highpass(SampledTrace(FS, x, PHASE), cutoff, order).samples
+        exact = extended_sosfiltfilt(sos, x)
+        scale = np.max(np.abs(x))
+        assert np.max(np.abs(out - exact)) <= 1e-12 * scale
+        # at least as close to the exact result as sosfiltfilt's float64 run
+        ref = signal.sosfiltfilt(sos, x)
+        assert np.max(np.abs(out - exact)) <= np.max(np.abs(ref - exact)) + 1e-14 * scale
+
+    # cutoffs up to near Nyquist: above fs/4 the sections of an odd order
+    # pair their zeros differently from butter's, with the same response
+    @given(n=st.integers(1, 3000), order=st.integers(1, 6),
+           cutoff=st.floats(20.0, 190e3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_highpass_property_over_lengths(self, n, order, cutoff, seed):
+        x = wandering_record(highpass_padlen(order) + n, seed)
+        sos = _butter_highpass_sos(order, cutoff, FS)
+        out = highpass(SampledTrace(FS, x, PHASE), cutoff, order).samples
+        assert np.max(np.abs(out - extended_sosfiltfilt(sos, x))) <= 1e-12 * np.max(np.abs(x))
+
+    def test_highpass_rejects_a_record_of_padlen_samples(self):
+        tone = SampledTrace(FS, np.ones(highpass_padlen(4)), PHASE)
+        with pytest.raises(InputError, match="at least 16 samples; got 15"):
+            highpass(tone, 500.0, 4)
+
+    # the audio rates' ratios with their anti-alias FIRs, and the default
+    # design at 1/25 and for 44.1 kHz audio into 400 kS/s
+    @pytest.mark.parametrize("up,down,rate", [
+        (1, 10, 40e3), (2, 25, 32e3), (1, 25, None), (441, 4000, 44100.0), (4000, 441, None),
+    ])
+    @pytest.mark.parametrize("length", [1, 2, "taps-1", "large"])
+    def test_resample_matches_resample_poly(self, up, down, rate, length):
+        from scipy import signal
+        taps = None if rate is None else \
+            _kaiser_lowpass(10e3, rate / 2, DECIMATE_STOPBAND_DB, FS * up)
+        ntaps = 20 * max(up, down) + 1 if taps is None else taps.size
+        n = {"taps-1": ntaps - 1, "large": 44101 if up > down else 100001}.get(length, length)
+        x = np.random.default_rng(n).standard_normal(n)
+        expected = signal.resample_poly(x, up, down) if taps is None else \
+            signal.resample_poly(x, up, down, window=taps)
+        out = resample(x, up, down, taps)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(x))
+
+
+    def test_resample_of_a_complex_record(self):
+        from scipy import signal
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(5001) + 1j * rng.standard_normal(5001)
+        taps = _kaiser_lowpass(10e3, 20e3, DECIMATE_STOPBAND_DB, FS)
+        out = decimate_to_audio(SampledTrace(FS, z, BASEBAND), 40e3)
+        expected = signal.resample_poly(z, 1, 10, window=taps)
+        assert out.kind == BASEBAND
+        assert np.max(np.abs(out.samples - expected)) <= 1e-12 * np.max(np.abs(z))
 
 
 class TestDecimateToAudio:

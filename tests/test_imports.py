@@ -13,6 +13,7 @@ import numpy as np
 from scipy.io import wavfile
 
 import fibertap
+import fibertap.cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fibertap.__file__)))
 
@@ -50,16 +51,18 @@ def test_table_commands_load_no_scipy(tmp_path):
 
 
 def write_inputs(d):
-    """A gated 16 kHz tone for `enhance` and a 20 ms voice at the beat record rate."""
+    """A gated 16 kHz tone for `enhance`, a 20 ms voice at the beat record
+    rate and a 20 ms voice at 44.1 kHz."""
     fs = 16000
     t = np.arange(fs) / fs
     gate = ((t % 0.5) < 0.2).astype(float)
     wavfile.write(d / "noisy.wav", fs,
                   (0.3 * np.sin(2 * np.pi * 1500 * t) * gate).astype(np.float32))
-    rate = fibertap.default_config().interferometer.sample_rate
-    n = int(rate) // 50
-    wavfile.write(d / "voice.wav", int(rate),
-                  np.sin(2 * np.pi * 1000 * np.arange(n) / rate).astype(np.float32))
+    for name, rate in (("voice.wav", fibertap.default_config().interferometer.sample_rate),
+                       ("voice44k.wav", 44100)):
+        n = int(rate) // 50
+        wavfile.write(d / name, int(rate),
+                      np.sin(2 * np.pi * 1000 * np.arange(n) / rate).astype(np.float32))
 
 
 def test_enhance_and_same_rate_simulate_load_no_scipy(tmp_path):
@@ -71,12 +74,19 @@ def test_enhance_and_same_rate_simulate_load_no_scipy(tmp_path):
     assert scipy_modules_after(script, tmp_path) == []
 
 
-def test_demod_of_a_wav_loads_no_scipy_io(tmp_path):
+def test_demod_and_resampling_simulate_load_no_scipy(tmp_path):
     write_inputs(tmp_path)
-    script = "import fibertap, fibertap.cli\n" + run_commands(
-        ["simulate", "--audio", "voice.wav", "--out", "het.wav", "--seed", "3",
+    # the heterodyne inputs are made here; each checked command runs alone
+    for fmt in ("wav", "csv"):
+        assert fibertap.cli.main(["simulate", "--audio", str(tmp_path / "voice.wav"),
+                                  "--out", str(tmp_path / f"het.{fmt}"), "--seed", "3",
+                                  "--level-db", "70"]) == 0
+    for argv in (
+        ["demod", "--in", "het.wav", "--out", "rec.wav"],
+        ["demod", "--in", "het.csv", "--out", "rec44k.wav", "--phase-csv", "phase.csv",
+         "--audio-rate", "44100"],
+        ["simulate", "--audio", "voice44k.wav", "--out", "het44k.wav", "--seed", "3",
          "--level-db", "70"],
-        ["demod", "--in", "het.wav", "--out", "rec.wav"])
-    loaded = scipy_modules_after(script, tmp_path)
-    assert "scipy.signal" in loaded
-    assert not [m for m in loaded if m == "scipy.io" or m.startswith("scipy.io.")]
+    ):
+        script = "import fibertap, fibertap.cli\n" + run_commands(argv)
+        assert scipy_modules_after(script, tmp_path) == [], argv
