@@ -36,7 +36,7 @@ GOLDEN = {
     "rec40.wav":
         "e386f3d189f48e3245e22bfa2e9164dbd69122a29382e6e304ce7555418d62f2",
     "phase.csv":
-        "7ef952ae31ce7efb9c8b7833567deb02f76209a7684badd51bde4928a9e3efe5",
+        "10e3584c8d124c04b966ff2ca3f9e0abc2332c4ff4551357daa9301ffa2e5e80",
     "rec32.wav":
         "064387606617c9f580bd0ce514327bff04280cd1939a35ac0a794ab11e6fcf4b",
     "het.wav.meta.json":
