@@ -14,8 +14,8 @@ The module runs on numpy alone. Its Kaiser FIR designs are scipy's
 ``kaiserord``/``firwin`` to the bit; the high-pass is scipy's
 ``sosfiltfilt`` of ``butter``'s sections, done as two FFT convolutions with
 the sections' impulse response; `resample` is scipy's ``resample_poly``
-done as strided matrix products. Importing ``scipy.signal`` would cost
-about a second and 70 MB per process, more than the work itself.
+done as strided matrix products. Importing scipy's signal package would
+cost about a second and 70 MB per process, more than the work itself.
 """
 
 from __future__ import annotations
