@@ -153,7 +153,9 @@ def _firwin_lowpass(numtaps, cutoff, beta, fs=2.0):
     alpha = 0.5 * (numtaps - 1)
     m = np.arange(0, numtaps, dtype=float) - alpha
     h = right * np.sinc(right * m)
-    h *= _i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / _i0(np.array([beta]))
+    # m[-1-k] == -m[k] exactly, so the window is evaluated on its first half
+    half = _i0(beta * np.sqrt(1 - (m[:(numtaps + 1) // 2] / alpha) ** 2.0))
+    h *= np.concatenate([half, half[:numtaps // 2][::-1]]) / _i0(np.array([beta]))
     h /= np.sum(h)
     return h
 

@@ -324,6 +324,14 @@ class TestMemory:
         assert bound <= 684247
         assert peak <= bound
 
+    def test_44k1_decimation_design_peak(self):
+        # the 73 467 taps of the 44.1 kHz design; evaluating the Kaiser
+        # window on all of them took 6 540 044 B (11.1 taps-sized arrays)
+        args = (10e3, 22050.0, DECIMATE_STOPBAND_DB, FS * 441)
+        numtaps = _kaiser_lowpass(*args).size
+        peak = self.traced_peak(_kaiser_lowpass, *args)
+        assert peak <= 7.5 * 8 * numtaps
+
 
 class TestUnwrapPhase:
     def test_constant_phase(self):
@@ -459,6 +467,12 @@ class TestScipyReference:
         # resample_poly's design for 4000/441 (44.1 kHz audio into 400 kS/s)
         expected = signal.firwin(80001, 1.0 / 4000, window=("kaiser", 5.0))
         assert np.array_equal(_firwin_lowpass(80001, 1.0 / 4000, 5.0), expected)
+
+    @pytest.mark.parametrize("numtaps", [2, 3, 64, 65])
+    def test_window_mirrors_at_both_parities(self, numtaps):
+        from scipy import signal
+        expected = signal.firwin(numtaps, 0.3, window=("kaiser", 6.0))
+        assert np.array_equal(_firwin_lowpass(numtaps, 0.3, 6.0), expected)
 
     @pytest.mark.parametrize("cutoff", [20.0, 300.0, 500.0, 5000.0])
     @pytest.mark.parametrize("order", [1, 3, 4, 5])

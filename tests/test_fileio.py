@@ -1,7 +1,12 @@
 import csv
 import json
+import multiprocessing
+import os
 import re
 import struct
+import threading
+import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -10,12 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
-from fibertap import HETERODYNE, PHASE, SampledTrace
+from fibertap import HETERODYNE, PHASE, SampledTrace, fileio
 from fibertap.cli import main
 from fibertap.errors import FileFormatError, InputError
 from fibertap.fileio import (
     BUDGET_HEADER,
     CSV_BLOCK_ROWS,
+    CSV_POOL_MIN_ROWS,
     MITIGATION_HEADER,
     read_budget_csv,
     read_trace,
@@ -226,6 +232,22 @@ class TestTraceFiles:
         with pytest.raises(InputError):
             write_trace(tr, tmp_path / "t.dat")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_holds_the_samples_twice_at_most(self, tmp_path, dtype):
+        # the float64 samples and their copy into the trace, 16 B, plus the
+        # trace's finiteness mask; scaling into a third array made it 25 B
+        n = 400_000
+        p = tmp_path / "x.wav"
+        wavfile.write(p, 8000, np.random.default_rng(1).standard_normal(n).astype(dtype))
+        read_trace(p, kind=PHASE)
+        tracemalloc.start()
+        try:
+            read_trace(p, kind=PHASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * n + 64 * 2 ** 10
+
 
 class TestCsvTraceFormat:
     """The trace CSV layout: a ``#`` rate line, a header, then CRLF rows."""
@@ -288,6 +310,65 @@ class TestCsvTraceFormat:
                                  "0.0,1.0\r\n2.5e-06,abc\r\n5e-06,1.0\r\n")
         with pytest.raises(FileFormatError, match="t.csv"):
             read_trace(p, kind=PHASE)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes are forked")
+
+
+class TestCsvWorkerPool:
+    """From `CSV_POOL_MIN_ROWS` rows on, forked workers format the blocks."""
+
+    @staticmethod
+    def use_workers(monkeypatch, n):
+        monkeypatch.setattr(fileio, "_csv_workers", lambda: n)
+
+    @pytest.mark.parametrize("n", [
+        0, 1, CSV_POOL_MIN_ROWS - 1, CSV_POOL_MIN_ROWS, CSV_POOL_MIN_ROWS + 1,
+        9 * CSV_BLOCK_ROWS - 1, 9 * CSV_BLOCK_ROWS + 1,
+        12 * CSV_BLOCK_ROWS - 1, 12 * CSV_BLOCK_ROWS + 1])
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, n):
+        tr = SampledTrace(400e3, np.random.default_rng(n).standard_normal(n), HETERODYNE)
+        files = []
+        for workers in (1, 2, 3):
+            self.use_workers(monkeypatch, workers)
+            files.append(tmp_path / f"w{workers}.csv")
+            write_trace(tr, files[-1])
+            assert multiprocessing.active_children() == []
+        assert files[1].read_bytes() == files[0].read_bytes()
+        assert files[2].read_bytes() == files[0].read_bytes()
+
+    @needs_fork
+    def test_worker_exception_surfaces(self, tmp_path, monkeypatch):
+        def fail(trace, start):
+            raise ValueError(os.getpid())
+
+        self.use_workers(monkeypatch, 2)
+        monkeypatch.setattr(fileio, "_csv_block", fail)
+        tr = SampledTrace(400e3, np.zeros(CSV_POOL_MIN_ROWS), HETERODYNE)
+        with pytest.raises(ValueError) as info:
+            write_trace(tr, tmp_path / "t.csv")
+        assert info.value.args[0] != os.getpid()  # raised in a worker
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_killed_worker_raises_instead_of_hanging(self, tmp_path, monkeypatch):
+        self.use_workers(monkeypatch, 2)
+        monkeypatch.setattr(fileio, "_csv_block", lambda trace, start: os._exit(3))
+        tr = SampledTrace(400e3, np.zeros(CSV_POOL_MIN_ROWS), HETERODYNE)
+        raised = []
+
+        def write():
+            try:
+                write_trace(tr, tmp_path / "t.csv")
+            except Exception as exc:
+                raised.append(exc)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        writer.join(timeout=120)
+        assert not writer.is_alive(), "write_trace hung after a worker died"
+        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
 
 
 class TestTables:

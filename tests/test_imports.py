@@ -1,4 +1,6 @@
-"""The package's import rule: no fibertap module imports scipy at module level.
+"""The package's import rules: no fibertap module imports scipy at module
+level, and only the trace-CSV writer loads the process pool
+(`multiprocessing`, `concurrent.futures`).
 
 Each check runs in a fresh interpreter, because this test process already has
 scipy loaded. The checks read `sys.modules`, so they do not depend on timing.
@@ -10,6 +12,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from scipy.io import wavfile
 
 import fibertap
@@ -17,12 +20,11 @@ import fibertap.cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fibertap.__file__)))
 
-#: Prints the loaded scipy modules as JSON after the script's own lines.
-REPORT = ('import json, sys; print(json.dumps(sorted('
-          'm for m in sys.modules if m == "scipy" or m.startswith("scipy."))))')
+#: Prints the loaded modules as JSON after the script's own lines.
+REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
-def scipy_modules_after(script, cwd):
+def modules_after(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", script + "\n" + REPORT],
@@ -32,22 +34,52 @@ def scipy_modules_after(script, cwd):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def loaded_from(packages, modules):
+    return [m for m in modules if m.split(".")[0] in packages]
+
+
+def scipy_modules_after(script, cwd):
+    return loaded_from(("scipy",), modules_after(script, cwd))
+
+
+def pool_modules(modules):
+    return loaded_from(("multiprocessing", "concurrent"), modules)
+
+
 def run_commands(*argvs):
     return "\n".join(f"assert fibertap.cli.main({list(argv)!r}) == 0" for argv in argvs)
 
 
-def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
-    assert scipy_modules_after("import fibertap, fibertap.cli", tmp_path) == []
+@pytest.fixture(scope="module")
+def cli_import_modules(tmp_path_factory):
+    return modules_after("import fibertap, fibertap.cli", tmp_path_factory.mktemp("cli"))
 
 
-def test_table_commands_load_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def table_command_modules(tmp_path_factory):
     script = "import fibertap, fibertap.cli\n" + run_commands(
         ["budget", "--sweep", "length", "--points", "5", "--out", "len.csv"],
         ["budget", "--sweep", "mismatch", "--include-thermal", "--points", "5",
          "--out", "mis.csv"],
         ["sensitivity", "--out", "sens.csv"],
         ["print-config", "--out", "cfg.yaml"])
-    assert scipy_modules_after(script, tmp_path) == []
+    return modules_after(script, tmp_path_factory.mktemp("tables"))
+
+
+def test_importing_the_package_and_cli_loads_no_scipy(cli_import_modules):
+    assert loaded_from(("scipy",), cli_import_modules) == []
+
+
+def test_table_commands_load_no_scipy(table_command_modules):
+    assert loaded_from(("scipy",), table_command_modules) == []
+
+
+def test_importing_the_package_and_cli_loads_no_pool(cli_import_modules):
+    assert pool_modules(cli_import_modules) == []
+
+
+def test_table_commands_load_no_pool(table_command_modules):
+    assert pool_modules(table_command_modules) == []
 
 
 def write_inputs(d):
@@ -90,3 +122,14 @@ def test_demod_and_resampling_simulate_load_no_scipy(tmp_path):
     ):
         script = "import fibertap, fibertap.cli\n" + run_commands(argv)
         assert scipy_modules_after(script, tmp_path) == [], argv
+
+
+def test_csv_phase_output_loads_the_pool(tmp_path):
+    write_inputs(tmp_path)
+    assert fibertap.cli.main(["simulate", "--audio", str(tmp_path / "voice.wav"),
+                              "--out", str(tmp_path / "het.wav"), "--seed", "3",
+                              "--level-db", "70"]) == 0
+    script = "import fibertap, fibertap.cli\n" + run_commands(
+        ["demod", "--in", "het.wav", "--out", "rec.wav", "--phase-csv", "phase.csv"])
+    loaded = pool_modules(modules_after(script, tmp_path))
+    assert "multiprocessing" in loaded and "concurrent.futures" in loaded
