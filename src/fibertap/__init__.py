@@ -1,9 +1,7 @@
 """fibertap: heterodyne fiber-tap eavesdropping simulator and DSP toolkit.
 
-The package runs on numpy and PyYAML. The one use of scipy, the adaptive
-quadrature behind ``noise.laser_rms(..., form="full")``, imports
-``scipy.integrate`` where it runs, so importing the package and running any
-command of the CLI load no scipy.
+The package runs on numpy and PyYAML alone; scipy is only the tests'
+reference.
 """
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Command-line front end: one binary, one subcommand per pipeline stage.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric or
+Exit codes: 0 success, else the failing error class's ``exit_code``:
+2 configuration error, 3 I/O error (also any ``OSError``), 4 numeric or
 Nyquist error, 5 noise estimation impossible (no silent frames and no
 noise profile).
 """
@@ -34,16 +35,7 @@ from .enhance import (
     segmental_snr,
     spectral_subtract,
 )
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    EstimationError,
-    FiberTapError,
-    FileFormatError,
-    InputError,
-    NyquistError,
-    SynthesisError,
-)
+from .errors import FiberTapError, InputError
 from .fileio import (
     BUDGET_HEADER,
     MITIGATION_HEADER,
@@ -61,10 +53,7 @@ from .sensitivity import compare_mitigations
 from .trace import AUDIO, HETERODYNE, SampledTrace
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_NUMERIC = 4
-EXIT_NO_SILENCE = 5
 
 
 class _Stages:
@@ -389,21 +378,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NyquistError, DomainError, SynthesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SILENCE
-    except (ConfigurationError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except FiberTapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

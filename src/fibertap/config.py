@@ -16,7 +16,6 @@ from importlib import resources
 
 import yaml
 
-from .calibrate import white_psd_from_linewidth
 from .demod import DemodConfig
 from .enhance import SpectralSubtractParams
 from .errors import ConfigurationError
@@ -130,13 +129,8 @@ def _build(tree: dict) -> SimulationConfig:
 
     laser = LaserSpec(
         wavelength=_number(laser_d, "wavelength_m", "laser"),
-        linewidth=_number(laser_d, "linewidth_hz", "laser"),
         white_freq_psd=_number(laser_d, "white_freq_psd", "laser"),
         flicker_coeff=_number(laser_d, "flicker_coeff", "laser"))
-    lorentzian_psd = white_psd_from_linewidth(laser.linewidth)
-    if abs(laser.white_freq_psd - lorentzian_psd) > 1e-9 * lorentzian_psd:
-        raise ConfigurationError(f"laser.white_freq_psd ({laser.white_freq_psd}) must equal "
-                                 f"4*pi*laser.linewidth_hz ({lorentzian_psd}) to 1e-9 relative")
 
     def fiber(length):
         return FiberSpec(

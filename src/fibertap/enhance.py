@@ -169,8 +169,10 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
     n = x.size
     frame_count(n, frame, hop)  # rejects a trace shorter than one frame
 
-    # a hop of zeros in front gives the first samples their full window sum
-    xp = np.concatenate([np.zeros(hop), x, np.zeros(frame)])
+    # whole hops of zeros in front, enough that every frame covering the
+    # first sample starts there, give the first samples their full window sum
+    lead = -(-(frame - hop) // hop) * hop
+    xp = np.concatenate([np.zeros(lead), x, np.zeros(frame)])
     frames = _frames(xp, frame, hop)
     spec = np.fft.rfft(frames * win, axis=1)
     power = np.abs(spec) ** 2
@@ -181,7 +183,7 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
     out = _overlap_add(np.fft.irfft(spec * gain, n=frame, axis=1), hop)
     wsum = _overlap_add(np.broadcast_to(win, frames.shape), hop)
     y = np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
-    return noisy.with_samples(y[hop:hop + n])
+    return noisy.with_samples(y[lead:lead + n])
 
 
 def segmental_snr(processed: SampledTrace, reference: SampledTrace,

@@ -39,27 +39,22 @@ class LaserSpec:
     ----------
     wavelength : float
         Vacuum wavelength in meters.
-    linewidth : float
-        Lorentzian linewidth in Hz. A config must set `white_freq_psd` to
-        its ``4 pi linewidth`` (within 1e-9 relative) or `load_config` fails.
     white_freq_psd : float
         One-sided white PSD of angular-frequency fluctuations, rad^2 s^-2 / Hz.
-        For a Lorentzian line of width ``dv`` this is ``4 pi dv``.
+        A Lorentzian line of width ``dv`` has ``4 pi dv``
+        (`calibrate.white_psd_from_linewidth`).
     flicker_coeff : float
         Flicker (1/f) coefficient of the angular-frequency PSD, rad^2 s^-2,
         so the full frequency-noise PSD is ``white_freq_psd + flicker_coeff / f``.
     """
 
     wavelength: float
-    linewidth: float = 100.0
     white_freq_psd: float = 0.0
     flicker_coeff: float = 0.0
 
     def __post_init__(self):
         if self.wavelength <= 0:
             raise ConfigurationError(f"laser.wavelength must be > 0, got {self.wavelength}")
-        if self.linewidth < 0:
-            raise ConfigurationError(f"laser.linewidth must be >= 0, got {self.linewidth}")
         if self.white_freq_psd < 0:
             raise ConfigurationError(f"laser.white_freq_psd must be >= 0, got {self.white_freq_psd}")
         if self.flicker_coeff < 0:

@@ -9,8 +9,10 @@ from fibertap import (
     AUDIO,
     PHASE,
     SampledTrace,
+    cli,
     decimate_to_audio,
     default_config,
+    errors,
     highpass,
     spl_to_pressure,
     voice_to_phase,
@@ -127,7 +129,7 @@ class TestDemod:
 
         cfg = default_config()
         recovered = read_trace(rec)
-        meta = json.loads(open(str(rec) + ".meta.json").read())
+        meta = json.loads((tmp_path / "rec.wav.meta.json").read_text())
         offset = int(round(meta["start_time_s"] * 40000.0))
         rate0, src = read_wav(chirp_wav)
         level = spl_to_pressure(70.0)
@@ -370,6 +372,19 @@ class TestConfigCheckedOnLoad:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
 
 
+@pytest.mark.parametrize("error,code", [
+    (errors.FiberTapError, 4), (errors.ConfigurationError, 2), (errors.NyquistError, 4),
+    (errors.InputError, 2), (errors.DomainError, 4), (errors.SynthesisError, 4),
+    (errors.EstimationError, 5), (errors.FileFormatError, 3), (FileNotFoundError, 3),
+])
+def test_exit_code_of_each_error_class(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+    monkeypatch.setattr(cli, "cmd_print_config", fail)
+    assert main(["print-config"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 class TestEnhance:
     def make_bursty(self, tmp_path, fs=16000, with_noise=False):
         n = fs * 2
@@ -507,7 +522,7 @@ class TestSensitivityCmd:
         short = [ln for ln in lines if ln.startswith("short-1m")][0]
         delta = float(short.split(",")[5])
         assert delta == pytest.approx(-9.54, abs=0.01)
-        summary = json.loads(open(str(out) + ".summary.json").read())
+        summary = json.loads((tmp_path / "mit.csv.summary.json").read_text())
         assert summary["baseline"] == "pc-3m"
 
     def test_baseline_only(self, tmp_path):

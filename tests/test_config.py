@@ -1,4 +1,9 @@
+import copy
+
+import numpy as np
 import pytest
+import yaml
+from scipy.io import wavfile
 
 from fibertap import DemodConfig, default_config, load_config
 from fibertap.calibrate import (
@@ -6,6 +11,7 @@ from fibertap.calibrate import (
     calibrate_sensitivity,
     white_psd_from_linewidth,
 )
+from fibertap.cli import main
 from fibertap.config import dump_config
 from fibertap.errors import ConfigurationError
 
@@ -21,9 +27,9 @@ class TestDefaults:
         assert default_config().digest() == default_config().digest()
 
     def test_white_psd_matches_linewidth(self, cfg):
-        laser = cfg.interferometer.laser
-        assert laser.white_freq_psd == pytest.approx(
-            white_psd_from_linewidth(laser.linewidth), rel=1e-12)
+        # the white level is that of the probe laser's 100 Hz Lorentzian line
+        assert cfg.interferometer.laser.white_freq_psd == pytest.approx(
+            white_psd_from_linewidth(100.0), rel=1e-12)
 
     def test_sensitivity_matches_thermal_anchor(self, cfg):
         expected = calibrate_sensitivity(
@@ -152,23 +158,18 @@ class TestUserOverrides:
         with pytest.raises(ConfigurationError, match=key):
             load_config(p)
 
-    @pytest.mark.parametrize("text", [
-        "laser:\n  linewidth_hz: 200.0\n",
-        "laser:\n  white_freq_psd: 1256.64\n",
-        "laser:\n  linewidth_hz: 0.0\n",
-    ])
-    def test_white_psd_contradicting_linewidth_rejected(self, tmp_path, text):
+    def test_linewidth_key_rejected(self, tmp_path):
+        # white_freq_psd is the one key of the white frequency noise
         p = tmp_path / "user.yaml"
-        p.write_text(text)
+        p.write_text("laser:\n  linewidth_hz: 100.0\n")
         with pytest.raises(ConfigurationError,
-                           match=r"laser\.white_freq_psd .*laser\.linewidth_hz"):
+                           match=r"^unknown config key: laser\.linewidth_hz$"):
             load_config(p)
 
-    def test_white_psd_matching_linewidth_accepted(self, tmp_path):
+    def test_white_psd_override_accepted(self, tmp_path):
         p = tmp_path / "user.yaml"
-        p.write_text(f"laser:\n  linewidth_hz: 200.0\n"
-                     f"  white_freq_psd: {white_psd_from_linewidth(200.0)!r}\n")
-        assert load_config(p).interferometer.laser.linewidth == 200.0
+        p.write_text("laser:\n  white_freq_psd: 2513.27\n")
+        assert load_config(p).interferometer.laser.white_freq_psd == 2513.27
 
     def test_dump_round_trip(self, tmp_path, cfg):
         p = tmp_path / "dump.yaml"
@@ -182,3 +183,81 @@ class TestUserOverrides:
         other = load_config(p)
         assert other.digest() != cfg.digest()
         assert other.interferometer.arm_mismatch() == pytest.approx(100.0)
+
+
+def value_leaves(tree, path=()):
+    """(path, value) of every number, boolean and null in a config tree, list
+    items included; the scenario labels are the only leaves left out."""
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from value_leaves(value, path + (key,))
+    elif not isinstance(tree, str):
+        yield path, tree
+
+
+def perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if value is None:  # the null lowpass cutoff: an explicit one below the beat
+        return 10000.0
+    return value * 1.5 if value else 0.5
+
+
+#: Every command that reads the config, cheap tables first. The 0.25 s voice
+#: is a 1 kHz tone rising 60 dB, so the recovered frames' energies are spread
+#: finely enough that any silence threshold moves the silent set.
+PIPELINE = (
+    ["budget", "--sweep", "length", "--points", "3", "--out", "length.csv"],
+    ["budget", "--sweep", "mismatch", "--include-thermal", "--points", "3",
+     "--out", "mismatch.csv"],
+    ["sensitivity", "--out", "mitigations.csv"],
+    ["simulate", "--audio", "voice.wav", "--out", "het.wav", "--seed", "3",
+     "--level-db", "70"],
+    ["demod", "--in", "het.wav", "--out", "rec.wav"],
+    ["enhance", "--in", "rec.wav", "--out", "enh.wav"],
+)
+
+
+def pipeline_outputs(d, config):
+    """Each command's output files (not the manifests, which carry the
+    config digest), run in directory `d` under `config`."""
+    fs = 400000
+    t = np.arange(fs // 4) / fs
+    wavfile.write(d / "voice.wav", fs,
+                  (np.sin(2 * np.pi * 1000 * t) * 10 ** (3 * (4 * t - 1))).astype(np.float32))
+    for argv in PIPELINE:
+        out = argv[argv.index("--out") + 1]
+        files = [str(d / a) if a.endswith((".csv", ".wav")) else a for a in argv]
+        assert main([*files, "--config", str(config)]) == 0, argv
+        yield {p.name: p.read_bytes() for p in d.glob(out + "*")
+               if not p.name.endswith(".manifest.json")}
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("defaults")
+    (d / "defaults.yaml").write_text(dump_config(default_config()))
+    return list(pipeline_outputs(d, d / "defaults.yaml"))
+
+
+@pytest.mark.parametrize("path,value", [
+    pytest.param(path, value, id=".".join(map(str, path)))
+    for path, value in value_leaves(default_config().raw)])
+def test_every_config_key_has_an_effect_or_is_rejected(
+        tmp_path, default_outputs, path, value):
+    tree = copy.deepcopy(default_config().raw)
+    leaf = tree
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = perturbed(value)
+    config = tmp_path / "perturbed.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    try:
+        load_config(config)
+    except ConfigurationError:
+        return
+    for ours, default in zip(pipeline_outputs(tmp_path, config), default_outputs):
+        if ours != default:
+            return
+    pytest.fail(f"{'.'.join(map(str, path))} = {leaf[path[-1]]} changes no output")

@@ -55,7 +55,8 @@ def spectral_subtract_loop(noisy, noise_spectrum, params):
     frame, hop, win = params.resolve(noisy.sample_rate)
     x = noisy.samples
     n = x.size
-    xp = np.concatenate([np.zeros(hop), x, np.zeros(frame)])
+    lead = int(np.ceil((frame - hop) / hop)) * hop
+    xp = np.concatenate([np.zeros(lead), x, np.zeros(frame)])
     out = np.zeros(xp.size)
     wsum = np.zeros(xp.size)
     for start in range(0, xp.size - frame + 1, hop):
@@ -67,7 +68,7 @@ def spectral_subtract_loop(noisy, noise_spectrum, params):
         out[start:start + frame] += np.fft.irfft(spec * gain, n=frame)
         wsum[start:start + frame] += win
     y = np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
-    return y[hop:hop + n]
+    return y[lead:lead + n]
 
 
 def segmental_snr_loop(processed, reference, frame_length=None):
@@ -312,6 +313,15 @@ class TestSpectralSubtract:
         assert out.n_samples == x.size
         rel = np.linalg.norm(out.samples - x) / np.linalg.norm(x)
         assert rel < 1e-10
+
+    @pytest.mark.parametrize("frame,hop", [(478, 1), (478, 2), (478, 3), (512, 1)])
+    def test_zero_noise_is_identity_at_the_leading_edge(self, frame, hop):
+        # the first samples get the full window sum of every frame covering
+        # them, not just win[0] + win[hop] (sin^2(pi / frame) at hop 1)
+        x = np.random.default_rng(frame).standard_normal(frame)
+        params = SpectralSubtractParams(frame_length=frame, hop=hop)
+        out = spectral_subtract(trace(x), np.zeros(frame // 2 + 1), params).samples
+        assert np.linalg.norm(out - x) <= 1e-14 * np.linalg.norm(x)
 
     def test_output_length_matches_input(self):
         rng = np.random.default_rng(9)

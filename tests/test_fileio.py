@@ -179,7 +179,8 @@ class TestTraceFiles:
                           HETERODYNE)
         p = tmp_path / "het.wav"
         side = write_trace(tr, p)
-        meta = json.loads(open(side).read())
+        with open(side) as fh:
+            meta = json.load(fh)
         assert meta["kind"] == HETERODYNE
         assert meta["scale"] == 1.0
         back = read_trace(p)
@@ -377,7 +378,7 @@ class TestTables:
                 BudgetRow(100.0, 3e-6, 4e-6, 5e-6, 25.0)]
         p = tmp_path / "budget.csv"
         write_csv_table(p, BUDGET_HEADER, rows)
-        first_line = open(p).readline().strip()
+        first_line = p.read_text().splitlines()[0]
         assert first_line == ",".join(BUDGET_HEADER)
         back = read_budget_csv(p)
         assert back == rows
@@ -393,7 +394,7 @@ class TestTables:
         rows = [MitigationRow("base", 3.0, 1.0, 0.2, 1e-3, 0.0, 0.0)]
         p = tmp_path / "mit.csv"
         write_csv_table(p, MITIGATION_HEADER, rows)
-        lines = open(p).read().splitlines()
+        lines = p.read_text().splitlines()
         assert lines[0].startswith("label,sensing_length_m")
         assert len(lines) == 2
 

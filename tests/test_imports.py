@@ -1,6 +1,6 @@
-"""The package's import rules: no fibertap module imports scipy at module
-level, and only the trace-CSV writer loads the process pool
-(`multiprocessing`, `concurrent.futures`).
+"""The package's import rules: no fibertap code loads scipy, and only the
+trace-CSV writer loads the process pool (`multiprocessing`,
+`concurrent.futures`).
 
 Each check runs in a fresh interpreter, because this test process already has
 scipy loaded. The checks read `sys.modules`, so they do not depend on timing.
@@ -72,6 +72,19 @@ def test_importing_the_package_and_cli_loads_no_scipy(cli_import_modules):
 
 def test_table_commands_load_no_scipy(table_command_modules):
     assert loaded_from(("scipy",), table_command_modules) == []
+
+
+def test_full_form_noise_budget_loads_no_scipy(tmp_path):
+    # a 100 m arm mismatch, so the laser term is integrated, not skipped
+    script = (
+        "from dataclasses import replace\n"
+        "import fibertap\n"
+        "cfg = fibertap.default_config()\n"
+        "ifo = cfg.interferometer\n"
+        "ifo = replace(ifo, reference_fiber=replace(ifo.reference_fiber, length=2306.0))\n"
+        "budget = fibertap.compute_noise_budget(ifo, cfg.coupling, cfg.band, form='full')\n"
+        "assert budget.laser_rms > 0")
+    assert scipy_modules_after(script, tmp_path) == []
 
 
 def test_importing_the_package_and_cli_loads_no_pool(cli_import_modules):

@@ -41,8 +41,6 @@ class TestLaserSpec:
         with pytest.raises(ConfigurationError):
             LaserSpec(wavelength=0.0)
         with pytest.raises(ConfigurationError):
-            LaserSpec(wavelength=1.55e-6, linewidth=-1.0)
-        with pytest.raises(ConfigurationError):
             LaserSpec(wavelength=1.55e-6, white_freq_psd=-1.0)
         with pytest.raises(ConfigurationError):
             LaserSpec(wavelength=1.55e-6, flicker_coeff=-1.0)

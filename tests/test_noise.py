@@ -167,6 +167,22 @@ class TestLaserRms:
         approx = laser_rms(laser(), tau0, BAND, form="approx")
         assert full == pytest.approx(approx, rel=5e-3)
 
+    @pytest.mark.parametrize("band", [BAND, AudioBand(20.0, 20000.0)],
+                             ids=["100Hz-10kHz", "20Hz-20kHz"])
+    def test_full_equals_adaptive_quadrature(self, band):
+        # reference: scipy's quad on each half period 1/(2 tau0) of
+        # sin^2(pi f tau0), so no adaptive run sees more than one lobe
+        for mismatch in np.geomspace(1e-3, 1e6, 40):
+            tau0 = mismatch_to_delay(mismatch, 1.468)
+            half = 0.5 / tau0
+            inner = np.arange(np.floor(band.f_low / half) + 1, np.ceil(band.f_high / half))
+            edges = [band.f_low, *(inner * half), band.f_high]
+            var = sum(integrate.quad(lambda f: laser_phase_psd_full(laser(), tau0, f),
+                                     a, b, epsrel=1e-13, epsabs=0.0, limit=200)[0]
+                      for a, b in zip(edges[:-1], edges[1:]))
+            assert laser_rms(laser(), tau0, band, form="full") == \
+                pytest.approx(np.sqrt(var), rel=1e-12, abs=0.0), mismatch
+
     def test_unknown_form_rejected(self):
         with pytest.raises(ConfigurationError):
             laser_rms(laser(), 1e-7, BAND, form="exact")
