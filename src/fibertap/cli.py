@@ -12,7 +12,6 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .config import load_config
 from .demod import (
     decimate_to_audio,
     edge_guard,
-    guard_trim,
     highpass,
     iq_demodulate,
     resample,
@@ -73,20 +71,20 @@ class _Stages:
         self.timings.append([name, time.perf_counter() - t0])
 
 
-def _write_manifest(out_path, command, config, seed, inputs, outputs, stages):
+def _write_manifest(args, config, inputs, outputs, stages):
     manifest = {
         "tool": "fibertap",
         "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config_digest": config.digest() if config is not None else None,
+        "command": args.command,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "config_digest": config.digest(),
         "inputs": {name: {"path": str(p), "sha256": sha256_file(p)}
                    for name, p in inputs.items()},
         "outputs": {name: {"path": str(p), "sha256": sha256_file(p)}
                     for name, p in outputs.items()},
         "stage_timings": stages.timings,
     }
-    path = str(out_path) + ".manifest.json"
+    path = str(args.out) + ".manifest.json"
     write_json(path, manifest)
     return path
 
@@ -113,16 +111,14 @@ def cmd_simulate(args) -> int:
         phase = voice_to_phase(audio, config.coupling, ifo.sensing_length)
 
     with stages("synthesize"):
-        noise_on = config.noise.enabled and not args.no_noise
         het = synthesize_heterodyne(
             ifo, voice_phase=phase,
-            noise_seed=args.seed if noise_on else None,
+            noise_seed=args.seed if config.noise.enabled else None,
             flatten_below=config.noise.flatten_below_hz)
 
     with stages("write"):
         write_trace(het, args.out)
-    _write_manifest(args.out, "simulate", config, args.seed,
-                    {"audio": args.audio}, {"heterodyne": args.out}, stages)
+    _write_manifest(args, config, {"audio": args.audio}, {"heterodyne": args.out}, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -132,26 +128,16 @@ def cmd_demod(args) -> int:
     with stages("load"):
         config = load_config(args.config)
         het = read_trace(args.trace_in, kind=HETERODYNE)
-        flags = {name: getattr(args, name)
-                 for name in ("beat_frequency", "highpass_cutoff", "audio_rate")}
-        cfg = replace(config.demod, **{k: v for k, v in flags.items() if v is not None})
-        transient, guard = edge_guard(cfg, het.sample_rate, config.band,
-                                      None if args.no_highpass else het.n_samples)
+        cfg = config.demod
+        guard = edge_guard(cfg, het.sample_rate, config.band, het.n_samples,
+                           highpass=not args.no_highpass)
 
     with stages("iq-demodulate"):
         phase = unwrap_phase(iq_demodulate(het, cfg))
 
-    trim = guard_trim(phase.n_samples, guard)
-    if trim:
-        phase = SampledTrace(phase.sample_rate,
-                             phase.samples[trim:phase.n_samples - trim],
-                             phase.kind)
-    else:
-        print(f"warning: record of {phase.n_samples} samples is not longer than "
-              f"3 x the {guard}-sample edge guard; keeping "
-              f"{min(transient, phase.n_samples)} FIR transient samples at each edge",
-              file=sys.stderr)
-    start_time = trim / het.sample_rate
+    phase = SampledTrace(phase.sample_rate,
+                         phase.samples[guard:phase.n_samples - guard], phase.kind)
+    start_time = guard / het.sample_rate
 
     if not args.no_highpass:
         with stages("highpass"):
@@ -170,8 +156,7 @@ def cmd_demod(args) -> int:
     outputs = {"audio": args.out}
     if args.phase_csv:
         outputs["phase"] = args.phase_csv
-    _write_manifest(args.out, "demod", config, None,
-                    {"heterodyne": args.trace_in}, outputs, stages)
+    _write_manifest(args, config, {"heterodyne": args.trace_in}, outputs, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -233,8 +218,7 @@ def cmd_enhance(args) -> int:
         inputs["noise_profile"] = args.noise_profile
     if args.reference:
         inputs["reference"] = args.reference
-    _write_manifest(args.out, "enhance", config, None, inputs,
-                    {"audio": args.out, "report": report_path}, stages)
+    _write_manifest(args, config, inputs, {"audio": args.out, "report": report_path}, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -264,7 +248,7 @@ def cmd_budget(args) -> int:
             write_json(args.out, [r.__dict__ for r in rows])
         else:
             write_csv_table(args.out, BUDGET_HEADER, rows)
-    _write_manifest(args.out, "budget", config, None, {}, {"table": args.out}, stages)
+    _write_manifest(args, config, {}, {"table": args.out}, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -288,8 +272,7 @@ def cmd_sensitivity(args) -> int:
         }
         summary_path = str(args.out) + ".summary.json"
         write_json(summary_path, summary)
-    _write_manifest(args.out, "sensitivity", config, None, {},
-                    {"table": args.out, "summary": summary_path}, stages)
+    _write_manifest(args, config, {}, {"table": args.out, "summary": summary_path}, stages)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -324,16 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="noise synthesis seed")
     p.add_argument("--level-db", type=float, default=None,
                    help="rescale input so its peak equals this dB SPL")
-    p.add_argument("--no-noise", action="store_true", help="disable phase noise")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demod", help="heterodyne trace -> recovered audio WAV")
     common(p)
     p.add_argument("--in", dest="trace_in", required=True,
                    help="heterodyne trace (WAV or CSV)")
-    p.add_argument("--beat-frequency", type=float, default=None)
-    p.add_argument("--highpass-cutoff", type=float, default=None)
-    p.add_argument("--audio-rate", type=float, default=None)
     p.add_argument("--no-highpass", action="store_true",
                    help="skip the audio-band high-pass")
     p.add_argument("--phase-csv", default=None,

@@ -186,18 +186,18 @@ def iq_transient_samples(cfg: DemodConfig, sample_rate: float) -> int:
 
 
 def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
-               n_samples: int | None = None) -> tuple[int, int]:
-    """Check `cfg` against a record at `sample_rate`; size the edge guard.
+               n_samples: int, highpass: bool = True) -> int:
+    """Check `cfg` against an n-sample record at `sample_rate`; size the edge guard.
 
-    Runs every rule that ties the parameters to the record rate (beat and
+    Runs every rule that ties the parameters to the record (beat and
     high-pass cutoff below Nyquist; audio rate rational and clear of `band`,
     as `decimate_to_audio` needs), so a record is rejected before any of it
-    is demodulated. Given `n_samples`, the length of a record whose phase
-    will go through `highpass`, it also rejects a record that leaves the
-    high-pass too few samples after `guard_trim` (`InputError`). Returns
-    ``(transient, guard)``: the FIR transient samples at each edge of the
-    `iq_demodulate` output, and that count rounded up to a whole decimation
+    is demodulated. Returns the guard: the FIR transient samples at each
+    edge of the `iq_demodulate` output, rounded up to a whole decimation
     step, which keeps the trimmed audio on the grid of the whole record.
+    `demod` trims the guard from both edges, so a record of 3 x guard
+    samples or fewer is rejected (`InputError`); with `highpass`, so is one
+    that leaves the high-pass too few samples after the trim.
     """
     cfg.validate_rate(sample_rate)
     if cfg.highpass_cutoff >= sample_rate / 2:
@@ -205,23 +205,18 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
             "demod.highpass_cutoff must lie below sample_rate/2: "
             f"got {cfg.highpass_cutoff} at {sample_rate} S/s")
     up, down = _audio_ratio(sample_rate, cfg.audio_rate, band)
-    transient = iq_transient_samples(cfg, sample_rate)
     step = down if up == 1 else 1
-    guard = -(-transient // step) * step
-    if n_samples is not None:
-        kept = n_samples - 2 * guard_trim(n_samples, guard)
-        need = highpass_padlen(cfg.filter_order) + 1
-        if kept < need:
-            raise InputError(
-                f"the order-{cfg.filter_order} high-pass needs a phase record of at "
-                f"least {need} samples; this record gives it {kept}")
-    return transient, guard
-
-
-def guard_trim(n_samples: int, guard: int) -> int:
-    """Samples `demod` trims from each edge of an n-sample phase record: the
-    edge guard when the record is longer than three guards, else none."""
-    return guard if n_samples > 3 * guard else 0
+    guard = -(-iq_transient_samples(cfg, sample_rate) // step) * step
+    if n_samples <= 3 * guard:
+        raise InputError(
+            f"demod trims a {guard}-sample edge guard from each end and needs a record "
+            f"of more than {3 * guard} samples; this record has {n_samples}")
+    kept, need = n_samples - 2 * guard, highpass_padlen(cfg.filter_order) + 1
+    if highpass and kept < need:
+        raise InputError(
+            f"the order-{cfg.filter_order} high-pass needs a phase record of at "
+            f"least {need} samples; this record gives it {kept}")
+    return guard
 
 
 def _overlap_save(taps, read, out, delay=0):

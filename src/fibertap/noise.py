@@ -294,8 +294,7 @@ def detection_limit_vs_length(lengths, coupling: AcousticCoupling, sensing_lengt
         if length < 0:
             raise InputError(f"lengths must be >= 0, got {length}")
         th = thermal_rms(replace(template, length=float(length)), config.laser.wavelength, band)
-        limit = phase_rms_to_spl(snr_threshold * th, coupling, sensing_length) \
-            if th > 0 else float("-inf")
+        limit = phase_rms_to_spl(snr_threshold * th, coupling, sensing_length)
         rows.append(BudgetRow(x_value=float(length), thermal_rms=th,
                               laser_rms=0.0, total_rms=th, limit_db=limit))
     return rows
@@ -325,8 +324,7 @@ def detection_limit_vs_mismatch(mismatches, laser: LaserSpec, coupling: Acoustic
         tau0 = mismatch_to_delay(float(mismatch), n)
         la = laser_rms(laser, tau0, band, form="approx")
         total = float(np.hypot(th, la))
-        limit = phase_rms_to_spl(snr_threshold * total, coupling, sensing_length) \
-            if total > 0 else float("-inf")
+        limit = phase_rms_to_spl(snr_threshold * total, coupling, sensing_length)
         rows.append(BudgetRow(x_value=float(mismatch), thermal_rms=th,
                               laser_rms=la, total_rms=total, limit_db=limit))
     return rows

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,13 @@ def write_chirp(path, duration=0.5, f0=500.0, f1=5000.0):
     wavfile.write(path, FS, chirp(t, f0, duration, f1).astype(np.float32))
 
 
+def quiet_config(tmp_path):
+    """A config file that turns off noise injection in `simulate`."""
+    path = tmp_path / "quiet.yaml"
+    path.write_text("noise:\n  enabled: false\n")
+    return path
+
+
 def manifest_of(out_path):
     with open(str(out_path) + ".manifest.json") as fh:
         return json.load(fh)
@@ -49,8 +58,17 @@ class TestSimulate:
         assert out.exists()
         m = manifest_of(out)
         assert m["command"] == "simulate"
-        assert m["seed"] == 3
+        assert m["args"]["seed"] == 3
         assert m["config_digest"]
+
+    def test_manifest_records_the_level(self, tmp_path, chirp_wav):
+        levels = []
+        for level in ("60", "70"):
+            out = tmp_path / f"het{level}.wav"
+            assert main(["simulate", "--audio", str(chirp_wav), "--out", str(out),
+                         "--seed", "3", "--level-db", level]) == 0
+            levels.append(manifest_of(out)["args"]["level_db"])
+        assert levels == [60.0, 70.0]
 
     def test_deterministic_rerun(self, tmp_path, chirp_wav):
         out1, out2 = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -115,11 +133,10 @@ class TestSimulate:
 
 
 class TestDemod:
-    def run_sim(self, tmp_path, chirp_wav, **flags):
+    def run_sim(self, tmp_path, chirp_wav):
         het = tmp_path / "het.wav"
-        args = ["simulate", "--audio", str(chirp_wav), "--out", str(het),
-                "--level-db", "70", "--no-noise"]
-        assert main(args) == 0
+        assert main(["simulate", "--config", str(quiet_config(tmp_path)),
+                     "--audio", str(chirp_wav), "--out", str(het), "--level-db", "70"]) == 0
         return het
 
     def test_round_trip_correlation(self, tmp_path, chirp_wav):
@@ -145,8 +162,8 @@ class TestDemod:
         silent_src = tmp_path / "silence.wav"
         wavfile.write(silent_src, FS, np.zeros(FS // 5, dtype=np.float32))
         het = tmp_path / "het.wav"
-        assert main(["simulate", "--audio", str(silent_src), "--out", str(het),
-                     "--no-noise"]) == 0
+        assert main(["simulate", "--config", str(quiet_config(tmp_path)),
+                     "--audio", str(silent_src), "--out", str(het)]) == 0
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--in", str(het), "--out", str(rec)]) == 0
         _, out = read_wav(rec)
@@ -190,16 +207,6 @@ class TestDemod:
             raise AssertionError("iq-demodulate ran before the rate check")
         monkeypatch.setattr(fibertap.cli, "iq_demodulate", iq_demodulate)
 
-    def test_zero_audio_rate_flag_exits_2(self, tmp_path, monkeypatch, capsys):
-        src = tmp_path / "short.wav"
-        write_chirp(src, duration=0.01)
-        het = self.run_sim(tmp_path, src)
-        self.fail_if_demodulated(monkeypatch)
-        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
-                   "--audio-rate", "0"])
-        assert rc == 2
-        assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
-
     def test_zero_audio_rate_config_exits_2(self, tmp_path, monkeypatch, capsys):
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.01)
@@ -212,17 +219,19 @@ class TestDemod:
         assert rc == 2
         assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config,flags,message", [
-        ("", ["--beat-frequency", "nan"], "demod.beat_frequency must be finite"),
-        ("", ["--audio-rate", "16000"], "cannot carry the audio band"),
-        # the flag's beat would clear the cutoff, but the config must hold alone
-        ("demod:\n  lowpass_cutoff_hz: 30000.0\n", ["--beat-frequency", "80000"],
-         "demod.lowpass_cutoff"),
-        ("", ["--highpass-cutoff", "0"], "demod.highpass_cutoff must be finite and > 0"),
-        ("", ["--highpass-cutoff", "200000"], "demod.highpass_cutoff must lie below"),
+    @pytest.mark.parametrize("config,code,message", [
+        # the interferometer's check sees a NaN beat before DemodConfig's
+        pytest.param("interferometer:\n  intermediate_frequency_hz: .nan\n", 4,
+                     "interferometer.intermediate_frequency must lie in", id="nan-beat"),
+        pytest.param("demod:\n  audio_rate_hz: 16000\n", 2, "cannot carry the audio band",
+                     id="audio-rate-16k"),
+        pytest.param("demod:\n  highpass_cutoff_hz: 0\n", 2,
+                     "demod.highpass_cutoff must be finite and > 0", id="highpass-cutoff-0"),
+        pytest.param("demod:\n  highpass_cutoff_hz: 200000\n", 2,
+                     "demod.highpass_cutoff must lie below", id="highpass-cutoff-nyquist"),
     ])
     def test_rejected_before_demodulating_writing_nothing(self, tmp_path, monkeypatch,
-                                                          capsys, config, flags, message):
+                                                          capsys, config, code, message):
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.01)
         het = self.run_sim(tmp_path, src)
@@ -232,8 +241,8 @@ class TestDemod:
         self.fail_if_demodulated(monkeypatch)
         rc = main(["demod", "--config", str(conf), "--in", str(het),
                    "--out", str(tmp_path / "rec.wav"),
-                   "--phase-csv", str(tmp_path / "p.csv")] + flags)
-        assert rc == 2
+                   "--phase-csv", str(tmp_path / "p.csv")])
+        assert rc == code
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
@@ -243,8 +252,10 @@ class TestDemod:
         write_chirp(src, duration=0.05)
         het = self.run_sim(tmp_path, src)
         rec, pcsv = tmp_path / "rec.wav", tmp_path / "phase.csv"
-        assert main(["demod", "--in", str(het), "--out", str(rec),
-                     "--audio-rate", str(rate), "--phase-csv", str(pcsv)]) == 0
+        conf = tmp_path / "rate.yaml"
+        conf.write_text(f"demod:\n  audio_rate_hz: {rate}\n")
+        assert main(["demod", "--config", str(conf), "--in", str(het), "--out", str(rec),
+                     "--phase-csv", str(pcsv)]) == 0
         n = read_trace(pcsv).n_samples
         audio = read_trace(rec)
         assert audio.sample_rate == rate
@@ -254,8 +265,8 @@ class TestDemod:
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.01)
         het = tmp_path / "het.csv"
-        assert main(["simulate", "--audio", str(src), "--out", str(het),
-                     "--no-noise"]) == 0
+        assert main(["simulate", "--config", str(quiet_config(tmp_path)),
+                     "--audio", str(src), "--out", str(het)]) == 0
         lines = het.read_bytes().split(b"\r\n")
         lines[3] = lines[3].split(b",")[0] + b",abc"
         het.write_bytes(b"\r\n".join(lines))
@@ -264,19 +275,6 @@ class TestDemod:
         assert rc == 3
         err = capsys.readouterr().err
         assert "het.csv" in err and "abc" in err
-
-    def test_short_record_warns_of_kept_transients(self, tmp_path, capsys):
-        # 800 samples against a 300-sample guard (297 taps on the 10:1 grid)
-        src = tmp_path / "short.wav"
-        write_chirp(src, duration=0.002)
-        het = self.run_sim(tmp_path, src)
-        capsys.readouterr()
-        rec = tmp_path / "rec.wav"
-        assert main(["demod", "--in", str(het), "--out", str(rec)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning:")
-        assert "800 samples" in err[0] and "keeping 297 FIR transient samples" in err[0]
-        assert read_trace(rec).n_samples == 80
 
     def test_long_record_does_not_warn(self, tmp_path, chirp_wav, capsys):
         het = self.run_sim(tmp_path, chirp_wav)
@@ -289,8 +287,39 @@ class TestDemod:
         wavfile.write(src, FS, np.sin(2 * np.pi * 1000 * np.arange(n) / FS).astype(np.float32))
         return self.run_sim(tmp_path, src)
 
-    # the high-pass pads 3 x (order + 1) samples at each edge and needs more
-    @pytest.mark.parametrize("order,n", [(4, 10), (4, 15), (1, 6), (5, 18)])
+    # 900 samples: 3 x the 300-sample guard (297 taps on the 10:1 grid)
+    @pytest.mark.parametrize("flags", [[], ["--no-highpass"]])
+    def test_record_of_three_guards_exits_2(self, tmp_path, monkeypatch, capsys, flags):
+        het = self.short_het(tmp_path, 900)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        self.fail_if_demodulated(monkeypatch)
+        capsys.readouterr()
+        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
+                   "--phase-csv", str(tmp_path / "p.csv")] + flags)
+        assert rc == 2
+        assert ("trims a 300-sample edge guard from each end and needs a record of more "
+                "than 900 samples; this record has 900") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    # without the high-pass, its length rule (which an order-100 filter fails
+    # on 901 samples) does not apply
+    @pytest.mark.parametrize("order,flags", [
+        (4, []), (4, ["--no-highpass"]), (100, ["--no-highpass"]),
+    ])
+    def test_record_of_three_guards_and_one_demodulates(self, tmp_path, order, flags):
+        het = self.short_het(tmp_path, 901)
+        conf = tmp_path / "order.yaml"
+        conf.write_text(f"demod:\n  filter_order: {order}\n")
+        rec = tmp_path / "rec.wav"
+        assert main(["demod", "--config", str(conf), "--in", str(het),
+                     "--out", str(rec)] + flags) == 0
+        assert read_trace(rec).n_samples == 31
+        meta = json.loads((tmp_path / "rec.wav.meta.json").read_text())
+        assert meta["start_time_s"] == 300 / FS
+
+    # the 300-sample guard leaves n - 600 samples, and the high-pass pads
+    # 3 x (order + 1) at each edge and needs more
+    @pytest.mark.parametrize("order,n", [(100, 901), (100, 903), (200, 1200)])
     def test_record_too_short_for_the_highpass_exits_2(self, tmp_path, monkeypatch,
                                                         capsys, order, n):
         het = self.short_het(tmp_path, n)
@@ -304,20 +333,8 @@ class TestDemod:
         assert rc == 2
         need = 3 * (order + 1) + 1
         assert (f"order-{order} high-pass needs a phase record of at least {need} samples; "
-                f"this record gives it {n}") in capsys.readouterr().err
+                f"this record gives it {n - 600}") in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
-
-    @pytest.mark.parametrize("order,n,flags", [
-        (4, 16, []), (1, 7, []), (4, 10, ["--no-highpass"]), (4, 2, ["--no-highpass"]),
-    ])
-    def test_shortest_records_demodulate(self, tmp_path, order, n, flags):
-        het = self.short_het(tmp_path, n)
-        conf = tmp_path / "order.yaml"
-        conf.write_text(f"demod:\n  filter_order: {order}\n")
-        rec = tmp_path / "rec.wav"
-        assert main(["demod", "--config", str(conf), "--in", str(het),
-                     "--out", str(rec)] + flags) == 0
-        assert read_trace(rec).n_samples == -(-n // 10)
 
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
         from fibertap import edge_guard, iq_demodulate, synthesize_heterodyne, unwrap_phase
@@ -334,7 +351,7 @@ class TestDemod:
         het = synthesize_heterodyne(cfg.interferometer, voice_phase=phase)
         dm = cfg.demod
         full = unwrap_phase(iq_demodulate(het, dm))
-        _, guard = edge_guard(dm, rate0, cfg.band)
+        guard = edge_guard(dm, rate0, cfg.band, het.n_samples)
         trimmed = SampledTrace(rate0, full.samples[guard:full.n_samples - guard],
                                PHASE)
         rec2 = decimate_to_audio(highpass(trimmed, dm.highpass_cutoff, dm.filter_order),
@@ -370,6 +387,38 @@ class TestConfigCheckedOnLoad:
         assert main(self.COMMANDS[command] + ["--config", "bad.yaml"]) == 2
         assert key in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--audio", "a.wav", "--out", "het.wav", "--no-noise"],
+    ["demod", "--in", "het.wav", "--out", "rec.wav", "--beat-frequency=25000"],
+    ["demod", "--in", "het.wav", "--out", "rec.wav", "--highpass-cutoff=300"],
+    ["demod", "--in", "het.wav", "--out", "rec.wav", "--audio-rate=40000"],
+], ids=lambda argv: argv[-1].split("=")[0])
+def test_flag_that_shadowed_a_config_key_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    """Every `fibertap ...` line in README's ``sh`` blocks parses, so a flag
+    removed from the parser cannot stay in the docs."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines, in_sh = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("fibertap "):
+            lines.append(line)
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 @pytest.mark.parametrize("error,code", [

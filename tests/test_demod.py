@@ -99,7 +99,9 @@ class TestDemodConfig:
 
 
 class TestEdgeGuard:
-    """`edge_guard` holds every rule that ties a `DemodConfig` to a record rate."""
+    """`edge_guard` holds every rule that ties a `DemodConfig` to a record."""
+
+    N = int(FS)  # a record long enough for every guard
 
     @pytest.mark.parametrize("audio_rate,guard", [
         (40e3, 300), (80e3, 300), (25e3, 304), (32e3, 297), (44100.0, 297), (FS, 297),
@@ -107,22 +109,38 @@ class TestEdgeGuard:
     def test_guard_rounds_up_to_the_decimation_step(self, audio_rate, guard):
         cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
         assert iq_transient_samples(cfg, FS) == 297
-        assert edge_guard(cfg, FS, AudioBand()) == (297, guard)
+        assert edge_guard(cfg, FS, AudioBand(), 3 * guard + 1) == guard
+        # the trim takes a guard from each edge and must leave more than one
+        for highpass_on in (True, False):
+            with pytest.raises(InputError, match=f"more than {3 * guard} samples"):
+                edge_guard(cfg, FS, AudioBand(), 3 * guard, highpass=highpass_on)
+
+    @pytest.mark.parametrize("order,n,ok", [
+        (99, 901, True), (100, 901, False), (100, 904, True), (4, 901, True),
+    ])
+    def test_highpass_needs_its_padding_after_the_trim(self, order, n, ok):
+        cfg = DemodConfig(beat_frequency=25e3, filter_order=order)
+        assert edge_guard(cfg, FS, AudioBand(), n, highpass=False) == 300
+        if ok:
+            assert edge_guard(cfg, FS, AudioBand(), n) == 300
+        else:
+            with pytest.raises(InputError, match=f"order-{order} high-pass"):
+                edge_guard(cfg, FS, AudioBand(), n)
 
     def test_beat_above_nyquist_rejected(self):
         with pytest.raises(NyquistError):
-            edge_guard(DemodConfig(beat_frequency=25e3), 48e3, AudioBand())
+            edge_guard(DemodConfig(beat_frequency=25e3), 48e3, AudioBand(), self.N)
 
     @pytest.mark.parametrize("cutoff", [500.0, FS / 2 - 1, FS / 2, FS])
     def test_highpass_cutoff_checked_as_highpass_does(self, cutoff):
         cfg = DemodConfig(beat_frequency=25e3, highpass_cutoff=cutoff)
         tone = make_tone(FS, 1000.0, 0.01, 1.0)
         if cutoff < FS / 2:
-            edge_guard(cfg, FS, AudioBand())
+            edge_guard(cfg, FS, AudioBand(), self.N)
             highpass(tone, cutoff)
         else:
             with pytest.raises(ConfigurationError, match="must lie below sample_rate/2"):
-                edge_guard(cfg, FS, AudioBand())
+                edge_guard(cfg, FS, AudioBand(), self.N)
             with pytest.raises(ConfigurationError):
                 highpass(tone, cutoff)
 
@@ -140,7 +158,7 @@ class TestEdgeGuard:
         cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
         tone = make_tone(FS, 1000.0, 0.01, 1.0)
         expected = error(lambda: decimate_to_audio(tone, audio_rate, AudioBand()))
-        assert error(lambda: edge_guard(cfg, FS, AudioBand())) == expected
+        assert error(lambda: edge_guard(cfg, FS, AudioBand(), self.N)) == expected
         assert (expected is None) == (audio_rate in (22050.0, 32e3, 40e3, FS / 3))
 
 

@@ -3,8 +3,9 @@
 A 0.25 s gated tone, at 44.1 kHz and at 400 kS/s, goes through `simulate`
 (WAV and CSV, seed 3; the tone is read as float32, and also as float64 at
 400 kS/s and, unscaled, as 16-bit PCM at 44.1 kHz), `demod` (40 kHz with ``--phase-csv`` from the WAV,
-32 kHz from the CSV, and from the WAV once with ``--beat-frequency`` and
-``--highpass-cutoff`` and once with ``--no-highpass``), `enhance`, `budget`
+32 kHz from the CSV, and from the WAV once with a 300 Hz high-pass and
+once with ``--no-highpass``; the rates and the cutoff come from config
+files), `enhance`, `budget`
 (both sweeps, CSV and JSON) and `sensitivity`, in process. The sha256 of
 every data file and sidecar is compared with the digests below. Manifests
 hold timings and are left out, as is `print-config`.
@@ -109,11 +110,18 @@ def run_pipeline(d):
     # no --level-db: the PCM16 samples, scaled by 1/32768, are the pressure
     run("simulate", "--audio", d / "tone44k_pcm16.wav", "--out", d / "het_pcm16.wav",
         "--seed", 3)
-    run("demod", "--in", d / "het.wav", "--out", d / "rec40.wav",
-        "--audio-rate", 40000, "--phase-csv", d / "phase.csv")
-    run("demod", "--in", d / "het.csv", "--out", d / "rec32.wav", "--audio-rate", 32000)
-    run("demod", "--in", d / "het.wav", "--out", d / "rec_flags.wav",
-        "--beat-frequency", 25000, "--highpass-cutoff", 300)
+    configs = {"rate40k.yaml": "demod:\n  audio_rate_hz: 40000\n",
+               "rate32k.yaml": "demod:\n  audio_rate_hz: 32000\n",
+               "hp300.yaml": "interferometer:\n  intermediate_frequency_hz: 25000\n"
+                             "demod:\n  highpass_cutoff_hz: 300\n"}
+    for name, text in configs.items():
+        (d / name).write_text(text)
+    run("demod", "--config", d / "rate40k.yaml", "--in", d / "het.wav",
+        "--out", d / "rec40.wav", "--phase-csv", d / "phase.csv")
+    run("demod", "--config", d / "rate32k.yaml", "--in", d / "het.csv",
+        "--out", d / "rec32.wav")
+    run("demod", "--config", d / "hp300.yaml", "--in", d / "het.wav",
+        "--out", d / "rec_flags.wav")
     run("demod", "--in", d / "het.wav", "--out", d / "rec_nohp.wav", "--no-highpass")
     run("enhance", "--in", d / "rec40.wav", "--out", d / "enh.wav")
     for sweep in ("length", "mismatch"):

@@ -126,10 +126,11 @@ def test_demod_and_resampling_simulate_load_no_scipy(tmp_path):
         assert fibertap.cli.main(["simulate", "--audio", str(tmp_path / "voice.wav"),
                                   "--out", str(tmp_path / f"het.{fmt}"), "--seed", "3",
                                   "--level-db", "70"]) == 0
+    (tmp_path / "rate44k.yaml").write_text("demod:\n  audio_rate_hz: 44100\n")
     for argv in (
         ["demod", "--in", "het.wav", "--out", "rec.wav"],
-        ["demod", "--in", "het.csv", "--out", "rec44k.wav", "--phase-csv", "phase.csv",
-         "--audio-rate", "44100"],
+        ["demod", "--config", "rate44k.yaml", "--in", "het.csv", "--out", "rec44k.wav",
+         "--phase-csv", "phase.csv"],
         ["simulate", "--audio", "voice44k.wav", "--out", "het44k.wav", "--seed", "3",
          "--level-db", "70"],
     ):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, signal
@@ -376,6 +378,14 @@ class TestDetectionLimits:
         rows = detection_limit_vs_mismatch([0.0], cfg.interferometer.laser,
                                            cfg.coupling, 3.0, cfg.band,
                                            cfg.interferometer)
+        assert rows[0].limit_db == -np.inf
+
+    def test_zero_length_limit_is_minus_inf(self, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = detection_limit_vs_length([0.0], cfg.coupling, 3.0, cfg.band,
+                                             cfg.interferometer)
+        assert rows[0].thermal_rms == 0.0
         assert rows[0].limit_db == -np.inf
 
     def test_empty_and_negative_inputs_rejected(self, cfg):
