@@ -304,7 +304,7 @@ class TestDemod:
     # without the high-pass, its length rule (which an order-100 filter fails
     # on 901 samples) does not apply
     @pytest.mark.parametrize("order,flags", [
-        (4, []), (4, ["--no-highpass"]), (100, ["--no-highpass"]),
+        (4, []), (1, []), (4, ["--no-highpass"]), (100, ["--no-highpass"]),
     ])
     def test_record_of_three_guards_and_one_demodulates(self, tmp_path, order, flags):
         het = self.short_het(tmp_path, 901)
@@ -319,7 +319,7 @@ class TestDemod:
 
     # the 300-sample guard leaves n - 600 samples, and the high-pass pads
     # 3 x (order + 1) at each edge and needs more
-    @pytest.mark.parametrize("order,n", [(100, 901), (100, 903), (200, 1200)])
+    @pytest.mark.parametrize("order,n", [(100, 901), (100, 902), (100, 903), (200, 1200)])
     def test_record_too_short_for_the_highpass_exits_2(self, tmp_path, monkeypatch,
                                                         capsys, order, n):
         het = self.short_het(tmp_path, n)
