@@ -42,7 +42,6 @@ from .demod import (
     edge_guard,
     highpass,
     iq_demodulate,
-    iq_transient_samples,
     resample,
     unwrap_phase,
 )

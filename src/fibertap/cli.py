@@ -133,11 +133,15 @@ def cmd_demod(args) -> int:
                            highpass=not args.no_highpass)
 
     with stages("iq-demodulate"):
-        phase = unwrap_phase(iq_demodulate(het, cfg))
+        baseband = iq_demodulate(het, cfg)
 
-    phase = SampledTrace(phase.sample_rate,
-                         phase.samples[guard:phase.n_samples - guard], phase.kind)
-    start_time = guard / het.sample_rate
+    with stages("decimate"):
+        baseband = decimate_to_audio(baseband, cfg, config.band)
+
+    with stages("unwrap"):
+        phase = unwrap_phase(baseband.with_samples(
+            baseband.samples[guard:baseband.n_samples - guard]))
+    start_time = guard / cfg.audio_rate
 
     if not args.no_highpass:
         with stages("highpass"):
@@ -147,11 +151,8 @@ def cmd_demod(args) -> int:
         with stages("write-phase"):
             write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
 
-    with stages("decimate"):
-        audio = decimate_to_audio(phase, cfg.audio_rate, config.band)
-
     with stages("write"):
-        write_trace(audio, args.out, extra_meta={"start_time_s": start_time})
+        write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
 
     outputs = {"audio": args.out}
     if args.phase_csv:
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-highpass", action="store_true",
                    help="skip the audio-band high-pass")
     p.add_argument("--phase-csv", default=None,
-                   help="also write the full-rate phase trace here")
+                   help="also write the recovered audio-rate phase here, as a trace CSV")
     p.set_defaults(func=cmd_demod)
 
     p = sub.add_parser("enhance", help="spectral-subtraction noise reduction")

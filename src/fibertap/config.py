@@ -45,13 +45,11 @@ def _merge(base, override, path=""):
     return merged
 
 
-def _number(section, key, where, allow_none=False):
+def _number(section, key, where):
     if key not in section:
         raise ConfigurationError(f"missing config key: {where}.{key}")
     value = section[key]
     if value is None:
-        if allow_none:
-            return None
         raise ConfigurationError(f"config key {where}.{key} must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(
@@ -160,7 +158,6 @@ def _build(tree: dict) -> SimulationConfig:
 
     demod = DemodConfig(
         beat_frequency=interferometer.intermediate_frequency,
-        lowpass_cutoff=_number(demod_d, "lowpass_cutoff_hz", "demod", allow_none=True),
         highpass_cutoff=_number(demod_d, "highpass_cutoff_hz", "demod"),
         filter_order=_integer(demod_d, "filter_order", "demod"),
         audio_rate=_number(demod_d, "audio_rate_hz", "demod"))

@@ -1,16 +1,17 @@
 """Phase recovery from the sampled beat: IQ demodulation, unwrapping, filtering.
 
-Mixing the real heterodyne record with ``exp(-j 2 pi f_beat t)`` and low-pass
-filtering leaves a complex baseband whose argument is the instantaneous
-interferometer phase and whose magnitude tracks the beat amplitude. The
-low-pass is a linear-phase Kaiser FIR applied with a centered kernel, so the
-recovered phase has no group delay; the audio-band high-pass that strips
-slow environmental drift is a forward-backward Butterworth for the same
-reason. Mixing, filtering and unwrapping go block by block (overlap-save for
-the FIR), so their working set beyond the record and its results is a few
-blocks, not whole-record spectra.
+Mixing the real heterodyne record with ``exp(-j 2 pi f_beat t)`` leaves a
+complex baseband whose argument is the instantaneous interferometer phase
+and whose magnitude tracks the beat amplitude, plus the mixed-down DC term
+at -f_beat and the image at -2 f_beat. One linear-phase Kaiser FIR rejects
+both and is the anti-alias filter of the decimation to the audio rate: the
+low-pass and the rate change are one polyphase pass (`decimate_to_audio`),
+applied with a centered kernel, so the recovered phase has no group delay.
+The phase is unwrapped, and the slow environmental drift high-passed, at
+the audio rate; the high-pass is a forward-backward Butterworth for the
+same reason.
 
-The module runs on numpy alone. Its Kaiser FIR designs are scipy's
+The module runs on numpy alone. Its Kaiser FIR design is scipy's
 ``kaiserord``/``firwin`` to the bit; the high-pass is scipy's
 ``sosfiltfilt`` of ``butter``'s sections, done as two FFT convolutions with
 the sections' impulse response; `resample` is scipy's ``resample_poly``
@@ -30,34 +31,45 @@ from .errors import ConfigurationError, InputError, NyquistError
 from .noise import AudioBand
 from .trace import BASEBAND, HETERODYNE, PHASE, SampledTrace
 
-#: Stopband attenuation of the image-reject FIR. Sized so the DC photocurrent
+#: Stopband attenuation of the demodulation FIR. Sized so the DC photocurrent
 #: term, mixed down to -f_beat, perturbs the recovered phase by < 1e-6 rad
 #: even against the weakest supported beat amplitude.
 IQ_STOPBAND_DB = 140.0
 
-#: Samples per block of `iq_demodulate` (its overlap-save FFT length) and of
-#: `unwrap_phase`. The FFT grows to the next power of two of at least twice
-#: the FIR length when the taps are longer, so a block always yields more new
-#: output than it overlaps.
+#: Samples per block of `iq_demodulate`'s mix and of the high-pass's
+#: overlap-save FFT convolutions. The FFT grows to the next power of two of
+#: at least twice the kernel length when the kernel is longer, so a block
+#: always yields more new output than it overlaps.
 IQ_BLOCK = 2 ** 15
 
-#: Stopband attenuation of the decimation anti-alias FIR.
-DECIMATE_STOPBAND_DB = 80.0
+#: Largest wrapped phase step, in rad, that `unwrap_phase` accepts between
+#: two samples. Unwrapping takes every step to lie within pi; a step of pi/2
+#: or less keeps a quarter turn of headroom before a true step is mistaken
+#: for its 2 pi alias. At 40 kS/s a 10 kHz tone of amplitude A steps by up
+#: to 2 A sin(pi/4) = 1.41 A, so the margin is a 1.11 rad tone: 108 dB SPL
+#: (peak) on the default 3 m tail at 0.0717 rad/(Pa m).
+UNWRAP_MARGIN = np.pi / 2
+
+#: Highest Butterworth order of `highpass`. Against ``sosfiltfilt`` of
+#: ``butter``'s sections at 40 kS/s (a drifting tone of unit peak, cutoffs
+#: 20-500 Hz) the numpy high-pass errs by at most 3e-11 up to order 24, by
+#: 5e-10 to 2e-9 at order 30 and by 2e-7 to 7e-7 at order 40.
+MAX_FILTER_ORDER = 24
 
 
 @dataclass(frozen=True)
 class DemodConfig:
-    """Parameters of `demod`: IQ demodulation, high-pass and audio rate.
+    """Parameters of `demod`: beat frequency, high-pass and audio rate.
 
     ``beat_frequency`` must equal the carrier actually present in the record
     (`load_config` takes it from ``interferometer.intermediate_frequency_hz``).
-    ``lowpass_cutoff`` defaults to half the beat frequency, the widest choice
-    that still rejects the mixed DC term and the double-frequency image.
-    `edge_guard` checks the parameters against a record's sample rate.
+    The demodulation FIR passes the audio band and stops at
+    ``min(audio_rate / 2, beat_frequency)``, so the beat must lie above the
+    band. `edge_guard` checks the parameters against the band and a record's
+    sample rate.
     """
 
     beat_frequency: float
-    lowpass_cutoff: float | None = None
     highpass_cutoff: float = 500.0
     filter_order: int = 4
     audio_rate: float = 40000.0
@@ -66,22 +78,15 @@ class DemodConfig:
         if not 0 < self.beat_frequency < np.inf:
             raise ConfigurationError(
                 f"demod.beat_frequency must be finite and > 0, got {self.beat_frequency}")
-        if self.lowpass_cutoff is not None and not 0 < self.lowpass_cutoff < self.beat_frequency:
-            raise ConfigurationError(
-                "demod.lowpass_cutoff must lie in (0, beat_frequency): "
-                f"got {self.lowpass_cutoff} with beat {self.beat_frequency}")
         if not 0 < self.highpass_cutoff < np.inf:
             raise ConfigurationError(
                 f"demod.highpass_cutoff must be finite and > 0, got {self.highpass_cutoff}")
-        if self.filter_order < 1:
+        if not 1 <= self.filter_order <= MAX_FILTER_ORDER:
             raise ConfigurationError(
-                f"demod.filter_order must be >= 1, got {self.filter_order}")
+                f"demod.filter_order must lie in [1, {MAX_FILTER_ORDER}], "
+                f"got {self.filter_order}")
         if not np.isfinite(self.audio_rate):
             raise ConfigurationError(f"demod.audio_rate must be finite, got {self.audio_rate}")
-
-    def resolved_cutoff(self) -> float:
-        return self.lowpass_cutoff if self.lowpass_cutoff is not None \
-            else self.beat_frequency / 2.0
 
     def validate_rate(self, sample_rate: float):
         if not 0 < self.beat_frequency < sample_rate / 2:
@@ -160,58 +165,77 @@ def _firwin_lowpass(numtaps, cutoff, beta, fs=2.0):
     return h
 
 
+def _kaiser_numtaps(pass_edge, stop_edge, atten_db, fs):
+    """Length of `_kaiser_lowpass`'s FIR, by Kaiser's formula as scipy's
+    ``kaiserord`` evaluates it, rounded up to odd."""
+    width = (stop_edge - pass_edge) / (0.5 * fs)
+    return math.ceil((atten_db - 7.95) / 2.285 / (np.pi * width) + 1) | 1
+
+
 def _kaiser_lowpass(pass_edge, stop_edge, atten_db, fs):
     """Odd-length linear-phase FIR with -6 dB point mid-transition.
 
-    Length and Kaiser beta follow Kaiser's formulas as
+    Length (`_kaiser_numtaps`) and Kaiser beta follow Kaiser's formulas as
     scipy's ``kaiserord`` evaluates them; the beta formula is the one
-    for attenuations above 50 dB, which both of the module's designs ask for.
+    for attenuations above 50 dB, which `IQ_STOPBAND_DB` asks for.
     """
-    width = (stop_edge - pass_edge) / (0.5 * fs)
     beta = 0.1102 * (atten_db - 8.7)
-    numtaps = math.ceil((atten_db - 7.95) / 2.285 / (np.pi * width) + 1) | 1
+    numtaps = _kaiser_numtaps(pass_edge, stop_edge, atten_db, fs)
     return _firwin_lowpass(numtaps, (pass_edge + stop_edge) / 2.0, beta, fs)
 
 
-def _iq_taps(cfg: DemodConfig, fs: float):
-    cutoff = cfg.resolved_cutoff()
-    # stop by the beat frequency so the mixed-down DC term is fully attenuated
-    stop_edge = min(2.0 * cutoff, cfg.beat_frequency)
-    return _kaiser_lowpass(cutoff, stop_edge, IQ_STOPBAND_DB, fs)
+def _audio_filter(cfg: DemodConfig, rate_in: float, band: AudioBand):
+    """Polyphase factors (up, down) from `rate_in` to the audio rate, and the
+    design of the demodulation FIR at ``up * rate_in``: the arguments of
+    `_kaiser_lowpass` and `_kaiser_numtaps`.
 
-
-def iq_transient_samples(cfg: DemodConfig, sample_rate: float) -> int:
-    """Edge samples of `iq_demodulate` output contaminated by the FIR ramp."""
-    return _iq_taps(cfg, sample_rate).size
+    The FIR passes `band` and stops at the audio Nyquist frequency or at the
+    beat, whichever is lower: nothing that would alias into the audio record
+    gets through, and neither does the DC term that mixing moves to -beat.
+    So the audio rate must be rationally related to `rate_in` (see
+    `resample_ratio`), and both its Nyquist frequency and the beat must lie
+    above the band.
+    """
+    up, down = resample_ratio(rate_in, cfg.audio_rate)
+    if cfg.audio_rate / 2.0 <= band.f_high:
+        raise ConfigurationError(
+            f"audio rate {cfg.audio_rate} cannot carry the audio band "
+            f"(need audio rate/2 > {band.f_high})")
+    if cfg.beat_frequency <= band.f_high:
+        raise ConfigurationError(
+            f"demod.beat_frequency {cfg.beat_frequency} must lie above the audio band "
+            f"(band.f_high {band.f_high}): the demodulation low-pass would cut the band")
+    stop_edge = min(cfg.audio_rate / 2.0, cfg.beat_frequency)
+    return up, down, (band.f_high, stop_edge, IQ_STOPBAND_DB, rate_in * up)
 
 
 def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
                n_samples: int, highpass: bool = True) -> int:
     """Check `cfg` against an n-sample record at `sample_rate`; size the edge guard.
 
-    Runs every rule that ties the parameters to the record (beat and
-    high-pass cutoff below Nyquist; audio rate rational and clear of `band`,
-    as `decimate_to_audio` needs), so a record is rejected before any of it
-    is demodulated. Returns the guard: the FIR transient samples at each
-    edge of the `iq_demodulate` output, rounded up to a whole decimation
-    step, which keeps the trimmed audio on the grid of the whole record.
-    `demod` trims the guard from both edges, so a record of 3 x guard
-    samples or fewer is rejected (`InputError`); with `highpass`, so is one
-    that leaves the high-pass too few samples after the trim.
+    Runs every rule that ties the parameters to the record and the band
+    (beat below Nyquist, the rules of `decimate_to_audio`, high-pass cutoff
+    below the audio Nyquist frequency), so a record is rejected before any
+    of it is demodulated. Returns the guard: the FIR's length in audio
+    samples, which covers every `decimate_to_audio` output near either edge
+    whose taps reach past the record. `demod` trims the guard from both
+    edges, so a record whose audio output has 3 x guard samples or fewer is
+    rejected (`InputError`); with `highpass`, so is one that leaves the
+    high-pass too few samples after the trim.
     """
     cfg.validate_rate(sample_rate)
-    if cfg.highpass_cutoff >= sample_rate / 2:
+    up, down, design = _audio_filter(cfg, sample_rate, band)
+    if cfg.highpass_cutoff >= cfg.audio_rate / 2:
         raise ConfigurationError(
-            "demod.highpass_cutoff must lie below sample_rate/2: "
-            f"got {cfg.highpass_cutoff} at {sample_rate} S/s")
-    up, down = _audio_ratio(sample_rate, cfg.audio_rate, band)
-    step = down if up == 1 else 1
-    guard = -(-iq_transient_samples(cfg, sample_rate) // step) * step
-    if n_samples <= 3 * guard:
+            "demod.highpass_cutoff must lie below audio_rate/2: "
+            f"got {cfg.highpass_cutoff} at {cfg.audio_rate} S/s")
+    guard = -(-_kaiser_numtaps(*design) // down)
+    n_audio = -(-n_samples * up // down)
+    if n_audio <= 3 * guard:
         raise InputError(
-            f"demod trims a {guard}-sample edge guard from each end and needs a record "
-            f"of more than {3 * guard} samples; this record has {n_samples}")
-    kept, need = n_samples - 2 * guard, highpass_padlen(cfg.filter_order) + 1
+            f"demod trims a {guard}-sample edge guard from each end of the audio record "
+            f"and needs one of more than {3 * guard} samples; this record gives {n_audio}")
+    kept, need = n_audio - 2 * guard, highpass_padlen(cfg.filter_order) + 1
     if highpass and kept < need:
         raise InputError(
             f"the order-{cfg.filter_order} high-pass needs a phase record of at "
@@ -220,28 +244,21 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
 
 
 def _overlap_save(taps, read, out, delay=0):
-    """FIR-filter a signal block by block into `out`.
+    """FIR-filter a real signal block by block into `out`.
 
     ``out[i] = sum_k taps[k] x[i + delay - k]`` for ``0 <= delay < taps.size``,
     where x has ``out.size`` samples, is zero outside them, and is fetched
     as ``read(lo, hi) -> x[lo:hi]`` in increasing, non-overlapping ranges.
-    Each block's FFT (`np.fft.rfft` for a real `out`) has ``IQ_BLOCK``
-    points, or the next power of two of at least twice the taps, and yields
-    ``nfft - taps.size + 1`` new samples. Every x[i] is read before out[i]
-    is written, so `read` may return samples of `out` itself: the filter
-    then runs in place.
+    Each block's FFT has ``IQ_BLOCK`` points, or the next power of two of
+    at least twice the taps, and yields ``nfft - taps.size + 1`` new
+    samples. Every x[i] is read before out[i] is written, so `read` may
+    return samples of `out` itself: the filter then runs in place.
     """
     keep = taps.size - 1
     nfft = max(IQ_BLOCK, 1 << (2 * taps.size - 1).bit_length())
     step = nfft - keep
     spectrum = np.fft.rfft(taps, nfft)
-    if np.iscomplexobj(out):
-        fft, ifft = np.fft.fft, np.fft.ifft
-        # real taps: the negative frequencies are conjugates of the positive
-        spectrum = np.concatenate((spectrum, spectrum[-2:0:-1].conj()))
-    else:
-        fft, ifft = np.fft.rfft, np.fft.irfft
-    block = np.zeros(nfft, dtype=out.dtype)
+    block = np.zeros(nfft)
     first, filled = delay - keep, 0  # x index of block[0]; next x index to read
     for start in range(0, out.size, step):
         if start:
@@ -253,77 +270,64 @@ def _overlap_save(taps, read, out, delay=0):
         if hi > filled:
             block[filled - first:hi - first] = read(filled, hi)
             filled = hi
-        y = fft(block)
+        y = np.fft.rfft(block)
         y *= spectrum
-        y = ifft(y, nfft)
+        y = np.fft.irfft(y, nfft)
         n = min(step, out.size - start)
         out[start:start + n] = y[keep:keep + n]
 
 
 def iq_demodulate(het: SampledTrace, cfg: DemodConfig) -> SampledTrace:
-    """Mix the beat record to baseband and reject the images.
+    """Mix the beat record to baseband.
 
     Parameters
     ----------
     het : SampledTrace
         Heterodyne intensity record, kind ``heterodyne``.
     cfg : DemodConfig
-        Beat frequency and low-pass parameters; the beat must satisfy
-        Nyquist at the record's sample rate.
+        Its beat frequency must satisfy Nyquist at the record's sample rate.
 
     Returns
     -------
     SampledTrace
-        Complex baseband, kind ``baseband``. ``abs`` approximates the beat
-        amplitude (alpha for unit carrier power), ``angle`` carries the
-        interferometer phase. The first and last filter length of samples
-        are transient.
+        ``het * exp(-j 2 pi f_beat t)`` at the record's rate, kind
+        ``baseband``: the beat at 0 Hz, with the DC photocurrent term at
+        -f_beat and the image at -2 f_beat, which `decimate_to_audio`
+        filters out.
     """
     if het.kind != HETERODYNE:
         raise InputError(f"iq_demodulate expects a {HETERODYNE!r} trace, got {het.kind!r}")
     cfg.validate_rate(het.sample_rate)
-    fs = het.sample_rate
-    taps = _iq_taps(cfg, fs)
-    x = het.samples
-
-    def mixed(lo, hi):
-        t = np.arange(lo, hi) / fs
-        return x[lo:hi] * np.exp(-2j * np.pi * cfg.beat_frequency * t)
-
-    # delayed by half the taps: the centered ("same") convolution
-    baseband = np.empty(x.size, dtype=np.complex128)
-    _overlap_save(taps, mixed, baseband, delay=taps.size // 2)
-    return SampledTrace(fs, baseband, BASEBAND)
+    step = -2.0 * np.pi * cfg.beat_frequency / het.sample_rate
+    mixed = np.empty(het.n_samples, dtype=np.complex128)
+    # block by block, so that no record-sized temporary sits beside the output
+    for lo in range(0, het.n_samples, IQ_BLOCK):
+        block = mixed[lo:lo + IQ_BLOCK]
+        angle = np.arange(lo, lo + block.size) * step
+        np.cos(angle, out=block.real)
+        np.sin(angle, out=block.imag)
+        block *= het.samples[lo:lo + block.size]
+    return SampledTrace(het.sample_rate, mixed, BASEBAND)
 
 
 def unwrap_phase(baseband: SampledTrace) -> SampledTrace:
-    """Continuous phase of a complex baseband trace.
+    """Continuous phase of a complex baseband trace: ``np.unwrap(np.angle(z))``.
 
-    Consecutive differences are brought into (-pi, pi] by adding multiples
-    of 2 pi; valid while the true sample-to-sample phase step stays below pi,
-    which audio-band modulation at the native oversampling guarantees. The
-    record goes block by block, each block continuing from the previous
-    one's last wrapped phase and running correction, so the result is
-    `np.unwrap` over the whole record, bit for bit.
+    Unwrapping brings each step between samples into [-pi, pi], which is
+    right only while the true step stays below pi. A step larger than
+    `UNWRAP_MARGIN` leaves too little headroom to tell, so it raises
+    `NyquistError`: the phase moves too fast for the sample rate.
     """
     if baseband.kind != BASEBAND:
         raise InputError(f"unwrap_phase expects a {BASEBAND!r} trace, got {baseband.kind!r}")
-    z = baseband.samples
-    phase = np.empty(z.size)
-    for start in range(0, z.size, IQ_BLOCK):
-        block = np.angle(z[start:start + IQ_BLOCK])
-        if start == 0:
-            last, correction = block[0], 0.0
-        # np.unwrap's rule: a step of pi or more in size is replaced by its
-        # wrap into [-pi, pi), except that +pi stays +pi
-        step = np.diff(block, prepend=last)
-        wrapped = np.mod(step + np.pi, 2 * np.pi) - np.pi
-        wrapped[(wrapped == -np.pi) & (step > 0)] = np.pi
-        fix = np.where(np.abs(step) < np.pi, 0.0, wrapped - step)
-        fix[0] += correction
-        np.cumsum(fix, out=fix)
-        phase[start:start + block.size] = block + fix
-        last, correction = block[-1], fix[-1]
+    phase = np.unwrap(np.angle(baseband.samples))
+    worst = float(np.max(np.abs(np.diff(phase)), initial=0.0))
+    if worst > UNWRAP_MARGIN:
+        raise NyquistError(
+            f"the recovered phase steps by {worst:.3f} rad between two samples at "
+            f"{baseband.sample_rate} S/s, past the unwrap margin of pi/2: it moves too "
+            "fast for this rate (a sound too loud or too high, or a beat frequency "
+            "that is not the record's)")
     return SampledTrace(baseband.sample_rate, phase, PHASE)
 
 
@@ -431,8 +435,9 @@ def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace
     if not 0 < cutoff < trace.sample_rate / 2:
         raise ConfigurationError(
             f"highpass cutoff must lie in (0, fs/2), got {cutoff} at {trace.sample_rate} S/s")
-    if order < 1 or int(order) != order:
-        raise ConfigurationError(f"highpass order must be a positive integer, got {order}")
+    if not 1 <= order <= MAX_FILTER_ORDER or int(order) != order:
+        raise ConfigurationError(
+            f"highpass order must be an integer in [1, {MAX_FILTER_ORDER}], got {order}")
     pad = highpass_padlen(int(order))
     x = trace.samples
     if x.size <= pad:
@@ -491,8 +496,8 @@ def resample(samples: np.ndarray, up: int, down: int,
     taps) scaled by `up`, centred, and every `down`-th sample is kept:
     ``y[m] = up sum_j x[j] taps[m down - j up + half]``, with x zero outside
     the record, for ``ceil(n up / down)`` outputs. That is the output of
-    ``resample_poly(samples, up, down, window=taps)``. Complex samples are
-    resampled as their real and imaginary parts.
+    ``resample_poly(samples, up, down, window=taps)``, for real or complex
+    samples.
 
     Polyphase: the outputs fall in `up` classes ``m = m0 + s up``, each of
     which applies one phase of the taps to a window of the input that moves
@@ -506,9 +511,7 @@ def resample(samples: np.ndarray, up: int, down: int,
     if taps is None:
         rate = max(up, down)
         taps = _firwin_lowpass(20 * rate + 1, 1.0 / rate, 5.0)
-    if np.iscomplexobj(samples):
-        return resample(samples.real, up, down, taps) + 1j * resample(samples.imag, up, down, taps)
-    x = np.ascontiguousarray(samples, dtype=float)
+    x = np.ascontiguousarray(samples, dtype=complex if np.iscomplexobj(samples) else float)
     h = taps * up
     half = (h.size - 1) // 2
     n_out = -(-x.size * up // down)
@@ -523,7 +526,7 @@ def resample(samples: np.ndarray, up: int, down: int,
     rows = np.lib.stride_tricks.sliding_window_view(x, width) if x.size >= width else None
     # outputs per matrix product: 2^14 products, or a quarter of the output's size
     chunk = max(1, max(2 ** 14, n_out // 4) // pieces)
-    y = np.empty(n_out)
+    y = np.empty(n_out, dtype=x.dtype)
     edge = []
     for m0 in range(min(up, n_out)):
         t0 = m0 * down + half
@@ -548,45 +551,32 @@ def resample(samples: np.ndarray, up: int, down: int,
             b = min(a + chunk, hi)
             products = phase @ rows[first + a * down::down][:b - a + pieces - 1].T
             # output s takes piece q from row s + q: products[q, s + q]
-            diagonals = np.ndarray((pieces, b - a), buffer=products,
-                                   strides=((b - a + pieces) * 8, 8))
+            diagonals = np.ndarray((pieces, b - a), dtype=products.dtype, buffer=products,
+                                   strides=((b - a + pieces) * products.itemsize,
+                                            products.itemsize))
             y[m0 + a * up:m0 + (b - 1) * up + 1:up] = diagonals.sum(axis=0)
-    if edge:
-        m = np.array(edge)
-        t = m[:, None] * down + half
-        j = t // up - np.arange(-(-h.size // up))  # the inputs under the taps
-        k = t - j * up                              # and their tap indices
+    taps_per_phase = np.arange(-(-h.size // up))
+    for m in edge:
+        t = m * down + half
+        j = t // up - taps_per_phase  # the inputs under the taps
+        k = t - j * up                # and their tap indices
         inside = (j >= 0) & (j < x.size) & (k < h.size)
         y[m] = np.where(inside, h[np.where(inside, k, 0)] * x[np.where(inside, j, 0)],
-                        0.0).sum(axis=1)
+                        0.0).sum()
     return y
 
 
-def _audio_ratio(rate_in: float, audio_rate: float, band: AudioBand) -> tuple[int, int]:
-    """`resample_ratio` to an audio rate, which must carry `band` if it differs."""
-    up, down = resample_ratio(rate_in, audio_rate)
-    if audio_rate != rate_in and audio_rate / 2.0 <= band.f_high:
-        raise ConfigurationError(
-            f"audio rate {audio_rate} cannot carry the audio band "
-            f"(need audio rate/2 > {band.f_high})")
-    return up, down
-
-
-def decimate_to_audio(trace: SampledTrace, target_rate: float,
+def decimate_to_audio(baseband: SampledTrace, cfg: DemodConfig,
                       band: AudioBand | None = None) -> SampledTrace:
-    """Anti-alias filter and resample a phase trace to an audio rate.
+    """Low-pass and resample a baseband record to the audio rate in one pass.
 
-    The target rate must relate rationally to the input rate (see
-    `resample_ratio`) and its Nyquist frequency must clear the audio band.
-    The anti-alias FIR passes the band edge and stops at the new Nyquist
-    frequency, so in-band content survives within a small fraction of a dB
-    while everything that would alias is pushed below the design stopband.
+    The demodulation FIR (see `_audio_filter`: pass edge ``band.f_high``,
+    stop edge ``min(cfg.audio_rate / 2, cfg.beat_frequency)``,
+    `IQ_STOPBAND_DB`) is applied by `resample`, so only the audio-rate
+    outputs are computed. The first and last `edge_guard` outputs see the
+    record's edges.
     """
-    band = band or AudioBand()
-    fs = trace.sample_rate
-    if target_rate == fs:
-        return trace
-    up, down = _audio_ratio(fs, target_rate, band)
-    out = resample(trace.samples, up, down,
-                   _kaiser_lowpass(band.f_high, target_rate / 2.0, DECIMATE_STOPBAND_DB, fs * up))
-    return SampledTrace(target_rate, out, trace.kind)
+    up, down, design = _audio_filter(cfg, baseband.sample_rate, band or AudioBand())
+    return SampledTrace(cfg.audio_rate,
+                        resample(baseband.samples, up, down, _kaiser_lowpass(*design)),
+                        baseband.kind)

@@ -23,13 +23,14 @@ from fibertap import (
     StrainState,
     compare_mitigations,
     compute_noise_budget,
+    decimate_to_audio,
     default_config,
     detect_silent_frames,
     detection_limit_vs_mismatch,
+    edge_guard,
     estimate_noise_spectrum,
     highpass,
     iq_demodulate,
-    iq_transient_samples,
     laser_phase_psd_approx,
     laser_phase_psd_full,
     laser_rms,
@@ -70,14 +71,15 @@ def test_criterion_1_round_trip_fidelity():
 
     het = synthesize_heterodyne(CFG.interferometer, voice_phase=phase)
     dm = DemodConfig(beat_frequency=CFG.interferometer.intermediate_frequency)
-    recovered = unwrap_phase(iq_demodulate(het, dm))
+    guard = edge_guard(dm, fs, CFG.band, het.n_samples)
+    baseband = decimate_to_audio(iq_demodulate(het, dm), dm, CFG.band)
 
-    # drop the FIR settling region before filtering, then the filter edges
-    guard = iq_transient_samples(dm, fs)
-    rec = SampledTrace(fs, recovered.samples[guard:-guard], PHASE)
-    src = SampledTrace(fs, phase.samples[guard:-guard], PHASE)
-    edge = 4000
-    a = highpass(rec, 500.0, 4).samples[edge:-edge]
+    # drop the FIR settling region before filtering, then the filter edges;
+    # the chirp is compared at the audio rate, where every 10th sample falls
+    recovered = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
+    src = SampledTrace(dm.audio_rate, phase.samples[::10][guard:-guard], PHASE)
+    edge = 400
+    a = highpass(recovered, 500.0, 4).samples[edge:-edge]
     b = highpass(src, 500.0, 4).samples[edge:-edge]
     err = a - b
     err = err - np.mean(err)

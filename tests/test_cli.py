@@ -14,8 +14,10 @@ from fibertap import (
     cli,
     decimate_to_audio,
     default_config,
+    edge_guard,
     errors,
     highpass,
+    load_config,
     spl_to_pressure,
     voice_to_phase,
 )
@@ -152,7 +154,7 @@ class TestDemod:
         level = spl_to_pressure(70.0)
         audio = SampledTrace(rate0, src / np.max(np.abs(src)) * level, AUDIO)
         phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
-        expected = decimate_to_audio(highpass(phase, 500.0, 4), 40000.0, cfg.band)
+        expected = decimate_to_audio(highpass(phase, 500.0, 4), cfg.demod, cfg.band)
         n = min(recovered.n_samples, expected.n_samples - offset)
         a = recovered.samples[1000:n - 1000]
         b = expected.samples[offset + 1000:offset + n - 1000]
@@ -186,9 +188,11 @@ class TestDemod:
         pcsv = tmp_path / "phase.csv"
         assert main(["demod", "--in", str(het), "--out", str(rec),
                      "--phase-csv", str(pcsv)]) == 0
-        phase = read_trace(pcsv)
+        # the audio-rate phase, as the WAV holds it in float32
+        phase, audio = read_trace(pcsv), read_trace(rec)
         assert phase.kind == PHASE
-        assert phase.sample_rate == FS
+        assert phase.sample_rate == audio.sample_rate == 40000.0
+        np.testing.assert_array_equal(phase.samples.astype(np.float32), audio.samples)
 
     def test_phase_csv_is_not_a_heterodyne_input(self, tmp_path):
         src = tmp_path / "short.wav"
@@ -225,6 +229,10 @@ class TestDemod:
                      "interferometer.intermediate_frequency must lie in", id="nan-beat"),
         pytest.param("demod:\n  audio_rate_hz: 16000\n", 2, "cannot carry the audio band",
                      id="audio-rate-16k"),
+        # the FIR stops at the beat, so a beat at the band's top would cut it
+        pytest.param("interferometer:\n  intermediate_frequency_hz: 10000\n", 2,
+                     "demod.beat_frequency 10000.0 must lie above the audio band",
+                     id="beat-at-band-edge"),
         pytest.param("demod:\n  highpass_cutoff_hz: 0\n", 2,
                      "demod.highpass_cutoff must be finite and > 0", id="highpass-cutoff-0"),
         pytest.param("demod:\n  highpass_cutoff_hz: 200000\n", 2,
@@ -256,10 +264,11 @@ class TestDemod:
         conf.write_text(f"demod:\n  audio_rate_hz: {rate}\n")
         assert main(["demod", "--config", str(conf), "--in", str(het), "--out", str(rec),
                      "--phase-csv", str(pcsv)]) == 0
-        n = read_trace(pcsv).n_samples
+        n = read_trace(het).n_samples
         audio = read_trace(rec)
-        assert audio.sample_rate == rate
-        assert audio.n_samples == -(-n * up // down)
+        guard = edge_guard(load_config(conf).demod, FS, default_config().band, n)
+        assert audio.sample_rate == read_trace(pcsv).sample_rate == rate
+        assert audio.n_samples == -(-n * up // down) - 2 * guard
 
     def test_non_numeric_csv_value_exits_3_naming_file(self, tmp_path, capsys):
         src = tmp_path / "short.wav"
@@ -287,39 +296,39 @@ class TestDemod:
         wavfile.write(src, FS, np.sin(2 * np.pi * 1000 * np.arange(n) / FS).astype(np.float32))
         return self.run_sim(tmp_path, src)
 
-    # 900 samples: 3 x the 300-sample guard (297 taps on the 10:1 grid)
+    # 1110 samples: 3 x the 37-sample guard at 40 kHz (369 taps on the 10:1 grid)
     @pytest.mark.parametrize("flags", [[], ["--no-highpass"]])
     def test_record_of_three_guards_exits_2(self, tmp_path, monkeypatch, capsys, flags):
-        het = self.short_het(tmp_path, 900)
+        het = self.short_het(tmp_path, 1110)
         inputs = sorted(p.name for p in tmp_path.iterdir())
         self.fail_if_demodulated(monkeypatch)
         capsys.readouterr()
         rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
                    "--phase-csv", str(tmp_path / "p.csv")] + flags)
         assert rc == 2
-        assert ("trims a 300-sample edge guard from each end and needs a record of more "
-                "than 900 samples; this record has 900") in capsys.readouterr().err
+        assert ("trims a 37-sample edge guard from each end of the audio record and needs "
+                "one of more than 111 samples; this record gives 111") in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
-    # without the high-pass, its length rule (which an order-100 filter fails
-    # on 901 samples) does not apply
+    # without the high-pass, its length rule (which an order-24 filter fails
+    # on the 38 samples left of 1111) does not apply
     @pytest.mark.parametrize("order,flags", [
-        (4, []), (1, []), (4, ["--no-highpass"]), (100, ["--no-highpass"]),
+        (4, []), (1, []), (4, ["--no-highpass"]), (24, ["--no-highpass"]),
     ])
     def test_record_of_three_guards_and_one_demodulates(self, tmp_path, order, flags):
-        het = self.short_het(tmp_path, 901)
+        het = self.short_het(tmp_path, 1111)
         conf = tmp_path / "order.yaml"
         conf.write_text(f"demod:\n  filter_order: {order}\n")
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--config", str(conf), "--in", str(het),
                      "--out", str(rec)] + flags) == 0
-        assert read_trace(rec).n_samples == 31
+        assert read_trace(rec).n_samples == 38
         meta = json.loads((tmp_path / "rec.wav.meta.json").read_text())
-        assert meta["start_time_s"] == 300 / FS
+        assert meta["start_time_s"] == 37 / 40000
 
-    # the 300-sample guard leaves n - 600 samples, and the high-pass pads
-    # 3 x (order + 1) at each edge and needs more
-    @pytest.mark.parametrize("order,n", [(100, 901), (100, 902), (100, 903), (200, 1200)])
+    # the 37-sample guard leaves ceil(n / 10) - 74 audio samples, and the
+    # high-pass pads 3 x (order + 1) at each edge and needs more
+    @pytest.mark.parametrize("order,n", [(24, 1480), (24, 1481), (24, 1490), (12, 1130)])
     def test_record_too_short_for_the_highpass_exits_2(self, tmp_path, monkeypatch,
                                                         capsys, order, n):
         het = self.short_het(tmp_path, n)
@@ -333,11 +342,30 @@ class TestDemod:
         assert rc == 2
         need = 3 * (order + 1) + 1
         assert (f"order-{order} high-pass needs a phase record of at least {need} samples; "
-                f"this record gives it {n - 600}") in capsys.readouterr().err
+                f"this record gives it {-(-n // 10) - 74}") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    def test_phase_past_the_unwrap_margin_exits_4_writing_nothing(self, tmp_path, capsys):
+        # a record whose beat is 12 kHz above the configured one: its baseband
+        # turns by 2 pi 12/40 = 1.88 rad per audio sample, past the pi/2 margin
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.05)
+        conf = tmp_path / "beat37k.yaml"
+        conf.write_text("noise:\n  enabled: false\n"
+                        "interferometer:\n  intermediate_frequency_hz: 37000\n")
+        het = tmp_path / "het.wav"
+        assert main(["simulate", "--config", str(conf), "--audio", str(src),
+                     "--out", str(het)]) == 0
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        rc = main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
+                   "--phase-csv", str(tmp_path / "p.csv")])
+        assert rc == 4
+        assert "past the unwrap margin of pi/2" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
-        from fibertap import edge_guard, iq_demodulate, synthesize_heterodyne, unwrap_phase
+        from fibertap import iq_demodulate, synthesize_heterodyne, unwrap_phase
         het_file = self.run_sim(tmp_path, chirp_wav)
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--in", str(het_file), "--out", str(rec)]) == 0
@@ -350,12 +378,10 @@ class TestDemod:
         phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
         het = synthesize_heterodyne(cfg.interferometer, voice_phase=phase)
         dm = cfg.demod
-        full = unwrap_phase(iq_demodulate(het, dm))
-        guard = edge_guard(dm, rate0, cfg.band, het.n_samples)
-        trimmed = SampledTrace(rate0, full.samples[guard:full.n_samples - guard],
-                               PHASE)
-        rec2 = decimate_to_audio(highpass(trimmed, dm.highpass_cutoff, dm.filter_order),
-                                 dm.audio_rate, cfg.band)
+        guard = edge_guard(dm, het.sample_rate, cfg.band, het.n_samples)
+        baseband = decimate_to_audio(iq_demodulate(het, dm), dm, cfg.band)
+        phase = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
+        rec2 = highpass(phase, dm.highpass_cutoff, dm.filter_order)
         # equality up to float32 storage of the heterodyne trace and output
         scale = np.max(np.abs(rec2.samples))
         np.testing.assert_allclose(via_files.samples, rec2.samples,
@@ -376,6 +402,7 @@ class TestConfigCheckedOnLoad:
         "print-config": ["print-config", "--out", "out.yaml"],
     }
 
+    # two keys that are gone, and so unknown
     @pytest.mark.parametrize("text,key", [
         ("demod:\n  lowpass_cutoff_hz: 30000.0\n", "demod.lowpass_cutoff"),
         ("laser:\n  linewidth_hz: 200\n", "laser.linewidth_hz"),

@@ -145,6 +145,7 @@ class TestUserOverrides:
         with pytest.raises(ConfigurationError, match=key):
             load_config(p)
 
+    # the first two set the demod.lowpass_cutoff_hz key, which is gone
     @pytest.mark.parametrize("text,key", [
         ("demod:\n  lowpass_cutoff_hz: 25000.0\n", "demod.lowpass_cutoff"),
         ("demod:\n  lowpass_cutoff_hz: 12000.0\n"
@@ -164,6 +165,15 @@ class TestUserOverrides:
         p.write_text("laser:\n  linewidth_hz: 100.0\n")
         with pytest.raises(ConfigurationError,
                            match=r"^unknown config key: laser\.linewidth_hz$"):
+            load_config(p)
+
+    def test_lowpass_cutoff_key_rejected(self, tmp_path):
+        # the demodulation FIR's edges follow from the band, the audio rate
+        # and the beat; 12.5 kHz was the default of the removed key
+        p = tmp_path / "user.yaml"
+        p.write_text("demod:\n  lowpass_cutoff_hz: 12500.0\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"^unknown config key: demod\.lowpass_cutoff_hz$"):
             load_config(p)
 
     def test_white_psd_override_accepted(self, tmp_path):
@@ -199,8 +209,6 @@ def value_leaves(tree, path=()):
 def perturbed(value):
     if isinstance(value, bool):
         return not value
-    if value is None:  # the null lowpass cutoff: an explicit one below the beat
-        return 10000.0
     return value * 1.5 if value else 0.5
 
 

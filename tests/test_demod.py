@@ -18,15 +18,15 @@ from fibertap import (
     edge_guard,
     highpass,
     iq_demodulate,
-    iq_transient_samples,
     synthesize_heterodyne,
     unwrap_phase,
 )
 from fibertap.demod import (
-    DECIMATE_STOPBAND_DB,
-    IQ_BLOCK,
+    IQ_STOPBAND_DB,
+    MAX_FILTER_ORDER,
+    UNWRAP_MARGIN,
+    _audio_filter,
     _butter_highpass_sos,
-    _iq_taps,
     _kaiser_lowpass,
     _firwin_lowpass,
     highpass_padlen,
@@ -51,31 +51,42 @@ def tap(f_if=25e3, alpha=0.2, fs=FS):
         sample_rate=fs)
 
 
-def demod_chain(het, cfg):
-    return unwrap_phase(iq_demodulate(het, cfg))
+def demod_chain(het, cfg, band=AudioBand()):
+    """`demod`'s steps up to the high-pass: mix, low-pass and decimate, trim
+    the edge guard, unwrap."""
+    guard = edge_guard(cfg, het.sample_rate, band, het.n_samples, highpass=False)
+    baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg, band)
+    return unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
+
+
+def on_audio_grid(x, het, cfg):
+    """A full-rate phase `x` at the samples `demod_chain` keeps, for an
+    audio rate that divides the record's."""
+    guard = edge_guard(cfg, het.sample_rate, AudioBand(), het.n_samples, highpass=False)
+    return x[::round(het.sample_rate / cfg.audio_rate)][guard:-guard]
 
 
 def trim(x, n=2000):
     return x[n:-n]
 
 
-def whole_record_demod(het, cfg):
-    """Reference path: one centered fftconvolve over the whole mixed record,
-    then np.unwrap over the whole record. Returns (baseband, phase) arrays."""
-    from scipy import signal
-    from fibertap.demod import _iq_taps
-    t = np.arange(het.n_samples) / het.sample_rate
-    mixed = het.samples * np.exp(-2j * np.pi * cfg.beat_frequency * t)
-    baseband = signal.fftconvolve(mixed, _iq_taps(cfg, het.sample_rate), mode="same")
-    return baseband, np.unwrap(np.angle(baseband))
+def direct_decimation(x, up, down, taps):
+    """Reference path: the record zero-stuffed by `up`, convolved with
+    ``up * taps`` (centred), and every `down`-th sample kept, each output
+    summed directly over the taps that meet a stuffed sample."""
+    half = (taps.size - 1) // 2
+    y = np.empty(-(-x.size * up // down), dtype=x.dtype)
+    for m in range(y.size):
+        t = m * down + half  # stuffed index under taps[0]
+        j = np.arange(max(0, -(-(t - taps.size + 1) // up)), min(x.size - 1, t // up) + 1)
+        y[m] = up * np.dot(taps[t - j * up], x[j])
+    return y
 
 
 class TestDemodConfig:
     def test_invariants(self):
         with pytest.raises(ConfigurationError):
             DemodConfig(beat_frequency=0.0)
-        with pytest.raises(ConfigurationError):
-            DemodConfig(beat_frequency=25e3, lowpass_cutoff=30e3)
         with pytest.raises(ConfigurationError):
             DemodConfig(beat_frequency=25e3, highpass_cutoff=-1.0)
         with pytest.raises(ConfigurationError, match="highpass_cutoff must be finite and > 0"):
@@ -94,8 +105,16 @@ class TestDemodConfig:
         with pytest.raises(NyquistError):
             cfg.validate_rate(FS)
 
-    def test_default_cutoff_is_half_beat(self):
-        assert DemodConfig(beat_frequency=25e3).resolved_cutoff() == 12.5e3
+    def test_filter_order_capped(self):
+        # above the cap the numpy high-pass drifts from sosfiltfilt (see
+        # TestScipyReference.test_highpass_at_the_order_cap_matches_sosfiltfilt)
+        tone = make_tone(40e3, 1000.0, 0.1, 1.0)
+        assert DemodConfig(beat_frequency=25e3, filter_order=24).filter_order == 24
+        highpass(tone, 500.0, 24)
+        with pytest.raises(ConfigurationError, match=r"filter_order must lie in \[1, 24\], got 25"):
+            DemodConfig(beat_frequency=25e3, filter_order=25)
+        with pytest.raises(ConfigurationError, match=r"order must be an integer in \[1, 24\]"):
+            highpass(tone, 500.0, 25)
 
 
 class TestEdgeGuard:
@@ -103,26 +122,34 @@ class TestEdgeGuard:
 
     N = int(FS)  # a record long enough for every guard
 
+    # the FIR's length in audio samples: 369 taps at 40 kHz, 247 at 80 kHz
+    # and at 400 kHz (stop at the beat), 1473 at 25 kHz, 1229 at 32 kHz
+    # (designed at 800 kHz) and 134 645 at 44.1 kHz (at 176.4 MHz)
     @pytest.mark.parametrize("audio_rate,guard", [
-        (40e3, 300), (80e3, 300), (25e3, 304), (32e3, 297), (44100.0, 297), (FS, 297),
+        (40e3, 37), (80e3, 50), (25e3, 93), (32e3, 50), (44100.0, 34), (FS, 247),
     ])
-    def test_guard_rounds_up_to_the_decimation_step(self, audio_rate, guard):
+    def test_guard_spans_the_fir_at_the_audio_rate(self, audio_rate, guard):
         cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
-        assert iq_transient_samples(cfg, FS) == 297
-        assert edge_guard(cfg, FS, AudioBand(), 3 * guard + 1) == guard
+        up, down = resample_ratio(FS, audio_rate)
+        # the longest record whose audio output has 3 x guard samples
+        n = 3 * guard * down // up
+        assert edge_guard(cfg, FS, AudioBand(), n + 1) == guard
         # the trim takes a guard from each edge and must leave more than one
         for highpass_on in (True, False):
-            with pytest.raises(InputError, match=f"more than {3 * guard} samples"):
-                edge_guard(cfg, FS, AudioBand(), 3 * guard, highpass=highpass_on)
+            with pytest.raises(InputError, match=f"more than {3 * guard} samples; "
+                                                 f"this record gives {3 * guard}$"):
+                edge_guard(cfg, FS, AudioBand(), n, highpass=highpass_on)
 
+    # at 40 kHz the 37-sample guard leaves n / 10 - 74 samples, and the
+    # high-pass pads 3 x (order + 1) at each edge and needs more
     @pytest.mark.parametrize("order,n,ok", [
-        (99, 901, True), (100, 901, False), (100, 904, True), (4, 901, True),
+        (23, 1470, True), (24, 1470, False), (24, 1500, True), (4, 1470, True),
     ])
     def test_highpass_needs_its_padding_after_the_trim(self, order, n, ok):
         cfg = DemodConfig(beat_frequency=25e3, filter_order=order)
-        assert edge_guard(cfg, FS, AudioBand(), n, highpass=False) == 300
+        assert edge_guard(cfg, FS, AudioBand(), n, highpass=False) == 37
         if ok:
-            assert edge_guard(cfg, FS, AudioBand(), n) == 300
+            assert edge_guard(cfg, FS, AudioBand(), n) == 37
         else:
             with pytest.raises(InputError, match=f"order-{order} high-pass"):
                 edge_guard(cfg, FS, AudioBand(), n)
@@ -131,15 +158,25 @@ class TestEdgeGuard:
         with pytest.raises(NyquistError):
             edge_guard(DemodConfig(beat_frequency=25e3), 48e3, AudioBand(), self.N)
 
+    @pytest.mark.parametrize("beat", [5e3, 10e3])
+    def test_beat_in_the_audio_band_rejected(self, beat):
+        # the FIR stops at the beat, so a beat at or below the band's top
+        # would cut the band
+        cfg = DemodConfig(beat_frequency=beat)
+        with pytest.raises(ConfigurationError, match="must lie above the audio band"):
+            edge_guard(cfg, FS, AudioBand(), self.N)
+        edge_guard(cfg, FS, AudioBand(f_high=beat / 2), self.N)
+
+    # the high-pass runs at the audio rate, here the record's rate
     @pytest.mark.parametrize("cutoff", [500.0, FS / 2 - 1, FS / 2, FS])
     def test_highpass_cutoff_checked_as_highpass_does(self, cutoff):
-        cfg = DemodConfig(beat_frequency=25e3, highpass_cutoff=cutoff)
+        cfg = DemodConfig(beat_frequency=25e3, highpass_cutoff=cutoff, audio_rate=FS)
         tone = make_tone(FS, 1000.0, 0.01, 1.0)
         if cutoff < FS / 2:
             edge_guard(cfg, FS, AudioBand(), self.N)
             highpass(tone, cutoff)
         else:
-            with pytest.raises(ConfigurationError, match="must lie below sample_rate/2"):
+            with pytest.raises(ConfigurationError, match="must lie below audio_rate/2"):
                 edge_guard(cfg, FS, AudioBand(), self.N)
             with pytest.raises(ConfigurationError):
                 highpass(tone, cutoff)
@@ -157,7 +194,7 @@ class TestEdgeGuard:
 
         cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
         tone = make_tone(FS, 1000.0, 0.01, 1.0)
-        expected = error(lambda: decimate_to_audio(tone, audio_rate, AudioBand()))
+        expected = error(lambda: decimate_to_audio(tone, cfg, AudioBand()))
         assert error(lambda: edge_guard(cfg, FS, AudioBand(), self.N)) == expected
         assert (expected is None) == (audio_rate in (22050.0, 32e3, 40e3, FS / 3))
 
@@ -166,14 +203,23 @@ class TestIqDemodulate:
     def test_pure_carrier_recovers_constant_phase(self):
         het = synthesize_heterodyne(tap(), duration=0.2)
         phase = demod_chain(het, DemodConfig(beat_frequency=25e3)).samples
-        inner = trim(phase)
+        inner = trim(phase, 200)
         assert np.max(np.abs(inner - np.mean(inner))) < 1e-6
+
+    def test_mix_moves_the_beat_to_zero(self):
+        het = synthesize_heterodyne(tap(alpha=0.2), duration=0.01)
+        z = iq_demodulate(het, DemodConfig(beat_frequency=25e3))
+        assert z.kind == BASEBAND and z.sample_rate == FS and z.n_samples == het.n_samples
+        k = np.arange(het.n_samples)
+        np.testing.assert_allclose(z.samples, het.samples * np.exp(-2j * np.pi * k / 16),
+                                   rtol=0, atol=1e-12)
 
     def test_magnitude_tracks_beat_amplitude(self):
         het = synthesize_heterodyne(tap(alpha=0.2), duration=0.1)
-        z = iq_demodulate(het, DemodConfig(beat_frequency=25e3))
+        cfg = DemodConfig(beat_frequency=25e3)
+        z = decimate_to_audio(iq_demodulate(het, cfg), cfg)
         assert z.kind == BASEBAND
-        np.testing.assert_allclose(trim(np.abs(z.samples)), 0.2, rtol=1e-5)
+        np.testing.assert_allclose(trim(np.abs(z.samples), 200), 0.2, rtol=1e-5)
 
     def test_dc_term_does_not_perturb_phase(self):
         cfg = DemodConfig(beat_frequency=25e3)
@@ -183,13 +229,14 @@ class TestIqDemodulate:
         ac = het.with_samples(het.samples - (1 + 0.2 ** 2))
         with_dc = demod_chain(het, cfg).samples
         without_dc = demod_chain(ac, cfg).samples
-        assert np.max(np.abs(trim(with_dc - without_dc))) < 1e-6
+        assert np.max(np.abs(trim(with_dc - without_dc, 200))) < 1e-6
 
     def test_round_trip_half_radian_kilohertz(self):
         tone = make_tone(FS, 1000.0, 0.5, 0.5)
         het = synthesize_heterodyne(tap(), voice_phase=tone)
-        rec = demod_chain(het, DemodConfig(beat_frequency=25e3)).samples
-        err = trim(rec - tone.samples)
+        cfg = DemodConfig(beat_frequency=25e3)
+        rec = demod_chain(het, cfg).samples
+        err = trim(rec - on_audio_grid(tone.samples, het, cfg), 200)
         err = err - np.mean(err)
         assert np.sqrt(np.mean(err ** 2)) < 1e-3
 
@@ -199,26 +246,31 @@ class TestIqDemodulate:
         cfg = DemodConfig(beat_frequency=25e3)
         a = demod_chain(het, cfg).samples
         b = demod_chain(het.with_samples(het.samples * 3.7), cfg).samples
-        assert np.max(np.abs(trim(a - b))) < 1e-6
+        assert np.max(np.abs(trim(a - b, 200))) < 1e-6
 
     def test_round_trip_property_random_bandlimited(self):
-        # wide-band modulation up to pi/2 needs the beat placed higher so the
-        # phase-modulation sidebands stay inside the image-reject low-pass
+        # wide-band modulation up to pi/2 has phase-modulation sidebands out
+        # to ~26 kHz: a 40 kHz band at 160 kS/s carries them, with the beat
+        # placed higher so the FIR (stop edge at the beat) rejects its DC term
         rng = np.random.default_rng(17)
-        cfg = DemodConfig(beat_frequency=80e3, lowpass_cutoff=40e3)
+        cfg = DemodConfig(beat_frequency=80e3, audio_rate=160e3)
+        band = AudioBand(f_high=40e3)
         n = int(0.3 * FS)
+        guard = edge_guard(cfg, FS, band, n, highpass=False)
         t = np.arange(n) / FS
+        t_audio = np.arange(guard, n * 2 // 5 - guard) / cfg.audio_rate
         for alpha in (0.05, 0.2, 0.5):
-            phi = np.zeros(n)
-            for _ in range(10):
-                phi += rng.uniform(0.1, 1.0) * np.sin(
-                    2 * np.pi * rng.uniform(100, 10e3) * t + rng.uniform(0, 2 * np.pi))
-            phi *= (np.pi / 2) / np.max(np.abs(phi))
+            tones = [(rng.uniform(0.1, 1.0), rng.uniform(100, 10e3), rng.uniform(0, 2 * np.pi))
+                     for _ in range(10)]
+
+            def phi(t):
+                return sum(a * np.sin(2 * np.pi * f * t + p) for a, f, p in tones)
+            scale = (np.pi / 2) / np.max(np.abs(phi(t)))
             het = synthesize_heterodyne(
                 tap(f_if=80e3, alpha=alpha),
-                voice_phase=SampledTrace(FS, phi, PHASE))
-            rec = demod_chain(het, cfg).samples
-            err = trim(rec - phi)
+                voice_phase=SampledTrace(FS, scale * phi(t), PHASE))
+            rec = demod_chain(het, cfg, band).samples
+            err = trim(rec - scale * phi(t_audio), 800)
             err = err - np.mean(err)
             assert np.sqrt(np.mean(err ** 2)) < 1e-3
 
@@ -231,71 +283,65 @@ class TestIqDemodulate:
             iq_demodulate(het, DemodConfig(beat_frequency=300e3))
 
 
-class TestBlockedDemod:
-    """The overlap-save blocks of `iq_demodulate` and the unwrap blocks
-    reproduce the whole-record path at every length around the block size."""
+class TestAudioRateDemod:
+    """Mixing, then the one FIR and the decimation as `resample`'s polyphase
+    products, reproduce the direct whole-record path at each audio rate."""
 
     ALPHA = 0.2
-    CFG = DemodConfig(beat_frequency=31e3)
 
-    # n = blocks * B + taps_ * taps + extra, with B = IQ_BLOCK
-    @pytest.mark.parametrize("blocks,taps_,extra", [
-        (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 0, 0), (1, 0, 1), (3, 0, 17),
-        (0, 0, 100001),
-    ], ids=["1", "taps-1", "B-1", "B", "B+1", "3B+17", "100001"])
-    def test_matches_whole_record_path(self, blocks, taps_, extra):
-        n = blocks * IQ_BLOCK + taps_ * iq_transient_samples(self.CFG, FS) + extra
+    @pytest.mark.parametrize("length", ["shortest", 20001])
+    @pytest.mark.parametrize("audio_rate", [40e3, 32e3, 44100.0])
+    def test_matches_direct_reference(self, audio_rate, length):
+        cfg = DemodConfig(beat_frequency=31e3, audio_rate=audio_rate)
+        up, down, design = _audio_filter(cfg, FS, AudioBand())
+        taps = _kaiser_lowpass(*design)
+        guard = -(-taps.size // down)
+        # "shortest": the shortest record `demod` accepts
+        n = 3 * guard * down // up + 1 if length == "shortest" else length
+        assert edge_guard(cfg, FS, AudioBand(), n) == guard
         rng = np.random.default_rng(n)
         t = np.arange(n) / FS
         phi = 0.8 * np.sin(2 * np.pi * 900.0 * t) + 0.01 * rng.standard_normal(n)
         het = synthesize_heterodyne(tap(f_if=31e3, alpha=self.ALPHA),
                                     voice_phase=SampledTrace(FS, phi, PHASE))
-        assert het.n_samples == n
-        ref_baseband, ref_phase = whole_record_demod(het, self.CFG)
-        baseband = iq_demodulate(het, self.CFG)
-        phase = unwrap_phase(baseband)
-        assert baseband.n_samples == phase.n_samples == n
-        assert np.max(np.abs(baseband.samples - ref_baseband)) <= 1e-12 * self.ALPHA
-        assert np.max(np.abs(phase.samples - ref_phase)) <= 1e-12
-
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           max_step=st.floats(0.0, 3.1),
-           n=st.integers(2 * IQ_BLOCK + 1, 4 * IQ_BLOCK),
-           excursion=st.sampled_from([0.0, 20 * np.pi, -20 * np.pi]))
-    def test_unwrap_equals_whole_record_unwrap(self, seed, max_step, n, excursion):
-        # a random walk with |step| <= max_step < pi, riding on a slow swing
-        # out to `excursion` and back, crossing two or three block boundaries
-        rng = np.random.default_rng(seed)
-        phi = np.cumsum(rng.uniform(-max_step, max_step, n)) \
-            + excursion * np.sin(np.pi * np.arange(n) / n)
-        assert np.max(np.abs(np.diff(phi))) < np.pi
-        z = rng.uniform(0.01, 1.0) * np.exp(1j * phi)
-        out = unwrap_phase(SampledTrace(FS, z, BASEBAND)).samples
-        assert np.array_equal(out, np.unwrap(np.angle(z)))
+        mixed = het.samples * np.exp(1j * (-2.0 * np.pi * cfg.beat_frequency / FS
+                                           * np.arange(n)))
+        ref = direct_decimation(mixed, up, down, taps)
+        baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
+        assert baseband.sample_rate == audio_rate
+        assert baseband.n_samples == ref.size == -(-n * up // down)
+        assert np.max(np.abs(baseband.samples - ref)) <= 1e-12 * self.ALPHA
+        phase = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
+        assert np.max(np.abs(phase.samples - np.unwrap(np.angle(ref[guard:-guard])))) <= 1e-12
 
 
 class TestMemory:
-    """Peak allocations (tracemalloc) of the blocked steps on a 1 s record
-    at 400 kS/s, in bytes per sample plus a constant for the blocks. The
-    whole-record path took ~88 B/sample in iq_demodulate and ~48 B/sample
-    in unwrap_phase; scipy's sosfiltfilt took 9 609 509 B (24.0 B/sample)
-    for the high-pass of this record's phase, and resample_poly 684 247 B
-    for its decimation to 40 kHz."""
+    """Peak allocations (tracemalloc) of the demod steps on a 1 s record at
+    400 kS/s, in bytes per sample of each step's output. The removed
+    full-rate path had bounds of 40 B/sample + 4 MB (9 MB measured) for its
+    mix-and-FIR `iq_demodulate`, 20 B/sample + 4 MB for its unwrap, 16
+    B/sample + 2 MB for the high-pass and 17 B per audio sample + 4 kB for
+    the decimation: 38 MB in all on this record."""
 
-    #: 2.5 x the complex128 output: the output and its copy into the trace
+    #: the complex128 mix, its copy into the trace and its finiteness mask;
+    #: the float64 angle is freed before the copy
     IQ_BYTES_PER_SAMPLE = 40
-    #: 2.5 x the float64 output
-    UNWRAP_BYTES_PER_SAMPLE = 20
-    #: block buffers, spectra and the taps
-    BLOCK_BYTES = 4 * 2 ** 20
+    #: np.unwrap's temporaries on the audio-rate baseband: the angle, its
+    #: differences, their wraps and corrections, the output, and the steps
+    #: checked against the margin
+    UNWRAP_BYTES_PER_SAMPLE = 56
     #: the odd-extended record, filtered in place, and its trimmed copy
     HIGHPASS_BYTES_PER_SAMPLE = 16
     #: the high-pass's FFT blocks and impulse response
     HIGHPASS_BLOCK_BYTES = 2 * 2 ** 20
-    #: per output sample: the output, its copy into the trace and the
+    #: per audio sample: the complex output, its copy into the trace and the
     #: trace's finiteness mask
-    DECIMATE_BYTES_PER_OUTPUT = 17
-    DECIMATE_EXTRA_BYTES = 4 * 2 ** 10
+    DECIMATE_BYTES_PER_OUTPUT = 33
+    #: the FIR taps and one chunk of polyphase products (2^14 complex)
+    DECIMATE_EXTRA_BYTES = 2 ** 19
+    #: the removed path's bounds on this record, summed
+    FULL_RATE_PATH_BYTES = (40 + 20) * 400000 + 8 * 2 ** 20 \
+        + 16 * 400000 + 2 * 2 ** 20 + 17 * 40000 + 4 * 2 ** 10
 
     @staticmethod
     def traced_peak(fn, *args):
@@ -310,42 +356,50 @@ class TestMemory:
     def record(self):
         cfg = DemodConfig(beat_frequency=25e3)
         het = synthesize_heterodyne(tap(), duration=1.0)
-        unwrap_phase(iq_demodulate(het.with_samples(het.samples[:1000]), cfg))  # imports
-        return het, cfg
+        demod_chain(het.with_samples(het.samples[:2000]), cfg)  # imports
+        baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
+        return het, cfg, baseband.with_samples(baseband.samples[37:-37])
+
+    def bounds(self, record):
+        het, _, audio = record
+        return {
+            "iq": self.IQ_BYTES_PER_SAMPLE * het.n_samples,
+            "decimate": self.DECIMATE_BYTES_PER_OUTPUT * het.n_samples // 10
+            + self.DECIMATE_EXTRA_BYTES,
+            "unwrap": self.UNWRAP_BYTES_PER_SAMPLE * audio.n_samples,
+            "highpass": self.HIGHPASS_BYTES_PER_SAMPLE * audio.n_samples
+            + self.HIGHPASS_BLOCK_BYTES,
+        }
+
+    def test_chain_bound_below_the_full_rate_path(self, record):
+        assert sum(self.bounds(record).values()) <= self.FULL_RATE_PATH_BYTES
 
     def test_iq_demodulate_peak(self, record):
-        het, cfg = record
-        peak = self.traced_peak(iq_demodulate, het, cfg)
-        assert peak <= self.IQ_BYTES_PER_SAMPLE * het.n_samples + self.BLOCK_BYTES
+        het, cfg, _ = record
+        assert self.traced_peak(iq_demodulate, het, cfg) <= self.bounds(record)["iq"]
 
     def test_unwrap_phase_peak(self, record):
-        het, cfg = record
-        baseband = iq_demodulate(het, cfg)
-        peak = self.traced_peak(unwrap_phase, baseband)
-        assert peak <= self.UNWRAP_BYTES_PER_SAMPLE * het.n_samples + self.BLOCK_BYTES
+        _, _, audio = record
+        assert self.traced_peak(unwrap_phase, audio) <= self.bounds(record)["unwrap"]
 
     def test_highpass_peak(self, record):
-        het, cfg = record
-        phase = unwrap_phase(iq_demodulate(het, cfg))
+        _, _, audio = record
+        phase = unwrap_phase(audio)
         peak = self.traced_peak(highpass, phase, 500.0, 4)
-        bound = self.HIGHPASS_BYTES_PER_SAMPLE * phase.n_samples + self.HIGHPASS_BLOCK_BYTES
-        assert bound <= 9609509
+        bound = self.bounds(record)["highpass"]
+        assert bound <= 9609509  # scipy's sosfiltfilt on the full-rate phase
         assert peak <= bound
 
     def test_decimate_to_audio_peak(self, record):
-        het, cfg = record
-        phase = highpass(unwrap_phase(iq_demodulate(het, cfg)), 500.0, 4)
-        decimate_to_audio(phase, 40e3)  # imports
-        peak = self.traced_peak(decimate_to_audio, phase, 40e3)
-        bound = self.DECIMATE_BYTES_PER_OUTPUT * phase.n_samples // 10 \
-            + self.DECIMATE_EXTRA_BYTES
-        assert bound <= 684247
-        assert peak <= bound
+        het, cfg, _ = record
+        baseband = iq_demodulate(het, cfg)
+        peak = self.traced_peak(decimate_to_audio, baseband, cfg)
+        assert peak <= self.bounds(record)["decimate"]
 
     def test_44k1_decimation_design_peak(self):
-        # the 73 467 taps of the 44.1 kHz design; evaluating the Kaiser
-        # window on all of them took 6 540 044 B (11.1 taps-sized arrays)
-        args = (10e3, 22050.0, DECIMATE_STOPBAND_DB, FS * 441)
+        # the 134 645 taps of the 44.1 kHz design; evaluating the Kaiser
+        # window on all of them took 11.1 taps-sized arrays
+        args = (10e3, 22050.0, IQ_STOPBAND_DB, FS * 441)
         numtaps = _kaiser_lowpass(*args).size
         peak = self.traced_peak(_kaiser_lowpass, *args)
         assert peak <= 7.5 * 8 * numtaps
@@ -374,6 +428,46 @@ class TestUnwrapPhase:
     def test_kind_check(self):
         with pytest.raises(InputError):
             unwrap_phase(make_tone(1e3, 10.0, 0.1, 1.0))
+
+    @pytest.mark.parametrize("step,ok", [
+        (UNWRAP_MARGIN * (1 - 1e-9), True), (UNWRAP_MARGIN * (1 + 1e-9), False),
+        (0.6 * np.pi, False), (-0.9 * np.pi, False),
+    ])
+    def test_steps_past_the_margin_rejected(self, step, ok):
+        # a ramp of `step` rad per sample, one step in it the largest; steps
+        # below pi unwrap correctly, and a true step beyond pi would come
+        # out as its alias, so the margin sits below pi
+        phi = 0.1 * step * np.arange(200)
+        phi[100:] += 0.9 * step
+        z = 0.3 * np.exp(1j * phi)
+        if ok:
+            out = unwrap_phase(SampledTrace(40e3, z, BASEBAND)).samples
+            np.testing.assert_allclose(out, phi, atol=1e-12)
+        else:
+            with pytest.raises(NyquistError, match=f"steps by {abs(step):.3f} rad .* at "
+                                                   "40000.0 S/s, past the unwrap margin"):
+                unwrap_phase(SampledTrace(40e3, z, BASEBAND))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           max_step=st.floats(0.0, 3.1),
+           n=st.integers(2 ** 16, 2 ** 17),
+           excursion=st.sampled_from([0.0, 20 * np.pi, -20 * np.pi]))
+    def test_unwrap_equals_whole_record_unwrap(self, seed, max_step, n, excursion):
+        # a random walk with |step| <= max_step < pi, riding on a swing out to
+        # `excursion` and back that is slow enough to keep every step below
+        # pi: np.unwrap's result within the margin, NyquistError past it
+        rng = np.random.default_rng(seed)
+        phi = np.cumsum(rng.uniform(-max_step, max_step, n)) \
+            + excursion * np.sin(np.pi * np.arange(n) / n)
+        assert np.max(np.abs(np.diff(phi))) < np.pi
+        z = rng.uniform(0.01, 1.0) * np.exp(1j * phi)
+        expected = np.unwrap(np.angle(z))
+        if np.max(np.abs(np.diff(expected))) <= UNWRAP_MARGIN:
+            out = unwrap_phase(SampledTrace(FS, z, BASEBAND)).samples
+            assert np.array_equal(out, expected)
+        else:
+            with pytest.raises(NyquistError):
+                unwrap_phase(SampledTrace(FS, z, BASEBAND))
 
 
 class TestHighpass:
@@ -458,27 +552,31 @@ class TestScipyReference:
     """The numpy FIR designs, Butterworth sections, high-pass and resampler
     against scipy.signal, which only the tests import."""
 
+    # at 80 kHz audio the stop edge is the beat, or the audio Nyquist
+    # frequency below it
     @pytest.mark.parametrize("beat", [25e3, 31e3, 50e3])
     def test_iq_taps_equal_kaiserord_firwin(self, beat):
         from scipy import signal
-        cfg = DemodConfig(beat_frequency=beat)
-        cutoff = cfg.resolved_cutoff()
-        stop = min(2.0 * cutoff, beat)
-        numtaps, beta = signal.kaiserord(140.0, (stop - cutoff) / (0.5 * FS))
-        expected = signal.firwin(numtaps | 1, (cutoff + stop) / 2.0,
+        cfg = DemodConfig(beat_frequency=beat, audio_rate=80e3)
+        up, _, design = _audio_filter(cfg, FS, AudioBand())
+        stop = min(40e3, beat)
+        assert up == 1 and design == (10e3, stop, IQ_STOPBAND_DB, FS)
+        numtaps, beta = signal.kaiserord(140.0, (stop - 10e3) / (0.5 * FS))
+        expected = signal.firwin(numtaps | 1, (10e3 + stop) / 2.0,
                                  window=("kaiser", beta), fs=FS)
-        assert np.array_equal(_iq_taps(cfg, FS), expected)
+        assert np.array_equal(_kaiser_lowpass(*design), expected)
 
     @pytest.mark.parametrize("rate", [40e3, 32e3, 44100.0])
     def test_decimation_taps_equal_kaiserord_firwin(self, rate):
         from scipy import signal
-        up, _ = resample_ratio(FS, rate)
+        up, _, design = _audio_filter(DemodConfig(beat_frequency=25e3, audio_rate=rate),
+                                      FS, AudioBand())
         fs = FS * up
-        numtaps, beta = signal.kaiserord(DECIMATE_STOPBAND_DB, (rate / 2 - 10e3) / (0.5 * fs))
+        assert design == (10e3, rate / 2, IQ_STOPBAND_DB, fs)
+        numtaps, beta = signal.kaiserord(IQ_STOPBAND_DB, (rate / 2 - 10e3) / (0.5 * fs))
         expected = signal.firwin(numtaps | 1, (10e3 + rate / 2) / 2.0,
                                  window=("kaiser", beta), fs=fs)
-        taps = _kaiser_lowpass(10e3, rate / 2, DECIMATE_STOPBAND_DB, fs)
-        assert np.array_equal(taps, expected)
+        assert np.array_equal(_kaiser_lowpass(*design), expected)
 
     def test_default_resampling_taps_equal_firwin(self):
         from scipy import signal
@@ -528,6 +626,16 @@ class TestScipyReference:
         out = highpass(SampledTrace(FS, x, PHASE), cutoff, order).samples
         assert np.max(np.abs(out - extended_sosfiltfilt(sos, x))) <= 1e-12 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("cutoff", [20.0, 500.0])
+    def test_highpass_at_the_order_cap_matches_sosfiltfilt(self, cutoff):
+        # at 40 kS/s the error grows to ~2e-9 at order 30 and ~5e-7 at 40
+        from scipy import signal
+        x = wandering_record(40000, 11)
+        sos = signal.butter(MAX_FILTER_ORDER, cutoff, btype="highpass", fs=40e3,
+                            output="sos")
+        out = highpass(SampledTrace(40e3, x, PHASE), cutoff, MAX_FILTER_ORDER).samples
+        assert np.max(np.abs(out - signal.sosfiltfilt(sos, x))) <= 1e-10 * np.max(np.abs(x))
+
     def test_highpass_rejects_a_record_of_padlen_samples(self):
         tone = SampledTrace(FS, np.ones(highpass_padlen(4)), PHASE)
         with pytest.raises(InputError, match="at least 16 samples; got 15"):
@@ -542,7 +650,7 @@ class TestScipyReference:
     def test_resample_matches_resample_poly(self, up, down, rate, length):
         from scipy import signal
         taps = None if rate is None else \
-            _kaiser_lowpass(10e3, rate / 2, DECIMATE_STOPBAND_DB, FS * up)
+            _kaiser_lowpass(10e3, rate / 2, IQ_STOPBAND_DB, FS * up)
         ntaps = 20 * max(up, down) + 1 if taps is None else taps.size
         n = {"taps-1": ntaps - 1, "large": 44101 if up > down else 100001}.get(length, length)
         x = np.random.default_rng(n).standard_normal(n)
@@ -557,21 +665,30 @@ class TestScipyReference:
         from scipy import signal
         rng = np.random.default_rng(5)
         z = rng.standard_normal(5001) + 1j * rng.standard_normal(5001)
-        taps = _kaiser_lowpass(10e3, 20e3, DECIMATE_STOPBAND_DB, FS)
-        out = decimate_to_audio(SampledTrace(FS, z, BASEBAND), 40e3)
+        taps = _kaiser_lowpass(10e3, 20e3, IQ_STOPBAND_DB, FS)
+        out = decimate_to_audio(SampledTrace(FS, z, BASEBAND), DemodConfig(beat_frequency=25e3))
         expected = signal.resample_poly(z, 1, 10, window=taps)
         assert out.kind == BASEBAND
         assert np.max(np.abs(out.samples - expected)) <= 1e-12 * np.max(np.abs(z))
 
 
+def at_rate(audio_rate):
+    return DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
+
+
 class TestDecimateToAudio:
-    def test_identity_when_rates_match(self):
-        tone = make_tone(FS, 1000.0, 0.05, 1.0)
-        assert decimate_to_audio(tone, FS) is tone
+    def test_record_rate_still_filtered(self):
+        # at the record's own rate the FIR still runs, stopping at the beat
+        x = make_tone(FS, 1000.0, 0.05).samples + make_tone(FS, 30e3, 0.05).samples
+        out = decimate_to_audio(SampledTrace(FS, x, PHASE), at_rate(FS))
+        assert out.sample_rate == FS and out.n_samples == x.size
+        inner = trim(out.samples)
+        assert tone_amplitude(inner, FS, 1000.0) == pytest.approx(1.0, abs=1e-5)
+        assert tone_amplitude(inner, FS, 30e3) < 1e-6
 
     def test_tone_preserved_through_ten_to_one(self):
         tone = make_tone(FS, 1000.0, 0.5, 1.0)
-        out = decimate_to_audio(tone, 40e3)
+        out = decimate_to_audio(tone, at_rate(40e3))
         assert out.sample_rate == 40e3
         assert out.n_samples == tone.n_samples // 10
         a = tone_amplitude(trim(out.samples, 2000), 40e3, 1000.0)
@@ -579,52 +696,51 @@ class TestDecimateToAudio:
 
     def test_band_edge_preserved(self):
         tone = make_tone(FS, 10e3, 0.5, 1.0)
-        out = decimate_to_audio(tone, 40e3)
+        out = decimate_to_audio(tone, at_rate(40e3))
         a = tone_amplitude(trim(out.samples, 2000), 40e3, 10e3)
         assert abs(20 * np.log10(a)) < 0.5
 
     def test_alias_component_rejected(self):
         tone = make_tone(FS, 30e3, 0.5, 1.0)  # would alias to 10 kHz at 40 kS/s
-        out = decimate_to_audio(tone, 40e3)
+        out = decimate_to_audio(tone, at_rate(40e3))
         residual = np.sqrt(np.mean(trim(out.samples, 2000) ** 2))
         assert 20 * np.log10(residual / (1.0 / np.sqrt(2))) < -60.0
 
     def test_rational_resampling(self):
         tone = make_tone(48e3, 1000.0, 0.5, 1.0)
-        out = decimate_to_audio(tone, 32e3)
+        out = decimate_to_audio(tone, at_rate(32e3))
         a = tone_amplitude(trim(out.samples, 2000), 32e3, 1000.0)
         assert abs(20 * np.log10(a)) < 0.1
 
     def test_target_too_low_for_band(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
         with pytest.raises(ConfigurationError):
-            decimate_to_audio(tone, 16e3)  # nyquist below 10 kHz band edge
-        out = decimate_to_audio(tone, 16e3, band=AudioBand(f_low=100.0, f_high=4e3))
+            decimate_to_audio(tone, at_rate(16e3))  # nyquist below 10 kHz band edge
+        out = decimate_to_audio(tone, at_rate(16e3), band=AudioBand(f_low=100.0, f_high=4e3))
         assert out.sample_rate == 16e3
 
     @pytest.mark.parametrize("n", [40000, 40001, 40005, 40006])
     def test_polyphase_matches_full_rate_filter_then_subsample(self, n):
         from scipy import signal
-        from fibertap.demod import DECIMATE_STOPBAND_DB, _kaiser_lowpass
         rng = np.random.default_rng(n)
         x = highpass(SampledTrace(FS, rng.standard_normal(n), PHASE), 500.0, 4)
-        out = decimate_to_audio(x, 40e3)
+        out = decimate_to_audio(x, at_rate(40e3))
         band = AudioBand()
-        taps = _kaiser_lowpass(band.f_high, 20e3, DECIMATE_STOPBAND_DB, FS)
+        taps = _kaiser_lowpass(band.f_high, 20e3, IQ_STOPBAND_DB, FS)
         ref = signal.fftconvolve(x.samples, taps, mode="same")[::10]
         assert out.n_samples == ref.size
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cd_rate_from_the_record_rate(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
-        out = decimate_to_audio(tone, 44100.0)
+        out = decimate_to_audio(tone, at_rate(44100.0))
         assert out.sample_rate == 44100.0
         assert out.n_samples == -(-tone.n_samples * 441 // 4000)
 
     def test_irrational_ratio_rejected(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
         with pytest.raises(ConfigurationError):
-            decimate_to_audio(tone, FS / np.pi * 0.9)
+            decimate_to_audio(tone, at_rate(FS / np.pi * 0.9))
 
 
 class TestResampleRatio:
