@@ -35,11 +35,11 @@ GOLDEN = {
     "het_pcm16.wav":
         "037611e83e575ebc97de8500dcb1097d8c23ba402c4cc09f1e821b8dd5f76a2c",
     "rec40.wav":
-        "e386f3d189f48e3245e22bfa2e9164dbd69122a29382e6e304ce7555418d62f2",
+        "e3fbc7731851c97a7e6b7cbed3b692c60879a852d50f97090b2c675845c9cd80",
     "phase.csv":
-        "10e3584c8d124c04b966ff2ca3f9e0abc2332c4ff4551357daa9301ffa2e5e80",
+        "41cafe038206d0db5762519c95c7b09f29e317f759a86cf3cd9f250bdf64be3a",
     "rec32.wav":
-        "064387606617c9f580bd0ce514327bff04280cd1939a35ac0a794ab11e6fcf4b",
+        "5c1a7dca643214a38c958b47ef456c9f41e06a92424b71983bb7bbd17642b906",
     "het.wav.meta.json":
         "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
     "het.csv.meta.json":
@@ -51,21 +51,21 @@ GOLDEN = {
     "het_pcm16.wav.meta.json":
         "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
     "rec40.wav.meta.json":
-        "fbe1f54e8d8332bd2ad6ad78ea347c751167b6a21864dd8827b2e5a1ab8ad0e0",
+        "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "phase.csv.meta.json":
-        "599adf1ff5ca4dfdf6698accf6691eaa41b424220685f0e4c3c622a11b9e7612",
+        "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "rec32.wav.meta.json":
-        "dce37e81c5a4daa0c353ee2be2f03b329e06be7f5dd0a03b2f439d2cbb550e94",
+        "daea38c19fbd3ac6c9b0d1712e1e816249dac7ab9316fb356ad5da51f3a911af",
     "rec_flags.wav":
-        "84f7c17bd8a45e62fda8aeb919aecf019945d0bdd38e62185ca440dbd665306b",
+        "6156f1e9ecfd99c88a9d5508bbe2bb88e6e4eff9d6f558dfbdbd49b0e28a53e0",
     "rec_nohp.wav":
-        "b7c94b9db83d8d2e1aca7350aea7642ac27df7cbaa5b88353d4764f843345aa4",
+        "c2c3eab1eddf02b4546ead32bc374da5980f8156ae8be8400c5619684d309d1a",
     "rec_flags.wav.meta.json":
-        "fbe1f54e8d8332bd2ad6ad78ea347c751167b6a21864dd8827b2e5a1ab8ad0e0",
+        "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "rec_nohp.wav.meta.json":
-        "fbe1f54e8d8332bd2ad6ad78ea347c751167b6a21864dd8827b2e5a1ab8ad0e0",
+        "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "enh.wav":
-        "4f35a6c29cb835d107b572603da5179cadbc03c0b51be9e7b19a1133b755331f",
+        "ec46ee8ac64105739d216e0424e6f20fd392a317e802fde06cb968958b37b90e",
     "enh.wav.report.json":
         "deb0bb67c5d37b765d8cd04c6b32474d2a3317f6e784002ddda6c28e15498fcb",
     "mitigations.csv":
