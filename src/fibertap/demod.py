@@ -524,8 +524,11 @@ def resample(samples: np.ndarray, up: int, down: int,
     phases[:h.size] = h
     phases = phases.reshape(span, up).T[:, ::-1].reshape(up, pieces, width).copy()
     rows = np.lib.stride_tricks.sliding_window_view(x, width) if x.size >= width else None
-    # outputs per matrix product: 2^14 products, or a quarter of the output's size
-    chunk = max(1, max(2 ** 14, n_out // 4) // pieces)
+    # outputs per matrix product: at most 2^16 multiply-adds, which OpenBLAS
+    # does on the calling thread. A larger product it splits across threads,
+    # and when another process keeps a CPU busy, the threads spin-wait on
+    # each other: a 10 s record then took 0.5-6 s to decimate, not 0.06 s.
+    chunk = max(1, 2 ** 16 // span - pieces + 1)
     y = np.empty(n_out, dtype=x.dtype)
     edge = []
     for m0 in range(min(up, n_out)):
@@ -543,18 +546,19 @@ def resample(samples: np.ndarray, up: int, down: int,
         edge.extend(range(m0, m0 + lo * up, up))
         edge.extend(range(m0 + hi * up, n_out, up))
         first = newest - span + 1
-        if pieces == 1:  # one row per output: a matrix-vector product, no diagonals
-            y[m0 + lo * up:m0 + (hi - 1) * up + 1:up] = \
-                rows[first + lo * down::down][:hi - lo] @ phase[0]
-            continue
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            products = phase @ rows[first + a * down::down][:b - a + pieces - 1].T
+            window = rows[first + a * down::down][:b - a + pieces - 1]
+            out = slice(m0 + a * up, m0 + (b - 1) * up + 1, up)
+            if pieces == 1:  # one row per output: a matrix-vector product, no diagonals
+                y[out] = window @ phase[0]
+                continue
+            products = phase @ window.T
             # output s takes piece q from row s + q: products[q, s + q]
             diagonals = np.ndarray((pieces, b - a), dtype=products.dtype, buffer=products,
                                    strides=((b - a + pieces) * products.itemsize,
                                             products.itemsize))
-            y[m0 + a * up:m0 + (b - 1) * up + 1:up] = diagonals.sum(axis=0)
+            y[out] = diagonals.sum(axis=0)
     taps_per_phase = np.arange(-(-h.size // up))
     for m in edge:
         t = m * down + half

@@ -337,8 +337,8 @@ class TestMemory:
     #: per audio sample: the complex output, its copy into the trace and the
     #: trace's finiteness mask
     DECIMATE_BYTES_PER_OUTPUT = 33
-    #: the FIR taps and one chunk of polyphase products (2^14 complex)
-    DECIMATE_EXTRA_BYTES = 2 ** 19
+    #: the FIR taps and one polyphase product (at most 2^16 multiply-adds)
+    DECIMATE_EXTRA_BYTES = 2 ** 17
     #: the removed path's bounds on this record, summed
     FULL_RATE_PATH_BYTES = (40 + 20) * 400000 + 8 * 2 ** 20 \
         + 16 * 400000 + 2 * 2 ** 20 + 17 * 40000 + 4 * 2 ** 10
