@@ -22,6 +22,7 @@ from fibertap import (
     unwrap_phase,
 )
 from fibertap.demod import (
+    IQ_BLOCK,
     IQ_STOPBAND_DB,
     MAX_FILTER_ORDER,
     UNWRAP_MARGIN,
@@ -283,36 +284,65 @@ class TestIqDemodulate:
             iq_demodulate(het, DemodConfig(beat_frequency=300e3))
 
 
-class TestAudioRateDemod:
-    """Mixing, then the one FIR and the decimation as `resample`'s polyphase
-    products, reproduce the direct whole-record path at each audio rate."""
+class TestBlockedDemod:
+    """The blocks of `iq_demodulate`'s mix, then the one FIR and the
+    decimation as `resample`'s polyphase products, reproduce the direct
+    whole-record path at every length around the block size, at 40, 32 and
+    44.1 kHz, and `unwrap_phase` reproduces `np.unwrap`."""
 
     ALPHA = 0.2
 
-    @pytest.mark.parametrize("length", ["shortest", 20001])
-    @pytest.mark.parametrize("audio_rate", [40e3, 32e3, 44100.0])
-    def test_matches_direct_reference(self, audio_rate, length):
-        cfg = DemodConfig(beat_frequency=31e3, audio_rate=audio_rate)
-        up, down, design = _audio_filter(cfg, FS, AudioBand())
-        taps = _kaiser_lowpass(*design)
-        guard = -(-taps.size // down)
-        # "shortest": the shortest record `demod` accepts
-        n = 3 * guard * down // up + 1 if length == "shortest" else length
-        assert edge_guard(cfg, FS, AudioBand(), n) == guard
-        rng = np.random.default_rng(n)
-        t = np.arange(n) / FS
-        phi = 0.8 * np.sin(2 * np.pi * 900.0 * t) + 0.01 * rng.standard_normal(n)
-        het = synthesize_heterodyne(tap(f_if=31e3, alpha=self.ALPHA),
-                                    voice_phase=SampledTrace(FS, phi, PHASE))
-        mixed = het.samples * np.exp(1j * (-2.0 * np.pi * cfg.beat_frequency / FS
-                                           * np.arange(n)))
-        ref = direct_decimation(mixed, up, down, taps)
-        baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
-        assert baseband.sample_rate == audio_rate
-        assert baseband.n_samples == ref.size == -(-n * up // down)
-        assert np.max(np.abs(baseband.samples - ref)) <= 1e-12 * self.ALPHA
-        phase = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
-        assert np.max(np.abs(phase.samples - np.unwrap(np.angle(ref[guard:-guard])))) <= 1e-12
+    # n = blocks * B + taps_ * taps + extra, with B = IQ_BLOCK and taps the
+    # FIR's span in record samples
+    @pytest.mark.parametrize("blocks,taps_,extra", [
+        (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 0, 0), (1, 0, 1), (3, 0, 17),
+        (0, 0, 100001),
+    ], ids=["1", "taps-1", "B-1", "B", "B+1", "3B+17", "100001"])
+    def test_matches_whole_record_path(self, blocks, taps_, extra):
+        for audio_rate in (40e3, 32e3, 44100.0):
+            cfg = DemodConfig(beat_frequency=31e3, audio_rate=audio_rate)
+            up, down, design = _audio_filter(cfg, FS, AudioBand())
+            taps = _kaiser_lowpass(*design)
+            n = blocks * IQ_BLOCK + taps_ * (taps.size // up) + extra
+            rng = np.random.default_rng(n)
+            t = np.arange(n) / FS
+            phi = 0.8 * np.sin(2 * np.pi * 900.0 * t) + 0.01 * rng.standard_normal(n)
+            het = synthesize_heterodyne(tap(f_if=31e3, alpha=self.ALPHA),
+                                        voice_phase=SampledTrace(FS, phi, PHASE))
+            assert het.n_samples == n
+            mixed = het.samples * np.exp(1j * (-2.0 * np.pi * cfg.beat_frequency / FS
+                                               * np.arange(n)))
+            ref = direct_decimation(mixed, up, down, taps)
+            baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
+            assert baseband.sample_rate == audio_rate
+            assert baseband.n_samples == ref.size == -(-n * up // down)
+            assert np.max(np.abs(baseband.samples - ref)) <= 1e-12 * self.ALPHA
+            guard = -(-taps.size // down)
+            if ref.size > 2 * guard:
+                phase = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
+                expected = np.unwrap(np.angle(ref[guard:-guard]))
+                assert np.max(np.abs(phase.samples - expected)) <= 1e-12
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           max_step=st.floats(0.0, 3.1),
+           n=st.integers(2 * IQ_BLOCK + 1, 4 * IQ_BLOCK),
+           excursion=st.sampled_from([0.0, 20 * np.pi, -20 * np.pi]))
+    def test_unwrap_equals_whole_record_unwrap(self, seed, max_step, n, excursion):
+        # a random walk with |step| <= max_step < pi, riding on a slow swing
+        # out to `excursion` and back: np.unwrap's result within the margin,
+        # NyquistError past it
+        rng = np.random.default_rng(seed)
+        phi = np.cumsum(rng.uniform(-max_step, max_step, n)) \
+            + excursion * np.sin(np.pi * np.arange(n) / n)
+        assert np.max(np.abs(np.diff(phi))) < np.pi
+        z = rng.uniform(0.01, 1.0) * np.exp(1j * phi)
+        expected = np.unwrap(np.angle(z))
+        if np.max(np.abs(np.diff(expected))) <= UNWRAP_MARGIN:
+            out = unwrap_phase(SampledTrace(FS, z, BASEBAND)).samples
+            assert np.array_equal(out, expected)
+        else:
+            with pytest.raises(NyquistError):
+                unwrap_phase(SampledTrace(FS, z, BASEBAND))
 
 
 class TestMemory:
@@ -447,27 +477,6 @@ class TestUnwrapPhase:
             with pytest.raises(NyquistError, match=f"steps by {abs(step):.3f} rad .* at "
                                                    "40000.0 S/s, past the unwrap margin"):
                 unwrap_phase(SampledTrace(40e3, z, BASEBAND))
-
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           max_step=st.floats(0.0, 3.1),
-           n=st.integers(2 ** 16, 2 ** 17),
-           excursion=st.sampled_from([0.0, 20 * np.pi, -20 * np.pi]))
-    def test_unwrap_equals_whole_record_unwrap(self, seed, max_step, n, excursion):
-        # a random walk with |step| <= max_step < pi, riding on a swing out to
-        # `excursion` and back that is slow enough to keep every step below
-        # pi: np.unwrap's result within the margin, NyquistError past it
-        rng = np.random.default_rng(seed)
-        phi = np.cumsum(rng.uniform(-max_step, max_step, n)) \
-            + excursion * np.sin(np.pi * np.arange(n) / n)
-        assert np.max(np.abs(np.diff(phi))) < np.pi
-        z = rng.uniform(0.01, 1.0) * np.exp(1j * phi)
-        expected = np.unwrap(np.angle(z))
-        if np.max(np.abs(np.diff(expected))) <= UNWRAP_MARGIN:
-            out = unwrap_phase(SampledTrace(FS, z, BASEBAND)).samples
-            assert np.array_equal(out, expected)
-        else:
-            with pytest.raises(NyquistError):
-                unwrap_phase(SampledTrace(FS, z, BASEBAND))
 
 
 class TestHighpass:
