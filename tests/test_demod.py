@@ -342,13 +342,13 @@ class TestBlockedDemod:
 class TestMemory:
     """Peak allocations (tracemalloc) of the demod steps on a 1 s record at
     400 kS/s, in bytes per sample of each step's output. The removed
-    full-rate path had bounds of 40 B/sample + 4 MB (9 MB measured) for its
-    mix-and-FIR `iq_demodulate`, 20 B/sample + 4 MB for its unwrap, 16
-    B/sample + 2 MB for the high-pass and 17 B per audio sample + 4 kB for
-    the decimation: 38 MB in all on this record."""
+    full-rate path had bounds of 40 B/sample + 4 MB for its mix-and-FIR
+    `iq_demodulate`, 20 B/sample + 4 MB for its unwrap, 16 B/sample + 2 MB
+    for the high-pass and 17 B per audio sample + 4 kB for the decimation:
+    42 MB in all on this record."""
 
     #: the complex128 mix, its copy into the trace and its finiteness mask;
-    #: the float64 angle is freed before the copy
+    #: the angle is computed one block at a time
     IQ_BYTES_PER_SAMPLE = 40
     #: np.unwrap's temporaries on the audio-rate baseband: the angle, its
     #: differences, their wraps and corrections, the output, and the steps
