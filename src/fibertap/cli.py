@@ -33,7 +33,7 @@ from .enhance import (
     segmental_snr,
     spectral_subtract,
 )
-from .errors import FiberTapError, InputError
+from .errors import ConfigurationError, FiberTapError, InputError
 from .fileio import (
     BUDGET_HEADER,
     MITIGATION_HEADER,
@@ -224,14 +224,28 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
+def _sweep_points(start, stop, count):
+    """`count` log-spaced sweep values from `start` to `stop`, or `start` alone."""
+    if count < 1:
+        raise ConfigurationError(f"--points must be at least 1, got {count}")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ConfigurationError(f"--from and --to must be finite, got {start} and {stop}")
+    if count == 1:
+        return np.array([start])
+    if start <= 0 or stop <= 0:
+        raise ConfigurationError(
+            f"a sweep of {count} points is log-spaced, so --from and --to must be > 0, "
+            f"got {start} and {stop}")
+    return np.geomspace(start, stop, count)
+
+
 def cmd_budget(args) -> int:
     stages = _Stages()
     with stages("load"):
         config = load_config(args.config)
 
     with stages("sweep"):
-        points = np.geomspace(args.sweep_from, args.sweep_to, args.points) \
-            if args.points > 1 else np.array([args.sweep_from])
+        points = _sweep_points(args.sweep_from, args.sweep_to, args.points)
         if args.sweep == "length":
             rows = detection_limit_vs_length(
                 points, config.coupling, config.interferometer.sensing_length,

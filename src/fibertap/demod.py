@@ -243,38 +243,27 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
     return guard
 
 
-def _overlap_save(taps, read, out, delay=0):
-    """FIR-filter a real signal block by block into `out`.
+def _overlap_save(taps, x):
+    """FIR-filter a real signal in place, block by block.
 
-    ``out[i] = sum_k taps[k] x[i + delay - k]`` for ``0 <= delay < taps.size``,
-    where x has ``out.size`` samples, is zero outside them, and is fetched
-    as ``read(lo, hi) -> x[lo:hi]`` in increasing, non-overlapping ranges.
+    ``x[i] <- sum_k taps[k] x[i - k]``, with x zero before its first sample.
     Each block's FFT has ``IQ_BLOCK`` points, or the next power of two of
     at least twice the taps, and yields ``nfft - taps.size + 1`` new
-    samples. Every x[i] is read before out[i] is written, so `read` may
-    return samples of `out` itself: the filter then runs in place.
+    samples; the block keeps the last ``taps.size - 1`` input samples for
+    the next, so each x[i] is read before it is overwritten.
     """
     keep = taps.size - 1
     nfft = max(IQ_BLOCK, 1 << (2 * taps.size - 1).bit_length())
     step = nfft - keep
     spectrum = np.fft.rfft(taps, nfft)
     block = np.zeros(nfft)
-    first, filled = delay - keep, 0  # x index of block[0]; next x index to read
-    for start in range(0, out.size, step):
-        if start:
-            # the last `keep` samples of one block begin the next
-            block[:keep] = block[step:]
-            block[keep:] = 0
-            first += step
-        hi = min(first + nfft, out.size)
-        if hi > filled:
-            block[filled - first:hi - first] = read(filled, hi)
-            filled = hi
+    for start in range(0, x.size, step):
+        n = min(step, x.size - start)
+        block[:keep] = block[step:]
+        block[keep:keep + n] = x[start:start + n]
         y = np.fft.rfft(block)
         y *= spectrum
-        y = np.fft.irfft(y, nfft)
-        n = min(step, out.size - start)
-        out[start:start + n] = y[keep:keep + n]
+        x[start:start + n] = np.fft.irfft(y, nfft)[keep:keep + n]
 
 
 def iq_demodulate(het: SampledTrace, cfg: DemodConfig) -> SampledTrace:
@@ -426,11 +415,9 @@ def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace
     run of its steps it errs by up to 3e-12 of the record's peak at 500 Hz
     and 9e-10 at 20 Hz, this function by ~2e-14.)
 
-    Both passes are convolutions with the cascade's impulse response h
-    (`_highpass_response`, L samples). Up to L samples before the end,
-    forward then backward is one convolution with h's autocorrelation,
-    done by overlap-save FFT blocks in place; the last L - 1 samples, where
-    the backward pass starts, are filtered pass by pass.
+    Each pass is a convolution with the cascade's impulse response
+    (`_highpass_response`), done in place by overlap-save FFT blocks; the
+    backward pass filters the reversed view of the forward output.
     """
     if not 0 < cutoff < trace.sample_rate / 2:
         raise ConfigurationError(
@@ -446,22 +433,9 @@ def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace
     h = _highpass_response(_butter_highpass_sos(int(order), cutoff, trace.sample_rate),
                           x.size + 2 * pad)
     ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-pad - 2:-1]))
-    ext -= ext[0]
-    tail = ext.size - h.size + 1
-    # the tail: the forward output from `tail` on (it reaches back h.size - 1
-    # samples), then the backward pass from the end, from its last sample
-    start = max(0, tail - h.size + 1)
-    forward = ext[start:].copy()
-    _overlap_save(h, lambda lo, hi: forward[lo:hi], forward)
-    backward = forward[tail - start:][::-1]
-    backward -= backward[0]
-    _overlap_save(h, lambda lo, hi: backward[lo:hi], backward)
-    # the rest: the autocorrelation of h, centred
-    spectrum = np.fft.rfft(h, 2 * h.size)
-    autocorrelation = np.fft.irfft(spectrum * spectrum.conj(), 2 * h.size)
-    autocorrelation = np.concatenate((autocorrelation[-h.size + 1:], autocorrelation[:h.size]))
-    _overlap_save(autocorrelation, lambda lo, hi: ext[lo:hi], ext, delay=h.size - 1)
-    ext[tail:] = backward[::-1]
+    for view in (ext, ext[::-1]):
+        view -= view[0]
+        _overlap_save(h, view)
     return trace.with_samples(ext[pad:-pad])
 
 

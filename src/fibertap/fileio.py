@@ -259,7 +259,18 @@ def read_trace(path, kind=None) -> SampledTrace:
     side = sidecar_path(path)
     if os.path.exists(side):
         with open(side, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise FileFormatError(f"{side}: not a JSON sidecar ({exc})") from None
+        if not isinstance(meta, dict):
+            raise FileFormatError(f"{side}: a sidecar holds a JSON object, "
+                                  f"got {type(meta).__name__}")
+        for key in ("scale", "sample_rate_hz"):
+            value = meta.get(key, 1.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not np.isfinite(value):
+                raise FileFormatError(f"{side}: {key} must be a finite number, got {value!r}")
     ext = os.path.splitext(path)[1].lower()
     if ext == ".wav":
         rate, samples = read_wav(path)

@@ -587,6 +587,25 @@ class TestBudget:
         assert set(rows[0]) == {"x_value", "thermal_rms", "laser_rms",
                                 "total_rms", "limit_db"}
 
+    # a sweep of more than one point is log-spaced, so both bounds must be
+    # > 0; one point takes --from alone
+    @pytest.mark.parametrize("flags,message", [
+        (["--from", "0"], "must be > 0, got 0.0 and 10000.0"),
+        (["--to", "0"], "must be > 0, got 10.0 and 0.0"),
+        (["--from", "-5", "--points", "2"], "must be > 0, got -5.0 and 10000.0"),
+        (["--points", "0"], "--points must be at least 1, got 0"),
+        (["--points", "-3"], "--points must be at least 1, got -3"),
+        (["--from", "nan"], "must be finite, got nan and 10000.0"),
+        (["--to", "inf"], "must be finite, got 10.0 and inf"),
+        (["--to", "inf", "--points", "1"], "must be finite, got 10.0 and inf"),
+    ], ids=["from-0", "to-0", "from-negative", "points-0", "points-negative", "from-nan",
+            "to-inf", "one-point-to-inf"])
+    def test_bad_sweep_rejected(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "len.csv"
+        assert main(["budget", "--sweep", "length", "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestSensitivityCmd:
     def test_default_scenarios_table(self, tmp_path):

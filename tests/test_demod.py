@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from fibertap.demod import (
     UNWRAP_MARGIN,
     _audio_filter,
     _butter_highpass_sos,
+    _highpass_response,
     _kaiser_lowpass,
     _firwin_lowpass,
     highpass_padlen,
@@ -380,7 +382,8 @@ class TestMemory:
     def record(self):
         cfg = DemodConfig(beat_frequency=25e3)
         het = synthesize_heterodyne(tap(), duration=1.0)
-        demod_chain(het.with_samples(het.samples[:2000]), cfg)  # imports
+        # imports, numpy.fft's among them
+        highpass(demod_chain(het.with_samples(het.samples[:2000]), cfg), 500.0, 4)
         baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
         return het, cfg, baseband.with_samples(baseband.samples[37:-37])
 
@@ -406,10 +409,13 @@ class TestMemory:
         _, _, audio = record
         assert self.traced_peak(unwrap_phase, audio) <= self.bounds(record)["unwrap"]
 
-    def test_highpass_peak(self, record):
+    # at 20 Hz the impulse response is 31 361 samples long, nearly the
+    # record, and the FFT blocks have 2^16 points
+    @pytest.mark.parametrize("cutoff", [20.0, 500.0])
+    def test_highpass_peak(self, record, cutoff):
         _, _, audio = record
         phase = unwrap_phase(audio)
-        peak = self.traced_peak(highpass, phase, 500.0, 4)
+        peak = self.traced_peak(highpass, phase, cutoff, 4)
         bound = self.bounds(record)["highpass"]
         assert bound <= 9609509  # scipy's sosfiltfilt on the full-rate phase
         assert peak <= bound
@@ -602,13 +608,27 @@ class TestScipyReference:
         assert sos.shape == expected.shape
         assert np.max(np.abs(sos - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("length", ["padlen+1", "padlen+2", 4099, 400001])
+    # "padlen+d": the record is d samples longer than the odd extension;
+    # "kstep+d": the extended record is k overlap-save steps of the in-place
+    # FIR plus d samples, so one block hands its last samples to the next
+    # right at the record's end
+    @pytest.mark.parametrize("length", ["padlen+1", "padlen+2", 4099, 400001,
+                                        "step-1", "step", "step+1",
+                                        "2step-1", "2step", "2step+1"])
     @pytest.mark.parametrize("cutoff", [20.0, 300.0, 500.0])
     @pytest.mark.parametrize("order", [1, 3, 4, 5])
     def test_highpass_matches_sosfiltfilt(self, order, cutoff, length):
         from scipy import signal
         if isinstance(length, str):
-            length = highpass_padlen(order) + int(length[-1])
+            k, unit, offset = re.fullmatch(r"(\d?)(padlen|step)([+-]\d)?", length).groups()
+            pad = highpass_padlen(order)
+            if unit == "padlen":
+                length = pad + int(offset)
+            else:
+                # _overlap_save's block: IQ_BLOCK points, or more for long taps
+                h = _highpass_response(_butter_highpass_sos(order, cutoff, FS), 10 ** 9)
+                nfft = max(IQ_BLOCK, 1 << (2 * h.size - 1).bit_length())
+                length = int(k or 1) * (nfft - h.size + 1) + int(offset or 0) - 2 * pad
         x = wandering_record(length, length)
         sos = signal.butter(order, cutoff, btype="highpass", fs=FS, output="sos")
         out = highpass(SampledTrace(FS, x, PHASE), cutoff, order).samples

@@ -228,6 +228,42 @@ class TestTraceFiles:
         assert back.kind == PHASE
         np.testing.assert_array_equal(back.samples, [0.0, 1.0, -2.0])
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"kind": "phase",', "not a JSON sidecar"),
+        (b'{"kind": "\xff"}', "not a JSON sidecar"),
+        ('["phase", 8000.0]', "a sidecar holds a JSON object, got list"),
+        ('"phase"', "a sidecar holds a JSON object, got str"),
+        ('{"kind": "phase", "scale": "abc"}', "scale must be a finite number, got 'abc'"),
+        ('{"kind": "phase", "scale": "2.0"}', "scale must be a finite number, got '2.0'"),
+        ('{"kind": "phase", "scale": null}', "scale must be a finite number, got None"),
+        ('{"kind": "phase", "scale": true}', "scale must be a finite number, got True"),
+        ('{"kind": "phase", "scale": NaN}', "scale must be a finite number, got nan"),
+        ('{"kind": "phase", "sample_rate_hz": [8000]}',
+         "sample_rate_hz must be a finite number, got [8000]"),
+        ('{"kind": "phase", "sample_rate_hz": Infinity}',
+         "sample_rate_hz must be a finite number, got inf"),
+    ], ids=["truncated", "not-utf8", "list", "string", "scale-text", "scale-number-text",
+            "scale-null", "scale-bool", "scale-nan", "rate-list", "rate-infinity"])
+    def test_malformed_sidecar_rejected(self, tmp_path, text, message):
+        p = tmp_path / "n.wav"
+        write_wav(p, 8000, np.array([0.0, 0.5, -1.0]))
+        side = tmp_path / "n.wav.meta.json"
+        if isinstance(text, bytes):
+            side.write_bytes(text)
+        else:
+            side.write_text(text)
+        with pytest.raises(FileFormatError, match=re.escape(f"{side}: {message}")):
+            read_trace(p)
+
+    def test_demod_exits_3_on_a_malformed_sidecar(self, tmp_path, capsys):
+        p = tmp_path / "het.wav"
+        write_trace(SampledTrace(400e3, np.zeros(64), HETERODYNE), p)
+        (tmp_path / "het.wav.meta.json").write_text('{"kind": "heterodyne", "scale": "x"}')
+        out = tmp_path / "rec.wav"
+        assert main(["demod", "--in", str(p), "--out", str(out)]) == 3
+        assert "scale must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_extension_rejected(self, tmp_path):
         tr = SampledTrace(8000.0, np.zeros(4), PHASE)
         with pytest.raises(InputError):

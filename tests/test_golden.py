@@ -37,7 +37,7 @@ GOLDEN = {
     "rec40.wav":
         "e3fbc7731851c97a7e6b7cbed3b692c60879a852d50f97090b2c675845c9cd80",
     "phase.csv":
-        "41cafe038206d0db5762519c95c7b09f29e317f759a86cf3cd9f250bdf64be3a",
+        "5909b5e92c3eeb3a7c3b3f04131bf5855f0d750c872a744c1f2db06db0b50ebf",
     "rec32.wav":
         "5c1a7dca643214a38c958b47ef456c9f41e06a92424b71983bb7bbd17642b906",
     "het.wav.meta.json":
