@@ -230,12 +230,11 @@ def _sweep_points(start, stop, count):
         raise ConfigurationError(f"--points must be at least 1, got {count}")
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ConfigurationError(f"--from and --to must be finite, got {start} and {stop}")
-    if count == 1:
-        return np.array([start])
     if start <= 0 or stop <= 0:
         raise ConfigurationError(
-            f"a sweep of {count} points is log-spaced, so --from and --to must be > 0, "
-            f"got {start} and {stop}")
+            f"sweeps are log-spaced, so --from and --to must be > 0, got {start} and {stop}")
+    if count == 1:
+        return np.array([start])
     return np.geomspace(start, stop, count)
 
 

@@ -545,7 +545,7 @@ def resample(samples: np.ndarray, up: int, down: int,
 
 
 def decimate_to_audio(baseband: SampledTrace, cfg: DemodConfig,
-                      band: AudioBand | None = None) -> SampledTrace:
+                      band: AudioBand) -> SampledTrace:
     """Low-pass and resample a baseband record to the audio rate in one pass.
 
     The demodulation FIR (see `_audio_filter`: pass edge ``band.f_high``,
@@ -554,7 +554,7 @@ def decimate_to_audio(baseband: SampledTrace, cfg: DemodConfig,
     outputs are computed. The first and last `edge_guard` outputs see the
     record's edges.
     """
-    up, down, design = _audio_filter(cfg, baseband.sample_rate, band or AudioBand())
+    up, down, design = _audio_filter(cfg, baseband.sample_rate, band)
     return SampledTrace(cfg.audio_rate,
                         resample(baseband.samples, up, down, _kaiser_lowpass(*design)),
                         baseband.kind)

@@ -26,18 +26,16 @@ SEGSNR_CEIL_DB = 35.0
 class SpectralSubtractParams:
     """Frame and subtraction parameters.
 
-    ``frame_length``/``hop`` are in samples and win when given; ``None``
-    resolves them at the trace rate from ``frame_ms`` and ``overlap`` (the
-    fraction of a frame shared by neighbouring frames). Analysis uses a
-    periodic Hann window, which is 0 at each frame start, so the hop must be
-    shorter than the frame. ``silence_threshold_db`` is the offset below the
-    median frame energy that still counts as silent: the default -10 marks
-    every frame quieter than 10 dB above the median, so stationary noise is
-    silent throughout while speech bursts stand out.
+    `resolve` sets the frame length (made even) and hop, in samples, at the
+    trace rate from ``frame_ms`` and ``overlap`` (the fraction of a frame
+    shared by neighbouring frames). Analysis uses a periodic Hann window,
+    which is 0 at each frame start, so the hop must be shorter than the
+    frame. ``silence_threshold_db`` is the offset below the median frame
+    energy that still counts as silent: the default -10 marks every frame
+    quieter than 10 dB above the median, so stationary noise is silent
+    throughout while speech bursts stand out.
     """
 
-    frame_length: int | None = None
-    hop: int | None = None
     frame_ms: float = 20.0
     overlap: float = 0.5
     oversubtraction: float = 2.0
@@ -55,24 +53,16 @@ class SpectralSubtractParams:
         if not 0 <= self.spectral_floor < 1:
             raise ConfigurationError(
                 f"spectral_floor must be in [0, 1), got {self.spectral_floor}")
-        if self.frame_length is not None and self.frame_length < 2:
-            raise ConfigurationError(f"frame_length must be >= 2, got {self.frame_length}")
 
     def resolve(self, sample_rate):
         """Concrete (frame_length, hop, window array) for a given rate."""
-        frame = self.frame_length
-        if frame is None:
-            frame = max(2, int(round(self.frame_ms * 1e-3 * sample_rate)))
-            frame += frame % 2
-        hop = self.hop
-        if hop is None:
-            hop = max(1, int(round(frame * (1.0 - self.overlap))))
-            if hop >= frame:
-                raise ConfigurationError(
-                    f"overlap {self.overlap} gives hop {hop} = frame length {frame}; "
-                    "frames must overlap, since the Hann window is 0 at each frame start")
-        if not 0 < hop < frame:
-            raise ConfigurationError(f"hop must satisfy 0 < hop < frame_length, got {hop}")
+        frame = max(2, int(round(self.frame_ms * 1e-3 * sample_rate)))
+        frame += frame % 2
+        hop = max(1, int(round(frame * (1.0 - self.overlap))))
+        if hop >= frame:
+            raise ConfigurationError(
+                f"overlap {self.overlap} gives hop {hop} = frame length {frame}; "
+                "frames must overlap, since the Hann window is 0 at each frame start")
         # periodic Hann, as scipy's get_window("hann", frame) computes it
         fac = np.linspace(-np.pi, np.pi, frame + 1)
         win = (0.5 + 0.5 * np.cos(fac))[:-1]
@@ -187,10 +177,10 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
 
 
 def segmental_snr(processed: SampledTrace, reference: SampledTrace,
-                  frame_length: int | None = None) -> float:
+                  frame_length: int) -> float:
     """Frame-averaged SNR of `processed` against `reference`, in dB.
 
-    Non-overlapping frames (default 20 ms); each frame's
+    Non-overlapping frames of `frame_length` samples; each frame's
     ``10 log10(sum ref^2 / sum (ref - processed)^2)`` is clamped to
     [-10, 35] dB before averaging. Zero-error frames clamp high, frames with
     a silent reference clamp low.
@@ -201,8 +191,6 @@ def segmental_snr(processed: SampledTrace, reference: SampledTrace,
     if processed.sample_rate != reference.sample_rate:
         raise InputError(
             f"sample rate mismatch: {processed.sample_rate} vs {reference.sample_rate}")
-    if frame_length is None:
-        frame_length = max(2, int(round(0.02 * reference.sample_rate)))
     n_frames = reference.n_samples // frame_length
     if n_frames < 1:
         raise InputError("traces are shorter than one metric frame")

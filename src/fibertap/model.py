@@ -205,10 +205,7 @@ def voice_to_phase(audio: SampledTrace, coupling: AcousticCoupling,
     return SampledTrace(audio.sample_rate, phase, PHASE)
 
 
-def synthesize_heterodyne(config: InterferometerConfig,
-                          voice_phase: SampledTrace | None = None,
-                          noise_phase: SampledTrace | None = None,
-                          duration: float | None = None,
+def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrace,
                           noise_seed: int | None = None,
                           flatten_below: float | None = None) -> SampledTrace:
     """Synthesize the sampled photodiode beat signal.
@@ -218,17 +215,13 @@ def synthesize_heterodyne(config: InterferometerConfig,
     config : InterferometerConfig
         Tap geometry; sets the beat frequency, reflection amplitude,
         sample rate and static phase.
-    voice_phase : SampledTrace, optional
-        Sound-induced phase in rad (kind ``phase``). Omit for a quiet room.
-    noise_phase : SampledTrace, optional
-        Precomputed system phase noise. Mutually exclusive with `noise_seed`.
-    duration : float, optional
-        Trace length in seconds; required when neither phase trace is given,
-        otherwise it must be consistent with the trace lengths.
+    voice_phase : SampledTrace
+        Sound-induced phase in rad (kind ``phase``) at the config rate; it
+        sets the record length. A quiet room is a zero trace.
     noise_seed : int, optional
-        When given (and `noise_phase` is not), thermal and laser phase noise
-        are synthesized internally from `config`; the result is deterministic
-        in the seed.
+        When given, thermal and laser phase noise are synthesized from
+        `config` (`noise.synthesize_system_noise`) and added after the voice;
+        the result is deterministic in the seed.
     flatten_below : float, optional
         Frequency (Hz) below which the synthesized noise PSD is held flat;
         ``None`` uses ``noise.DEFAULT_FLATTEN_HZ``. Applies with `noise_seed`.
@@ -239,43 +232,27 @@ def synthesize_heterodyne(config: InterferometerConfig,
         Heterodyne intensity trace, kind ``heterodyne``.
     """
     fs = config.sample_rate
-    if noise_phase is not None and noise_seed is not None:
-        raise InputError("pass either noise_phase or noise_seed, not both")
-
-    n = None
-    for tr, name in ((voice_phase, "voice_phase"), (noise_phase, "noise_phase")):
-        if tr is None:
-            continue
-        if tr.kind != PHASE:
-            raise InputError(f"{name} must be a {PHASE!r} trace, got {tr.kind!r}")
-        if tr.sample_rate != fs:
-            raise InputError(
-                f"{name} sample rate {tr.sample_rate} differs from config rate {fs}")
-        if n is not None and tr.n_samples != n:
-            raise InputError("voice_phase and noise_phase lengths differ")
-        n = tr.n_samples
-    if n is None:
-        if duration is None:
-            raise InputError("duration is required when no phase trace is given")
-        n = int(round(duration * fs))
-        if n < 1:
-            raise InputError(f"duration {duration} s is shorter than one sample")
-    elif duration is not None and int(round(duration * fs)) != n:
+    if voice_phase.kind != PHASE:
+        raise InputError(f"voice_phase must be a {PHASE!r} trace, got {voice_phase.kind!r}")
+    if voice_phase.sample_rate != fs:
         raise InputError(
-            f"duration {duration} s is inconsistent with trace length {n} at {fs} S/s")
+            f"voice_phase sample rate {voice_phase.sample_rate} differs from config rate {fs}")
+    n = voice_phase.n_samples
 
+    # the noise is drawn before the record-sized `t` and `phase` exist, so
+    # its temporaries do not add to theirs at the peak
+    noise = None
     if noise_seed is not None:
         from .noise import DEFAULT_FLATTEN_HZ, synthesize_system_noise
-        noise_phase = synthesize_system_noise(
+        noise = synthesize_system_noise(
             config, n, noise_seed,
             flatten_below=DEFAULT_FLATTEN_HZ if flatten_below is None else flatten_below)
 
     t = np.arange(n) / fs
-    phase = 2.0 * np.pi * config.intermediate_frequency * t + config.initial_phase
-    if voice_phase is not None:
-        phase = phase + voice_phase.samples
-    if noise_phase is not None:
-        phase = phase + noise_phase.samples
+    phase = 2.0 * np.pi * config.intermediate_frequency * t + config.initial_phase \
+        + voice_phase.samples
+    if noise is not None:
+        phase = phase + noise.samples
 
     alpha = config.reflection_amplitude
     intensity = (1.0 + alpha ** 2) * CARRIER_POWER \

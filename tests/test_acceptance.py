@@ -208,9 +208,8 @@ def _enhancement_fixture():
     """Bursty tone over low-frequency-heavy stationary noise at 0 dB
     segmental SNR (frame-periodic noise keeps frame spectra deterministic)."""
     fs = 16000.0
-    frame, hop = 320, 160
-    params = SpectralSubtractParams(frame_length=frame, hop=hop,
-                                    spectral_floor=0.01)
+    params = SpectralSubtractParams(spectral_floor=0.01)
+    frame, hop, _ = params.resolve(fs)  # the default 20 ms at 50 %: 320, 160
     rng = np.random.default_rng(2024)
     n = int(fs * 4)
     t = np.arange(n) / fs

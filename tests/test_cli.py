@@ -429,16 +429,29 @@ def test_flag_that_shadowed_a_config_key_exits_2(capsys, argv):
     assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang):
+    """README's fenced ``lang`` blocks as (``## `` section, lines) pairs."""
+    blocks, section, fence = [], None, None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fence = None if fence is not None else line[3:]
+            if fence == lang:
+                blocks.append((section, []))
+        elif fence == lang:
+            blocks[-1][1].append(line)
+        elif fence is None and line.startswith("## "):
+            section = line[3:]
+    return blocks
+
+
 def test_readme_command_lines_parse():
     """Every `fibertap ...` line in README's ``sh`` blocks parses, so a flag
     removed from the parser cannot stay in the docs."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines, in_sh = [], False
-    for line in readme.read_text(encoding="utf-8").splitlines():
-        if line.startswith("```"):
-            in_sh = line == "```sh"
-        elif in_sh and line.startswith("fibertap "):
-            lines.append(line)
+    lines = [line for _, block in readme_blocks("sh") for line in block
+             if line.startswith("fibertap ")]
     assert lines
     parser = cli.build_parser()
     for line in lines:
@@ -446,6 +459,17 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_readme_library_example_runs():
+    """README's "Library" block runs as written, so a parameter removed from
+    the API cannot stay in the example."""
+    (code,) = [block for section, block in readme_blocks("python") if section == "Library"]
+    namespace = {}
+    exec("\n".join(code), namespace)
+    audio, enhanced = namespace["audio"], namespace["enhanced"]
+    assert enhanced.sample_rate == audio.sample_rate == 40e3
+    assert enhanced.n_samples == audio.n_samples
 
 
 @pytest.mark.parametrize("error,code", [
@@ -587,10 +611,12 @@ class TestBudget:
         assert set(rows[0]) == {"x_value", "thermal_rms", "laser_rms",
                                 "total_rms", "limit_db"}
 
-    # a sweep of more than one point is log-spaced, so both bounds must be
-    # > 0; one point takes --from alone
+    # sweeps are log-spaced, so both bounds must be > 0 at any point count;
+    # one point takes --from alone
     @pytest.mark.parametrize("flags,message", [
         (["--from", "0"], "must be > 0, got 0.0 and 10000.0"),
+        (["--from", "0", "--points", "1"], "must be > 0, got 0.0 and 10000.0"),
+        (["--from", "0", "--to", "0", "--points", "1"], "must be > 0, got 0.0 and 0.0"),
         (["--to", "0"], "must be > 0, got 10.0 and 0.0"),
         (["--from", "-5", "--points", "2"], "must be > 0, got -5.0 and 10000.0"),
         (["--points", "0"], "--points must be at least 1, got 0"),
@@ -598,8 +624,8 @@ class TestBudget:
         (["--from", "nan"], "must be finite, got nan and 10000.0"),
         (["--to", "inf"], "must be finite, got 10.0 and inf"),
         (["--to", "inf", "--points", "1"], "must be finite, got 10.0 and inf"),
-    ], ids=["from-0", "to-0", "from-negative", "points-0", "points-negative", "from-nan",
-            "to-inf", "one-point-to-inf"])
+    ], ids=["from-0", "one-point-from-0", "one-point-both-0", "to-0", "from-negative",
+            "points-0", "points-negative", "from-nan", "to-inf", "one-point-to-inf"])
     def test_bad_sweep_rejected(self, tmp_path, capsys, flags, message):
         out = tmp_path / "len.csv"
         assert main(["budget", "--sweep", "length", "--out", str(out), *flags]) == 2

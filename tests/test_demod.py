@@ -41,6 +41,7 @@ from fibertap.errors import ConfigurationError, InputError, NyquistError
 from conftest import make_tone, tone_amplitude, tone_phase
 
 FS = 400e3
+BAND = AudioBand()
 
 
 def tap(f_if=25e3, alpha=0.2, fs=FS):
@@ -54,7 +55,13 @@ def tap(f_if=25e3, alpha=0.2, fs=FS):
         sample_rate=fs)
 
 
-def demod_chain(het, cfg, band=AudioBand()):
+def quiet_record(ifo, duration):
+    """The heterodyne record of a quiet room: a zero voice phase."""
+    n = int(round(duration * ifo.sample_rate))
+    return synthesize_heterodyne(ifo, SampledTrace(ifo.sample_rate, np.zeros(n), PHASE))
+
+
+def demod_chain(het, cfg, band=BAND):
     """`demod`'s steps up to the high-pass: mix, low-pass and decimate, trim
     the edge guard, unwrap."""
     guard = edge_guard(cfg, het.sample_rate, band, het.n_samples, highpass=False)
@@ -197,13 +204,13 @@ class TestEdgeGuard:
 
 class TestIqDemodulate:
     def test_pure_carrier_recovers_constant_phase(self):
-        het = synthesize_heterodyne(tap(), duration=0.2)
+        het = quiet_record(tap(), 0.2)
         phase = demod_chain(het, DemodConfig(beat_frequency=25e3)).samples
         inner = trim(phase, 200)
         assert np.max(np.abs(inner - np.mean(inner))) < 1e-6
 
     def test_mix_moves_the_beat_to_zero(self):
-        het = synthesize_heterodyne(tap(alpha=0.2), duration=0.01)
+        het = quiet_record(tap(alpha=0.2), 0.01)
         z = iq_demodulate(het, DemodConfig(beat_frequency=25e3))
         assert z.kind == BASEBAND and z.sample_rate == FS and z.n_samples == het.n_samples
         k = np.arange(het.n_samples)
@@ -211,9 +218,9 @@ class TestIqDemodulate:
                                    rtol=0, atol=1e-12)
 
     def test_magnitude_tracks_beat_amplitude(self):
-        het = synthesize_heterodyne(tap(alpha=0.2), duration=0.1)
+        het = quiet_record(tap(alpha=0.2), 0.1)
         cfg = DemodConfig(beat_frequency=25e3)
-        z = decimate_to_audio(iq_demodulate(het, cfg), cfg)
+        z = decimate_to_audio(iq_demodulate(het, cfg), cfg, BAND)
         assert z.kind == BASEBAND
         np.testing.assert_allclose(trim(np.abs(z.samples), 200), 0.2, rtol=1e-5)
 
@@ -275,7 +282,7 @@ class TestIqDemodulate:
         tone = make_tone(FS, 1000.0, 0.01, 0.5)
         with pytest.raises(InputError):
             iq_demodulate(tone, DemodConfig(beat_frequency=25e3))
-        het = synthesize_heterodyne(tap(), duration=0.01)
+        het = quiet_record(tap(), 0.01)
         with pytest.raises(NyquistError):
             iq_demodulate(het, DemodConfig(beat_frequency=300e3))
 
@@ -309,7 +316,7 @@ class TestBlockedDemod:
             mixed = het.samples * np.exp(1j * (-2.0 * np.pi * cfg.beat_frequency / FS
                                                * np.arange(n)))
             ref = direct_decimation(mixed, up, down, taps)
-            baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
+            baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg, BAND)
             assert baseband.sample_rate == audio_rate
             assert baseband.n_samples == ref.size == -(-n * up // down)
             assert np.max(np.abs(baseband.samples - ref)) <= 1e-12 * self.ALPHA
@@ -381,10 +388,10 @@ class TestMemory:
     @pytest.fixture(scope="class")
     def record(self):
         cfg = DemodConfig(beat_frequency=25e3)
-        het = synthesize_heterodyne(tap(), duration=1.0)
+        het = quiet_record(tap(), 1.0)
         # imports, numpy.fft's among them
         highpass(demod_chain(het.with_samples(het.samples[:2000]), cfg), 500.0, 4)
-        baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg)
+        baseband = decimate_to_audio(iq_demodulate(het, cfg), cfg, BAND)
         return het, cfg, baseband.with_samples(baseband.samples[37:-37])
 
     def bounds(self, record):
@@ -423,7 +430,7 @@ class TestMemory:
     def test_decimate_to_audio_peak(self, record):
         het, cfg, _ = record
         baseband = iq_demodulate(het, cfg)
-        peak = self.traced_peak(decimate_to_audio, baseband, cfg)
+        peak = self.traced_peak(decimate_to_audio, baseband, cfg, BAND)
         assert peak <= self.bounds(record)["decimate"]
 
     def test_44k1_decimation_design_peak(self):
@@ -689,7 +696,8 @@ class TestScipyReference:
         rng = np.random.default_rng(5)
         z = rng.standard_normal(5001) + 1j * rng.standard_normal(5001)
         taps = _kaiser_lowpass(10e3, 20e3, IQ_STOPBAND_DB, FS)
-        out = decimate_to_audio(SampledTrace(FS, z, BASEBAND), DemodConfig(beat_frequency=25e3))
+        out = decimate_to_audio(SampledTrace(FS, z, BASEBAND),
+                                DemodConfig(beat_frequency=25e3), BAND)
         expected = signal.resample_poly(z, 1, 10, window=taps)
         assert out.kind == BASEBAND
         assert np.max(np.abs(out.samples - expected)) <= 1e-12 * np.max(np.abs(z))
@@ -703,7 +711,7 @@ class TestDecimateToAudio:
     def test_record_rate_still_filtered(self):
         # at the record's own rate the FIR still runs, stopping at the beat
         x = make_tone(FS, 1000.0, 0.05).samples + make_tone(FS, 30e3, 0.05).samples
-        out = decimate_to_audio(SampledTrace(FS, x, PHASE), at_rate(FS))
+        out = decimate_to_audio(SampledTrace(FS, x, PHASE), at_rate(FS), BAND)
         assert out.sample_rate == FS and out.n_samples == x.size
         inner = trim(out.samples)
         assert tone_amplitude(inner, FS, 1000.0) == pytest.approx(1.0, abs=1e-5)
@@ -711,7 +719,7 @@ class TestDecimateToAudio:
 
     def test_tone_preserved_through_ten_to_one(self):
         tone = make_tone(FS, 1000.0, 0.5, 1.0)
-        out = decimate_to_audio(tone, at_rate(40e3))
+        out = decimate_to_audio(tone, at_rate(40e3), BAND)
         assert out.sample_rate == 40e3
         assert out.n_samples == tone.n_samples // 10
         a = tone_amplitude(trim(out.samples, 2000), 40e3, 1000.0)
@@ -719,27 +727,27 @@ class TestDecimateToAudio:
 
     def test_band_edge_preserved(self):
         tone = make_tone(FS, 10e3, 0.5, 1.0)
-        out = decimate_to_audio(tone, at_rate(40e3))
+        out = decimate_to_audio(tone, at_rate(40e3), BAND)
         a = tone_amplitude(trim(out.samples, 2000), 40e3, 10e3)
         assert abs(20 * np.log10(a)) < 0.5
 
     def test_alias_component_rejected(self):
         tone = make_tone(FS, 30e3, 0.5, 1.0)  # would alias to 10 kHz at 40 kS/s
-        out = decimate_to_audio(tone, at_rate(40e3))
+        out = decimate_to_audio(tone, at_rate(40e3), BAND)
         residual = np.sqrt(np.mean(trim(out.samples, 2000) ** 2))
         assert 20 * np.log10(residual / (1.0 / np.sqrt(2))) < -60.0
 
     def test_rational_resampling(self):
         tone = make_tone(48e3, 1000.0, 0.5, 1.0)
-        out = decimate_to_audio(tone, at_rate(32e3))
+        out = decimate_to_audio(tone, at_rate(32e3), BAND)
         a = tone_amplitude(trim(out.samples, 2000), 32e3, 1000.0)
         assert abs(20 * np.log10(a)) < 0.1
 
     def test_target_too_low_for_band(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
         with pytest.raises(ConfigurationError):
-            decimate_to_audio(tone, at_rate(16e3))  # nyquist below 10 kHz band edge
-        out = decimate_to_audio(tone, at_rate(16e3), band=AudioBand(f_low=100.0, f_high=4e3))
+            decimate_to_audio(tone, at_rate(16e3), BAND)  # nyquist below 10 kHz band edge
+        out = decimate_to_audio(tone, at_rate(16e3), AudioBand(f_low=100.0, f_high=4e3))
         assert out.sample_rate == 16e3
 
     @pytest.mark.parametrize("n", [40000, 40001, 40005, 40006])
@@ -747,23 +755,22 @@ class TestDecimateToAudio:
         from scipy import signal
         rng = np.random.default_rng(n)
         x = highpass(SampledTrace(FS, rng.standard_normal(n), PHASE), 500.0, 4)
-        out = decimate_to_audio(x, at_rate(40e3))
-        band = AudioBand()
-        taps = _kaiser_lowpass(band.f_high, 20e3, IQ_STOPBAND_DB, FS)
+        out = decimate_to_audio(x, at_rate(40e3), BAND)
+        taps = _kaiser_lowpass(BAND.f_high, 20e3, IQ_STOPBAND_DB, FS)
         ref = signal.fftconvolve(x.samples, taps, mode="same")[::10]
         assert out.n_samples == ref.size
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cd_rate_from_the_record_rate(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
-        out = decimate_to_audio(tone, at_rate(44100.0))
+        out = decimate_to_audio(tone, at_rate(44100.0), BAND)
         assert out.sample_rate == 44100.0
         assert out.n_samples == -(-tone.n_samples * 441 // 4000)
 
     def test_irrational_ratio_rejected(self):
         tone = make_tone(FS, 1000.0, 0.05, 1.0)
         with pytest.raises(ConfigurationError):
-            decimate_to_audio(tone, at_rate(FS / np.pi * 0.9))
+            decimate_to_audio(tone, at_rate(FS / np.pi * 0.9), BAND)
 
 
 class TestResampleRatio:

@@ -154,26 +154,47 @@ class TestVoiceToPhase:
             voice_to_phase(audio, self.coupling, -1.0)
 
 
+def quiet(cfg, n):
+    """A quiet room: `n` samples of zero voice phase at the config rate."""
+    return SampledTrace(cfg.sample_rate, np.zeros(n), PHASE)
+
+
+def pure_beat(cfg, n):
+    """The quiet-room record ``1 + a^2 + 2 a cos(2 pi f_if t + phi0)``."""
+    a = cfg.reflection_amplitude
+    t = np.arange(n) / cfg.sample_rate
+    return 1 + a ** 2 + 2 * a * np.cos(
+        2 * np.pi * cfg.intermediate_frequency * t + cfg.initial_phase)
+
+
 class TestSynthesizeHeterodyne:
+    # 4000 samples = 0.01 s at 400 kS/s
+    N = 4000
+
     def test_alpha_zero_gives_constant_unity(self):
-        het = synthesize_heterodyne(small_config(reflection_amplitude=0.0),
-                                    duration=0.01)
+        cfg = small_config(reflection_amplitude=0.0)
+        het = synthesize_heterodyne(cfg, quiet(cfg, self.N))
         assert het.kind == HETERODYNE
         np.testing.assert_allclose(het.samples, 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(het.samples, pure_beat(cfg, self.N), rtol=0, atol=1e-15)
 
     def test_pure_beat_levels(self):
         # fs / f_if = 16 samples per period, sampling hits the cosine extrema
-        het = synthesize_heterodyne(small_config(), duration=0.01)
+        cfg = small_config()
+        het = synthesize_heterodyne(cfg, quiet(cfg, self.N))
         assert np.max(het.samples) == pytest.approx(1.04 + 0.4, abs=1e-12)
         assert np.min(het.samples) == pytest.approx(1.04 - 0.4, abs=1e-12)
         assert np.ptp(het.samples) == pytest.approx(0.8, abs=1e-12)
+        np.testing.assert_allclose(het.samples, pure_beat(cfg, self.N), rtol=0, atol=1e-12)
 
     def test_mean_is_dc_term_over_integer_periods(self):
         # 0.01 s at 25 kHz = 250 whole beat periods
         for alpha in (0.05, 0.2, 0.7):
-            het = synthesize_heterodyne(
-                small_config(reflection_amplitude=alpha), duration=0.01)
+            cfg = small_config(reflection_amplitude=alpha)
+            het = synthesize_heterodyne(cfg, quiet(cfg, self.N))
             assert np.mean(het.samples) == pytest.approx(1 + alpha ** 2, rel=1e-6)
+            np.testing.assert_allclose(het.samples, pure_beat(cfg, self.N),
+                                       rtol=0, atol=1e-12)
 
     def test_envelope_independent_of_phase_modulation(self):
         rng = np.random.default_rng(3)
@@ -193,60 +214,52 @@ class TestSynthesizeHeterodyne:
                            laser=LaserSpec(wavelength=1.55e-6,
                                            white_freq_psd=1256.6,
                                            flicker_coeff=5.68e6))
-        a = synthesize_heterodyne(cfg, duration=0.02, noise_seed=42)
-        b = synthesize_heterodyne(cfg, duration=0.02, noise_seed=42)
-        c = synthesize_heterodyne(cfg, duration=0.02, noise_seed=43)
+        a = synthesize_heterodyne(cfg, quiet(cfg, 8000), noise_seed=42)
+        b = synthesize_heterodyne(cfg, quiet(cfg, 8000), noise_seed=42)
+        c = synthesize_heterodyne(cfg, quiet(cfg, 8000), noise_seed=43)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_noise_seed_matches_explicit_noise(self):
+        # on a zero voice phase the seeded noise is the whole phase
+        # perturbation, exactly: 0 + w == w
         from fibertap import synthesize_system_noise
         cfg = small_config(reference_fiber=FiberSpec(length=2306.0),
                            laser=LaserSpec(wavelength=1.55e-6,
                                            white_freq_psd=1256.6,
                                            flicker_coeff=5.68e6))
         n = int(0.02 * cfg.sample_rate)
-        noise = synthesize_system_noise(cfg, n, 42)
-        a = synthesize_heterodyne(cfg, noise_phase=noise)
-        b = synthesize_heterodyne(cfg, duration=0.02, noise_seed=42)
+        a = synthesize_heterodyne(cfg, synthesize_system_noise(cfg, n, 42))
+        b = synthesize_heterodyne(cfg, quiet(cfg, n), noise_seed=42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_voice_and_noise_add_in_the_argument(self):
+        from fibertap import synthesize_system_noise
         cfg = small_config()
         n = 1600
         t = np.arange(n) / cfg.sample_rate
         v = SampledTrace(cfg.sample_rate, 0.3 * np.sin(2 * np.pi * 700 * t), PHASE)
-        w = SampledTrace(cfg.sample_rate, 0.1 * np.cos(2 * np.pi * 1300 * t), PHASE)
-        het = synthesize_heterodyne(cfg, voice_phase=v, noise_phase=w)
+        w = synthesize_system_noise(cfg, n, 5)
+        het = synthesize_heterodyne(cfg, v, noise_seed=5)
         expected = 1.04 + 0.4 * np.cos(
             2 * np.pi * cfg.intermediate_frequency * t + v.samples + w.samples)
         np.testing.assert_allclose(het.samples, expected, atol=1e-12)
 
     def test_input_validation(self):
         cfg = small_config()
-        with pytest.raises(InputError):
-            synthesize_heterodyne(cfg)  # nothing to size the trace with
         audio = SampledTrace(cfg.sample_rate, np.zeros(16), AUDIO)
         with pytest.raises(InputError):
             synthesize_heterodyne(cfg, voice_phase=audio)
         wrong_rate = SampledTrace(2 * cfg.sample_rate, np.zeros(16), PHASE)
         with pytest.raises(InputError):
             synthesize_heterodyne(cfg, voice_phase=wrong_rate)
-        v = SampledTrace(cfg.sample_rate, np.zeros(16), PHASE)
-        w = SampledTrace(cfg.sample_rate, np.zeros(8), PHASE)
-        with pytest.raises(InputError):
-            synthesize_heterodyne(cfg, voice_phase=v, noise_phase=w)
-        with pytest.raises(InputError):
-            synthesize_heterodyne(cfg, voice_phase=v, duration=1.0)
-        with pytest.raises(InputError):
-            synthesize_heterodyne(cfg, noise_phase=w, noise_seed=1)
 
     def test_static_phase_shifts_the_beat(self):
         cfg0 = small_config()
         cfg1 = small_config(initial_phase=np.pi / 3)
         n = 160
         t = np.arange(n) / cfg0.sample_rate
-        h1 = synthesize_heterodyne(cfg1, duration=n / cfg0.sample_rate)
+        h1 = synthesize_heterodyne(cfg1, quiet(cfg1, n))
         expected = 1.04 + 0.4 * np.cos(
             2 * np.pi * cfg0.intermediate_frequency * t + np.pi / 3)
         np.testing.assert_allclose(h1.samples, expected, atol=1e-12)

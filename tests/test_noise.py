@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, signal
 
 from fibertap import (
     AudioBand,
     FiberSpec,
+    InterferometerConfig,
     LaserSpec,
     NoiseBudget,
     compute_noise_budget,
@@ -18,6 +21,8 @@ from fibertap import (
     mismatch_to_delay,
     phase_rms_to_spl,
     synthesize_colored_noise,
+    synthesize_system_noise,
+    system_phase_noise_psd,
     thermal_psd,
     thermal_rms,
     voice_rms_phase,
@@ -262,6 +267,33 @@ class TestColoredNoise:
     def test_zero_mean(self):
         tr = synthesize_colored_noise(lambda f: 1e-6 / f, 2 ** 14, self.FS, 9)
         assert abs(np.mean(tr.samples)) < 1e-12 * np.std(tr.samples) * 2 ** 7
+
+
+class TestSystemNoise:
+    FS = 400e3
+    N = 2 ** 16
+
+    @settings(max_examples=25)
+    @given(length=st.floats(1.0, 20e3), mismatch=st.floats(0.0, 10e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_periodogram_matches_system_psd_in_log_bands(self, length, mismatch, seed):
+        # thermal noise of the detecting arm plus laser noise through the
+        # arm mismatch, which is zero when the reference arm is balanced
+        ifo = InterferometerConfig(
+            laser=laser(), detect_fiber=fiber(length),
+            reference_fiber=fiber(2.0 * length + mismatch),
+            sensing_length=0.0, sample_rate=self.FS)
+        x = synthesize_system_noise(ifo, self.N, seed).samples
+        f = np.fft.rfftfreq(self.N, 1.0 / self.FS)[1:-1]
+        pxx = 2.0 * np.abs(np.fft.rfft(x)[1:-1]) ** 2 / (self.FS * self.N)
+        ratio = pxx / system_phase_noise_psd(ifo, f)
+        # each bin of the one-sided periodogram is its target times an
+        # exponential variate of mean 1, so the mean ratio over K bins has
+        # standard deviation 1/sqrt(K); a band may stray by five of them
+        edges = np.geomspace(200.0, 160e3, 11)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            band = ratio[(f >= lo) & (f < hi)]
+            assert abs(np.mean(band) - 1.0) <= 5.0 / np.sqrt(band.size), (lo, band.size)
 
 
 class TestNoiseBudget:
