@@ -132,11 +132,11 @@ def cmd_demod(args) -> int:
         guard = edge_guard(cfg, het.sample_rate, config.band, het.n_samples,
                            highpass=not args.no_highpass)
 
-    with stages("iq-demodulate"):
-        baseband = iq_demodulate(het, cfg)
-
     with stages("decimate"):
-        baseband = decimate_to_audio(baseband, cfg, config.band)
+        baseband = decimate_to_audio(het, cfg, config.band)
+
+    with stages("iq-demodulate"):
+        baseband = iq_demodulate(baseband, cfg)
 
     with stages("unwrap"):
         phase = unwrap_phase(baseband.with_samples(

@@ -1,15 +1,19 @@
 """Phase recovery from the sampled beat: IQ demodulation, unwrapping, filtering.
 
-Mixing the real heterodyne record with ``exp(-j 2 pi f_beat t)`` leaves a
-complex baseband whose argument is the instantaneous interferometer phase
+Mixing the real heterodyne record with ``exp(-j 2 pi f_beat t)`` would leave
+a complex baseband whose argument is the instantaneous interferometer phase
 and whose magnitude tracks the beat amplitude, plus the mixed-down DC term
 at -f_beat and the image at -2 f_beat. One linear-phase Kaiser FIR rejects
-both and is the anti-alias filter of the decimation to the audio rate: the
-low-pass and the rate change are one polyphase pass (`decimate_to_audio`),
-applied with a centered kernel, so the recovered phase has no group delay.
-The phase is unwrapped, and the slow environmental drift high-passed, at
-the audio rate; the high-pass is a forward-backward Butterworth for the
-same reason.
+both and is the anti-alias filter of the decimation to the audio rate.
+Mixing and then filtering equals filtering the real record with the FIR
+translated to the beat and then mixing only the filtered outputs (a
+frequency-translating FIR), so the low-pass, the rate change and the image
+rejection are one polyphase pass over the real record
+(`decimate_to_audio`), and the mix runs at the audio rate
+(`iq_demodulate`). The FIR is applied with a centered kernel, so the
+recovered phase has no group delay. The phase is unwrapped, and the slow
+environmental drift high-passed, at the audio rate; the high-pass is a
+forward-backward Butterworth for the same reason.
 
 The module runs on numpy alone. Its Kaiser FIR design is scipy's
 ``kaiserord``/``firwin`` to the bit; the high-pass is scipy's
@@ -36,11 +40,11 @@ from .trace import BASEBAND, HETERODYNE, PHASE, SampledTrace
 #: even against the weakest supported beat amplitude.
 IQ_STOPBAND_DB = 140.0
 
-#: Samples per block of `iq_demodulate`'s mix and of the high-pass's
-#: overlap-save FFT convolutions. The FFT grows to the next power of two of
-#: at least twice the kernel length when the kernel is longer, so a block
-#: always yields more new output than it overlaps.
-IQ_BLOCK = 2 ** 15
+#: Points of each FFT block of the high-pass's overlap-save convolutions.
+#: The FFT grows to the next power of two of at least twice the kernel
+#: length when the kernel is longer, so a block always yields more new
+#: output than it overlaps.
+HIGHPASS_BLOCK = 2 ** 15
 
 #: Largest wrapped phase step, in rad, that `unwrap_phase` accepts between
 #: two samples. Unwrapping takes every step to lie within pi; a step of pi/2
@@ -247,13 +251,13 @@ def _overlap_save(taps, x):
     """FIR-filter a real signal in place, block by block.
 
     ``x[i] <- sum_k taps[k] x[i - k]``, with x zero before its first sample.
-    Each block's FFT has ``IQ_BLOCK`` points, or the next power of two of
+    Each block's FFT has ``HIGHPASS_BLOCK`` points, or the next power of two of
     at least twice the taps, and yields ``nfft - taps.size + 1`` new
     samples; the block keeps the last ``taps.size - 1`` input samples for
     the next, so each x[i] is read before it is overwritten.
     """
     keep = taps.size - 1
-    nfft = max(IQ_BLOCK, 1 << (2 * taps.size - 1).bit_length())
+    nfft = max(HIGHPASS_BLOCK, 1 << (2 * taps.size - 1).bit_length())
     step = nfft - keep
     spectrum = np.fft.rfft(taps, nfft)
     block = np.zeros(nfft)
@@ -264,39 +268,6 @@ def _overlap_save(taps, x):
         y = np.fft.rfft(block)
         y *= spectrum
         x[start:start + n] = np.fft.irfft(y, nfft)[keep:keep + n]
-
-
-def iq_demodulate(het: SampledTrace, cfg: DemodConfig) -> SampledTrace:
-    """Mix the beat record to baseband.
-
-    Parameters
-    ----------
-    het : SampledTrace
-        Heterodyne intensity record, kind ``heterodyne``.
-    cfg : DemodConfig
-        Its beat frequency must satisfy Nyquist at the record's sample rate.
-
-    Returns
-    -------
-    SampledTrace
-        ``het * exp(-j 2 pi f_beat t)`` at the record's rate, kind
-        ``baseband``: the beat at 0 Hz, with the DC photocurrent term at
-        -f_beat and the image at -2 f_beat, which `decimate_to_audio`
-        filters out.
-    """
-    if het.kind != HETERODYNE:
-        raise InputError(f"iq_demodulate expects a {HETERODYNE!r} trace, got {het.kind!r}")
-    cfg.validate_rate(het.sample_rate)
-    step = -2.0 * np.pi * cfg.beat_frequency / het.sample_rate
-    mixed = np.empty(het.n_samples, dtype=np.complex128)
-    # block by block, so that no record-sized temporary sits beside the output
-    for lo in range(0, het.n_samples, IQ_BLOCK):
-        block = mixed[lo:lo + IQ_BLOCK]
-        angle = np.arange(lo, lo + block.size) * step
-        np.cos(angle, out=block.real)
-        np.sin(angle, out=block.imag)
-        block *= het.samples[lo:lo + block.size]
-    return SampledTrace(het.sample_rate, mixed, BASEBAND)
 
 
 def unwrap_phase(baseband: SampledTrace) -> SampledTrace:
@@ -470,8 +441,8 @@ def resample(samples: np.ndarray, up: int, down: int,
     taps) scaled by `up`, centred, and every `down`-th sample is kept:
     ``y[m] = up sum_j x[j] taps[m down - j up + half]``, with x zero outside
     the record, for ``ceil(n up / down)`` outputs. That is the output of
-    ``resample_poly(samples, up, down, window=taps)``, for real or complex
-    samples.
+    ``resample_poly(samples, up, down, window=taps)``. The samples are real;
+    the taps may be complex, and then so is the output.
 
     Polyphase: the outputs fall in `up` classes ``m = m0 + s up``, each of
     which applies one phase of the taps to a window of the input that moves
@@ -485,25 +456,31 @@ def resample(samples: np.ndarray, up: int, down: int,
     if taps is None:
         rate = max(up, down)
         taps = _firwin_lowpass(20 * rate + 1, 1.0 / rate, 5.0)
-    x = np.ascontiguousarray(samples, dtype=complex if np.iscomplexobj(samples) else float)
+    if np.iscomplexobj(samples):
+        raise InputError("resample takes real samples (the taps may be complex)")
+    x = np.ascontiguousarray(samples, dtype=float)
     h = taps * up
     half = (h.size - 1) // 2
     n_out = -(-x.size * up // down)
     # phases[p] holds taps p, p + up, p + 2 up, ..., oldest input first,
-    # zero-padded in front to Q pieces of w taps
+    # zero-padded in front to Q pieces of w taps; complex taps as their real
+    # then their imaginary parts (c = 2 parts), so that every product is real
     width = min(-(-h.size // up), down)
     pieces = -(-h.size // (up * width))
     span = pieces * width
-    phases = np.zeros(span * up)
+    phases = np.zeros(span * up, dtype=np.result_type(h, float))
     phases[:h.size] = h
-    phases = phases.reshape(span, up).T[:, ::-1].reshape(up, pieces, width).copy()
+    y = np.empty(n_out, dtype=phases.dtype)
+    parts = phases.view(float).reshape(span, up, -1)
+    c = parts.shape[2]
+    y_parts = y.view(float).reshape(n_out, c)
+    phases = parts.transpose(1, 2, 0)[:, :, ::-1].reshape(up, c * pieces, width).copy()
     rows = np.lib.stride_tricks.sliding_window_view(x, width) if x.size >= width else None
     # outputs per matrix product: at most 2^16 multiply-adds, which OpenBLAS
     # does on the calling thread. A larger product it splits across threads,
     # and when another process keeps a CPU busy, the threads spin-wait on
     # each other: a 10 s record then took 0.5-6 s to decimate, not 0.06 s.
-    chunk = max(1, 2 ** 16 // span - pieces + 1)
-    y = np.empty(n_out, dtype=x.dtype)
+    chunk = max(1, 2 ** 16 // (c * span) - pieces + 1)
     edge = []
     for m0 in range(min(up, n_out)):
         t0 = m0 * down + half
@@ -524,15 +501,16 @@ def resample(samples: np.ndarray, up: int, down: int,
             b = min(a + chunk, hi)
             window = rows[first + a * down::down][:b - a + pieces - 1]
             out = slice(m0 + a * up, m0 + (b - 1) * up + 1, up)
-            if pieces == 1:  # one row per output: a matrix-vector product, no diagonals
-                y[out] = window @ phase[0]
+            if pieces == 1:  # one row per output: matrix-vector products, no diagonals
+                y_parts[out] = window @ phase.T
                 continue
             products = phase @ window.T
-            # output s takes piece q from row s + q: products[q, s + q]
-            diagonals = np.ndarray((pieces, b - a), dtype=products.dtype, buffer=products,
-                                   strides=((b - a + pieces) * products.itemsize,
-                                            products.itemsize))
-            y[out] = diagonals.sum(axis=0)
+            # output s takes piece q of part i from row s + q:
+            # products[i Q + q, s + q]
+            diagonals = np.ndarray((c, pieces, b - a), dtype=float, buffer=products,
+                                   strides=(pieces * products.strides[0],
+                                            products.strides[0] + 8, 8))
+            y_parts[out] = diagonals.sum(axis=1).T
     taps_per_phase = np.arange(-(-h.size // up))
     for m in edge:
         t = m * down + half
@@ -544,17 +522,48 @@ def resample(samples: np.ndarray, up: int, down: int,
     return y
 
 
-def decimate_to_audio(baseband: SampledTrace, cfg: DemodConfig,
+def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
                       band: AudioBand) -> SampledTrace:
-    """Low-pass and resample a baseband record to the audio rate in one pass.
+    """Filter the beat record to the audio rate with the FIR translated to the beat.
 
     The demodulation FIR (see `_audio_filter`: pass edge ``band.f_high``,
     stop edge ``min(cfg.audio_rate / 2, cfg.beat_frequency)``,
-    `IQ_STOPBAND_DB`) is applied by `resample`, so only the audio-rate
-    outputs are computed. The first and last `edge_guard` outputs see the
-    record's edges.
+    `IQ_STOPBAND_DB`), its taps ``h[k]`` modulated to
+    ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, is applied to the
+    real record by `resample`, so only the audio-rate outputs are computed.
+    It passes the band around +f_beat and stops the DC term and the band
+    around -f_beat. Output m is then the mix-then-filter baseband times
+    ``exp(j 2 pi f_beat m / audio_rate)``, which `iq_demodulate` undoes.
+    The first and last `edge_guard` outputs see the record's edges.
+
+    Returns
+    -------
+    SampledTrace
+        Kind ``baseband`` at ``cfg.audio_rate``, still turning at f_beat.
     """
-    up, down, design = _audio_filter(cfg, baseband.sample_rate, band)
-    return SampledTrace(cfg.audio_rate,
-                        resample(baseband.samples, up, down, _kaiser_lowpass(*design)),
-                        baseband.kind)
+    if het.kind != HETERODYNE:
+        raise InputError(f"decimate_to_audio expects a {HETERODYNE!r} trace, got {het.kind!r}")
+    cfg.validate_rate(het.sample_rate)
+    up, down, design = _audio_filter(cfg, het.sample_rate, band)
+    taps = _kaiser_lowpass(*design)
+    offsets = np.arange(taps.size) - (taps.size - 1) // 2
+    taps = taps * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
+    return SampledTrace(cfg.audio_rate, resample(het.samples, up, down, taps), BASEBAND)
+
+
+def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:
+    """Mix `decimate_to_audio`'s output to baseband: ``z[m] exp(-j 2 pi f_beat m / rate)``.
+
+    The angle is reduced to a fraction of a turn before the sine and cosine:
+    ``m f_beat / rate`` is formed and reduced modulo 1 in ``np.longdouble``
+    (a 64-bit significand on x86-64), not rounded at ~1e6 rad in float64.
+    The beat lands at 0 Hz, and the argument of the result is the phase.
+    """
+    if z.kind != BASEBAND:
+        raise InputError(f"iq_demodulate expects a {BASEBAND!r} trace, got {z.kind!r}")
+    turns = np.arange(z.n_samples) * (np.longdouble(cfg.beat_frequency) / z.sample_rate)
+    mixed = np.mod(turns, 1, out=turns).astype(float) * (-2j * np.pi)
+    del turns
+    np.exp(mixed, out=mixed)
+    mixed *= z.samples
+    return SampledTrace(z.sample_rate, mixed, BASEBAND)

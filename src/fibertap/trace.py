@@ -29,7 +29,8 @@ class SampledTrace:
         complex. Copied on construction and frozen (read-only array).
     kind : str
         One of ``audio_pressure`` [Pa], ``phase`` [rad], ``heterodyne``
-        [arbitrary intensity] or ``baseband`` [complex, arbitrary].
+        [arbitrary intensity] or ``baseband`` [complex, arbitrary: the
+        filtered beat at the audio rate, before or after the mix].
     """
 
     sample_rate: float

@@ -72,7 +72,7 @@ def test_criterion_1_round_trip_fidelity():
     het = synthesize_heterodyne(CFG.interferometer, voice_phase=phase)
     dm = DemodConfig(beat_frequency=CFG.interferometer.intermediate_frequency)
     guard = edge_guard(dm, fs, CFG.band, het.n_samples)
-    baseband = decimate_to_audio(iq_demodulate(het, dm), dm, CFG.band)
+    baseband = iq_demodulate(decimate_to_audio(het, dm, CFG.band), dm)
 
     # drop the FIR settling region before filtering, then the filter edges;
     # the chirp is compared at the audio rate, where every 10th sample falls
