@@ -35,11 +35,11 @@ GOLDEN = {
     "het_pcm16.wav":
         "037611e83e575ebc97de8500dcb1097d8c23ba402c4cc09f1e821b8dd5f76a2c",
     "rec40.wav":
-        "e3fbc7731851c97a7e6b7cbed3b692c60879a852d50f97090b2c675845c9cd80",
+        "c008a6b50f21a3c0401259dc02163b5ddb9bd424447f962bc8603fd6b7050775",
     "phase.csv":
-        "5909b5e92c3eeb3a7c3b3f04131bf5855f0d750c872a744c1f2db06db0b50ebf",
+        "93cfc79454a36d8d8d4e1bc3df274b6a4bcd121f6ab9ef3030c4ef252ca8cbab",
     "rec32.wav":
-        "5c1a7dca643214a38c958b47ef456c9f41e06a92424b71983bb7bbd17642b906",
+        "225d06008ee129489c4de8c8d51ea1c1939ae10a07213be3e4e78078ae58a43c",
     "het.wav.meta.json":
         "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
     "het.csv.meta.json":
@@ -57,15 +57,15 @@ GOLDEN = {
     "rec32.wav.meta.json":
         "daea38c19fbd3ac6c9b0d1712e1e816249dac7ab9316fb356ad5da51f3a911af",
     "rec_flags.wav":
-        "6156f1e9ecfd99c88a9d5508bbe2bb88e6e4eff9d6f558dfbdbd49b0e28a53e0",
+        "5ad0afe3439df48dcc81d622e0b5db08418caf889bec8defedb26de5011ce1b8",
     "rec_nohp.wav":
-        "c2c3eab1eddf02b4546ead32bc374da5980f8156ae8be8400c5619684d309d1a",
+        "190dcdf5ccb17d85eaa1ce715f47e73319271e3000349a6d26481ec05dc3481f",
     "rec_flags.wav.meta.json":
         "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "rec_nohp.wav.meta.json":
         "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "enh.wav":
-        "ec46ee8ac64105739d216e0424e6f20fd392a317e802fde06cb968958b37b90e",
+        "ce343076192e5724397eade2be5423dd1e8714025c700a970cc543d38fb6a643",
     "enh.wav.report.json":
         "deb0bb67c5d37b765d8cd04c6b32474d2a3317f6e784002ddda6c28e15498fcb",
     "mitigations.csv":
