@@ -1,6 +1,8 @@
 """`bench/run.py --trace 1` patches fibertap functions by the names that
 `bench/layers.py` lists in ``LAYERS``, so a renamed function would silently
-drop out of the traced pass. Every listed name must resolve in its module.
+drop out of the traced pass. Every listed name must resolve in its module,
+and every `demod` name must be a step of `fibertap demod` that takes a
+`SampledTrace` first and returns one, as the tracer's wrapper assumes.
 
 The list is read from the file's source, so nothing under ``bench/`` is
 imported, run or written.
@@ -10,6 +12,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -26,3 +29,36 @@ def traced_functions():
 @pytest.mark.parametrize("module,name", traced_functions())
 def test_traced_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"fibertap.{module}"), name))
+
+
+def test_demod_steps_take_and_return_a_trace(tmp_path, monkeypatch):
+    # the tracer wraps each `demod` name on `fibertap.cli` and reads
+    # `n_samples` from its first argument and from its result; run `demod`
+    # on a short record with each name so wrapped, in the CLI's own order
+    import fibertap.cli
+    from fibertap import PHASE, SampledTrace, default_config, synthesize_heterodyne
+    from fibertap.fileio import write_trace
+
+    ifo = default_config().interferometer
+    het = synthesize_heterodyne(ifo, SampledTrace(ifo.sample_rate, np.zeros(20000), PHASE))
+    write_trace(het, tmp_path / "het.wav")
+    names = [name for module, name in traced_functions() if module == "demod"]
+    calls = []
+
+    def recording(name, orig):
+        def wrapper(trace, *args, **kwargs):
+            out = orig(trace, *args, **kwargs)
+            calls.append((name, trace, out))
+            return out
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(fibertap.cli, name, recording(name, getattr(fibertap.cli, name)))
+    assert fibertap.cli.main(["demod", "--in", str(tmp_path / "het.wav"),
+                              "--out", str(tmp_path / "rec.wav")]) == 0
+    assert [name for name, _, _ in calls] == [
+        "decimate_to_audio", "iq_demodulate", "unwrap_phase", "highpass"]
+    assert sorted(names) == sorted(name for name, _, _ in calls)
+    for name, trace, out in calls:
+        assert isinstance(trace, SampledTrace) and isinstance(out, SampledTrace), name
+        assert trace.n_samples > 0 and out.n_samples > 0, name
