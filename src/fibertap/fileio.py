@@ -12,7 +12,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import FileFormatError, InputError
+from .errors import ConfigurationError, FileFormatError, InputError
 from .noise import BudgetRow
 from .trace import KINDS, SampledTrace
 
@@ -110,15 +110,29 @@ def read_wav(path):
     return rate, samples
 
 
+def wav_rate(sample_rate, name="sample rate") -> int:
+    """The rate a WAV header holds for `sample_rate`.
+
+    The header holds an integer, so a rate with a fractional part raises
+    `ConfigurationError`, naming it as `name`, rather than being rounded.
+    """
+    if not float(sample_rate).is_integer():
+        raise ConfigurationError(
+            f"{name} {sample_rate!r} is not an integer, which a WAV header needs: "
+            "write a .csv trace or set an integer rate")
+    return int(sample_rate)
+
+
 def write_wav(path, sample_rate, samples):
     """Write samples, in physical units, as a mono float32 WAV.
 
     The bytes are those scipy's wavfile writer gives float32 data: a 58-byte
     header of RIFF, an 18-byte ``fmt `` chunk (IEEE float, cbSize 0) and a
-    ``fact`` chunk holding the sample count, then the ``data`` chunk.
+    ``fact`` chunk holding the sample count, then the ``data`` chunk. The
+    rate must be an integer (`wav_rate`).
     """
+    rate = wav_rate(sample_rate)
     data = np.asarray(samples, dtype=np.float64).astype("<f4")
-    rate = int(round(sample_rate))
     header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI",
                          b"RIFF", 50 + data.nbytes, b"WAVE",
                          b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,

@@ -133,6 +133,26 @@ class TestSimulate:
         assert "10573" in capsys.readouterr().err
         assert not out.exists()
 
+    # 400 kS/s / 3, which the resampler reaches from the 400 kS/s input; a
+    # WAV header would round it to 133 333 Hz
+    @pytest.mark.parametrize("out,code", [("het.wav", 2), ("het.csv", 0)])
+    def test_non_integer_rate_needs_a_csv_output(self, tmp_path, chirp_wav, capsys, out,
+                                                 code, monkeypatch):
+        conf = tmp_path / "third.yaml"
+        conf.write_text("interferometer:\n  sample_rate_hz: 133333.33333333334\n")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        if code:
+            monkeypatch.setattr(cli, "read_wav", None)  # nothing is read or computed
+        rc = main(["simulate", "--config", str(conf), "--audio", str(chirp_wav),
+                   "--out", str(tmp_path / out)])
+        assert rc == code
+        if code:
+            assert (f"interferometer.sample_rate_hz (for {tmp_path / out}) 133333.33333333334 "
+                    "is not an integer") in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        else:
+            assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
+
 
 class TestDemod:
     def run_sim(self, tmp_path, chirp_wav):
@@ -255,6 +275,33 @@ class TestDemod:
         assert rc == code
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    # 400 kS/s / 3, which resample_ratio accepts: a WAV header would round it
+    # to 133 333 Hz, and enhance would read that rate back
+    @pytest.mark.parametrize("out,phase_csv,code", [
+        ("rec.wav", None, 2), ("rec.csv", "p.wav", 2), ("rec.csv", "p.csv", 0),
+    ])
+    def test_non_integer_audio_rate_needs_csv_outputs(self, tmp_path, monkeypatch, capsys,
+                                                      out, phase_csv, code):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.05)
+        het = self.run_sim(tmp_path, src)
+        conf = tmp_path / "third.yaml"
+        conf.write_text("demod:\n  audio_rate_hz: 133333.33333333334\n")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        if code:
+            self.fail_if_demodulated(monkeypatch)
+        argv = ["demod", "--config", str(conf), "--in", str(het), "--out", str(tmp_path / out)]
+        if phase_csv:
+            argv += ["--phase-csv", str(tmp_path / phase_csv)]
+        assert main(argv) == code
+        if code:
+            wav = out if out.endswith(".wav") else phase_csv
+            assert (f"demod.audio_rate_hz (for {tmp_path / wav}) 133333.33333333334 is not an "
+                    "integer, which a WAV header needs") in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        else:
+            assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
 
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
@@ -526,6 +573,8 @@ class TestEnhance:
         ("frame_ms", 0), ("frame_ms", -5),
         # a hop of a whole frame would zero every frame's first sample
         ("overlap", 0.0), ("overlap", 0.001),
+        # hop 318 of 320: the windows over one sample sum to 1.9e-4
+        ("overlap", 0.005),
     ])
     def test_bad_framing_config_exits_2_naming_key(self, tmp_path, capsys, key, value):
         src = self.make_bursty(tmp_path)
