@@ -13,7 +13,13 @@ from fibertap import (
     spectral_subtract,
     subtract_power_spectrum,
 )
-from fibertap.enhance import SEGSNR_CEIL_DB, SEGSNR_FLOOR_DB, _frames, frame_count
+from fibertap.enhance import (
+    SEGSNR_CEIL_DB,
+    SEGSNR_FLOOR_DB,
+    WINDOW_SUM_FLOOR,
+    _frames,
+    frame_count,
+)
 from fibertap.errors import ConfigurationError, EstimationError, InputError
 
 FS = 16000.0
@@ -138,6 +144,22 @@ class TestParams:
             spectral_subtract(x, np.zeros(FRAME // 2 + 1), params)
 
 
+    # the smallest sum of the windows over a sample, against the floor of
+    # 1e-3, and the longest hop that the floor admits at the same frame
+    @pytest.mark.parametrize("frame,hop,low,longest", [
+        (478, 477, 4.32e-5, 471), (478, 472, 7.77e-4, 471), (320, 318, 1.93e-4, 315),
+        (800, 789, 9.41e-4, 788), (2, 2, 0.0, 1),
+    ])
+    def test_thin_window_sum_rejected(self, frame, hop, low, longest):
+        params = SpectralSubtractParams(**framing(frame, hop))
+        with pytest.raises(ConfigurationError,
+                           match=f"enhance.overlap .* gives hop {hop} for frame length "
+                                 f"{frame}, .* sum to {low:.3g}, below 0.001"):
+            params.resolve(FS)
+        assert SpectralSubtractParams(**framing(frame, longest)).resolve(FS)[:2] \
+            == (frame, longest)
+
+
 class TestFraming:
     @pytest.mark.parametrize("frame,hop", [(320, 160), (321, 107), (8, 3), (5, 5), (2, 1)])
     @pytest.mark.parametrize("extra", [0, 1, 2, 17, 160])
@@ -188,14 +210,21 @@ class TestFraming:
 
     @given(half=st.integers(1, 256), data=st.data())
     def test_zero_noise_is_identity_for_any_overlapping_geometry(self, half, data):
-        # every even frame and every hop that resolve() accepts: 1 <= hop < frame
+        # every even frame and every hop below it: resolve() rejects the
+        # geometry if some sample's windows sum below the floor, and the
+        # identity holds to rounding on every other
         frame = 2 * half
         hop = data.draw(st.integers(1, frame - 1), label="hop")
         n = data.draw(st.integers(frame, frame + 1024), label="n")
         x = np.random.default_rng(n).standard_normal(n)
         params = SpectralSubtractParams(**framing(frame, hop))
+        sums = [np.sum(np.hanning(frame + 1)[:-1][k::hop]) for k in range(hop)]
+        if min(sums) < WINDOW_SUM_FLOOR:
+            with pytest.raises(ConfigurationError, match="enhance.overlap"):
+                params.resolve(FS)
+            return
         out = spectral_subtract(trace(x), np.zeros(frame // 2 + 1), params).samples
-        assert np.linalg.norm(out - x) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(out - x) <= 1e-13 * np.linalg.norm(x)
 
 
 class TestDetectSilentFrames:
