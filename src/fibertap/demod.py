@@ -526,20 +526,14 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
                       band: AudioBand) -> SampledTrace:
     """Filter the beat record to the audio rate with the FIR translated to the beat.
 
-    The demodulation FIR (see `_audio_filter`: pass edge ``band.f_high``,
-    stop edge ``min(cfg.audio_rate / 2, cfg.beat_frequency)``,
-    `IQ_STOPBAND_DB`), its taps ``h[k]`` modulated to
-    ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, is applied to the
-    real record by `resample`, so only the audio-rate outputs are computed.
-    It passes the band around +f_beat and stops the DC term and the band
-    around -f_beat. Output m is then the mix-then-filter baseband times
-    ``exp(j 2 pi f_beat m / audio_rate)``, which `iq_demodulate` undoes.
+    `resample` applies the demodulation FIR (`_audio_filter`), its taps
+    ``h[k]`` moved to ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, to
+    the real record, so only the audio-rate outputs are computed. The band
+    around +f_beat passes; the DC term and the band around -f_beat stop. The
+    ``baseband`` trace returned, at ``cfg.audio_rate``, still turns at
+    f_beat: output m is the mix-then-filter output times
+    ``exp(j 2 pi f_beat m / audio_rate)``, which `iq_demodulate` removes.
     The first and last `edge_guard` outputs see the record's edges.
-
-    Returns
-    -------
-    SampledTrace
-        Kind ``baseband`` at ``cfg.audio_rate``, still turning at f_beat.
     """
     if het.kind != HETERODYNE:
         raise InputError(f"decimate_to_audio expects a {HETERODYNE!r} trace, got {het.kind!r}")
@@ -552,18 +546,17 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
 
 
 def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:
-    """Mix `decimate_to_audio`'s output to baseband: ``z[m] exp(-j 2 pi f_beat m / rate)``.
+    """Mix `decimate_to_audio`'s output to 0 Hz: ``z[m] exp(-j 2 pi f_beat m / rate)``.
 
-    The angle is reduced to a fraction of a turn before the sine and cosine:
-    ``m f_beat / rate`` is formed and reduced modulo 1 in ``np.longdouble``
-    (a 64-bit significand on x86-64), not rounded at ~1e6 rad in float64.
-    The beat lands at 0 Hz, and the argument of the result is the phase.
+    The angle in turns, ``m f_beat / rate``, is reduced modulo 1 in
+    ``np.longdouble`` (a 64-bit significand on x86-64) before the sine and
+    cosine, not rounded at ~1e6 rad in float64. The result's argument is
+    the phase.
     """
     if z.kind != BASEBAND:
         raise InputError(f"iq_demodulate expects a {BASEBAND!r} trace, got {z.kind!r}")
-    turns = np.arange(z.n_samples) * (np.longdouble(cfg.beat_frequency) / z.sample_rate)
-    mixed = np.mod(turns, 1, out=turns).astype(float) * (-2j * np.pi)
-    del turns
+    turns = np.longdouble(cfg.beat_frequency) / z.sample_rate  # per sample
+    mixed = np.mod(np.arange(z.n_samples) * turns, 1).astype(float) * (-2j * np.pi)
     np.exp(mixed, out=mixed)
     mixed *= z.samples
     return SampledTrace(z.sample_rate, mixed, BASEBAND)

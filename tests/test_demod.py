@@ -380,12 +380,13 @@ class TestMemory:
     42 MB in all on this record. The mix at the record's rate that followed
     it held 40 B per record sample, 400 B per 40 kS/s output."""
 
-    #: per audio sample: the turns in np.longdouble, their float64 copy and
-    #: the complex rotation, which is mixed in place and copied into the trace
-    IQ_BYTES_PER_OUTPUT = 40
-    #: one 8192-element buffer of numpy's cast of the float64 turns to
-    #: complex, and the small objects of the call
-    IQ_EXTRA_BYTES = 2 ** 17 + 2 ** 12
+    #: per audio sample: the complex rotation, mixed in place, its copy into
+    #: the trace and the trace's finiteness mask; the turns before it (two
+    #: np.longdouble arrays while they are reduced) hold less
+    IQ_BYTES_PER_OUTPUT = 33
+    #: one 8192-element buffer of numpy's cast of the angles to complex, and
+    #: the small objects of the call
+    IQ_EXTRA_BYTES = 2 ** 17
     #: np.unwrap's temporaries on the audio-rate baseband: the angle, its
     #: differences, their wraps and corrections, the output, and the steps
     #: checked against the margin
