@@ -153,7 +153,7 @@ def cmd_demod(args) -> int:
     with stages("unwrap"):
         phase = unwrap_phase(baseband.with_samples(
             baseband.samples[guard:baseband.n_samples - guard]))
-    start_time = guard / cfg.audio_rate
+    start_time = guard / baseband.sample_rate
 
     if not args.no_highpass:
         with stages("highpass"):

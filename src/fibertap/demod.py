@@ -530,9 +530,11 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     ``h[k]`` moved to ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, to
     the real record, so only the audio-rate outputs are computed. The band
     around +f_beat passes; the DC term and the band around -f_beat stop. The
-    ``baseband`` trace returned, at ``cfg.audio_rate``, still turns at
-    f_beat: output m is the mix-then-filter output times
-    ``exp(j 2 pi f_beat m / audio_rate)``, which `iq_demodulate` removes.
+    ``baseband`` trace returned is at the rate the ratio reaches,
+    ``fs up / down`` (`resample_ratio` holds it within 1e-9 of
+    ``cfg.audio_rate``), and still turns at f_beat: output m is the
+    mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``, which
+    `iq_demodulate` removes.
     The first and last `edge_guard` outputs see the record's edges.
     """
     if het.kind != HETERODYNE:
@@ -542,7 +544,8 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     taps = _kaiser_lowpass(*design)
     offsets = np.arange(taps.size) - (taps.size - 1) // 2
     taps = taps * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
-    return SampledTrace(cfg.audio_rate, resample(het.samples, up, down, taps), BASEBAND)
+    return SampledTrace(het.sample_rate * up / down, resample(het.samples, up, down, taps),
+                        BASEBAND)
 
 
 def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:

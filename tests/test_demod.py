@@ -293,6 +293,17 @@ class TestIqDemodulate:
             err = err - np.mean(err)
             assert np.sqrt(np.mean(err ** 2)) < 1e-3
 
+    def test_audio_rate_reached_within_the_tolerance(self):
+        # resample_ratio takes 40000.00001 as 1/10: the trace carries the
+        # rate reached, and the mix turns at it, so the phase is the same
+        # (mixing at the configured rate would add a ramp of 7.9e-6 rad)
+        tone = make_tone(FS, 1000.0, 0.2, 0.5)
+        het = synthesize_heterodyne(tap(), voice_phase=tone)
+        odd = DemodConfig(beat_frequency=25e3, audio_rate=40000.00001)
+        assert decimate_to_audio(het, odd, BAND).sample_rate == 40e3
+        exact = demod_chain(het, DemodConfig(beat_frequency=25e3)).samples
+        assert np.max(np.abs(demod_chain(het, odd).samples - exact)) <= 1e-12
+
     def test_kind_and_nyquist_errors(self):
         cfg = DemodConfig(beat_frequency=25e3)
         tone = make_tone(FS, 1000.0, 0.01, 0.5)
