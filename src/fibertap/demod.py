@@ -507,9 +507,9 @@ def resample(samples: np.ndarray, up: int, down: int,
             products = phase @ window.T
             # output s takes piece q of part i from row s + q:
             # products[i Q + q, s + q]
+            row, item = products.strides
             diagonals = np.ndarray((c, pieces, b - a), dtype=float, buffer=products,
-                                   strides=(pieces * products.strides[0],
-                                            products.strides[0] + 8, 8))
+                                   strides=(pieces * row, row + item, item))
             y_parts[out] = diagonals.sum(axis=1).T
     taps_per_phase = np.arange(-(-h.size // up))
     for m in edge:
@@ -534,8 +534,8 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     ``fs up / down`` (`resample_ratio` holds it within 1e-9 of
     ``cfg.audio_rate``), and still turns at f_beat: output m is the
     mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``, which
-    `iq_demodulate` removes.
-    The first and last `edge_guard` outputs see the record's edges.
+    `iq_demodulate` removes. The first and last `edge_guard` outputs see
+    the record's edges.
     """
     if het.kind != HETERODYNE:
         raise InputError(f"decimate_to_audio expects a {HETERODYNE!r} trace, got {het.kind!r}")
