@@ -528,11 +528,10 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
 
     `resample` applies the demodulation FIR (`_audio_filter`), its taps
     ``h[k]`` moved to ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, to
-    the real record, so only the audio-rate outputs are computed. The band
-    around +f_beat passes; the DC term and the band around -f_beat stop. The
-    ``baseband`` trace returned is at the rate the ratio reaches,
-    ``fs up / down`` (`resample_ratio` holds it within 1e-9 of
-    ``cfg.audio_rate``), and still turns at f_beat: output m is the
+    the real record: the band around +f_beat passes, the DC term and the
+    band around -f_beat stop. The ``baseband`` trace returned is at the rate
+    reached, ``fs up / down`` (within 1e-9 of ``cfg.audio_rate``, see
+    `resample_ratio`), and still turns at f_beat: output m is the
     mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``, which
     `iq_demodulate` removes. The first and last `edge_guard` outputs see
     the record's edges.
@@ -541,11 +540,10 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
         raise InputError(f"decimate_to_audio expects a {HETERODYNE!r} trace, got {het.kind!r}")
     cfg.validate_rate(het.sample_rate)
     up, down, design = _audio_filter(cfg, het.sample_rate, band)
-    taps = _kaiser_lowpass(*design)
-    offsets = np.arange(taps.size) - (taps.size - 1) // 2
-    taps = taps * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
-    return SampledTrace(het.sample_rate * up / down, resample(het.samples, up, down, taps),
-                        BASEBAND)
+    h = _kaiser_lowpass(*design)
+    offsets = np.arange(h.size) - (h.size - 1) // 2
+    h = h * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
+    return SampledTrace(het.sample_rate * up / down, resample(het.samples, up, down, h), BASEBAND)
 
 
 def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:
