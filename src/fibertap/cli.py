@@ -9,7 +9,6 @@ noise profile).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -38,10 +37,10 @@ from .errors import ConfigurationError, FiberTapError, InputError
 from .fileio import (
     BUDGET_HEADER,
     MITIGATION_HEADER,
+    check_trace_rate,
     read_trace,
     read_wav,
     sha256_file,
-    wav_rate,
     write_csv_table,
     write_json,
     write_trace,
@@ -91,19 +90,12 @@ def _write_manifest(args, config, inputs, outputs, stages):
     return path
 
 
-def _check_wav_rate(path, rate, key):
-    """A .wav output holds an integer rate (`wav_rate`): reject any other
-    before any work."""
-    if path and os.path.splitext(str(path))[1].lower() == ".wav":
-        wav_rate(rate, f"{key} (for {path})")
-
-
 def cmd_simulate(args) -> int:
     stages = _Stages()
     with stages("load"):
         config = load_config(args.config)
         ifo = config.interferometer
-        _check_wav_rate(args.out, ifo.sample_rate, "interferometer.sample_rate_hz")
+        check_trace_rate(args.out, ifo.sample_rate, "interferometer.sample_rate_hz")
         rate, samples = read_wav(args.audio)
 
     with stages("prepare-audio"):
@@ -138,8 +130,8 @@ def cmd_demod(args) -> int:
     with stages("load"):
         config = load_config(args.config)
         cfg = config.demod
-        for path in (args.out, args.phase_csv):
-            _check_wav_rate(path, cfg.audio_rate, "demod.audio_rate_hz")
+        for path in filter(None, (args.out, args.phase_csv)):
+            check_trace_rate(path, cfg.audio_rate, "demod.audio_rate_hz")
         het = read_trace(args.trace_in, kind=HETERODYNE)
         guard = edge_guard(cfg, het.sample_rate, config.band, het.n_samples,
                            highpass=not args.no_highpass)

@@ -203,6 +203,13 @@ def _write_csv_blocks(path, sample_rate, blocks):
         fh.writelines(blocks)
 
 
+def check_trace_rate(path, sample_rate, name):
+    """Reject, before any work, a rate that the trace file `path` cannot
+    hold: a .wav holds an integer rate (`wav_rate`; `name` names the rate)."""
+    if os.path.splitext(str(path))[1].lower() == ".wav":
+        wav_rate(sample_rate, f"{name} (for {path})")
+
+
 def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     """Write a real trace as WAV or CSV (by extension) plus a sidecar.
 
