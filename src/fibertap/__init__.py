@@ -56,11 +56,7 @@ from .enhance import (
 from .sensitivity import (
     MitigationRow,
     MitigationScenario,
-    PhotoelasticSpec,
-    StrainState,
-    absolute_phase_change,
     compare_mitigations,
-    relative_phase_change,
     scenario_voice_rms,
 )
 from .config import SimulationConfig, default_config, load_config

@@ -1,12 +1,10 @@
-"""Strain-optic phase sensitivity and anti-eavesdropping mitigation arithmetic.
+"""Anti-eavesdropping mitigation arithmetic: the `sensitivity` table.
 
-Pressure on the fiber changes the optical phase through two competing
-channels: physical elongation (axial strain) and the photoelastic index
-change. For the mitigation comparison only two proportionalities matter:
-the voice-induced phase scales linearly with the exposed fiber length and
-inversely with the cable's bulk modulus; swapping the flat PC end face for
-an angled APC one starves the tap of its probe echo instead, which weakens
-the carrier rather than the phase.
+Each countermeasure is compared with the baseline tap through two
+proportionalities of the calibrated coupling: the voice-induced phase scales
+linearly with the exposed fiber length and inversely with the cable's bulk
+modulus. Swapping the flat PC end face for an angled APC one starves the tap
+of its probe echo instead, which weakens the carrier rather than the phase.
 """
 
 from __future__ import annotations
@@ -18,43 +16,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import AcousticCoupling
 from .noise import voice_rms_phase
-
-#: Elastic small-strain bound used to validate strain inputs.
-MAX_STRAIN = 1e-2
-
-
-@dataclass(frozen=True)
-class StrainState:
-    """Axial and radial strain of the fiber core (dimensionless)."""
-
-    axial_strain: float
-    radial_strain: float
-
-    def __post_init__(self):
-        for name in ("axial_strain", "radial_strain"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ConfigurationError(f"{name} must be finite")
-            if abs(v) > MAX_STRAIN:
-                raise ConfigurationError(
-                    f"{name} magnitude {v} exceeds the elastic bound {MAX_STRAIN}")
-
-
-@dataclass(frozen=True)
-class PhotoelasticSpec:
-    """Pockels coefficients and core index (fused-silica defaults)."""
-
-    p11: float = 0.121
-    p12: float = 0.270
-    n: float = 1.468
-
-    def __post_init__(self):
-        if not 0 < self.p11 < 1:
-            raise ConfigurationError(f"p11 must be in (0, 1), got {self.p11}")
-        if not 0 < self.p12 < 1:
-            raise ConfigurationError(f"p12 must be in (0, 1), got {self.p12}")
-        if self.n <= 1:
-            raise ConfigurationError(f"core index must be > 1, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -89,26 +50,6 @@ class MitigationRow:
     signal_rms_rad: float
     delta_db_vs_baseline: float
     carrier_delta_db: float
-
-
-def relative_phase_change(strain: StrainState, photo: PhotoelasticSpec) -> float:
-    """Relative phase change of light in a strained fiber section.
-
-    ``eps_z - (n^2 / 2) ((P11 + P12) eps_r + P12 eps_z)``: the elongation and
-    strain-optic terms enter with opposite signs, which is what makes a
-    pressure-insensitive coating possible in the first place.
-    """
-    photoelastic = (photo.p11 + photo.p12) * strain.radial_strain \
-        + photo.p12 * strain.axial_strain
-    return strain.axial_strain - (photo.n ** 2 / 2.0) * photoelastic
-
-
-def absolute_phase_change(rel_change: float, length: float, wavelength: float,
-                          n: float) -> float:
-    """Phase change in rad over a fiber section: ``rel * 2 pi n L / lambda``."""
-    if length < 0:
-        raise ConfigurationError(f"length must be >= 0, got {length}")
-    return rel_change * (2.0 * np.pi * n * length / wavelength)
 
 
 def scenario_voice_rms(scenario: MitigationScenario, coupling: AcousticCoupling,

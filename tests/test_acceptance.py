@@ -17,10 +17,8 @@ from fibertap import (
     DemodConfig,
     FiberSpec,
     MitigationScenario,
-    PhotoelasticSpec,
     SampledTrace,
     SpectralSubtractParams,
-    StrainState,
     compare_mitigations,
     compute_noise_budget,
     decimate_to_audio,
@@ -35,7 +33,6 @@ from fibertap import (
     laser_phase_psd_full,
     laser_rms,
     mismatch_to_delay,
-    relative_phase_change,
     segmental_snr,
     spectral_subtract,
     spl_to_pressure,
@@ -300,30 +297,6 @@ def test_criterion_8_mitigation_arithmetic():
     check(8, "mitigation deltas: 3 m -> 1 m is -9.54 dB, factors compose in dB",
           abs(short_db - (-9.5424250943932487)) <= 0.01 and additive <= 1e-9,
           f"short={short_db:.4f} dB, composition residual={additive:.2e} dB")
-
-
-def test_criterion_9_strain_optic_properties():
-    photo = PhotoelasticSpec()
-    zero = relative_phase_change(StrainState(0.0, 0.0), photo)
-
-    rng = np.random.default_rng(99)
-    lin_worst = 0.0
-    for _ in range(25):
-        ez, er = rng.uniform(-1e-3, 1e-3, 2)
-        a = rng.uniform(0.01, 9.0)
-        scaled = relative_phase_change(StrainState(a * ez, a * er), photo)
-        base = relative_phase_change(StrainState(ez, er), photo)
-        lin_worst = max(lin_worst, abs(scaled - a * base) / max(abs(scaled), 1e-30))
-
-    ez = 1e-6
-    got = relative_phase_change(StrainState(ez, 0.0), photo)
-    expected = ez * (1.0 - photo.n ** 2 * photo.p12 / 2.0)
-    reduction_rel = abs(got / expected - 1.0)
-
-    check(9, "strain-optic response: zero at rest, linear, axial-only reduction",
-          zero == 0.0 and lin_worst <= 1e-12 and reduction_rel <= 1e-12,
-          f"zero={zero}, linearity worst rel={lin_worst:.2e}, "
-          f"axial-only rel={reduction_rel:.2e}")
 
 
 def test_criterion_10_recovered_noise_floor(tmp_path):

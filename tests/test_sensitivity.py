@@ -4,34 +4,15 @@ import pytest
 from fibertap import (
     AcousticCoupling,
     MitigationScenario,
-    PhotoelasticSpec,
-    StrainState,
-    absolute_phase_change,
     compare_mitigations,
-    relative_phase_change,
     scenario_voice_rms,
 )
 from fibertap.errors import ConfigurationError
 
-PHOTO = PhotoelasticSpec()  # fused-silica defaults
 COUPLING = AcousticCoupling(sensitivity=0.0717)
 
 
 class TestTypes:
-    def test_strain_bounds(self):
-        with pytest.raises(ConfigurationError):
-            StrainState(axial_strain=0.5, radial_strain=0.0)
-        with pytest.raises(ConfigurationError):
-            StrainState(axial_strain=0.0, radial_strain=np.nan)
-
-    def test_photoelastic_bounds(self):
-        with pytest.raises(ConfigurationError):
-            PhotoelasticSpec(p11=0.0)
-        with pytest.raises(ConfigurationError):
-            PhotoelasticSpec(p12=1.0)
-        with pytest.raises(ConfigurationError):
-            PhotoelasticSpec(n=1.0)
-
     def test_scenario_bounds(self):
         with pytest.raises(ConfigurationError):
             MitigationScenario(label="x", sensing_length=-1.0)
@@ -39,66 +20,6 @@ class TestTypes:
             MitigationScenario(label="x", sensing_length=1.0, bulk_modulus_scale=0.5)
         with pytest.raises(ConfigurationError):
             MitigationScenario(label="x", sensing_length=1.0, reflection_amplitude=2.0)
-
-
-class TestRelativePhaseChange:
-    def test_zero_strain(self):
-        assert relative_phase_change(StrainState(0.0, 0.0), PHOTO) == 0.0
-
-    def test_axial_only_reduction(self):
-        eps_z = 1e-6
-        got = relative_phase_change(StrainState(eps_z, 0.0), PHOTO)
-        expected = eps_z * (1.0 - PHOTO.n ** 2 * PHOTO.p12 / 2.0)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_direct_substitution_oracle(self):
-        eps_z, eps_r = 1e-6, -3e-7
-        got = relative_phase_change(StrainState(eps_z, eps_r), PHOTO)
-        expected = eps_z - (1.468 ** 2 / 2.0) * ((0.121 + 0.270) * eps_r + 0.270 * eps_z)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_linearity_in_strain(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            ez = rng.uniform(-1e-3, 1e-3)
-            er = rng.uniform(-1e-3, 1e-3)
-            a = rng.uniform(0.1, 5.0)
-            scaled = relative_phase_change(StrainState(a * ez, a * er), PHOTO)
-            base = relative_phase_change(StrainState(ez, er), PHOTO)
-            assert scaled == pytest.approx(a * base, rel=1e-12, abs=1e-20)
-
-    def test_strain_optic_opposes_elongation(self):
-        # with no radial strain the photoelastic term only reduces the
-        # elongation effect while n^2 p12 / 2 < 1
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            n = rng.uniform(1.3, 1.7)
-            p12 = rng.uniform(0.05, min(0.95, 2.0 / n ** 2 - 1e-6))
-            if n ** 2 * p12 / 2.0 >= 1.0:
-                continue
-            photo = PhotoelasticSpec(p11=rng.uniform(0.05, 0.95), p12=p12, n=n)
-            eps_z = rng.uniform(1e-9, 1e-3)
-            out = relative_phase_change(StrainState(eps_z, 0.0), photo)
-            assert 0.0 < out < eps_z
-
-
-class TestAbsolutePhaseChange:
-    def test_zero_length(self):
-        assert absolute_phase_change(1e-9, 0.0, 1.55e-6, 1.468) == 0.0
-
-    def test_linear_in_length(self):
-        one = absolute_phase_change(1e-9, 1.0, 1.55e-6, 1.468)
-        three = absolute_phase_change(1e-9, 3.0, 1.55e-6, 1.468)
-        assert three == pytest.approx(3.0 * one, rel=1e-15)
-
-    def test_formula_oracle(self):
-        got = absolute_phase_change(1e-9, 3.0, 1.55e-6, 1.468)
-        expected = 1e-9 * 2.0 * np.pi * 1.468 * 3.0 / 1.55e-6
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            absolute_phase_change(1e-9, -1.0, 1.55e-6, 1.468)
 
 
 def scenario(label="s", length=3.0, scale=1.0, alpha=0.2):
