@@ -174,6 +174,12 @@ def cmd_enhance(args) -> int:
         rate, samples = read_wav(args.audio_in)
         noisy = SampledTrace(rate, samples, AUDIO)
         frame, hop, _ = params.resolve(rate)
+        ref = None
+        if args.reference:
+            rrate, rsamples = read_wav(args.reference)
+            if rrate != rate or rsamples.size != noisy.n_samples:
+                raise InputError("reference must match the input rate and length")
+            ref = SampledTrace(rrate, rsamples, AUDIO)
 
     with stages("estimate-noise"):
         if args.noise_profile:
@@ -205,11 +211,7 @@ def cmd_enhance(args) -> int:
         "segmental_snr_after_db": None,
         "gain_db": None,
     }
-    if args.reference:
-        rrate, rsamples = read_wav(args.reference)
-        if rrate != rate or rsamples.size != noisy.n_samples:
-            raise InputError("reference must match the input rate and length")
-        ref = SampledTrace(rrate, rsamples, AUDIO)
+    if ref is not None:
         before = segmental_snr(noisy, ref, frame)
         after = segmental_snr(enhanced, ref, frame)
         report.update(segmental_snr_before_db=before,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -54,7 +55,14 @@ def _number(section, key, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(
             f"config key {where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(
+            f"config key {where}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _integer(section, key, where):
@@ -98,6 +106,9 @@ class NoiseSettings:
         if self.flatten_below_hz < 0:
             raise ConfigurationError(
                 f"noise.flatten_below_hz must be >= 0, got {self.flatten_below_hz}")
+        if not self.snr_threshold > 0:
+            raise ConfigurationError(
+                f"noise.snr_threshold must be > 0, got {self.snr_threshold}")
 
 
 @dataclass(frozen=True)

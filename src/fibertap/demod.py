@@ -414,16 +414,17 @@ def resample_ratio(rate_in: float, rate_out: float) -> tuple[int, int]:
     """Polyphase factors (up, down) that take `rate_in` to `rate_out`.
 
     The ratio is the fraction nearest ``rate_out / rate_in`` with a
-    denominator of at most 10000, and it must reproduce `rate_out` within
-    1e-9 relative: 400 kS/s reaches 40, 32 and 44.1 kHz (1/10, 2/25,
-    441/4000), while a rate needing a larger denominator is rejected rather
+    denominator of at most 10000, and it must reproduce `rate_out` to
+    rounding, within 1e-12 relative: 400 kS/s reaches 40, 32 and 44.1 kHz
+    (1/10, 2/25, 441/4000), while a rate needing a larger denominator, or
+    one a little off a reachable rate (40000.00001), is rejected rather
     than resampled approximately.
     """
     if not np.isfinite(rate_out) or rate_out <= 0:
         raise ConfigurationError(f"resampling rate must be finite and > 0, got {rate_out}")
     frac = Fraction(rate_out / rate_in).limit_denominator(10000)
     up, down = frac.numerator, frac.denominator
-    if abs(rate_in * up / down - rate_out) > 1e-9 * rate_out:
+    if abs(rate_in * up / down - rate_out) > 1e-12 * rate_out:
         raise ConfigurationError(
             f"rate {rate_out} is not rationally related to {rate_in} "
             "(no up/down ratio with denominator <= 10000)")
@@ -530,7 +531,7 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     ``h[k]`` moved to ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, to
     the real record: the band around +f_beat passes, the DC term and the
     band around -f_beat stop. The ``baseband`` trace returned is at the rate
-    reached, ``fs up / down`` (within 1e-9 of ``cfg.audio_rate``, see
+    reached, ``fs up / down`` (within 1e-12 of ``cfg.audio_rate``, see
     `resample_ratio`), and still turns at f_beat: output m is the
     mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``, which
     `iq_demodulate` removes. The first and last `edge_guard` outputs see

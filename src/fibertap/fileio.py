@@ -237,7 +237,7 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
 
 
 def _read_csv_trace(path):
-    """(sample rate, values) of a trace CSV.
+    """(sample rate, values, whether a rate line stated the rate) of a trace CSV.
 
     Blank, ``#`` and ``time_s`` lines before the first row are the header;
     a ``# sample_rate_hz=`` line there gives the rate, else the first two
@@ -264,9 +264,10 @@ def _read_csv_trace(path):
         raise FileFormatError(f"{path}: expected 'time,value' rows")
     if sum(block.shape[0] for block in blocks) < 2:
         raise FileFormatError(f"{path}: CSV trace needs at least two samples")
-    if rate is None:
+    stated = rate is not None
+    if not stated:
         rate = 1.0 / (blocks[0][1, 0] - blocks[0][0, 0])
-    return rate, np.concatenate([block[:, 1] for block in blocks])
+    return rate, np.concatenate([block[:, 1] for block in blocks]), stated
 
 
 def read_trace(path, kind=None) -> SampledTrace:
@@ -274,6 +275,8 @@ def read_trace(path, kind=None) -> SampledTrace:
 
     `kind` names the kind the caller expects. It supplies the kind of a file
     without a sidecar; a sidecar that records a different kind is rejected.
+    A sidecar's rate must equal the rate the file states (a WAV header or a
+    CSV rate line), and gives the rate of a CSV without a rate line.
     """
     path = str(path)
     meta = {}
@@ -294,9 +297,9 @@ def read_trace(path, kind=None) -> SampledTrace:
                 raise FileFormatError(f"{side}: {key} must be a finite number, got {value!r}")
     ext = os.path.splitext(path)[1].lower()
     if ext == ".wav":
-        rate, samples = read_wav(path)
+        (rate, samples), stated = read_wav(path), True
     elif ext == ".csv":
-        rate, samples = _read_csv_trace(path)
+        rate, samples, stated = _read_csv_trace(path)
     else:
         raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
 
@@ -308,7 +311,11 @@ def read_trace(path, kind=None) -> SampledTrace:
     if resolved_kind not in KINDS:
         raise InputError(
             f"{path}: trace kind is unknown; pass kind= or provide a sidecar")
-    rate = float(meta.get("sample_rate_hz", rate))
+    if "sample_rate_hz" in meta:
+        if stated and meta["sample_rate_hz"] != rate:
+            raise FileFormatError(f"{side}: sample_rate_hz {meta['sample_rate_hz']!r} "
+                                  f"differs from the rate {rate!r} that {path} states")
+        rate = float(meta["sample_rate_hz"])
     samples *= scale  # the readers return a fresh array
     return SampledTrace(rate, samples, resolved_kind)
 

@@ -246,9 +246,9 @@ class TestDemod:
         assert "rate must be finite and > 0, got 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config,code,message", [
-        # the interferometer's check sees a NaN beat before DemodConfig's
-        pytest.param("interferometer:\n  intermediate_frequency_hz: .nan\n", 4,
-                     "interferometer.intermediate_frequency must lie in", id="nan-beat"),
+        # the config layer rejects a NaN before any physics check sees it
+        pytest.param("interferometer:\n  intermediate_frequency_hz: .nan\n", 2,
+                     "interferometer.intermediate_frequency_hz must be finite", id="nan-beat"),
         pytest.param("demod:\n  audio_rate_hz: 16000\n", 2, "cannot carry the audio band",
                      id="audio-rate-16k"),
         # the FIR stops at the beat, so a beat at the band's top would cut it
@@ -259,6 +259,10 @@ class TestDemod:
                      "demod.highpass_cutoff must be finite and > 0", id="highpass-cutoff-0"),
         pytest.param("demod:\n  highpass_cutoff_hz: 200000\n", 2,
                      "demod.highpass_cutoff must lie below", id="highpass-cutoff-nyquist"),
+        # 1/10 of 400 kS/s misses it by 2.5e-10 relative, far past rounding
+        pytest.param("demod:\n  audio_rate_hz: 40000.00001\n", 2,
+                     "rate 40000.00001 is not rationally related to 400000.0",
+                     id="audio-rate-off-a-reachable-rate"),
     ])
     def test_rejected_before_demodulating_writing_nothing(self, tmp_path, monkeypatch,
                                                           capsys, config, code, message):
@@ -270,7 +274,7 @@ class TestDemod:
         inputs = sorted(p.name for p in tmp_path.iterdir())
         self.fail_if_demodulated(monkeypatch)
         rc = main(["demod", "--config", str(conf), "--in", str(het),
-                   "--out", str(tmp_path / "rec.wav"),
+                   "--out", str(tmp_path / "rec.csv"),
                    "--phase-csv", str(tmp_path / "p.csv")])
         assert rc == code
         assert message in capsys.readouterr().err
@@ -302,6 +306,24 @@ class TestDemod:
             assert sorted(p.name for p in tmp_path.iterdir()) == inputs
         else:
             assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
+
+    # without its rate line and sidecar, a trace CSV's rate comes from its
+    # first two times, 1 / 2.5e-06 = 399999.99999999994, which still reaches
+    # each audio rate to rounding
+    @pytest.mark.parametrize("rate", [40000, 32000, 44100])
+    def test_headerless_csv_record_demodulates(self, tmp_path, rate):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.05)
+        het = tmp_path / "het.csv"
+        assert main(["simulate", "--config", str(quiet_config(tmp_path)),
+                     "--audio", str(src), "--out", str(het)]) == 0
+        het.write_bytes(het.read_bytes().split(b"\n", 1)[1])
+        Path(str(het) + ".meta.json").unlink()
+        conf = tmp_path / "rate.yaml"
+        conf.write_text(f"demod:\n  audio_rate_hz: {rate}\n")
+        rec = tmp_path / "rec.csv"
+        assert main(["demod", "--config", str(conf), "--in", str(het), "--out", str(rec)]) == 0
+        assert read_trace(rec).sample_rate == pytest.approx(rate, rel=2e-16)
 
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
@@ -451,10 +473,13 @@ class TestConfigCheckedOnLoad:
         "print-config": ["print-config", "--out", "out.yaml"],
     }
 
-    # two keys that are gone, and so unknown
+    # two keys that are gone, and so unknown, and two detection thresholds
+    # that budget turned into -inf and nan limits
     @pytest.mark.parametrize("text,key", [
         ("demod:\n  lowpass_cutoff_hz: 30000.0\n", "demod.lowpass_cutoff"),
         ("laser:\n  linewidth_hz: 200\n", "laser.linewidth_hz"),
+        ("noise:\n  snr_threshold: 0\n", "noise.snr_threshold must be > 0, got 0.0"),
+        ("noise:\n  snr_threshold: -1\n", "noise.snr_threshold must be > 0, got -1.0"),
     ])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, command, text, key):
@@ -623,6 +648,18 @@ class TestEnhance:
         report = json.loads((tmp_path / "enh.wav.report.json").read_text())
         assert report["segmental_snr_before_db"] is not None
         assert report["gain_db"] is not None
+
+    @pytest.mark.parametrize("rate,n", [(16000, 31999), (8000, 32000)],
+                             ids=["length", "rate"])
+    def test_mismatched_reference_exits_2_writing_nothing(self, tmp_path, capsys, rate, n):
+        src = self.make_bursty(tmp_path)
+        ref = tmp_path / "ref.wav"
+        wavfile.write(ref, rate, np.zeros(n, dtype=np.float32))
+        rc = main(["enhance", "--in", str(src), "--out", str(tmp_path / "enh.wav"),
+                   "--report", str(tmp_path / "report.json"), "--reference", str(ref)])
+        assert rc == 2
+        assert "reference must match the input rate and length" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.wav", "ref.wav"]
 
 
 class TestBudget:

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,39 @@ def value_leaves(tree, path=()):
         yield path, tree
 
 
+def set_leaf(tree, path, value):
+    for key in path[:-1]:
+        tree = tree[key]
+    tree[path[-1]] = value
+
+
+def key_name(path):
+    """A leaf's name as config errors print it: scenarios.variants[0].label."""
+    return re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+@pytest.mark.parametrize("path", [
+    pytest.param(path, id=".".join(map(str, path)))
+    for path, value in value_leaves(default_config().raw)
+    if not isinstance(value, bool)])
+def test_non_finite_number_rejected_naming_the_key(tmp_path, path, value):
+    tree = copy.deepcopy(default_config().raw)
+    set_leaf(tree, path, value)
+    config = tmp_path / "user.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"config key {key_name(path)} must be finite")):
+        load_config(config)
+
+
+def test_integer_past_the_float_range_rejected(tmp_path):
+    config = tmp_path / "user.yaml"
+    config.write_text("laser:\n  wavelength_m: 1" + "0" * 400 + "\n")
+    with pytest.raises(ConfigurationError, match="laser.wavelength_m must be finite"):
+        load_config(config)
+
+
 def perturbed(value):
     if isinstance(value, bool):
         return not value
@@ -255,10 +289,7 @@ def default_outputs(tmp_path_factory):
 def test_every_config_key_has_an_effect_or_is_rejected(
         tmp_path, default_outputs, path, value):
     tree = copy.deepcopy(default_config().raw)
-    leaf = tree
-    for key in path[:-1]:
-        leaf = leaf[key]
-    leaf[path[-1]] = perturbed(value)
+    set_leaf(tree, path, perturbed(value))
     config = tmp_path / "perturbed.yaml"
     config.write_text(yaml.safe_dump(tree))
     try:
@@ -268,4 +299,4 @@ def test_every_config_key_has_an_effect_or_is_rejected(
     for ours, default in zip(pipeline_outputs(tmp_path, config), default_outputs):
         if ours != default:
             return
-    pytest.fail(f"{'.'.join(map(str, path))} = {leaf[path[-1]]} changes no output")
+    pytest.fail(f"{key_name(path)} = {perturbed(value)} changes no output")

@@ -270,6 +270,29 @@ class TestTraceFiles:
         assert "scale must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["het.wav", "het.csv"])
+    def test_sidecar_rate_contradicting_the_file_exits_3(self, tmp_path, capsys, name):
+        # a WAV header and a CSV rate line each state the rate themselves
+        p = tmp_path / name
+        write_trace(SampledTrace(400e3, np.zeros(64), HETERODYNE), p)
+        side = tmp_path / (name + ".meta.json")
+        side.write_text('{"kind": "heterodyne", "sample_rate_hz": 123456}')
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{side}: sample_rate_hz 123456 differs from the rate 400000")):
+            read_trace(p)
+        out = tmp_path / "rec.csv"
+        assert main(["demod", "--in", str(p), "--out", str(out)]) == 3
+        assert "sample_rate_hz 123456 differs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sidecar_gives_the_rate_of_a_csv_without_a_rate_line(self, tmp_path):
+        # the times alone would give 4 S/s
+        p = tmp_path / "t.csv"
+        p.write_text("time_s,value\n0.0,1.0\n0.25,2.0\n0.5,3.0\n")
+        (tmp_path / "t.csv.meta.json").write_text(
+            '{"kind": "phase", "sample_rate_hz": 8.0}')
+        assert read_trace(p).sample_rate == 8.0
+
     def test_unknown_extension_rejected(self, tmp_path):
         tr = SampledTrace(8000.0, np.zeros(4), PHASE)
         with pytest.raises(InputError):
