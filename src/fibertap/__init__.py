@@ -12,6 +12,7 @@ from .model import (
     FiberSpec,
     InterferometerConfig,
     LaserSpec,
+    mismatch_to_delay,
     pressure_to_spl,
     spl_to_pressure,
     synthesize_heterodyne,
@@ -27,7 +28,6 @@ from .noise import (
     laser_phase_psd_approx,
     laser_phase_psd_full,
     laser_rms,
-    mismatch_to_delay,
     phase_rms_to_spl,
     synthesize_colored_noise,
     synthesize_system_noise,

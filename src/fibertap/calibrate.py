@@ -18,8 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import AcousticCoupling, FiberSpec
-from .noise import AudioBand, mismatch_to_delay, thermal_rms, voice_rms_phase
+from .model import AcousticCoupling, FiberSpec, mismatch_to_delay
+from .noise import AudioBand, thermal_rms, voice_rms_phase
 
 
 def white_psd_from_linewidth(linewidth_hz: float) -> float:

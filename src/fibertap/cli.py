@@ -93,6 +93,10 @@ def _write_manifest(args, config, inputs, outputs, stages):
 def cmd_simulate(args) -> int:
     stages = _Stages()
     with stages("load"):
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        if args.level_db is not None and not np.isfinite(args.level_db):
+            raise ConfigurationError(f"--level-db must be finite, got {args.level_db}")
         config = load_config(args.config)
         ifo = config.interferometer
         check_trace_rate(args.out, ifo.sample_rate, "interferometer.sample_rate_hz")
@@ -174,20 +178,21 @@ def cmd_enhance(args) -> int:
         rate, samples = read_wav(args.audio_in)
         noisy = SampledTrace(rate, samples, AUDIO)
         frame, hop, _ = params.resolve(rate)
-        ref = None
+        ref = profile = None
         if args.reference:
             rrate, rsamples = read_wav(args.reference)
             if rrate != rate or rsamples.size != noisy.n_samples:
                 raise InputError("reference must match the input rate and length")
             ref = SampledTrace(rrate, rsamples, AUDIO)
-
-    with stages("estimate-noise"):
         if args.noise_profile:
             prate, psamples = read_wav(args.noise_profile)
             if prate != rate:
                 raise InputError(
                     f"noise profile rate {prate} differs from input rate {rate}")
             profile = SampledTrace(prate, psamples, AUDIO)
+
+    with stages("estimate-noise"):
+        if profile is not None:
             noise_spectrum = estimate_noise_spectrum(
                 profile, np.arange(frame_count(profile.n_samples, frame, hop)), params)
             silent = None
@@ -251,17 +256,13 @@ def cmd_budget(args) -> int:
 
     with stages("sweep"):
         points = _sweep_points(args.sweep_from, args.sweep_to, args.points)
+        tap = (config.interferometer, config.coupling, config.band,
+               config.noise.snr_threshold)
         if args.sweep == "length":
-            rows = detection_limit_vs_length(
-                points, config.coupling, config.interferometer.sensing_length,
-                config.band, config.interferometer,
-                snr_threshold=config.noise.snr_threshold)
+            rows = detection_limit_vs_length(points, *tap)
         else:
-            rows = detection_limit_vs_mismatch(
-                points, config.interferometer.laser, config.coupling,
-                config.interferometer.sensing_length, config.band,
-                config.interferometer, include_thermal=args.include_thermal,
-                snr_threshold=config.noise.snr_threshold)
+            rows = detection_limit_vs_mismatch(points, *tap,
+                                               include_thermal=args.include_thermal)
 
     with stages("write"):
         if args.format == "json":

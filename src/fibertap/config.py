@@ -141,19 +141,17 @@ def _build(tree: dict) -> SimulationConfig:
         white_freq_psd=_number(laser_d, "white_freq_psd", "laser"),
         flicker_coeff=_number(laser_d, "flicker_coeff", "laser"))
 
-    def fiber(length):
-        return FiberSpec(
-            length=length,
-            refractive_index=_number(fiber_d, "refractive_index", "fiber"),
-            bulk_modulus_area_product=_number(
-                fiber_d, "bulk_modulus_area_product_n", "fiber"),
-            loss_angle=_number(fiber_d, "loss_angle", "fiber"),
-            temperature=_number(fiber_d, "temperature_k", "fiber"))
+    detect_fiber = FiberSpec(
+        length=_number(ifo_d, "detect_length_m", "interferometer"),
+        refractive_index=_number(fiber_d, "refractive_index", "fiber"),
+        bulk_modulus_area_product=_number(fiber_d, "bulk_modulus_area_product_n", "fiber"),
+        loss_angle=_number(fiber_d, "loss_angle", "fiber"),
+        temperature=_number(fiber_d, "temperature_k", "fiber"))
 
     interferometer = InterferometerConfig(
         laser=laser,
-        detect_fiber=fiber(_number(ifo_d, "detect_length_m", "interferometer")),
-        reference_fiber=fiber(_number(ifo_d, "reference_length_m", "interferometer")),
+        detect_fiber=detect_fiber,
+        reference_length=_number(ifo_d, "reference_length_m", "interferometer"),
         sensing_length=_number(ifo_d, "sensing_length_m", "interferometer"),
         reflection_amplitude=_number(ifo_d, "reflection_amplitude", "interferometer"),
         intermediate_frequency=_number(ifo_d, "intermediate_frequency_hz", "interferometer"),

@@ -530,12 +530,12 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     `resample` applies the demodulation FIR (`_audio_filter`), its taps
     ``h[k]`` moved to ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, to
     the real record: the band around +f_beat passes, the DC term and the
-    band around -f_beat stop. The ``baseband`` trace returned is at the rate
-    reached, ``fs up / down`` (within 1e-12 of ``cfg.audio_rate``, see
-    `resample_ratio`), and still turns at f_beat: output m is the
-    mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``, which
-    `iq_demodulate` removes. The first and last `edge_guard` outputs see
-    the record's edges.
+    band around -f_beat stop. The ``baseband`` trace returned is labelled
+    ``cfg.audio_rate``, which the rate reached, ``fs up / down``, matches to
+    1e-12 relative (`resample_ratio`), and still turns at f_beat: output m
+    is the mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``,
+    which `iq_demodulate` removes. The first and last `edge_guard` outputs
+    see the record's edges.
     """
     if het.kind != HETERODYNE:
         raise InputError(f"decimate_to_audio expects a {HETERODYNE!r} trace, got {het.kind!r}")
@@ -544,7 +544,7 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     h = _kaiser_lowpass(*design)
     offsets = np.arange(h.size) - (h.size - 1) // 2
     h = h * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
-    return SampledTrace(het.sample_rate * up / down, resample(het.samples, up, down, h), BASEBAND)
+    return SampledTrace(cfg.audio_rate, resample(het.samples, up, down, h), BASEBAND)
 
 
 def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:

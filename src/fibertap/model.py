@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, NyquistError
+from .errors import ConfigurationError, DomainError, InputError, NyquistError
 from .trace import AUDIO, HETERODYNE, PHASE, SampledTrace
 
 #: Exact SI values (m/s and J/K), equal to ``scipy.constants.c`` and ``.k``.
@@ -117,7 +117,7 @@ class InterferometerConfig:
 
     The reference arm is single-pass while the detecting arm is traversed
     twice (out and back from the reflective end face), so a balanced
-    interferometer has ``reference length = 2 x detecting length``.
+    interferometer has ``reference_length = 2 x detecting length``.
 
     The 80 MHz AOM beat cannot be represented directly at audio-friendly
     sample rates, so the sampled record carries the beat at a configurable
@@ -127,7 +127,7 @@ class InterferometerConfig:
 
     laser: LaserSpec
     detect_fiber: FiberSpec
-    reference_fiber: FiberSpec
+    reference_length: float
     sensing_length: float = 3.0
     reflection_amplitude: float = 0.2
     intermediate_frequency: float = 25e3
@@ -147,6 +147,9 @@ class InterferometerConfig:
             raise ConfigurationError(
                 "interferometer.reflection_amplitude must be in [0, 1], "
                 f"got {self.reflection_amplitude}")
+        if self.reference_length < 0:
+            raise ConfigurationError(
+                f"interferometer.reference_length must be >= 0, got {self.reference_length}")
         if self.sensing_length < 0:
             raise ConfigurationError(
                 f"interferometer.sensing_length must be >= 0, got {self.sensing_length}")
@@ -157,11 +160,18 @@ class InterferometerConfig:
 
     def arm_mismatch(self) -> float:
         """Unbalanced optical length |reference - 2 x detect| in meters."""
-        return abs(self.reference_fiber.length - 2.0 * self.detect_fiber.length)
+        return abs(self.reference_length - 2.0 * self.detect_fiber.length)
 
     def delay_mismatch(self) -> float:
-        """Differential propagation delay tau0 = n * mismatch / c, seconds."""
-        return self.detect_fiber.refractive_index * self.arm_mismatch() / SPEED_OF_LIGHT
+        """Differential propagation delay tau0 of the arm mismatch, seconds."""
+        return mismatch_to_delay(self.arm_mismatch(), self.detect_fiber.refractive_index)
+
+
+def mismatch_to_delay(mismatch: float, refractive_index: float) -> float:
+    """Arm length mismatch (m) to differential delay tau0 = n * mismatch / c."""
+    if mismatch < 0:
+        raise DomainError(f"mismatch must be >= 0, got {mismatch}")
+    return refractive_index * mismatch / SPEED_OF_LIGHT
 
 
 def spl_to_pressure(level_db, spl_reference=SPL_REFERENCE_PA):

@@ -25,11 +25,11 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InputError, SynthesisError
 from .model import (
     BOLTZMANN,
-    SPEED_OF_LIGHT,
     AcousticCoupling,
     FiberSpec,
     InterferometerConfig,
     LaserSpec,
+    mismatch_to_delay,
     pressure_to_spl,
     spl_to_pressure,
 )
@@ -167,13 +167,6 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str = "appro
     raise ConfigurationError(f"form must be 'full' or 'approx', got {form!r}")
 
 
-def mismatch_to_delay(mismatch: float, refractive_index: float) -> float:
-    """Arm length mismatch (m) to differential delay tau0 = n * mismatch / c."""
-    if mismatch < 0:
-        raise DomainError(f"mismatch must be >= 0, got {mismatch}")
-    return refractive_index * mismatch / SPEED_OF_LIGHT
-
-
 def synthesize_colored_noise(psd, n_samples: int, sample_rate: float, seed: int,
                              flatten_below: float = DEFAULT_FLATTEN_HZ) -> SampledTrace:
     """Draw a Gaussian time series whose one-sided PSD matches ``psd(f)``.
@@ -263,49 +256,53 @@ def phase_rms_to_spl(rms_phase: float, coupling: AcousticCoupling,
         amplitude / (coupling.sensitivity * sensing_length), coupling.spl_reference))
 
 
-def compute_noise_budget(config: InterferometerConfig, coupling: AcousticCoupling,
-                         band: AudioBand, form: str = "approx",
-                         snr_threshold: float = 1.0) -> NoiseBudget:
-    """Band noise budget of a configured tap and its detection limit."""
-    th = thermal_rms(config.detect_fiber, config.laser.wavelength, band)
-    la = laser_rms(config.laser, config.delay_mismatch(), band, form=form)
-    total = float(np.hypot(th, la))
-    limit = phase_rms_to_spl(snr_threshold * total, coupling, config.sensing_length)
-    return NoiseBudget(band=band, thermal_rms=th, laser_rms=la,
+def _budget(thermal: float, laser: float, band: AudioBand, coupling: AcousticCoupling,
+            sensing_length: float, snr_threshold: float) -> NoiseBudget:
+    total = float(np.hypot(thermal, laser))
+    limit = phase_rms_to_spl(snr_threshold * total, coupling, sensing_length)
+    return NoiseBudget(band=band, thermal_rms=thermal, laser_rms=laser,
                        total_rms=total, detection_limit_db=limit)
 
 
-def detection_limit_vs_length(lengths, coupling: AcousticCoupling, sensing_length: float,
-                              band: AudioBand, config: InterferometerConfig,
-                              snr_threshold: float = 1.0) -> list[BudgetRow]:
+def _row(x_value: float, b: NoiseBudget) -> BudgetRow:
+    return BudgetRow(x_value, b.thermal_rms, b.laser_rms, b.total_rms, b.detection_limit_db)
+
+
+def compute_noise_budget(config: InterferometerConfig, coupling: AcousticCoupling,
+                         band: AudioBand, snr_threshold: float) -> NoiseBudget:
+    """Band noise budget of a configured tap and its detection limit; the
+    laser term is the full form, the PSD that `synthesize_system_noise` draws."""
+    th = thermal_rms(config.detect_fiber, config.laser.wavelength, band)
+    la = laser_rms(config.laser, config.delay_mismatch(), band, form="full")
+    return _budget(th, la, band, coupling, config.sensing_length, snr_threshold)
+
+
+def detection_limit_vs_length(lengths, config: InterferometerConfig,
+                              coupling: AcousticCoupling, band: AudioBand,
+                              snr_threshold: float) -> list[BudgetRow]:
     """Thermal-noise detection limit versus detecting-arm length.
 
-    Each row carries the thermal band RMS for a detecting arm of that length
-    (material constants taken from the configured detecting fiber) and the
-    smallest sound level whose sine-equivalent RMS phase exceeds it. The
-    laser column is zero: this sweep isolates the thermal limit.
+    Each row is the `compute_noise_budget` of `config` with a detecting arm
+    of that length and a balanced reference arm of twice it, so the laser
+    column is zero. A length the tap rejects, one below its sensing fiber
+    (0 included), raises `ConfigurationError`.
     """
     lengths = list(lengths)
     if not lengths:
         raise InputError("lengths must be non-empty")
-    template = config.detect_fiber
     rows = []
-    for length in lengths:
-        if length < 0:
-            raise InputError(f"lengths must be >= 0, got {length}")
-        th = thermal_rms(replace(template, length=float(length)), config.laser.wavelength, band)
-        limit = phase_rms_to_spl(snr_threshold * th, coupling, sensing_length)
-        rows.append(BudgetRow(x_value=float(length), thermal_rms=th,
-                              laser_rms=0.0, total_rms=th, limit_db=limit))
+    for length in map(float, lengths):
+        tap = replace(config, detect_fiber=replace(config.detect_fiber, length=length),
+                      reference_length=2.0 * length)
+        rows.append(_row(length, compute_noise_budget(tap, coupling, band, snr_threshold)))
     return rows
 
 
-def detection_limit_vs_mismatch(mismatches, laser: LaserSpec, coupling: AcousticCoupling,
-                                sensing_length: float, band: AudioBand,
-                                config: InterferometerConfig,
-                                include_thermal: bool = False,
-                                snr_threshold: float = 1.0) -> list[BudgetRow]:
-    """Laser-noise detection limit versus arm length mismatch.
+def detection_limit_vs_mismatch(mismatches, config: InterferometerConfig,
+                                coupling: AcousticCoupling, band: AudioBand,
+                                snr_threshold: float,
+                                include_thermal: bool = False) -> list[BudgetRow]:
+    """Laser-noise detection limit of `config` versus arm length mismatch.
 
     Uses the small-delay closed form (linear in tau0, hence in mismatch).
     With ``include_thermal`` the configured detecting arm's thermal RMS is
@@ -315,16 +312,13 @@ def detection_limit_vs_mismatch(mismatches, laser: LaserSpec, coupling: Acoustic
     mismatches = list(mismatches)
     if not mismatches:
         raise InputError("mismatches must be non-empty")
-    n = config.detect_fiber.refractive_index
+    laser, n = config.laser, config.detect_fiber.refractive_index
     th = thermal_rms(config.detect_fiber, laser.wavelength, band) if include_thermal else 0.0
     rows = []
-    for mismatch in mismatches:
+    for mismatch in map(float, mismatches):
         if mismatch < 0:
             raise InputError(f"mismatches must be >= 0, got {mismatch}")
-        tau0 = mismatch_to_delay(float(mismatch), n)
-        la = laser_rms(laser, tau0, band, form="approx")
-        total = float(np.hypot(th, la))
-        limit = phase_rms_to_spl(snr_threshold * total, coupling, sensing_length)
-        rows.append(BudgetRow(x_value=float(mismatch), thermal_rms=th,
-                              laser_rms=la, total_rms=total, limit_db=limit))
+        la = laser_rms(laser, mismatch_to_delay(mismatch, n), band, form="approx")
+        b = _budget(th, la, band, coupling, config.sensing_length, snr_threshold)
+        rows.append(_row(mismatch, b))
     return rows

@@ -191,8 +191,8 @@ def test_criterion_5_colored_noise_synthesis():
 def test_criterion_6_mismatch_detection_limit():
     mm = np.geomspace(1.0, 10000.0, 40)
     rows = detection_limit_vs_mismatch(
-        list(mm) + [100.0], CFG.interferometer.laser, CFG.coupling,
-        CFG.interferometer.sensing_length, CFG.band, CFG.interferometer)
+        list(mm) + [100.0], CFG.interferometer, CFG.coupling, CFG.band,
+        CFG.noise.snr_threshold)
     at_100 = rows[-1].limit_db
     limits = [r.limit_db for r in rows[:-1]]
     monotone = all(b >= a for a, b in zip(limits, limits[1:]))
@@ -321,7 +321,7 @@ def test_criterion_10_recovered_noise_floor(tmp_path):
     median_db = float(np.median(offset_db))
     worst_db = float(np.max(np.abs(offset_db)))
     rms = float(np.sqrt(np.sum(pxx[band]) * (f[1] - f[0])))
-    total = compute_noise_budget(ifo, CFG.coupling, CFG.band).total_rms
+    total = compute_noise_budget(ifo, CFG.coupling, CFG.band, CFG.noise.snr_threshold).total_rms
 
     check(10, "recovered quiet-room phase matches the modelled noise floor, 100 Hz-10 kHz",
           abs(median_db) <= 0.45 and worst_db <= 2.25 and abs(rms / total - 1.0) <= 0.06,

@@ -83,6 +83,23 @@ class TestSimulate:
         assert m1["config_digest"] == m2["config_digest"]
         assert out1.read_bytes() == out2.read_bytes()
 
+    # a negative seed used to end in numpy's ValueError traceback; a level
+    # of nan or inf in non-finite samples, and -inf in a voiceless record
+    @pytest.mark.parametrize("flag,message", [
+        ("--seed=-1", "--seed must be >= 0, got -1"),
+        ("--level-db=nan", "--level-db must be finite, got nan"),
+        ("--level-db=inf", "--level-db must be finite, got inf"),
+        ("--level-db=-inf", "--level-db must be finite, got -inf"),
+    ], ids=["seed-negative", "level-nan", "level-inf", "level-minus-inf"])
+    def test_bad_flag_exits_2_writing_nothing(self, tmp_path, chirp_wav, capsys, monkeypatch,
+                                              flag, message):
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr(cli, "read_wav", None)  # rejected before anything is read
+        assert main(["simulate", "--audio", str(chirp_wav), "--out", str(tmp_path / "het.wav"),
+                     flag]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
     def test_flatten_below_reaches_synthesis(self, tmp_path, chirp_wav):
         outs = []
         for hz in (10, 1000):
@@ -309,9 +326,11 @@ class TestDemod:
 
     # without its rate line and sidecar, a trace CSV's rate comes from its
     # first two times, 1 / 2.5e-06 = 399999.99999999994, which still reaches
-    # each audio rate to rounding
+    # each audio rate to rounding; the output is labelled the configured
+    # rate, so a WAV output takes it as its integer header rate
+    @pytest.mark.parametrize("out", ["rec.csv", "rec.wav"])
     @pytest.mark.parametrize("rate", [40000, 32000, 44100])
-    def test_headerless_csv_record_demodulates(self, tmp_path, rate):
+    def test_headerless_csv_record_demodulates(self, tmp_path, rate, out):
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.05)
         het = tmp_path / "het.csv"
@@ -321,9 +340,10 @@ class TestDemod:
         Path(str(het) + ".meta.json").unlink()
         conf = tmp_path / "rate.yaml"
         conf.write_text(f"demod:\n  audio_rate_hz: {rate}\n")
-        rec = tmp_path / "rec.csv"
+        rec = tmp_path / out
         assert main(["demod", "--config", str(conf), "--in", str(het), "--out", str(rec)]) == 0
-        assert read_trace(rec).sample_rate == pytest.approx(rate, rel=2e-16)
+        assert json.loads(Path(str(rec) + ".meta.json").read_text())["sample_rate_hz"] == rate
+        assert read_trace(rec).sample_rate == rate
 
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
@@ -629,6 +649,17 @@ class TestEnhance:
         assert report["noise_source"] == "profile"
         assert report["n_silent_frames"] is None
 
+    def test_wrong_rate_noise_profile_exits_2_writing_nothing(self, tmp_path, capsys):
+        src = self.make_bursty(tmp_path)
+        profile = tmp_path / "prof.wav"
+        wavfile.write(profile, 8000, np.zeros(16000, dtype=np.float32))
+        rc = main(["enhance", "--in", str(src), "--out", str(tmp_path / "enh.wav"),
+                   "--report", str(tmp_path / "report.json"), "--noise-profile", str(profile)])
+        assert rc == 2
+        assert "noise profile rate 8000.0 differs from input rate 16000.0" in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.wav", "prof.wav"]
+
     @pytest.mark.parametrize("n_profile", [100, 200])
     def test_profile_shorter_than_a_frame_exits_2(self, tmp_path, capsys, n_profile):
         src = self.make_bursty(tmp_path)
@@ -719,6 +750,18 @@ class TestBudget:
         assert main(["budget", "--sweep", "length", "--out", str(out), *flags]) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+    def test_length_below_the_sensing_fiber_rejected(self, tmp_path, capsys):
+        # the default tap's sensing fiber is 3 m, so no detecting arm is shorter
+        out = tmp_path / "len.csv"
+        assert main(["budget", "--sweep", "length", "--from", "1", "--to", "3000",
+                     "--out", str(out)]) == 2
+        assert "interferometer.sensing_length" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(["budget", "--sweep", "length", "--from", "3", "--to", "3000",
+                     "--points", "31", "--out", str(out)]) == 0
+        assert read_budget_csv(out)[0].x_value == 3.0
 
 
 class TestSensitivityCmd:

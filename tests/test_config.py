@@ -124,6 +124,12 @@ class TestUserOverrides:
         with pytest.raises(ConfigurationError, match="noise.flatten_below_hz"):
             load_config(p)
 
+    def test_negative_reference_length_rejected(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text("interferometer:\n  reference_length_m: -1.0\n")
+        with pytest.raises(ConfigurationError, match="interferometer.reference_length"):
+            load_config(p)
+
     @pytest.mark.parametrize("value", ["2.5", "0.5", "true"])
     def test_non_integer_filter_order_rejected(self, tmp_path, value):
         p = tmp_path / "user.yaml"

@@ -49,7 +49,7 @@ def tap(f_if=25e3, alpha=0.2, fs=FS):
     return InterferometerConfig(
         laser=LaserSpec(wavelength=1.55e-6),
         detect_fiber=FiberSpec(length=1103.0),
-        reference_fiber=FiberSpec(length=2206.0),
+        reference_length=2206.0,
         sensing_length=3.0,
         reflection_amplitude=alpha,
         intermediate_frequency=f_if,

@@ -81,8 +81,8 @@ def test_full_form_noise_budget_loads_no_scipy(tmp_path):
         "import fibertap\n"
         "cfg = fibertap.default_config()\n"
         "ifo = cfg.interferometer\n"
-        "ifo = replace(ifo, reference_fiber=replace(ifo.reference_fiber, length=2306.0))\n"
-        "budget = fibertap.compute_noise_budget(ifo, cfg.coupling, cfg.band, form='full')\n"
+        "ifo = replace(ifo, reference_length=2306.0)\n"
+        "budget = fibertap.compute_noise_budget(ifo, cfg.coupling, cfg.band, 1.0)\n"
         "assert budget.laser_rms > 0")
     assert scipy_modules_after(script, tmp_path) == []
 

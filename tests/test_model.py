@@ -16,7 +16,7 @@ from fibertap import (
     voice_to_phase,
 )
 from fibertap.errors import ConfigurationError, InputError, NyquistError
-from fibertap.model import SPEED_OF_LIGHT
+from fibertap.model import SPEED_OF_LIGHT, mismatch_to_delay
 
 from conftest import make_pressure_tone
 
@@ -26,7 +26,7 @@ def small_config(**overrides):
     kwargs = dict(
         laser=laser,
         detect_fiber=FiberSpec(length=1103.0),
-        reference_fiber=FiberSpec(length=2206.0),
+        reference_length=2206.0,
         sensing_length=3.0,
         reflection_amplitude=0.2,
         intermediate_frequency=25e3,
@@ -75,10 +75,18 @@ class TestInterferometerConfig:
             small_config(reflection_amplitude=1.5)
 
     def test_arm_mismatch_and_delay(self):
-        cfg = small_config(reference_fiber=FiberSpec(length=2306.0))
+        cfg = small_config(reference_length=2306.0)
         assert cfg.arm_mismatch() == pytest.approx(100.0)
         assert cfg.delay_mismatch() == pytest.approx(
             1.468 * 100.0 / SPEED_OF_LIGHT, rel=1e-12)
+
+    def test_negative_reference_length_rejected(self):
+        with pytest.raises(ConfigurationError, match="interferometer.reference_length"):
+            small_config(reference_length=-1.0)
+
+    def test_delay_is_the_mismatch_delay(self):
+        cfg = small_config(reference_length=5000.0)
+        assert cfg.delay_mismatch() == mismatch_to_delay(cfg.arm_mismatch(), 1.468)
 
     def test_balanced_arms_have_zero_delay(self):
         assert small_config().delay_mismatch() == 0.0
@@ -210,7 +218,7 @@ class TestSynthesizeHeterodyne:
         assert np.ptp(het.samples) == pytest.approx(4 * 0.2, rel=0.01)
 
     def test_noise_seed_is_deterministic(self):
-        cfg = small_config(reference_fiber=FiberSpec(length=2306.0),
+        cfg = small_config(reference_length=2306.0,
                            laser=LaserSpec(wavelength=1.55e-6,
                                            white_freq_psd=1256.6,
                                            flicker_coeff=5.68e6))
@@ -224,7 +232,7 @@ class TestSynthesizeHeterodyne:
         # on a zero voice phase the seeded noise is the whole phase
         # perturbation, exactly: 0 + w == w
         from fibertap import synthesize_system_noise
-        cfg = small_config(reference_fiber=FiberSpec(length=2306.0),
+        cfg = small_config(reference_length=2306.0,
                            laser=LaserSpec(wavelength=1.55e-6,
                                            white_freq_psd=1256.6,
                                            flicker_coeff=5.68e6))

@@ -1,4 +1,4 @@
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,7 +281,7 @@ class TestSystemNoise:
         # arm mismatch, which is zero when the reference arm is balanced
         ifo = InterferometerConfig(
             laser=laser(), detect_fiber=fiber(length),
-            reference_fiber=fiber(2.0 * length + mismatch),
+            reference_length=2.0 * length + mismatch,
             sensing_length=0.0, sample_rate=self.FS)
         x = synthesize_system_noise(ifo, self.N, seed).samples
         f = np.fft.rfftfreq(self.N, 1.0 / self.FS)[1:-1]
@@ -308,98 +308,133 @@ class TestNoiseBudget:
         assert b.total_rms == pytest.approx(np.hypot(b.thermal_rms, b.laser_rms))
 
     def test_compute_budget_default_config(self, cfg):
-        b = compute_noise_budget(cfg.interferometer, cfg.coupling, cfg.band)
+        b = compute_noise_budget(cfg.interferometer, cfg.coupling, cfg.band, 1.0)
         assert b.laser_rms == 0.0  # balanced arms
         assert b.thermal_rms > 0
         assert b.total_rms == b.thermal_rms
 
     def test_compute_budget_unbalanced(self, cfg):
-        from fibertap import InterferometerConfig
-        ifo = cfg.interferometer
-        unbalanced = InterferometerConfig(
-            laser=ifo.laser, detect_fiber=ifo.detect_fiber,
-            reference_fiber=FiberSpec(length=2306.0),
-            sensing_length=ifo.sensing_length,
-            intermediate_frequency=ifo.intermediate_frequency,
-            sample_rate=ifo.sample_rate)
-        b = compute_noise_budget(unbalanced, cfg.coupling, cfg.band)
+        unbalanced = replace(cfg.interferometer, reference_length=2306.0)
+        b = compute_noise_budget(unbalanced, cfg.coupling, cfg.band, 1.0)
         assert b.laser_rms > 0
         assert b.total_rms == pytest.approx(
             np.hypot(b.thermal_rms, b.laser_rms), rel=1e-12)
         assert b.detection_limit_db > 30.0
 
+    def test_laser_term_is_the_full_form_that_synthesis_draws(self, cfg):
+        ifo = replace(cfg.interferometer, reference_length=2.0 * 1103.0 + 5000.0)
+        b = compute_noise_budget(ifo, cfg.coupling, cfg.band, 1.0)
+        tau0 = ifo.delay_mismatch()
+        assert b.laser_rms == laser_rms(ifo.laser, tau0, cfg.band, form="full")
+        assert b.laser_rms < laser_rms(ifo.laser, tau0, cfg.band, form="approx")
+        # the band integral of the PSD `synthesize_system_noise` draws
+        var, _ = integrate.quad(lambda f: system_phase_noise_psd(ifo, f),
+                                cfg.band.f_low, cfg.band.f_high, limit=400,
+                                epsrel=1e-11, epsabs=0.0)
+        assert b.total_rms == pytest.approx(np.sqrt(var), rel=1e-8)
+
     def test_system_psd_is_sum_of_terms(self, cfg):
-        from fibertap import InterferometerConfig, system_phase_noise_psd
         ifo = cfg.interferometer
         f = np.geomspace(100, 10e3, 5)
         # balanced arms: laser term vanishes
         np.testing.assert_allclose(
             system_phase_noise_psd(ifo, f),
             thermal_psd(ifo.detect_fiber, ifo.laser.wavelength, f), rtol=1e-15)
-        unbalanced = InterferometerConfig(
-            laser=ifo.laser, detect_fiber=ifo.detect_fiber,
-            reference_fiber=FiberSpec(length=2306.0),
-            sensing_length=ifo.sensing_length,
-            intermediate_frequency=ifo.intermediate_frequency,
-            sample_rate=ifo.sample_rate)
+        unbalanced = replace(ifo, reference_length=2306.0)
         expected = thermal_psd(ifo.detect_fiber, ifo.laser.wavelength, f) \
             + laser_phase_psd_full(ifo.laser, unbalanced.delay_mismatch(), f)
         np.testing.assert_allclose(system_phase_noise_psd(unbalanced, f),
                                    expected, rtol=1e-15)
 
 
+def sweep_args(cfg, snr_threshold=1.0):
+    return cfg.interferometer, cfg.coupling, cfg.band, snr_threshold
+
+
 class TestDetectionLimits:
     def test_limit_nondecreasing_in_length(self, cfg):
         lengths = np.geomspace(10, 1e4, 40)
-        rows = detection_limit_vs_length(lengths, cfg.coupling, 3.0, cfg.band,
-                                         cfg.interferometer)
+        rows = detection_limit_vs_length(lengths, *sweep_args(cfg))
         limits = [r.limit_db for r in rows]
         assert all(b >= a for a, b in zip(limits, limits[1:]))
 
     def test_thermal_anchor_30db_at_3km(self, cfg):
-        rows = detection_limit_vs_length([3000.0], cfg.coupling, 3.0, cfg.band,
-                                         cfg.interferometer)
+        rows = detection_limit_vs_length([3000.0], *sweep_args(cfg))
         assert rows[0].limit_db == pytest.approx(30.0, abs=0.5)
 
     def test_loglog_slope_of_thermal_rms(self, cfg):
         lengths = np.geomspace(10, 1e4, 50)
-        rows = detection_limit_vs_length(lengths, cfg.coupling, 3.0, cfg.band,
-                                         cfg.interferometer)
+        rows = detection_limit_vs_length(lengths, *sweep_args(cfg))
         x = np.log([r.x_value for r in rows])
         y = np.log([r.thermal_rms for r in rows])
         slope = np.polyfit(x, y, 1)[0]
         assert slope == pytest.approx(0.5, abs=1e-3)
 
+    def test_length_rows_are_the_thermal_closed_form_exactly(self, cfg):
+        # a balanced tap of each length: tau0 is exactly 0, so the laser
+        # column is 0.0 and the total is the thermal RMS to the bit
+        ifo = cfg.interferometer
+        for length in np.geomspace(3.0, 3000.0, 31):
+            row, = detection_limit_vs_length([length], *sweep_args(cfg, 2.0))
+            th = thermal_rms(replace(ifo.detect_fiber, length=length),
+                             ifo.laser.wavelength, cfg.band)
+            assert (row.x_value, row.thermal_rms, row.laser_rms, row.total_rms) == \
+                (length, th, 0.0, th)
+            assert row.limit_db == phase_rms_to_spl(2.0 * th, cfg.coupling,
+                                                    ifo.sensing_length)
+
+    def test_length_sweep_reads_the_sensing_length_of_the_tap(self, cfg):
+        longer = replace(cfg.interferometer, sensing_length=30.0)
+        base, = detection_limit_vs_length([3000.0], *sweep_args(cfg))
+        row, = detection_limit_vs_length([3000.0], longer, cfg.coupling, cfg.band, 1.0)
+        # ten times the fiber under the sound: 20 dB lower limit
+        assert base.limit_db - row.limit_db == pytest.approx(20.0, abs=1e-9)
+
+    def test_length_below_the_sensing_fiber_rejected(self, cfg):
+        # the tap's own check: a detecting arm shorter than its sensing
+        # fiber (3 m by default), 0 included, is no tap
+        for length in (0.0, 1.0, 2.999):
+            with pytest.raises(ConfigurationError, match="sensing_length"):
+                detection_limit_vs_length([10.0, length], *sweep_args(cfg))
+        row, = detection_limit_vs_length([3.0], *sweep_args(cfg))
+        assert row.thermal_rms > 0
+
     def test_limit_nondecreasing_in_mismatch(self, cfg):
         mm = np.geomspace(1, 1e4, 40)
-        rows = detection_limit_vs_mismatch(mm, cfg.interferometer.laser, cfg.coupling,
-                                           3.0, cfg.band, cfg.interferometer)
+        rows = detection_limit_vs_mismatch(mm, *sweep_args(cfg))
         limits = [r.limit_db for r in rows]
         assert all(b >= a for a, b in zip(limits, limits[1:]))
 
     def test_loglog_slope_of_laser_rms(self, cfg):
         mm = np.geomspace(1, 1e4, 50)
-        rows = detection_limit_vs_mismatch(mm, cfg.interferometer.laser, cfg.coupling,
-                                           3.0, cfg.band, cfg.interferometer)
+        rows = detection_limit_vs_mismatch(mm, *sweep_args(cfg))
         x = np.log([r.x_value for r in rows])
         y = np.log([r.laser_rms for r in rows])
         slope = np.polyfit(x, y, 1)[0]
         assert slope == pytest.approx(1.0, abs=1e-3)
 
     def test_limit_at_100m_near_60db(self, cfg):
-        rows = detection_limit_vs_mismatch([100.0], cfg.interferometer.laser,
-                                           cfg.coupling, 3.0, cfg.band,
-                                           cfg.interferometer)
+        rows = detection_limit_vs_mismatch([100.0], *sweep_args(cfg))
         assert 50.0 <= rows[0].limit_db <= 70.0
         assert rows[0].limit_db == pytest.approx(60.0, abs=1e-6)
 
+    def test_mismatch_sweep_reads_laser_fiber_and_sensing_length_of_the_tap(self, cfg):
+        ifo = cfg.interferometer
+        base, = detection_limit_vs_mismatch([100.0], *sweep_args(cfg))
+        quieter = replace(ifo, laser=replace(ifo.laser, white_freq_psd=0.0,
+                                             flicker_coeff=0.0))
+        row, = detection_limit_vs_mismatch([100.0], quieter, cfg.coupling, cfg.band, 1.0)
+        assert row.laser_rms == 0.0
+        slower = replace(ifo, detect_fiber=replace(ifo.detect_fiber, refractive_index=2.936))
+        row, = detection_limit_vs_mismatch([100.0], slower, cfg.coupling, cfg.band, 1.0)
+        assert row.laser_rms == pytest.approx(2.0 * base.laser_rms, rel=1e-12)
+        longer = replace(ifo, sensing_length=30.0)
+        row, = detection_limit_vs_mismatch([100.0], longer, cfg.coupling, cfg.band, 1.0)
+        assert base.limit_db - row.limit_db == pytest.approx(20.0, abs=1e-9)
+
     def test_include_thermal_raises_limit(self, cfg):
-        base = detection_limit_vs_mismatch([100.0], cfg.interferometer.laser,
-                                           cfg.coupling, 3.0, cfg.band,
-                                           cfg.interferometer)[0]
-        both = detection_limit_vs_mismatch([100.0], cfg.interferometer.laser,
-                                           cfg.coupling, 3.0, cfg.band,
-                                           cfg.interferometer,
+        base = detection_limit_vs_mismatch([100.0], *sweep_args(cfg))[0]
+        both = detection_limit_vs_mismatch([100.0], *sweep_args(cfg),
                                            include_thermal=True)[0]
         assert both.total_rms > base.total_rms
         assert both.limit_db > base.limit_db
@@ -407,29 +442,18 @@ class TestDetectionLimits:
             np.hypot(both.thermal_rms, both.laser_rms), rel=1e-12)
 
     def test_zero_mismatch_limit_is_minus_inf(self, cfg):
-        rows = detection_limit_vs_mismatch([0.0], cfg.interferometer.laser,
-                                           cfg.coupling, 3.0, cfg.band,
-                                           cfg.interferometer)
-        assert rows[0].limit_db == -np.inf
-
-    def test_zero_length_limit_is_minus_inf(self, cfg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = detection_limit_vs_length([0.0], cfg.coupling, 3.0, cfg.band,
-                                             cfg.interferometer)
-        assert rows[0].thermal_rms == 0.0
+        rows = detection_limit_vs_mismatch([0.0], *sweep_args(cfg))
         assert rows[0].limit_db == -np.inf
 
     def test_empty_and_negative_inputs_rejected(self, cfg):
         with pytest.raises(InputError):
-            detection_limit_vs_length([], cfg.coupling, 3.0, cfg.band,
-                                      cfg.interferometer)
+            detection_limit_vs_length([], *sweep_args(cfg))
+        with pytest.raises(ConfigurationError):
+            detection_limit_vs_length([-5.0], *sweep_args(cfg))
         with pytest.raises(InputError):
-            detection_limit_vs_length([-5.0], cfg.coupling, 3.0, cfg.band,
-                                      cfg.interferometer)
+            detection_limit_vs_mismatch([], *sweep_args(cfg))
         with pytest.raises(InputError):
-            detection_limit_vs_mismatch([], cfg.interferometer.laser, cfg.coupling,
-                                        3.0, cfg.band, cfg.interferometer)
+            detection_limit_vs_mismatch([-5.0], *sweep_args(cfg))
 
     def test_voice_rms_round_trip(self, cfg):
         rms = voice_rms_phase(47.0, cfg.coupling, 3.0)
