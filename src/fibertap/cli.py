@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import dump_config, load_config
 from .demod import (
     decimate_to_audio,
     edge_guard,
@@ -47,32 +47,34 @@ from .fileio import (
     write_wav,
 )
 from .model import spl_to_pressure, synthesize_heterodyne, voice_to_phase
-from .noise import detection_limit_vs_length, detection_limit_vs_mismatch
+from .noise import (
+    detection_limit_vs_length,
+    detection_limit_vs_mismatch,
+    synthesize_system_noise,
+)
 from .sensitivity import compare_mitigations
 from .trace import AUDIO, HETERODYNE, SampledTrace
 
-EXIT_OK = 0
 EXIT_IO = 3
 
 
-class _Stages:
-    """Accumulates [stage, seconds] timings for the run manifest.
+def _run(command, args):
+    """Run a command that writes `args.out`, then its run manifest.
 
-    ``with stages("load"): ...`` times one stage; a stage that raises is
-    not recorded.
+    `command(args, stage)` does the work inside ``with stage(name):`` blocks
+    and returns ``(config, inputs, outputs)``, each of the last two mapping a
+    name to a path. Each stage's seconds go into ``<out>.manifest.json``
+    (a stage that raises is not recorded), and ``wrote <out>`` is printed.
     """
-
-    def __init__(self):
-        self.timings = []
+    timings = []
 
     @contextmanager
-    def __call__(self, name):
+    def stage(name):
         t0 = time.perf_counter()
         yield
-        self.timings.append([name, time.perf_counter() - t0])
+        timings.append([name, time.perf_counter() - t0])
 
-
-def _write_manifest(args, config, inputs, outputs, stages):
+    config, inputs, outputs = command(args, stage)
     manifest = {
         "tool": "fibertap",
         "version": __version__,
@@ -83,16 +85,14 @@ def _write_manifest(args, config, inputs, outputs, stages):
                    for name, p in inputs.items()},
         "outputs": {name: {"path": str(p), "sha256": sha256_file(p)}
                     for name, p in outputs.items()},
-        "stage_timings": stages.timings,
+        "stage_timings": timings,
     }
-    path = str(args.out) + ".manifest.json"
-    write_json(path, manifest)
-    return path
+    write_json(str(args.out) + ".manifest.json", manifest)
+    print(f"wrote {args.out}")
 
 
-def cmd_simulate(args) -> int:
-    stages = _Stages()
-    with stages("load"):
+def cmd_simulate(args, stage):
+    with stage("load"):
         if args.seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         if args.level_db is not None and not np.isfinite(args.level_db):
@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
         check_trace_rate(args.out, ifo.sample_rate, "interferometer.sample_rate_hz")
         rate, samples = read_wav(args.audio)
 
-    with stages("prepare-audio"):
+    with stage("prepare-audio"):
         if rate != ifo.sample_rate:
             samples = resample(samples, *resample_ratio(rate, ifo.sample_rate))
         if args.level_db is not None:
@@ -113,25 +113,23 @@ def cmd_simulate(args) -> int:
                                                  config.coupling.spl_reference) / peak)
         audio = SampledTrace(ifo.sample_rate, samples, AUDIO)
 
-    with stages("voice-to-phase"):
+    with stage("voice-to-phase"):
         phase = voice_to_phase(audio, config.coupling, ifo.sensing_length)
 
-    with stages("synthesize"):
-        het = synthesize_heterodyne(
-            ifo, voice_phase=phase,
-            noise_seed=args.seed if config.noise.enabled else None,
-            flatten_below=config.noise.flatten_below_hz)
+    with stage("synthesize"):
+        # drawn before `synthesize_heterodyne` makes its record-sized arrays
+        noise = (synthesize_system_noise(ifo, phase.n_samples, args.seed,
+                                         config.noise.flatten_below_hz)
+                 if config.noise.enabled else None)
+        het = synthesize_heterodyne(ifo, phase, noise)
 
-    with stages("write"):
+    with stage("write"):
         write_trace(het, args.out)
-    _write_manifest(args, config, {"audio": args.audio}, {"heterodyne": args.out}, stages)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return config, {"audio": args.audio}, {"heterodyne": args.out}
 
 
-def cmd_demod(args) -> int:
-    stages = _Stages()
-    with stages("load"):
+def cmd_demod(args, stage):
+    with stage("load"):
         config = load_config(args.config)
         cfg = config.demod
         for path in filter(None, (args.out, args.phase_csv)):
@@ -140,39 +138,34 @@ def cmd_demod(args) -> int:
         guard = edge_guard(cfg, het.sample_rate, config.band, het.n_samples,
                            highpass=not args.no_highpass)
 
-    with stages("decimate"):
+    with stage("decimate"):
         baseband = decimate_to_audio(het, cfg, config.band)
 
-    with stages("iq-demodulate"):
+    with stage("iq-demodulate"):
         baseband = iq_demodulate(baseband, cfg)
 
-    with stages("unwrap"):
+    with stage("unwrap"):
         phase = unwrap_phase(baseband.with_samples(
             baseband.samples[guard:baseband.n_samples - guard]))
     start_time = guard / baseband.sample_rate
 
     if not args.no_highpass:
-        with stages("highpass"):
+        with stage("highpass"):
             phase = highpass(phase, cfg.highpass_cutoff, cfg.filter_order)
-
-    if args.phase_csv:
-        with stages("write-phase"):
-            write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
-
-    with stages("write"):
-        write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
 
     outputs = {"audio": args.out}
     if args.phase_csv:
+        with stage("write-phase"):
+            write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
         outputs["phase"] = args.phase_csv
-    _write_manifest(args, config, {"heterodyne": args.trace_in}, outputs, stages)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+
+    with stage("write"):
+        write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
+    return config, {"heterodyne": args.trace_in}, outputs
 
 
-def cmd_enhance(args) -> int:
-    stages = _Stages()
-    with stages("load"):
+def cmd_enhance(args, stage):
+    with stage("load"):
         config = load_config(args.config)
         params = config.enhance
         rate, samples = read_wav(args.audio_in)
@@ -191,7 +184,7 @@ def cmd_enhance(args) -> int:
                     f"noise profile rate {prate} differs from input rate {rate}")
             profile = SampledTrace(prate, psamples, AUDIO)
 
-    with stages("estimate-noise"):
+    with stage("estimate-noise"):
         if profile is not None:
             noise_spectrum = estimate_noise_spectrum(
                 profile, np.arange(frame_count(profile.n_samples, frame, hop)), params)
@@ -200,10 +193,10 @@ def cmd_enhance(args) -> int:
             silent = detect_silent_frames(noisy, params)
             noise_spectrum = estimate_noise_spectrum(noisy, silent, params)
 
-    with stages("subtract"):
+    with stage("subtract"):
         enhanced = spectral_subtract(noisy, noise_spectrum, params)
 
-    with stages("write"):
+    with stage("write"):
         write_wav(args.out, rate, enhanced.samples)
 
     report = {
@@ -224,15 +217,10 @@ def cmd_enhance(args) -> int:
                       gain_db=after - before)
     report_path = args.report or (str(args.out) + ".report.json")
     write_json(report_path, report)
-
-    inputs = {"audio": args.audio_in}
-    if args.noise_profile:
-        inputs["noise_profile"] = args.noise_profile
-    if args.reference:
-        inputs["reference"] = args.reference
-    _write_manifest(args, config, inputs, {"audio": args.out, "report": report_path}, stages)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    inputs = {"audio": args.audio_in, "noise_profile": args.noise_profile,
+              "reference": args.reference}
+    return (config, {name: path for name, path in inputs.items() if path},
+            {"audio": args.out, "report": report_path})
 
 
 def _sweep_points(start, stop, count):
@@ -249,12 +237,11 @@ def _sweep_points(start, stop, count):
     return np.geomspace(start, stop, count)
 
 
-def cmd_budget(args) -> int:
-    stages = _Stages()
-    with stages("load"):
+def cmd_budget(args, stage):
+    with stage("load"):
         config = load_config(args.config)
 
-    with stages("sweep"):
+    with stage("sweep"):
         points = _sweep_points(args.sweep_from, args.sweep_to, args.points)
         tap = (config.interferometer, config.coupling, config.band,
                config.noise.snr_threshold)
@@ -264,27 +251,24 @@ def cmd_budget(args) -> int:
             rows = detection_limit_vs_mismatch(points, *tap,
                                                include_thermal=args.include_thermal)
 
-    with stages("write"):
+    with stage("write"):
         if args.format == "json":
             write_json(args.out, [r.__dict__ for r in rows])
         else:
             write_csv_table(args.out, BUDGET_HEADER, rows)
-    _write_manifest(args, config, {}, {"table": args.out}, stages)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return config, {}, {"table": args.out}
 
 
-def cmd_sensitivity(args) -> int:
-    stages = _Stages()
-    with stages("load"):
+def cmd_sensitivity(args, stage):
+    with stage("load"):
         config = load_config(args.config)
 
-    with stages("compare"):
+    with stage("compare"):
         scen = config.scenarios
         rows = compare_mitigations(scen.baseline, list(scen.variants),
                                    config.coupling, scen.test_level_db)
 
-    with stages("write"):
+    with stage("write"):
         write_csv_table(args.out, MITIGATION_HEADER, rows)
         summary = {
             "test_level_db": scen.test_level_db,
@@ -293,22 +277,17 @@ def cmd_sensitivity(args) -> int:
         }
         summary_path = str(args.out) + ".summary.json"
         write_json(summary_path, summary)
-    _write_manifest(args, config, {}, {"table": args.out, "summary": summary_path}, stages)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return config, {}, {"table": args.out, "summary": summary_path}
 
 
-def cmd_print_config(args) -> int:
-    from .config import dump_config
-    config = load_config(args.config)
-    text = dump_config(config)
+def cmd_print_config(args):
+    text = dump_config(load_config(args.config))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +356,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "print-config":
+            args.func(args)
+        else:
+            _run(args.func, args)
+        return 0
     except FiberTapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

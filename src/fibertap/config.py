@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,6 +24,11 @@ from .errors import ConfigurationError
 from .model import AcousticCoupling, FiberSpec, InterferometerConfig, LaserSpec
 from .noise import AudioBand
 from .sensitivity import MitigationScenario
+
+
+#: A number with an exponent that YAML 1.1 reads as text (no dot, or an
+#: unsigned exponent), such as 4e5, 4.0e5 or 4e+5.
+_EXPONENT_TEXT = r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+"
 
 
 def _packaged_defaults() -> dict:
@@ -53,8 +59,12 @@ def _number(section, key, where):
     if value is None:
         raise ConfigurationError(f"config key {where}.{key} must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        rule = ""
+        if isinstance(value, str) and re.fullmatch(_EXPONENT_TEXT, value):
+            rule = ("; YAML reads a number with an exponent only when it has a dot "
+                    "and a signed exponent, as 4.0e+5")
         raise ConfigurationError(
-            f"config key {where}.{key} must be a number, got {value!r}")
+            f"config key {where}.{key} must be a number, got {value!r}{rule}")
     try:
         number = float(value)
     except OverflowError:  # an integer past the float range
@@ -98,9 +108,9 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class NoiseSettings:
-    enabled: bool = True
-    flatten_below_hz: float = 10.0
-    snr_threshold: float = 1.0
+    enabled: bool
+    flatten_below_hz: float
+    snr_threshold: float
 
     def __post_init__(self):
         if self.flatten_below_hz < 0:

@@ -13,7 +13,6 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigurationError, FileFormatError, InputError
-from .noise import BudgetRow
 from .trace import KINDS, SampledTrace
 
 BUDGET_HEADER = ("x_value", "thermal_rms_rad", "laser_rms_rad", "total_rms_rad", "limit_db")
@@ -327,18 +326,6 @@ def write_csv_table(path, header, rows):
         writer.writerow(header)
         writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in astuple(r)]
                          for r in rows)
-
-
-def read_budget_csv(path) -> list[BudgetRow]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != BUDGET_HEADER:
-            raise FileFormatError(f"{path}: unexpected budget header {header}")
-        for rec in reader:
-            rows.append(BudgetRow(*(float(v) for v in rec)))
-    return rows
 
 
 def sha256_file(path) -> str:

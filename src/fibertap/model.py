@@ -78,8 +78,9 @@ class FiberSpec:
     temperature: float = 293.15
 
     def __post_init__(self):
-        if self.length < 0:
-            raise ConfigurationError(f"fiber.length must be >= 0, got {self.length}")
+        if not 0 <= self.length < np.inf:
+            raise ConfigurationError(
+                f"fiber.length must be finite and >= 0, got {self.length}")
         if self.refractive_index <= 1:
             raise ConfigurationError(
                 f"fiber.refractive_index must be > 1, got {self.refractive_index}")
@@ -147,9 +148,9 @@ class InterferometerConfig:
             raise ConfigurationError(
                 "interferometer.reflection_amplitude must be in [0, 1], "
                 f"got {self.reflection_amplitude}")
-        if self.reference_length < 0:
-            raise ConfigurationError(
-                f"interferometer.reference_length must be >= 0, got {self.reference_length}")
+        if not 0 <= self.reference_length < np.inf:
+            raise ConfigurationError("interferometer.reference_length must be finite "
+                                     f"and >= 0, got {self.reference_length}")
         if self.sensing_length < 0:
             raise ConfigurationError(
                 f"interferometer.sensing_length must be >= 0, got {self.sensing_length}")
@@ -216,8 +217,7 @@ def voice_to_phase(audio: SampledTrace, coupling: AcousticCoupling,
 
 
 def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrace,
-                          noise_seed: int | None = None,
-                          flatten_below: float | None = None) -> SampledTrace:
+                          noise_phase: SampledTrace | None = None) -> SampledTrace:
     """Synthesize the sampled photodiode beat signal.
 
     Parameters
@@ -228,13 +228,10 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
     voice_phase : SampledTrace
         Sound-induced phase in rad (kind ``phase``) at the config rate; it
         sets the record length. A quiet room is a zero trace.
-    noise_seed : int, optional
-        When given, thermal and laser phase noise are synthesized from
-        `config` (`noise.synthesize_system_noise`) and added after the voice;
-        the result is deterministic in the seed.
-    flatten_below : float, optional
-        Frequency (Hz) below which the synthesized noise PSD is held flat;
-        ``None`` uses ``noise.DEFAULT_FLATTEN_HZ``. Applies with `noise_seed`.
+    noise_phase : SampledTrace, optional
+        Phase noise in rad (kind ``phase``) of the same rate and length,
+        such as `noise.synthesize_system_noise` draws for `config`; it is
+        added after the voice.
 
     Returns
     -------
@@ -242,27 +239,23 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
         Heterodyne intensity trace, kind ``heterodyne``.
     """
     fs = config.sample_rate
-    if voice_phase.kind != PHASE:
-        raise InputError(f"voice_phase must be a {PHASE!r} trace, got {voice_phase.kind!r}")
-    if voice_phase.sample_rate != fs:
-        raise InputError(
-            f"voice_phase sample rate {voice_phase.sample_rate} differs from config rate {fs}")
     n = voice_phase.n_samples
-
-    # the noise is drawn before the record-sized `t` and `phase` exist, so
-    # its temporaries do not add to theirs at the peak
-    noise = None
-    if noise_seed is not None:
-        from .noise import DEFAULT_FLATTEN_HZ, synthesize_system_noise
-        noise = synthesize_system_noise(
-            config, n, noise_seed,
-            flatten_below=DEFAULT_FLATTEN_HZ if flatten_below is None else flatten_below)
+    for name, trace in (("voice_phase", voice_phase), ("noise_phase", noise_phase)):
+        if trace is None:
+            continue
+        if trace.kind != PHASE:
+            raise InputError(f"{name} must be a {PHASE!r} trace, got {trace.kind!r}")
+        if trace.sample_rate != fs:
+            raise InputError(
+                f"{name} sample rate {trace.sample_rate} differs from config rate {fs}")
+        if trace.n_samples != n:
+            raise InputError(f"{name} has {trace.n_samples} samples, voice_phase {n}")
 
     t = np.arange(n) / fs
     phase = 2.0 * np.pi * config.intermediate_frequency * t + config.initial_phase \
         + voice_phase.samples
-    if noise is not None:
-        phase = phase + noise.samples
+    if noise_phase is not None:
+        phase = phase + noise_phase.samples
 
     alpha = config.reflection_amplitude
     intensity = (1.0 + alpha ** 2) * CARRIER_POWER \

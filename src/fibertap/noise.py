@@ -18,11 +18,13 @@ configurable).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InputError, SynthesisError
+from .errors import ConfigurationError, DomainError, FiberTapError, InputError, SynthesisError
 from .model import (
     BOLTZMANN,
     AcousticCoupling,
@@ -34,9 +36,6 @@ from .model import (
     spl_to_pressure,
 )
 from .trace import PHASE, SampledTrace
-
-#: Default frequency below which 1/f targets are flattened before synthesis.
-DEFAULT_FLATTEN_HZ = 10.0
 
 
 @dataclass(frozen=True)
@@ -146,29 +145,41 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str = "appro
     The approx form has the closed expression
     ``tau0 sqrt(S0 (f_high - f_low) + k ln(f_high/f_low))``; the full form is
     integrated by 64-point Gauss-Legendre on 8 log-spaced panels, split again
-    at every half period 1/(2 tau0) of sin^2(pi f tau0).
+    at every half period 1/(2 tau0) of sin^2(pi f tau0). A band variance past
+    the float range, or one that underflows to a subnormal or zero although
+    the laser has noise, raises `DomainError`.
     """
     if tau0 < 0:
         raise DomainError(f"tau0 must be >= 0, got {tau0}")
     if tau0 == 0.0:
         return 0.0
     if form == "approx":
-        var = tau0 ** 2 * (laser.white_freq_psd * (band.f_high - band.f_low)
-                           + laser.flicker_coeff * np.log(band.f_high / band.f_low))
-        return float(np.sqrt(var))
-    if form == "full":
+        # Python floats, so that a product past the float range is inf
+        # without numpy's warning; only the power raises
+        try:
+            var = tau0 ** 2 * (laser.white_freq_psd * (band.f_high - band.f_low)
+                               + laser.flicker_coeff * float(np.log(band.f_high / band.f_low)))
+        except OverflowError:
+            var = math.inf
+    elif form == "full":
         half = 0.5 / tau0
         breaks = np.arange(np.floor(band.f_low / half) + 1, np.ceil(band.f_high / half)) * half
         edges = np.unique(np.concatenate([np.geomspace(band.f_low, band.f_high, 9), breaks]))
         nodes, weights = np.polynomial.legendre.leggauss(64)
         mid, rad = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
         var = np.sum(rad * weights * laser_phase_psd_full(laser, tau0, mid + rad * nodes))
-        return float(np.sqrt(var))
-    raise ConfigurationError(f"form must be 'full' or 'approx', got {form!r}")
+    else:
+        raise ConfigurationError(f"form must be 'full' or 'approx', got {form!r}")
+    noisy = laser.white_freq_psd > 0 or laser.flicker_coeff > 0
+    if not var < math.inf or (noisy and var < sys.float_info.min):
+        raise DomainError(
+            f"the laser phase variance at tau0 = {tau0!r} s is {var!r} rad^2, "
+            "outside the normal float range")
+    return float(np.sqrt(var))
 
 
 def synthesize_colored_noise(psd, n_samples: int, sample_rate: float, seed: int,
-                             flatten_below: float = DEFAULT_FLATTEN_HZ) -> SampledTrace:
+                             flatten_below: float) -> SampledTrace:
     """Draw a Gaussian time series whose one-sided PSD matches ``psd(f)``.
 
     White Gaussian spectra are shaped in the frequency domain and inverse
@@ -188,7 +199,8 @@ def synthesize_colored_noise(psd, n_samples: int, sample_rate: float, seed: int,
     seed : int
         Seed of the spectral draw.
     flatten_below : float
-        Frequencies below this are evaluated at `flatten_below` instead.
+        Frequencies below this are evaluated at `flatten_below` instead
+        (``noise.flatten_below_hz`` in the config); 0 flattens nothing.
 
     Returns
     -------
@@ -228,8 +240,9 @@ def system_phase_noise_psd(config: InterferometerConfig, f):
 
 
 def synthesize_system_noise(config: InterferometerConfig, n_samples: int, seed: int,
-                            flatten_below: float = DEFAULT_FLATTEN_HZ) -> SampledTrace:
-    """Realize the configured tap's total phase noise as a time series."""
+                            flatten_below: float) -> SampledTrace:
+    """Realize the configured tap's total phase noise as a time series
+    (`synthesize_colored_noise` of `system_phase_noise_psd`)."""
     return synthesize_colored_noise(
         lambda f: system_phase_noise_psd(config, f),
         n_samples, config.sample_rate, seed, flatten_below=flatten_below)
@@ -264,8 +277,23 @@ def _budget(thermal: float, laser: float, band: AudioBand, coupling: AcousticCou
                        total_rms=total, detection_limit_db=limit)
 
 
-def _row(x_value: float, b: NoiseBudget) -> BudgetRow:
-    return BudgetRow(x_value, b.thermal_rms, b.laser_rms, b.total_rms, b.detection_limit_db)
+def _sweep(name: str, values, budget_at) -> list[BudgetRow]:
+    """One `BudgetRow` per value, from the `NoiseBudget` ``budget_at(value)``.
+
+    An error at a value is raised again with its class, naming the value.
+    """
+    values = [float(v) for v in values]
+    if not values:
+        raise InputError(f"{name}s must be non-empty")
+    rows = []
+    for value in values:
+        try:
+            b = budget_at(value)
+        except FiberTapError as exc:
+            raise type(exc)(f"{name} {value!r}: {exc}") from None
+        rows.append(BudgetRow(value, b.thermal_rms, b.laser_rms, b.total_rms,
+                              b.detection_limit_db))
+    return rows
 
 
 def compute_noise_budget(config: InterferometerConfig, coupling: AcousticCoupling,
@@ -285,17 +313,14 @@ def detection_limit_vs_length(lengths, config: InterferometerConfig,
     Each row is the `compute_noise_budget` of `config` with a detecting arm
     of that length and a balanced reference arm of twice it, so the laser
     column is zero. A length the tap rejects, one below its sensing fiber
-    (0 included), raises `ConfigurationError`.
+    (0 included) or one whose reference 2L is past the float range, raises
+    `ConfigurationError`.
     """
-    lengths = list(lengths)
-    if not lengths:
-        raise InputError("lengths must be non-empty")
-    rows = []
-    for length in map(float, lengths):
+    def budget_at(length):
         tap = replace(config, detect_fiber=replace(config.detect_fiber, length=length),
                       reference_length=2.0 * length)
-        rows.append(_row(length, compute_noise_budget(tap, coupling, band, snr_threshold)))
-    return rows
+        return compute_noise_budget(tap, coupling, band, snr_threshold)
+    return _sweep("length", lengths, budget_at)
 
 
 def detection_limit_vs_mismatch(mismatches, config: InterferometerConfig,
@@ -309,16 +334,12 @@ def detection_limit_vs_mismatch(mismatches, config: InterferometerConfig,
     added in root-sum-square to the budget; by default the sweep isolates
     the laser term.
     """
-    mismatches = list(mismatches)
-    if not mismatches:
-        raise InputError("mismatches must be non-empty")
     laser, n = config.laser, config.detect_fiber.refractive_index
     th = thermal_rms(config.detect_fiber, laser.wavelength, band) if include_thermal else 0.0
-    rows = []
-    for mismatch in map(float, mismatches):
+
+    def budget_at(mismatch):
         if mismatch < 0:
-            raise InputError(f"mismatches must be >= 0, got {mismatch}")
+            raise InputError("must be >= 0")
         la = laser_rms(laser, mismatch_to_delay(mismatch, n), band, form="approx")
-        b = _budget(th, la, band, coupling, config.sensing_length, snr_threshold)
-        rows.append(_row(mismatch, b))
-    return rows
+        return _budget(th, la, band, coupling, config.sensing_length, snr_threshold)
+    return _sweep("mismatch", mismatches, budget_at)

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fibertap import AUDIO, PHASE, SampledTrace, default_config
+from fibertap import AUDIO, PHASE, BudgetRow, SampledTrace, default_config
+from fibertap.fileio import BUDGET_HEADER
 
 # property tests draw the same examples on every run and have no time limit
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -37,3 +40,11 @@ def tone_phase(samples, fs, f0):
     t = np.arange(n) / fs
     c = np.exp(-2j * np.pi * f0 * t)
     return np.angle(np.mean(samples * c))
+
+
+def read_budget_table(path):
+    """The rows of a `budget` CSV table as `BudgetRow`s, read with `csv`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == BUDGET_HEADER
+        return [BudgetRow(*map(float, record)) for record in reader]

@@ -5,6 +5,7 @@ captured output). Run the whole gate with ``pytest tests/test_acceptance.py``.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, signal
@@ -38,6 +39,7 @@ from fibertap import (
     spl_to_pressure,
     synthesize_colored_noise,
     synthesize_heterodyne,
+    synthesize_system_noise,
     system_phase_noise_psd,
     thermal_psd,
     thermal_rms,
@@ -45,7 +47,9 @@ from fibertap import (
     voice_to_phase,
 )
 from fibertap.cli import main
-from fibertap.fileio import read_budget_csv, read_trace
+from fibertap.fileio import read_trace
+
+from conftest import read_budget_table
 
 
 def check(num, desc, ok, detail=""):
@@ -94,13 +98,13 @@ def test_criterion_2_thermal_anchor(tmp_path):
     rc = main(["budget", "--sweep", "length", "--from", "3000", "--to", "3000",
                "--points", "1", "--out", str(single)])
     assert rc == 0
-    anchor = read_budget_csv(single)[0].limit_db
+    anchor = read_budget_table(single)[0].limit_db
 
     sweep = tmp_path / "sweep.csv"
     rc = main(["budget", "--sweep", "length", "--from", "10", "--to", "10000",
                "--points", "50", "--out", str(sweep)])
     assert rc == 0
-    rows = read_budget_csv(sweep)
+    rows = read_budget_table(sweep)
     slope = np.polyfit(np.log([r.x_value for r in rows]),
                        np.log([r.thermal_rms for r in rows]), 1)[0]
 
@@ -168,7 +172,7 @@ def test_criterion_5_colored_noise_synthesis():
     tau0 = mismatch_to_delay(100.0, fiber.refractive_index)
 
     def mean_db_error(psd, seed):
-        tr = synthesize_colored_noise(psd, n, fs, seed)
+        tr = synthesize_colored_noise(psd, n, fs, seed, CFG.noise.flatten_below_hz)
         f, pxx = signal.welch(tr.samples, fs=fs, nperseg=8192)
         band = (f >= 100.0) & (f <= 10e3)
         return float(np.mean(10 * np.log10(pxx[band] / psd(f[band])))), tr
@@ -179,7 +183,8 @@ def test_criterion_5_colored_noise_synthesis():
         lambda f: laser_phase_psd_full(laser, tau0, f), 202)
 
     again = synthesize_colored_noise(
-        lambda f: thermal_psd(fiber, laser.wavelength, f), n, fs, 101)
+        lambda f: thermal_psd(fiber, laser.wavelength, f), n, fs, 101,
+        CFG.noise.flatten_below_hz)
     identical = bool(np.array_equal(th_tr.samples, again.samples))
 
     check(5, "synthesized noise matches analytic PSD and is seed-reproducible",
@@ -327,3 +332,63 @@ def test_criterion_10_recovered_noise_floor(tmp_path):
           abs(median_db) <= 0.45 and worst_db <= 2.25 and abs(rms / total - 1.0) <= 0.06,
           f"median offset={median_db:+.3f} dB, worst bin={worst_db:.3f} dB, "
           f"band rms={rms:.4e} rad vs total_rms={total:.4e} rad")
+
+
+def recovered_tone_snr_db(length, offset_db, seed, seconds=2, f0=1000.0):
+    """In-band SNR of an `f0` tone `offset_db` above the budget's limit for a
+    balanced tap of detecting arm `length`, through the chain as `simulate`
+    and `demod --no-highpass` compose it.
+
+    The tone is a least-squares fit of a sine at `f0` (with a constant)
+    over the whole record, so only the noise in its 1/`seconds` Hz
+    resolution reaches it; the noise is the Welch band power, 100 Hz-10 kHz,
+    of the record less the fitted sine.
+    """
+    base = CFG.interferometer
+    ifo = replace(base, detect_fiber=replace(base.detect_fiber, length=length),
+                  reference_length=2.0 * length)
+    limit = compute_noise_budget(ifo, CFG.coupling, CFG.band,
+                                 CFG.noise.snr_threshold).detection_limit_db
+    fs, n = ifo.sample_rate, seconds * int(ifo.sample_rate)
+    pressure = spl_to_pressure(limit + offset_db, CFG.coupling.spl_reference) \
+        * np.sin(2 * np.pi * f0 * np.arange(n) / fs)
+    phase = voice_to_phase(SampledTrace(fs, pressure, AUDIO), CFG.coupling,
+                           ifo.sensing_length)
+    noise = synthesize_system_noise(ifo, n, seed, CFG.noise.flatten_below_hz)
+    het = synthesize_heterodyne(ifo, phase, noise)
+
+    dm = CFG.demod
+    guard = edge_guard(dm, fs, CFG.band, n, highpass=False)
+    z = iq_demodulate(decimate_to_audio(het, dm, CFG.band), dm)
+    rec = unwrap_phase(z.with_samples(z.samples[guard:z.n_samples - guard]))
+
+    t = np.arange(rec.n_samples) / rec.sample_rate
+    basis = np.stack([np.sin(2 * np.pi * f0 * t), np.cos(2 * np.pi * f0 * t),
+                      np.ones_like(t)], axis=1)
+    coef = np.linalg.lstsq(basis, rec.samples, rcond=None)[0]
+    tone_power = (coef[0] ** 2 + coef[1] ** 2) / 2
+    f, pxx = signal.welch(rec.samples - basis[:, :2] @ coef[:2], rec.sample_rate,
+                          nperseg=4096)
+    band = (f >= CFG.band.f_low) & (f <= CFG.band.f_high)
+    return float(10 * np.log10(tone_power / (np.sum(pxx[band]) * (f[1] - f[0]))))
+
+
+def test_criterion_11_detection_limit_through_the_chain():
+    # A 1 kHz tone at the budget's limit and 10 dB either side, on 2 s
+    # records of balanced taps (thermal noise only), must come out of the
+    # chain at 0 and +-10 dB in-band SNR. Tone and noise both scale as
+    # sqrt(L), so the three lengths read alike for one seed; each length
+    # runs its own seed. Over seeds 1-12 the SNR less its target read
+    # -0.33..+0.30 dB (mean -0.04) at -10 dB, -0.15..+0.04 (mean -0.07) at
+    # the limit and -0.15..-0.04 (mean -0.08) at +10 dB; the spread at
+    # -10 dB is the noise inside the tone's 0.5 Hz resolution. Each bound is
+    # the size of the seed mean plus 3x the range.
+    bounds = {-10.0: 0.04 + 3 * 0.63, 0.0: 0.07 + 3 * 0.19, 10.0: 0.08 + 3 * 0.11}
+    errors = {(length, offset): recovered_tone_snr_db(length, offset, seed) - offset
+              for seed, length in enumerate((100.0, 1103.0, 10e3), start=1)
+              for offset in bounds}
+    check(11, "a tone at the budget's limit and +-10 dB reads 0 and +-10 dB SNR "
+              "through the chain, at 100 m, 1103 m and 10 km",
+          all(abs(err) <= bounds[offset] for (_, offset), err in errors.items()),
+          ", ".join(f"{length:g} m {offset:+g} dB: {err:+.2f}"
+                    for (length, offset), err in errors.items()))

@@ -1,9 +1,13 @@
 import json
+import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import chirp
 
@@ -22,7 +26,9 @@ from fibertap import (
     voice_to_phase,
 )
 from fibertap.cli import main
-from fibertap.fileio import read_budget_csv, read_trace, read_wav
+from fibertap.fileio import read_trace, read_wav
+
+from conftest import read_budget_table
 
 FS = 400000
 
@@ -699,7 +705,7 @@ class TestBudget:
         rc = main(["budget", "--sweep", "length", "--from", "10", "--to", "10000",
                    "--points", "40", "--out", str(out)])
         assert rc == 0
-        rows = read_budget_csv(out)
+        rows = read_budget_table(out)
         limits = [r.limit_db for r in rows]
         assert all(b >= a for a, b in zip(limits, limits[1:]))
 
@@ -707,14 +713,14 @@ class TestBudget:
         rc = main(["budget", "--sweep", "length", "--from", "3000", "--to", "3000",
                    "--points", "1", "--out", str(single)])
         assert rc == 0
-        assert read_budget_csv(single)[0].limit_db == pytest.approx(30.0, abs=0.5)
+        assert read_budget_table(single)[0].limit_db == pytest.approx(30.0, abs=0.5)
 
     def test_mismatch_sweep_slope(self, tmp_path):
         out = tmp_path / "mm.csv"
         rc = main(["budget", "--sweep", "mismatch", "--from", "1", "--to", "10000",
                    "--points", "40", "--out", str(out)])
         assert rc == 0
-        rows = read_budget_csv(out)
+        rows = read_budget_table(out)
         x = np.log([r.x_value for r in rows])
         y = np.log([r.laser_rms for r in rows])
         slope = np.polyfit(x, y, 1)[0]
@@ -761,7 +767,57 @@ class TestBudget:
         assert not list(tmp_path.iterdir())
         assert main(["budget", "--sweep", "length", "--from", "3", "--to", "3000",
                      "--points", "31", "--out", str(out)]) == 0
-        assert read_budget_csv(out)[0].x_value == 3.0
+        assert read_budget_table(out)[0].x_value == 3.0
+
+    # a length whose balanced reference 2L overflows to inf (once a
+    # ValueError traceback from the nan mismatch inf - inf), a mismatch
+    # whose laser variance overflows (once a row of inf), one whose tau0 ** 2
+    # does (once an OverflowError traceback) and one whose tau0 ** 2
+    # underflows to 0 (once a limit of -inf dB)
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--sweep", "length", "--from", "1e308"], 2,
+         "length 1e+308: interferometer.reference_length must be finite and >= 0, got inf"),
+        (["--sweep", "mismatch", "--from", "1e160", "--to", "1e160"], 4,
+         "mismatch 1e+160: the laser phase variance at tau0 = 4.896720917508872e+151 s "
+         "is inf rad^2"),
+        (["--sweep", "mismatch", "--from", "1e308", "--to", "1e308"], 4,
+         "mismatch 1e+308: the laser phase variance at tau0 = 4.896720917508872e+299 s "
+         "is inf rad^2"),
+        (["--sweep", "mismatch", "--from", "1e-200"], 4,
+         "mismatch 1e-200: the laser phase variance at tau0 = 4.896720917508872e-209 s "
+         "is 0.0 rad^2"),
+    ], ids=["length-1e308", "mismatch-1e160", "mismatch-1e308", "mismatch-1e-200"])
+    def test_budget_past_the_float_range_writes_nothing(self, tmp_path, capsys, flags,
+                                                        code, message):
+        out = tmp_path / "table.csv"
+        assert main(["budget", *flags, "--points", "1", "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=150)
+    @given(sweep=st.sampled_from(["length", "mismatch"]),
+           start=st.one_of(st.floats(), st.floats(1e-320, 1e308)),
+           stop=st.one_of(st.floats(), st.floats(1e-320, 1e308)),
+           points=st.integers(-1, 50), fmt=st.sampled_from(["csv", "json"]),
+           thermal=st.booleans())
+    def test_any_sweep_writes_finite_rows_or_nothing(self, sweep, start, stop, points,
+                                                     fmt, thermal):
+        with tempfile.TemporaryDirectory() as work:
+            out = os.path.join(work, f"table.{fmt}")
+            argv = ["budget", "--sweep", sweep, f"--from={start!r}", f"--to={stop!r}",
+                    f"--points={points}", "--format", fmt, "--out", out]
+            code = main(argv + ["--include-thermal"] * thermal)
+            if code != 0:
+                assert code in (2, 3, 4, 5)
+                assert os.listdir(work) == []
+                return
+            if fmt == "csv":
+                rows = [list(vars(row).values()) for row in read_budget_table(out)]
+            else:
+                with open(out) as fh:
+                    rows = [list(row.values()) for row in json.load(fh)]
+        assert len(rows) == points
+        assert np.all(np.isfinite(rows)), rows
 
 
 class TestSensitivityCmd:

@@ -102,8 +102,23 @@ class TestUserOverrides:
     def test_non_numeric_value_rejected(self, tmp_path):
         p = tmp_path / "user.yaml"
         p.write_text("band:\n  f_low_hz: low\n")
-        with pytest.raises(ConfigurationError, match="band.f_low_hz"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^config key band\.f_low_hz must be a number, got 'low'$"):
             load_config(p)
+
+    # YAML 1.1 reads a number with an exponent only with a dot and a signed
+    # exponent, so each of these is text, which the message explains
+    @pytest.mark.parametrize("text", ["4e5", "4.0e5", "4e+5"])
+    def test_exponent_read_as_text_exits_2_stating_the_rule(self, tmp_path, capsys, text):
+        p = tmp_path / "user.yaml"
+        p.write_text(f"interferometer:\n  sample_rate_hz: {text}\n")
+        assert main(["print-config", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key interferometer.sample_rate_hz must be a number, got '{text}'; "
+            "YAML reads a number with an exponent only when it has a dot and a signed "
+            "exponent, as 4.0e+5\n")
+        p.write_text("interferometer:\n  sample_rate_hz: 4.0e+5\n")
+        assert load_config(p).interferometer.sample_rate == 4e5
 
     def test_unparseable_yaml(self, tmp_path):
         p = tmp_path / "user.yaml"

@@ -23,7 +23,6 @@ from fibertap.fileio import (
     CSV_BLOCK_ROWS,
     CSV_POOL_MIN_ROWS,
     MITIGATION_HEADER,
-    read_budget_csv,
     read_trace,
     read_wav,
     sidecar_path,
@@ -33,6 +32,8 @@ from fibertap.fileio import (
 )
 from fibertap.noise import BudgetRow
 from fibertap.sensitivity import MitigationRow
+
+from conftest import read_budget_table
 
 
 def chunk(cid, body, order="<"):
@@ -445,14 +446,14 @@ class TestTables:
         write_csv_table(p, BUDGET_HEADER, rows)
         first_line = p.read_text().splitlines()[0]
         assert first_line == ",".join(BUDGET_HEADER)
-        back = read_budget_csv(p)
+        back = read_budget_table(p)
         assert back == rows
 
     def test_budget_handles_minus_inf(self, tmp_path):
         rows = [BudgetRow(0.0, 0.0, 0.0, 0.0, float("-inf"))]
         p = tmp_path / "budget.csv"
         write_csv_table(p, BUDGET_HEADER, rows)
-        back = read_budget_csv(p)
+        back = read_budget_table(p)
         assert back[0].limit_db == -np.inf
 
     def test_mitigation_header(self, tmp_path):

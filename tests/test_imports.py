@@ -1,15 +1,20 @@
 """The package's import rules: no fibertap code loads scipy, and only the
 trace-CSV writer loads the process pool (`multiprocessing`,
-`concurrent.futures`).
+`concurrent.futures`). Those checks run in a fresh interpreter, because this
+test process already has scipy loaded. They read `sys.modules`, so they do
+not depend on timing.
 
-Each check runs in a fresh interpreter, because this test process already has
-scipy loaded. The checks read `sys.modules`, so they do not depend on timing.
+The import graph is read from the source with `ast`: the forward model and
+the file layer import nothing from `noise`, whose budgets and synthesis
+build on the model, and no module imports a sibling inside a function.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ import fibertap
 import fibertap.cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fibertap.__file__)))
+PACKAGE = Path(fibertap.__file__).parent
 
 #: Prints the loaded modules as JSON after the script's own lines.
 REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
@@ -147,3 +153,54 @@ def test_csv_phase_output_loads_the_pool(tmp_path):
         ["demod", "--in", "het.wav", "--out", "rec.wav", "--phase-csv", "phase.csv"])
     loaded = pool_modules(modules_after(script, tmp_path))
     assert "multiprocessing" in loaded and "concurrent.futures" in loaded
+
+
+def sibling_imports(path):
+    """(sibling, inside a function) of each import of a fibertap module in
+    the source file `path`; the package's own ``__init__`` is not one."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name.split(".")[1] for alias in child.names
+                         if alias.name.startswith("fibertap.")]
+            elif isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level == 1 or module.split(".")[0] == "fibertap":
+                    inner = module.removeprefix("fibertap").lstrip(".")
+                    names = [inner.split(".")[0]] if inner else \
+                        [alias.name for alias in child.names]
+            found.extend((name, in_function) for name in names
+                         if (PACKAGE / f"{name}.py").exists())
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+@pytest.mark.parametrize("module", ["model", "fileio"])
+def test_model_and_fileio_import_nothing_from_noise(module):
+    assert "noise" not in {name for name, _ in sibling_imports(PACKAGE / f"{module}.py")}
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    late = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+            for name, in_function in sibling_imports(path) if in_function]
+    assert late == []
+
+
+def test_sibling_imports_reads_each_form(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from . import __version__\n"
+        "from .model import voice_to_phase\n"
+        "import fibertap.trace\n"
+        "def f():\n"
+        "    from . import noise\n"
+        "    from fibertap.config import load_config\n"
+        "    import numpy\n")
+    assert sibling_imports(source) == [("model", False), ("trace", False),
+                                       ("noise", True), ("config", True)]

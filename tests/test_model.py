@@ -13,6 +13,7 @@ from fibertap import (
     pressure_to_spl,
     spl_to_pressure,
     synthesize_heterodyne,
+    synthesize_system_noise,
     voice_to_phase,
 )
 from fibertap.errors import ConfigurationError, InputError, NyquistError
@@ -217,38 +218,24 @@ class TestSynthesizeHeterodyne:
         het = synthesize_heterodyne(cfg, voice_phase=phase)
         assert np.ptp(het.samples) == pytest.approx(4 * 0.2, rel=0.01)
 
-    def test_noise_seed_is_deterministic(self):
+    def test_noise_phase_is_deterministic(self):
         cfg = small_config(reference_length=2306.0,
                            laser=LaserSpec(wavelength=1.55e-6,
                                            white_freq_psd=1256.6,
                                            flicker_coeff=5.68e6))
-        a = synthesize_heterodyne(cfg, quiet(cfg, 8000), noise_seed=42)
-        b = synthesize_heterodyne(cfg, quiet(cfg, 8000), noise_seed=42)
-        c = synthesize_heterodyne(cfg, quiet(cfg, 8000), noise_seed=43)
+        a, b, c = (synthesize_heterodyne(cfg, quiet(cfg, 8000),
+                                         synthesize_system_noise(cfg, 8000, seed, 10.0))
+                   for seed in (42, 42, 43))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_noise_seed_matches_explicit_noise(self):
-        # on a zero voice phase the seeded noise is the whole phase
-        # perturbation, exactly: 0 + w == w
-        from fibertap import synthesize_system_noise
-        cfg = small_config(reference_length=2306.0,
-                           laser=LaserSpec(wavelength=1.55e-6,
-                                           white_freq_psd=1256.6,
-                                           flicker_coeff=5.68e6))
-        n = int(0.02 * cfg.sample_rate)
-        a = synthesize_heterodyne(cfg, synthesize_system_noise(cfg, n, 42))
-        b = synthesize_heterodyne(cfg, quiet(cfg, n), noise_seed=42)
-        assert np.array_equal(a.samples, b.samples)
-
     def test_voice_and_noise_add_in_the_argument(self):
-        from fibertap import synthesize_system_noise
         cfg = small_config()
         n = 1600
         t = np.arange(n) / cfg.sample_rate
         v = SampledTrace(cfg.sample_rate, 0.3 * np.sin(2 * np.pi * 700 * t), PHASE)
-        w = synthesize_system_noise(cfg, n, 5)
-        het = synthesize_heterodyne(cfg, v, noise_seed=5)
+        w = synthesize_system_noise(cfg, n, 5, 10.0)
+        het = synthesize_heterodyne(cfg, v, noise_phase=w)
         expected = 1.04 + 0.4 * np.cos(
             2 * np.pi * cfg.intermediate_frequency * t + v.samples + w.samples)
         np.testing.assert_allclose(het.samples, expected, atol=1e-12)
@@ -261,6 +248,16 @@ class TestSynthesizeHeterodyne:
         wrong_rate = SampledTrace(2 * cfg.sample_rate, np.zeros(16), PHASE)
         with pytest.raises(InputError):
             synthesize_heterodyne(cfg, voice_phase=wrong_rate)
+
+    @pytest.mark.parametrize("noise,message", [
+        (SampledTrace(400e3, np.zeros(16), AUDIO), "noise_phase must be a 'phase' trace"),
+        (SampledTrace(800e3, np.zeros(16), PHASE), "noise_phase sample rate 800000.0"),
+        (SampledTrace(400e3, np.zeros(15), PHASE), "noise_phase has 15 samples, voice_phase 16"),
+    ], ids=["kind", "rate", "length"])
+    def test_noise_phase_must_match_the_voice(self, noise, message):
+        cfg = small_config()
+        with pytest.raises(InputError, match=message):
+            synthesize_heterodyne(cfg, quiet(cfg, 16), noise)
 
     def test_static_phase_shifts_the_beat(self):
         cfg0 = small_config()

@@ -216,23 +216,24 @@ class TestMismatchToDelay:
 
 class TestColoredNoise:
     FS = 400e3
+    FLAT = 10.0  # noise.flatten_below_hz of the packaged config
 
     def test_zero_psd_gives_zero_trace(self):
-        tr = synthesize_colored_noise(lambda f: np.zeros_like(f), 4096, self.FS, 1)
+        tr = synthesize_colored_noise(lambda f: np.zeros_like(f), 4096, self.FS, 1, self.FLAT)
         assert np.all(tr.samples == 0.0)
 
     def test_deterministic_per_seed(self):
         psd = lambda f: 1e-9 / f
-        a = synthesize_colored_noise(psd, 2 ** 14, self.FS, 7)
-        b = synthesize_colored_noise(psd, 2 ** 14, self.FS, 7)
-        c = synthesize_colored_noise(psd, 2 ** 14, self.FS, 8)
+        a = synthesize_colored_noise(psd, 2 ** 14, self.FS, 7, self.FLAT)
+        b = synthesize_colored_noise(psd, 2 ** 14, self.FS, 7, self.FLAT)
+        c = synthesize_colored_noise(psd, 2 ** 14, self.FS, 8, self.FLAT)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_flat_psd_variance_parseval(self):
         s0 = 1e-6
         n = 2 ** 20
-        tr = synthesize_colored_noise(lambda f: np.full_like(f, s0), n, self.FS, 2)
+        tr = synthesize_colored_noise(lambda f: np.full_like(f, s0), n, self.FS, 2, self.FLAT)
         expected = s0 * (self.FS / 2 - 10.0)
         assert np.var(tr.samples) == pytest.approx(expected, rel=0.05)
 
@@ -240,7 +241,7 @@ class TestColoredNoise:
         c = 7.4e-10
         psd = lambda f: c / f
         n = 2 ** 18
-        tr = synthesize_colored_noise(psd, n, self.FS, 3)
+        tr = synthesize_colored_noise(psd, n, self.FS, 3, self.FLAT)
         f, pxx = signal.welch(tr.samples, fs=self.FS, nperseg=4096)
         band = (f >= 100.0) & (f <= 10e3)
         err_db = 10 * np.log10(pxx[band] / psd(f[band]))
@@ -249,29 +250,30 @@ class TestColoredNoise:
     def test_different_seeds_decorrelated(self):
         psd = lambda f: 1e-9 / f
         n = 2 ** 20
-        a = synthesize_colored_noise(psd, n, self.FS, 1).samples
-        b = synthesize_colored_noise(psd, n, self.FS, 2).samples
+        a = synthesize_colored_noise(psd, n, self.FS, 1, self.FLAT).samples
+        b = synthesize_colored_noise(psd, n, self.FS, 2, self.FLAT).samples
         r = np.dot(a, b) / np.sqrt(np.dot(a, a) * np.dot(b, b))
         assert abs(r) < 0.05
 
     def test_nonfinite_psd_rejected(self):
         with pytest.raises(SynthesisError):
-            synthesize_colored_noise(lambda f: np.full_like(f, np.nan), 64, self.FS, 1)
+            synthesize_colored_noise(lambda f: np.full_like(f, np.nan), 64, self.FS, 1, self.FLAT)
         with pytest.raises(SynthesisError):
-            synthesize_colored_noise(lambda f: -np.ones_like(f), 64, self.FS, 1)
+            synthesize_colored_noise(lambda f: -np.ones_like(f), 64, self.FS, 1, self.FLAT)
 
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
-            synthesize_colored_noise(lambda f: f, 1, self.FS, 1)
+            synthesize_colored_noise(lambda f: f, 1, self.FS, 1, self.FLAT)
 
     def test_zero_mean(self):
-        tr = synthesize_colored_noise(lambda f: 1e-6 / f, 2 ** 14, self.FS, 9)
+        tr = synthesize_colored_noise(lambda f: 1e-6 / f, 2 ** 14, self.FS, 9, self.FLAT)
         assert abs(np.mean(tr.samples)) < 1e-12 * np.std(tr.samples) * 2 ** 7
 
 
 class TestSystemNoise:
     FS = 400e3
     N = 2 ** 16
+    FLAT = 10.0  # noise.flatten_below_hz of the packaged config
 
     @settings(max_examples=25)
     @given(length=st.floats(1.0, 20e3), mismatch=st.floats(0.0, 10e3),
@@ -283,7 +285,7 @@ class TestSystemNoise:
             laser=laser(), detect_fiber=fiber(length),
             reference_length=2.0 * length + mismatch,
             sensing_length=0.0, sample_rate=self.FS)
-        x = synthesize_system_noise(ifo, self.N, seed).samples
+        x = synthesize_system_noise(ifo, self.N, seed, self.FLAT).samples
         f = np.fft.rfftfreq(self.N, 1.0 / self.FS)[1:-1]
         pxx = 2.0 * np.abs(np.fft.rfft(x)[1:-1]) ** 2 / (self.FS * self.N)
         ratio = pxx / system_phase_noise_psd(ifo, f)
