@@ -33,10 +33,10 @@ def white_psd_from_linewidth(linewidth_hz: float) -> float:
 
 
 def calibrate_sensitivity(fiber_template: FiberSpec, wavelength: float,
-                          band: AudioBand, sensing_length: float = 3.0,
+                          band: AudioBand, spl_reference: float,
+                          sensing_length: float = 3.0,
                           anchor_length: float = 3000.0,
-                          anchor_level_db: float = 30.0,
-                          spl_reference: float = 2e-5) -> float:
+                          anchor_level_db: float = 30.0) -> float:
     """Coupling sensitivity (rad / Pa m) pinned to the thermal anchor.
 
     The voice RMS phase is proportional to the sensitivity, so the anchor

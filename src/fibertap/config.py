@@ -1,9 +1,10 @@
 """Config file loading, validation and digesting.
 
 A run is fully described by one YAML key/value tree (see
-``default_config.yaml`` for the documented schema). User files may be
-partial; missing keys fall back to the packaged defaults, unknown keys are
-rejected by name.
+``default_config.yaml`` for the documented schema), and that file is the
+only place a setting's default is stated. User files may be partial: every
+section merges over the packaged defaults key by key, a list replaces the
+default list whole, and unknown keys are rejected by name.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _packaged_defaults() -> dict:
 
 
 def _merge(base, override, path=""):
-    """Deep-merge override into base, rejecting unknown keys."""
+    """Deep-merge override into base, rejecting unknown keys; lists replace whole."""
     if not isinstance(override, dict):
         raise ConfigurationError(f"config section {path or '<root>'} must be a mapping")
     merged = copy.deepcopy(base)
@@ -45,7 +46,7 @@ def _merge(base, override, path=""):
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigurationError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and key != "scenarios":
+        if isinstance(base[key], dict):
             merged[key] = _merge(base[key], value, where)
         else:
             merged[key] = copy.deepcopy(value)
@@ -196,17 +197,12 @@ def _build(tree: dict) -> SimulationConfig:
         snr_threshold=_number(noise_d, "snr_threshold", "noise"))
 
     scen_d = tree["scenarios"]
-    if not isinstance(scen_d, dict):
-        raise ConfigurationError("config section scenarios must be a mapping")
-    for key in scen_d:
-        if key not in ("test_level_db", "baseline", "variants"):
-            raise ConfigurationError(f"unknown field: scenarios.{key}")
-    variants_d = scen_d.get("variants") or []
+    variants_d = scen_d["variants"] or []
     if not isinstance(variants_d, list):
         raise ConfigurationError("scenarios.variants must be a list")
     scenarios = ScenarioSet(
         test_level_db=_number(scen_d, "test_level_db", "scenarios"),
-        baseline=_scenario(scen_d.get("baseline"), "scenarios.baseline"),
+        baseline=_scenario(scen_d["baseline"], "scenarios.baseline"),
         variants=tuple(_scenario(v, f"scenarios.variants[{i}]")
                        for i, v in enumerate(variants_d)))
 

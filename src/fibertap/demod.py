@@ -74,9 +74,9 @@ class DemodConfig:
     """
 
     beat_frequency: float
-    highpass_cutoff: float = 500.0
-    filter_order: int = 4
-    audio_rate: float = 40000.0
+    highpass_cutoff: float
+    filter_order: int
+    audio_rate: float
 
     def __post_init__(self):
         if not 0 < self.beat_frequency < np.inf:
@@ -214,7 +214,7 @@ def _audio_filter(cfg: DemodConfig, rate_in: float, band: AudioBand):
 
 
 def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
-               n_samples: int, highpass: bool = True) -> int:
+               n_samples: int, highpass: bool) -> int:
     """Check `cfg` against an n-sample record at `sample_rate`; size the edge guard.
 
     Runs every rule that ties the parameters to the record and the band
@@ -372,7 +372,7 @@ def highpass_padlen(order: int) -> int:
     return 3 * (order + 1)
 
 
-def highpass(trace: SampledTrace, cutoff: float, order: int = 4) -> SampledTrace:
+def highpass(trace: SampledTrace, cutoff: float, order: int) -> SampledTrace:
     """Zero-phase Butterworth high-pass (forward-backward, -6 dB at cutoff).
 
     The steps of scipy's ``sosfiltfilt`` on ``butter``'s sections: the

@@ -45,11 +45,11 @@ class SpectralSubtractParams:
     noise is silent throughout while speech bursts stand out.
     """
 
-    frame_ms: float = 20.0
-    overlap: float = 0.5
-    oversubtraction: float = 2.0
-    spectral_floor: float = 0.02
-    silence_threshold_db: float = -10.0
+    frame_ms: float
+    overlap: float
+    oversubtraction: float
+    spectral_floor: float
+    silence_threshold_db: float
 
     def __post_init__(self):
         if not self.frame_ms > 0:

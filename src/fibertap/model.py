@@ -24,9 +24,6 @@ from .trace import AUDIO, HETERODYNE, PHASE, SampledTrace
 SPEED_OF_LIGHT = 299792458.0
 BOLTZMANN = 1.380649e-23
 
-#: Reference pressure for dB SPL (20 micropascal).
-SPL_REFERENCE_PA = 2e-5
-
 #: Optical carrier power is normalized so E0^2 = 1.
 CARRIER_POWER = 1.0
 
@@ -49,8 +46,8 @@ class LaserSpec:
     """
 
     wavelength: float
-    white_freq_psd: float = 0.0
-    flicker_coeff: float = 0.0
+    white_freq_psd: float
+    flicker_coeff: float
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -72,10 +69,10 @@ class FiberSpec:
     """
 
     length: float
-    refractive_index: float = 1.468
-    bulk_modulus_area_product: float = 454.0
-    loss_angle: float = 0.01
-    temperature: float = 293.15
+    refractive_index: float
+    bulk_modulus_area_product: float
+    loss_angle: float
+    temperature: float
 
     def __post_init__(self):
         if not 0 <= self.length < np.inf:
@@ -98,12 +95,13 @@ class AcousticCoupling:
     """Linear sound-to-phase coupling of the sensing fiber.
 
     ``sensitivity`` is phase per unit pressure per meter of sensing fiber,
-    rad / (Pa m). The default value shipped in the config file is calibrated
-    against the thermal-noise detection anchor rather than hard-coded here.
+    rad / (Pa m). The value shipped in the config file is calibrated against
+    the thermal-noise detection anchor. ``spl_reference`` is the 0 dB SPL
+    pressure in Pa.
     """
 
     sensitivity: float
-    spl_reference: float = SPL_REFERENCE_PA
+    spl_reference: float
 
     def __post_init__(self):
         if self.sensitivity <= 0:
@@ -129,11 +127,11 @@ class InterferometerConfig:
     laser: LaserSpec
     detect_fiber: FiberSpec
     reference_length: float
-    sensing_length: float = 3.0
-    reflection_amplitude: float = 0.2
-    intermediate_frequency: float = 25e3
-    sample_rate: float = 400e3
-    initial_phase: float = 0.0
+    sensing_length: float
+    reflection_amplitude: float
+    intermediate_frequency: float
+    sample_rate: float
+    initial_phase: float
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -175,12 +173,12 @@ def mismatch_to_delay(mismatch: float, refractive_index: float) -> float:
     return refractive_index * mismatch / SPEED_OF_LIGHT
 
 
-def spl_to_pressure(level_db, spl_reference=SPL_REFERENCE_PA):
+def spl_to_pressure(level_db, spl_reference):
     """Convert a dB SPL level to pressure, ``spl_reference * 10^(level/20)``."""
     return spl_reference * 10.0 ** (np.asarray(level_db, dtype=float) / 20.0)
 
 
-def pressure_to_spl(pressure, spl_reference=SPL_REFERENCE_PA):
+def pressure_to_spl(pressure, spl_reference):
     """Inverse of `spl_to_pressure`; returns -inf for zero pressure."""
     p = np.asarray(pressure, dtype=float)
     with np.errstate(divide="ignore"):

@@ -40,10 +40,10 @@ from .trace import PHASE, SampledTrace
 
 @dataclass(frozen=True)
 class AudioBand:
-    """Audio integration band [f_low, f_high] in Hz (defaults 100 Hz .. 10 kHz)."""
+    """Audio integration band [f_low, f_high] in Hz."""
 
-    f_low: float = 100.0
-    f_high: float = 10000.0
+    f_low: float
+    f_high: float
 
     def __post_init__(self):
         if not 0 < self.f_low < self.f_high:
@@ -139,7 +139,7 @@ def laser_phase_psd_approx(laser: LaserSpec, tau0: float, f):
     return tau0 ** 2 * laser_freq_psd(laser, f)
 
 
-def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str = "approx") -> float:
+def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> float:
     """Band RMS of laser-induced phase noise.
 
     The approx form has the closed expression

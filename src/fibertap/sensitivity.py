@@ -24,8 +24,8 @@ class MitigationScenario:
 
     label: str
     sensing_length: float
-    bulk_modulus_scale: float = 1.0
-    reflection_amplitude: float = 0.2
+    bulk_modulus_scale: float
+    reflection_amplitude: float
 
     def __post_init__(self):
         if self.sensing_length < 0:
@@ -65,7 +65,7 @@ def scenario_voice_rms(scenario: MitigationScenario, coupling: AcousticCoupling,
 
 def compare_mitigations(baseline: MitigationScenario, variants,
                         coupling: AcousticCoupling,
-                        test_level_db: float = 70.0) -> list[MitigationRow]:
+                        test_level_db: float) -> list[MitigationRow]:
     """Voice phase of each scenario relative to the baseline, in dB.
 
     The baseline appears as the first row with zero deltas. The carrier

@@ -15,11 +15,8 @@ from fibertap import (
     AUDIO,
     PHASE,
     AudioBand,
-    DemodConfig,
-    FiberSpec,
     MitigationScenario,
     SampledTrace,
-    SpectralSubtractParams,
     compare_mitigations,
     compute_noise_budget,
     decimate_to_audio,
@@ -66,13 +63,13 @@ def test_criterion_1_round_trip_fidelity():
     fs = CFG.interferometer.sample_rate
     t = np.arange(int(fs)) / fs
     chirp = signal.chirp(t, 500.0, 1.0, 5000.0)
-    pressure = spl_to_pressure(70.0) * chirp
+    pressure = spl_to_pressure(70.0, CFG.coupling.spl_reference) * chirp
     audio = SampledTrace(fs, pressure, AUDIO)
     phase = voice_to_phase(audio, CFG.coupling, CFG.interferometer.sensing_length)
 
     het = synthesize_heterodyne(CFG.interferometer, voice_phase=phase)
-    dm = DemodConfig(beat_frequency=CFG.interferometer.intermediate_frequency)
-    guard = edge_guard(dm, fs, CFG.band, het.n_samples)
+    dm = CFG.demod
+    guard = edge_guard(dm, fs, CFG.band, het.n_samples, highpass=True)
     baseband = iq_demodulate(decimate_to_audio(het, dm, CFG.band), dm)
 
     # drop the FIR settling region before filtering, then the filter edges;
@@ -142,11 +139,7 @@ def test_criterion_4_rms_quadrature_oracles():
         f_low = rng.uniform(20.0, 500.0)
         f_high = rng.uniform(1000.0, 20000.0)
         band = AudioBand(f_low=f_low, f_high=f_high)
-        fiber = FiberSpec(length=length,
-                          refractive_index=fiber_t.refractive_index,
-                          bulk_modulus_area_product=fiber_t.bulk_modulus_area_product,
-                          loss_angle=fiber_t.loss_angle,
-                          temperature=fiber_t.temperature)
+        fiber = replace(fiber_t, length=length)
 
         closed_th = thermal_rms(fiber, laser_t.wavelength, band)
         var_th, _ = integrate.quad(
@@ -210,7 +203,7 @@ def _enhancement_fixture():
     """Bursty tone over low-frequency-heavy stationary noise at 0 dB
     segmental SNR (frame-periodic noise keeps frame spectra deterministic)."""
     fs = 16000.0
-    params = SpectralSubtractParams(spectral_floor=0.01)
+    params = replace(CFG.enhance, spectral_floor=0.01)
     frame, hop, _ = params.resolve(fs)  # the default 20 ms at 50 %: 320, 160
     rng = np.random.default_rng(2024)
     n = int(fs * 4)

@@ -194,7 +194,7 @@ class TestDemod:
         meta = json.loads((tmp_path / "rec.wav.meta.json").read_text())
         offset = int(round(meta["start_time_s"] * 40000.0))
         rate0, src = read_wav(chirp_wav)
-        level = spl_to_pressure(70.0)
+        level = spl_to_pressure(70.0, cfg.coupling.spl_reference)
         audio = SampledTrace(rate0, src / np.max(np.abs(src)) * level, AUDIO)
         phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
         # the 500 Hz-5 kHz chirp at 40 kS/s: every 10th sample
@@ -363,7 +363,8 @@ class TestDemod:
                      "--phase-csv", str(pcsv)]) == 0
         n = read_trace(het).n_samples
         audio = read_trace(rec)
-        guard = edge_guard(load_config(conf).demod, FS, default_config().band, n)
+        guard = edge_guard(load_config(conf).demod, FS, default_config().band, n,
+                           highpass=True)
         assert audio.sample_rate == read_trace(pcsv).sample_rate == rate
         assert audio.n_samples == -(-n * up // down) - 2 * guard
 
@@ -470,12 +471,12 @@ class TestDemod:
 
         cfg = default_config()
         rate0, src = read_wav(chirp_wav)
-        level = spl_to_pressure(70.0)
+        level = spl_to_pressure(70.0, cfg.coupling.spl_reference)
         audio = SampledTrace(rate0, src / np.max(np.abs(src)) * level, AUDIO)
         phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
         het = synthesize_heterodyne(cfg.interferometer, voice_phase=phase)
         dm = cfg.demod
-        guard = edge_guard(dm, het.sample_rate, cfg.band, het.n_samples)
+        guard = edge_guard(dm, het.sample_rate, cfg.band, het.n_samples, highpass=True)
         baseband = iq_demodulate(decimate_to_audio(het, dm, cfg.band), dm)
         phase = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
         rec2 = highpass(phase, dm.highpass_cutoff, dm.filter_order)
@@ -850,6 +851,32 @@ class TestSensitivityCmd:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[5]) == 0.0
+
+    def test_partial_scenarios_keep_the_default_rows(self, tmp_path):
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text("scenarios:\n  test_level_db: 60.0\n")
+        out60, out70 = tmp_path / "mit60.csv", tmp_path / "mit70.csv"
+        assert main(["sensitivity", "--config", str(cfgp), "--out", str(out60)]) == 0
+        assert main(["sensitivity", "--out", str(out70)]) == 0
+        rows60 = [ln.split(",") for ln in out60.read_text().splitlines()]
+        rows70 = [ln.split(",") for ln in out70.read_text().splitlines()]
+        assert [r[0] for r in rows60] == [r[0] for r in rows70]
+        assert len(rows60) == 5
+        for r60, r70 in zip(rows60[1:], rows70[1:]):
+            # the voice phase falls 10 dB with the level; the deltas stay
+            assert float(r60[4]) == pytest.approx(float(r70[4]) / 10 ** 0.5, rel=1e-12)
+            assert float(r60[5]) == pytest.approx(float(r70[5]), abs=1e-12)
+            assert r60[6] == r70[6]
+        summary = json.loads((tmp_path / "mit60.csv.summary.json").read_text())
+        assert summary["test_level_db"] == 60.0 and summary["baseline"] == "pc-3m"
+
+    def test_unknown_scenarios_key_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text("scenarios:\n  test_level: 60.0\n")
+        out = tmp_path / "mit.csv"
+        assert main(["sensitivity", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "unknown config key: scenarios.test_level" in capsys.readouterr().err
+        assert not list(tmp_path.glob("mit.csv*"))
 
     def test_malformed_scenario_exits_2(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.yaml"

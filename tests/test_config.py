@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -6,7 +8,25 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from fibertap import DemodConfig, default_config, load_config
+import fibertap.model
+from fibertap import (
+    AcousticCoupling,
+    AudioBand,
+    DemodConfig,
+    FiberSpec,
+    InterferometerConfig,
+    LaserSpec,
+    MitigationScenario,
+    SpectralSubtractParams,
+    compare_mitigations,
+    default_config,
+    edge_guard,
+    highpass,
+    laser_rms,
+    load_config,
+    pressure_to_spl,
+    spl_to_pressure,
+)
 from fibertap.calibrate import (
     calibrate_flicker,
     calibrate_sensitivity,
@@ -35,7 +55,8 @@ class TestDefaults:
     def test_sensitivity_matches_thermal_anchor(self, cfg):
         expected = calibrate_sensitivity(
             cfg.interferometer.detect_fiber, cfg.interferometer.laser.wavelength,
-            cfg.band, sensing_length=cfg.interferometer.sensing_length)
+            cfg.band, cfg.coupling.spl_reference,
+            sensing_length=cfg.interferometer.sensing_length)
         assert cfg.coupling.sensitivity == pytest.approx(expected, rel=1e-9)
 
     def test_flicker_matches_mismatch_anchor(self, cfg):
@@ -60,6 +81,30 @@ class TestDefaults:
         assert "short-1m" in labels and "apc" in labels
 
 
+class TestOneSourceOfDefaults:
+    """The packaged config states every default: no settings dataclass has a
+    field default and no function restates a setting as a default argument."""
+
+    @pytest.mark.parametrize("cls", [
+        LaserSpec, FiberSpec, InterferometerConfig, AcousticCoupling, AudioBand,
+        DemodConfig, SpectralSubtractParams, MitigationScenario])
+    def test_settings_dataclasses_have_no_defaults(self, cls):
+        for field in dataclasses.fields(cls):
+            assert field.default is dataclasses.MISSING, (cls.__name__, field.name)
+            assert field.default_factory is dataclasses.MISSING, (cls.__name__, field.name)
+
+    @pytest.mark.parametrize("function,name", [
+        (spl_to_pressure, "spl_reference"), (pressure_to_spl, "spl_reference"),
+        (calibrate_sensitivity, "spl_reference"), (highpass, "order"),
+        (edge_guard, "highpass"), (compare_mitigations, "test_level_db"),
+        (laser_rms, "form")])
+    def test_functions_restate_no_setting(self, function, name):
+        assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
+
+    def test_no_spl_reference_constant(self):
+        assert not hasattr(fibertap.model, "SPL_REFERENCE_PA")
+
+
 class TestUserOverrides:
     def test_partial_override(self, tmp_path):
         p = tmp_path / "user.yaml"
@@ -79,6 +124,39 @@ class TestUserOverrides:
         p = tmp_path / "user.yaml"
         p.write_text("lasers:\n  wavelength_m: 1.0e-6\n")
         with pytest.raises(ConfigurationError, match="lasers"):
+            load_config(p)
+
+    def test_scenarios_merge_like_every_section(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text("scenarios:\n  test_level_db: 60.0\n")
+        scenarios = load_config(p).scenarios
+        assert scenarios.test_level_db == 60.0
+        assert scenarios.baseline == default_config().scenarios.baseline
+        assert scenarios.variants == default_config().scenarios.variants
+
+    def test_partial_baseline_merges_field_by_field(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text("scenarios:\n  baseline:\n    sensing_length_m: 5.0\n")
+        default = default_config().scenarios.baseline
+        assert load_config(p).scenarios.baseline == dataclasses.replace(default,
+                                                                          sensing_length=5.0)
+
+    def test_variants_list_replaces_the_default_list(self, tmp_path):
+        p = tmp_path / "user.yaml"
+        p.write_text("scenarios:\n  variants:\n    - label: only\n"
+                     "      sensing_length_m: 1.0\n      bulk_modulus_scale: 2.0\n"
+                     "      reflection_amplitude: 0.1\n")
+        assert load_config(p).scenarios.variants == (
+            MitigationScenario("only", 1.0, 2.0, 0.1),)
+
+    @pytest.mark.parametrize("text,key", [
+        ("scenarios:\n  level_db: 60.0\n", "scenarios.level_db"),
+        ("scenarios:\n  baseline:\n    reflector: 0.2\n", "scenarios.baseline.reflector"),
+    ])
+    def test_unknown_scenarios_key_named(self, tmp_path, text, key):
+        p = tmp_path / "user.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"unknown config key: {re.escape(key)}$"):
             load_config(p)
 
     def test_malformed_scenario_names_field(self, tmp_path):

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,9 @@ from fibertap import (
     HETERODYNE,
     PHASE,
     AudioBand,
-    DemodConfig,
-    FiberSpec,
-    LaserSpec,
-    InterferometerConfig,
     SampledTrace,
     decimate_to_audio,
+    default_config,
     edge_guard,
     highpass,
     iq_demodulate,
@@ -41,19 +39,17 @@ from fibertap.errors import ConfigurationError, InputError, NyquistError
 
 from conftest import make_tone, tone_amplitude, tone_phase
 
+CFG = default_config()
 FS = 400e3
-BAND = AudioBand()
+BAND = CFG.band
+#: the packaged demod settings: 25 kHz beat, 500 Hz order-4 high-pass, 40 kS/s
+DM = CFG.demod
 
 
 def tap(f_if=25e3, alpha=0.2, fs=FS):
-    return InterferometerConfig(
-        laser=LaserSpec(wavelength=1.55e-6),
-        detect_fiber=FiberSpec(length=1103.0),
-        reference_length=2206.0,
-        sensing_length=3.0,
-        reflection_amplitude=alpha,
-        intermediate_frequency=f_if,
-        sample_rate=fs)
+    """The packaged tap (balanced 1103 m arms) with this beat, echo and rate."""
+    return replace(CFG.interferometer, reflection_amplitude=alpha,
+                   intermediate_frequency=f_if, sample_rate=fs)
 
 
 def quiet_record(ifo, duration):
@@ -98,22 +94,22 @@ def direct_decimation(x, up, down, taps):
 class TestDemodConfig:
     def test_invariants(self):
         with pytest.raises(ConfigurationError):
-            DemodConfig(beat_frequency=0.0)
+            replace(DM, beat_frequency=0.0)
         with pytest.raises(ConfigurationError):
-            DemodConfig(beat_frequency=25e3, highpass_cutoff=-1.0)
+            replace(DM, highpass_cutoff=-1.0)
         with pytest.raises(ConfigurationError, match="highpass_cutoff must be finite and > 0"):
-            DemodConfig(beat_frequency=25e3, highpass_cutoff=0.0)
+            replace(DM, highpass_cutoff=0.0)
         with pytest.raises(ConfigurationError):
-            DemodConfig(beat_frequency=25e3, filter_order=0)
+            replace(DM, filter_order=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["beat_frequency", "highpass_cutoff", "audio_rate"])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"demod.{field} must be finite"):
-            DemodConfig(**{"beat_frequency": 25e3, field: value})
+            replace(DM, **{field: value})
 
     def test_nyquist_check(self):
-        cfg = DemodConfig(beat_frequency=250e3)
+        cfg = replace(DM, beat_frequency=250e3)
         with pytest.raises(NyquistError):
             cfg.validate_rate(FS)
 
@@ -121,10 +117,10 @@ class TestDemodConfig:
         # above the cap the numpy high-pass drifts from sosfiltfilt (see
         # TestScipyReference.test_highpass_at_the_order_cap_matches_sosfiltfilt)
         tone = make_tone(40e3, 1000.0, 0.1, 1.0)
-        assert DemodConfig(beat_frequency=25e3, filter_order=24).filter_order == 24
+        assert replace(DM, filter_order=24).filter_order == 24
         highpass(tone, 500.0, 24)
         with pytest.raises(ConfigurationError, match=r"filter_order must lie in \[1, 24\], got 25"):
-            DemodConfig(beat_frequency=25e3, filter_order=25)
+            replace(DM, filter_order=25)
         with pytest.raises(ConfigurationError, match=r"order must be an integer in \[1, 24\]"):
             highpass(tone, 500.0, 25)
 
@@ -141,16 +137,16 @@ class TestEdgeGuard:
         (40e3, 37), (80e3, 50), (25e3, 93), (32e3, 50), (44100.0, 34), (FS, 247),
     ])
     def test_guard_spans_the_fir_at_the_audio_rate(self, audio_rate, guard):
-        cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
+        cfg = replace(DM, audio_rate=audio_rate)
         up, down = resample_ratio(FS, audio_rate)
         # the longest record whose audio output has 3 x guard samples
         n = 3 * guard * down // up
-        assert edge_guard(cfg, FS, AudioBand(), n + 1) == guard
+        assert edge_guard(cfg, FS, BAND, n + 1, highpass=True) == guard
         # the trim takes a guard from each edge and must leave more than one
         for highpass_on in (True, False):
             with pytest.raises(InputError, match=f"more than {3 * guard} samples; "
                                                  f"this record gives {3 * guard}$"):
-                edge_guard(cfg, FS, AudioBand(), n, highpass=highpass_on)
+                edge_guard(cfg, FS, BAND, n, highpass=highpass_on)
 
     # at 40 kHz the 37-sample guard leaves n / 10 - 74 samples, and the
     # high-pass pads 3 x (order + 1) at each edge and needs more
@@ -158,40 +154,40 @@ class TestEdgeGuard:
         (23, 1470, True), (24, 1470, False), (24, 1500, True), (4, 1470, True),
     ])
     def test_highpass_needs_its_padding_after_the_trim(self, order, n, ok):
-        cfg = DemodConfig(beat_frequency=25e3, filter_order=order)
-        assert edge_guard(cfg, FS, AudioBand(), n, highpass=False) == 37
+        cfg = replace(DM, filter_order=order)
+        assert edge_guard(cfg, FS, BAND, n, highpass=False) == 37
         if ok:
-            assert edge_guard(cfg, FS, AudioBand(), n) == 37
+            assert edge_guard(cfg, FS, BAND, n, highpass=True) == 37
         else:
             with pytest.raises(InputError, match=f"order-{order} high-pass"):
-                edge_guard(cfg, FS, AudioBand(), n)
+                edge_guard(cfg, FS, BAND, n, highpass=True)
 
     def test_beat_above_nyquist_rejected(self):
         with pytest.raises(NyquistError):
-            edge_guard(DemodConfig(beat_frequency=25e3), 48e3, AudioBand(), self.N)
+            edge_guard(DM, 48e3, BAND, self.N, highpass=True)
 
     @pytest.mark.parametrize("beat", [5e3, 10e3])
     def test_beat_in_the_audio_band_rejected(self, beat):
         # the FIR stops at the beat, so a beat at or below the band's top
         # would cut the band
-        cfg = DemodConfig(beat_frequency=beat)
+        cfg = replace(DM, beat_frequency=beat)
         with pytest.raises(ConfigurationError, match="must lie above the audio band"):
-            edge_guard(cfg, FS, AudioBand(), self.N)
-        edge_guard(cfg, FS, AudioBand(f_high=beat / 2), self.N)
+            edge_guard(cfg, FS, BAND, self.N, highpass=True)
+        edge_guard(cfg, FS, replace(BAND, f_high=beat / 2), self.N, highpass=True)
 
     # the high-pass runs at the audio rate, here the record's rate
     @pytest.mark.parametrize("cutoff", [500.0, FS / 2 - 1, FS / 2, FS])
     def test_highpass_cutoff_checked_as_highpass_does(self, cutoff):
-        cfg = DemodConfig(beat_frequency=25e3, highpass_cutoff=cutoff, audio_rate=FS)
+        cfg = replace(DM, highpass_cutoff=cutoff, audio_rate=FS)
         tone = make_tone(FS, 1000.0, 0.01, 1.0)
         if cutoff < FS / 2:
-            edge_guard(cfg, FS, AudioBand(), self.N)
-            highpass(tone, cutoff)
+            edge_guard(cfg, FS, BAND, self.N, highpass=True)
+            highpass(tone, cutoff, 4)
         else:
             with pytest.raises(ConfigurationError, match="must lie below audio_rate/2"):
-                edge_guard(cfg, FS, AudioBand(), self.N)
+                edge_guard(cfg, FS, BAND, self.N, highpass=True)
             with pytest.raises(ConfigurationError):
-                highpass(tone, cutoff)
+                highpass(tone, cutoff, 4)
 
     @pytest.mark.parametrize("audio_rate", [
         16e3, 20e3, 20001.0, 22050.0, 32e3, 40e3, FS / 3, FS / np.pi, 0.0, -40e3,
@@ -204,17 +200,17 @@ class TestEdgeGuard:
                 return str(exc)
             return None
 
-        cfg = DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
+        cfg = replace(DM, audio_rate=audio_rate)
         het = quiet_record(tap(), 0.01)
-        expected = error(lambda: decimate_to_audio(het, cfg, AudioBand()))
-        assert error(lambda: edge_guard(cfg, FS, AudioBand(), self.N)) == expected
+        expected = error(lambda: decimate_to_audio(het, cfg, BAND))
+        assert error(lambda: edge_guard(cfg, FS, BAND, self.N, highpass=True)) == expected
         assert (expected is None) == (audio_rate in (22050.0, 32e3, 40e3, FS / 3))
 
 
 class TestIqDemodulate:
     def test_pure_carrier_recovers_constant_phase(self):
         het = quiet_record(tap(), 0.2)
-        phase = demod_chain(het, DemodConfig(beat_frequency=25e3)).samples
+        phase = demod_chain(het, DM).samples
         inner = trim(phase, 200)
         assert np.max(np.abs(inner - np.mean(inner))) < 1e-6
 
@@ -222,7 +218,7 @@ class TestIqDemodulate:
         # the translated FIR leaves the carrier turning at 25 kHz, 5/8 of a
         # turn per 40 kS/s sample; the mix takes it back to a constant
         het = quiet_record(tap(alpha=0.2), 0.01)
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         beat = decimate_to_audio(het, cfg, BAND)
         z = iq_demodulate(beat, cfg)
         assert z.kind == BASEBAND and z.sample_rate == 40e3 and z.n_samples == het.n_samples // 10
@@ -234,13 +230,13 @@ class TestIqDemodulate:
 
     def test_magnitude_tracks_beat_amplitude(self):
         het = quiet_record(tap(alpha=0.2), 0.1)
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         z = iq_demodulate(decimate_to_audio(het, cfg, BAND), cfg)
         assert z.kind == BASEBAND
         np.testing.assert_allclose(trim(np.abs(z.samples), 200), 0.2, rtol=1e-5)
 
     def test_dc_term_does_not_perturb_phase(self):
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         tone = make_tone(FS, 1000.0, 0.1, 0.3)
         het = synthesize_heterodyne(tap(), voice_phase=tone)
         # same record with the constant photocurrent term removed
@@ -252,7 +248,7 @@ class TestIqDemodulate:
     def test_round_trip_half_radian_kilohertz(self):
         tone = make_tone(FS, 1000.0, 0.5, 0.5)
         het = synthesize_heterodyne(tap(), voice_phase=tone)
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         rec = demod_chain(het, cfg).samples
         # the 40 kS/s samples after the 37-sample guard
         err = trim(rec - tone.samples[::10][37:-37], 200)
@@ -262,7 +258,7 @@ class TestIqDemodulate:
     def test_amplitude_invariance(self):
         tone = make_tone(FS, 700.0, 0.1, 0.4)
         het = synthesize_heterodyne(tap(), voice_phase=tone)
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         a = demod_chain(het, cfg).samples
         b = demod_chain(het.with_samples(het.samples * 3.7), cfg).samples
         assert np.max(np.abs(trim(a - b, 200))) < 1e-6
@@ -272,8 +268,8 @@ class TestIqDemodulate:
         # to ~26 kHz: a 40 kHz band at 160 kS/s carries them, with the beat
         # placed higher so the FIR (stop edge at the beat) rejects its DC term
         rng = np.random.default_rng(17)
-        cfg = DemodConfig(beat_frequency=80e3, audio_rate=160e3)
-        band = AudioBand(f_high=40e3)
+        cfg = replace(DM, beat_frequency=80e3, audio_rate=160e3)
+        band = replace(BAND, f_high=40e3)
         n = int(0.3 * FS)
         guard = edge_guard(cfg, FS, band, n, highpass=False)
         t = np.arange(n) / FS
@@ -297,15 +293,15 @@ class TestIqDemodulate:
         # 1/10 of 400 kS/s misses 40000.00001 by 2.5e-10 relative, far past
         # rounding: the rate is rejected rather than run at 40 kS/s
         het = quiet_record(tap(), 0.01)
-        odd = DemodConfig(beat_frequency=25e3, audio_rate=40000.00001)
+        odd = replace(DM, audio_rate=40000.00001)
         message = "rate 40000.00001 is not rationally related"
         with pytest.raises(ConfigurationError, match=message):
-            edge_guard(odd, FS, BAND, het.n_samples)
+            edge_guard(odd, FS, BAND, het.n_samples, highpass=True)
         with pytest.raises(ConfigurationError, match=message):
             decimate_to_audio(het, odd, BAND)
 
     def test_kind_and_nyquist_errors(self):
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         tone = make_tone(FS, 1000.0, 0.01, 0.5)
         het = quiet_record(tap(), 0.01)
         with pytest.raises(InputError, match="decimate_to_audio expects a 'heterodyne' trace"):
@@ -314,7 +310,7 @@ class TestIqDemodulate:
             with pytest.raises(InputError, match="iq_demodulate expects a 'baseband' trace"):
                 iq_demodulate(trace, cfg)
         with pytest.raises(NyquistError):
-            decimate_to_audio(het, DemodConfig(beat_frequency=300e3), BAND)
+            decimate_to_audio(het, replace(DM, beat_frequency=300e3), BAND)
 
 
 class TestBlockedDemod:
@@ -336,8 +332,8 @@ class TestBlockedDemod:
     ], ids=["1", "taps-1", "B-1", "B", "B+1", "3B+17", "100001"])
     def test_matches_whole_record_path(self, blocks, taps_, extra):
         for audio_rate in (40e3, 32e3, 44100.0):
-            cfg = DemodConfig(beat_frequency=31e3, audio_rate=audio_rate)
-            up, down, design = _audio_filter(cfg, FS, AudioBand())
+            cfg = replace(DM, beat_frequency=31e3, audio_rate=audio_rate)
+            up, down, design = _audio_filter(cfg, FS, BAND)
             taps = _kaiser_lowpass(*design)
             n = blocks * self.B + taps_ * (taps.size // up) + extra
             rng = np.random.default_rng(n)
@@ -427,7 +423,7 @@ class TestMemory:
 
     @pytest.fixture(scope="class")
     def record(self):
-        cfg = DemodConfig(beat_frequency=25e3)
+        cfg = DM
         het = quiet_record(tap(), 1.0)
         # imports, numpy.fft's among them
         highpass(demod_chain(het.with_samples(het.samples[:2000]), cfg), 500.0, 4)
@@ -623,8 +619,8 @@ class TestScipyReference:
     @pytest.mark.parametrize("beat", [25e3, 31e3, 50e3])
     def test_iq_taps_equal_kaiserord_firwin(self, beat):
         from scipy import signal
-        cfg = DemodConfig(beat_frequency=beat, audio_rate=80e3)
-        up, _, design = _audio_filter(cfg, FS, AudioBand())
+        cfg = replace(DM, beat_frequency=beat, audio_rate=80e3)
+        up, _, design = _audio_filter(cfg, FS, BAND)
         stop = min(40e3, beat)
         assert up == 1 and design == (10e3, stop, IQ_STOPBAND_DB, FS)
         numtaps, beta = signal.kaiserord(140.0, (stop - 10e3) / (0.5 * FS))
@@ -635,8 +631,8 @@ class TestScipyReference:
     @pytest.mark.parametrize("rate", [40e3, 32e3, 44100.0])
     def test_decimation_taps_equal_kaiserord_firwin(self, rate):
         from scipy import signal
-        up, _, design = _audio_filter(DemodConfig(beat_frequency=25e3, audio_rate=rate),
-                                      FS, AudioBand())
+        up, _, design = _audio_filter(replace(DM, audio_rate=rate),
+                                      FS, BAND)
         fs = FS * up
         assert design == (10e3, rate / 2, IQ_STOPBAND_DB, fs)
         numtaps, beta = signal.kaiserord(IQ_STOPBAND_DB, (rate / 2 - 10e3) / (0.5 * fs))
@@ -776,7 +772,7 @@ class TestScipyReference:
 
 
 def at_rate(audio_rate):
-    return DemodConfig(beat_frequency=25e3, audio_rate=audio_rate)
+    return replace(DM, audio_rate=audio_rate)
 
 
 class TestDecimateToAudio:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from fibertap import (
     AUDIO,
     SampledTrace,
-    SpectralSubtractParams,
+    default_config,
     detect_silent_frames,
     estimate_noise_spectrum,
     segmental_snr,
@@ -25,7 +27,7 @@ from fibertap.errors import ConfigurationError, EstimationError, InputError
 FS = 16000.0
 FRAME = 320
 HOP = 160
-PARAMS = SpectralSubtractParams()
+PARAMS = default_config().enhance
 
 
 def trace(x):
@@ -104,9 +106,9 @@ def segmental_snr_loop(processed, reference, frame_length):
 class TestParams:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SpectralSubtractParams(oversubtraction=0.5)
+            replace(PARAMS, oversubtraction=0.5)
         with pytest.raises(ConfigurationError):
-            SpectralSubtractParams(spectral_floor=1.0)
+            replace(PARAMS, spectral_floor=1.0)
 
     def test_resolution_defaults(self):
         frame, hop, win = PARAMS.resolve(FS)
@@ -119,13 +121,13 @@ class TestParams:
     ])
     def test_framing_validation(self, kwargs):
         with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-            SpectralSubtractParams(**kwargs)
+            replace(PARAMS, **kwargs)
 
     def test_resolution_from_frame_ms_and_overlap(self):
-        params = SpectralSubtractParams(frame_ms=25.0, overlap=0.75)
+        params = replace(PARAMS, frame_ms=25.0, overlap=0.75)
         assert params.resolve(FS)[:2] == (400, 100)
         # an odd frame length is made even
-        assert SpectralSubtractParams(frame_ms=1.0625, overlap=0.25).resolve(FS)[:2] == (18, 14)
+        assert replace(PARAMS, frame_ms=1.0625, overlap=0.25).resolve(FS)[:2] == (18, 14)
 
     @pytest.mark.parametrize("kwargs,key", [
         (dict(overlap=0.0), "overlap"), (dict(overlap=0.001), "overlap"),
@@ -136,7 +138,7 @@ class TestParams:
     def test_hop_of_a_whole_frame_rejected(self, kwargs, key):
         # the periodic Hann window is 0 at every frame start, so without
         # overlap those samples have no window sum to reconstruct from
-        params = SpectralSubtractParams(**kwargs)
+        params = replace(PARAMS, **kwargs)
         with pytest.raises(ConfigurationError, match=key):
             params.resolve(FS)
         x = trace(np.random.default_rng(0).standard_normal(4 * FRAME))
@@ -151,12 +153,12 @@ class TestParams:
         (800, 789, 9.41e-4, 788), (2, 2, 0.0, 1),
     ])
     def test_thin_window_sum_rejected(self, frame, hop, low, longest):
-        params = SpectralSubtractParams(**framing(frame, hop))
+        params = replace(PARAMS, **framing(frame, hop))
         with pytest.raises(ConfigurationError,
                            match=f"enhance.overlap .* gives hop {hop} for frame length "
                                  f"{frame}, .* sum to {low:.3g}, below 0.001"):
             params.resolve(FS)
-        assert SpectralSubtractParams(**framing(frame, longest)).resolve(FS)[:2] \
+        assert replace(PARAMS, **framing(frame, longest)).resolve(FS)[:2] \
             == (frame, longest)
 
 
@@ -178,7 +180,7 @@ class TestFraming:
     def test_subtract_equals_loop_at_half_frame_hop(self, frame, hop, extra):
         rng = np.random.default_rng(frame + extra)
         tr = trace(rng.standard_normal(3 * frame + extra))
-        params = SpectralSubtractParams(**framing(frame, hop))
+        params = replace(PARAMS, **framing(frame, hop))
         noise = rng.uniform(0, 2 * frame, frame // 2 + 1)
         out = spectral_subtract(tr, noise, params).samples
         assert np.array_equal(out, spectral_subtract_loop(tr, noise, params))
@@ -188,7 +190,7 @@ class TestFraming:
     def test_subtract_matches_loop_at_other_hops(self, frame, hop, extra):
         rng = np.random.default_rng(frame + hop + extra)
         tr = trace(rng.standard_normal(frame + extra))
-        params = SpectralSubtractParams(**framing(frame, hop))
+        params = replace(PARAMS, **framing(frame, hop))
         noise = rng.uniform(0, 2 * frame, frame // 2 + 1)
         out = spectral_subtract(tr, noise, params).samples
         ref = spectral_subtract_loop(tr, noise, params)
@@ -217,7 +219,7 @@ class TestFraming:
         hop = data.draw(st.integers(1, frame - 1), label="hop")
         n = data.draw(st.integers(frame, frame + 1024), label="n")
         x = np.random.default_rng(n).standard_normal(n)
-        params = SpectralSubtractParams(**framing(frame, hop))
+        params = replace(PARAMS, **framing(frame, hop))
         sums = [np.sum(np.hanning(frame + 1)[:-1][k::hop]) for k in range(hop)]
         if min(sums) < WINDOW_SUM_FLOOR:
             with pytest.raises(ConfigurationError, match="enhance.overlap"):
@@ -266,7 +268,7 @@ class TestDetectSilentFrames:
     def test_positive_threshold_can_yield_empty_set(self):
         rng = np.random.default_rng(3)
         tr = trace(rng.standard_normal(FRAME + 50 * HOP))
-        params = SpectralSubtractParams(silence_threshold_db=10.0)
+        params = replace(PARAMS, silence_threshold_db=10.0)
         assert detect_silent_frames(tr, params).size == 0
 
 
@@ -342,7 +344,7 @@ class TestSpectralSubtract:
         # the first samples get the full window sum of every frame covering
         # them, not just win[0] + win[hop] (sin^2(pi / frame) at hop 1)
         x = np.random.default_rng(frame).standard_normal(frame)
-        params = SpectralSubtractParams(**framing(frame, hop))
+        params = replace(PARAMS, **framing(frame, hop))
         out = spectral_subtract(trace(x), np.zeros(frame // 2 + 1), params).samples
         assert np.linalg.norm(out - x) <= 1e-14 * np.linalg.norm(x)
 

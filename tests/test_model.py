@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,8 @@ from fibertap import (
     AUDIO,
     HETERODYNE,
     PHASE,
-    AcousticCoupling,
-    FiberSpec,
-    InterferometerConfig,
-    LaserSpec,
     SampledTrace,
+    default_config,
     pressure_to_spl,
     spl_to_pressure,
     synthesize_heterodyne,
@@ -22,29 +21,24 @@ from fibertap.model import SPEED_OF_LIGHT, mismatch_to_delay
 from conftest import make_pressure_tone
 
 
+CFG = default_config()
+SPL_REF = CFG.coupling.spl_reference
+
+
 def small_config(**overrides):
-    laser = LaserSpec(wavelength=1.55e-6)
-    kwargs = dict(
-        laser=laser,
-        detect_fiber=FiberSpec(length=1103.0),
-        reference_length=2206.0,
-        sensing_length=3.0,
-        reflection_amplitude=0.2,
-        intermediate_frequency=25e3,
-        sample_rate=400e3,
-    )
-    kwargs.update(overrides)
-    return InterferometerConfig(**kwargs)
+    """The packaged tap (1103 m, balanced, 0.2 echo, 25 kHz beat at 400 kS/s)."""
+    return replace(CFG.interferometer, **overrides)
 
 
 class TestLaserSpec:
     def test_invariants(self):
+        laser = CFG.interferometer.laser
         with pytest.raises(ConfigurationError):
-            LaserSpec(wavelength=0.0)
+            replace(laser, wavelength=0.0)
         with pytest.raises(ConfigurationError):
-            LaserSpec(wavelength=1.55e-6, white_freq_psd=-1.0)
+            replace(laser, white_freq_psd=-1.0)
         with pytest.raises(ConfigurationError):
-            LaserSpec(wavelength=1.55e-6, flicker_coeff=-1.0)
+            replace(laser, flicker_coeff=-1.0)
 
 
 class TestFiberSpec:
@@ -57,7 +51,7 @@ class TestFiberSpec:
     ])
     def test_invariants(self, kwargs):
         with pytest.raises(ConfigurationError):
-            FiberSpec(**kwargs)
+            replace(CFG.interferometer.detect_fiber, **kwargs)
 
 
 class TestInterferometerConfig:
@@ -95,25 +89,27 @@ class TestInterferometerConfig:
 
 class TestSplToPressure:
     def test_reference_level(self):
-        assert spl_to_pressure(0.0) == pytest.approx(20e-6, rel=1e-12)
+        assert SPL_REF == 2e-5
+        assert spl_to_pressure(0.0, SPL_REF) == pytest.approx(20e-6, rel=1e-12)
 
     def test_factor_ten_per_twenty_db(self):
-        assert spl_to_pressure(20.0) == pytest.approx(200e-6, rel=1e-12)
+        assert spl_to_pressure(20.0, SPL_REF) == pytest.approx(200e-6, rel=1e-12)
 
     def test_94_db_matches_direct_formula(self):
         # independent evaluation of 2e-5 * 10^(94/20)
-        assert spl_to_pressure(94.0) == pytest.approx(1.0023744672545452, rel=1e-12)
+        assert spl_to_pressure(94.0, SPL_REF) == pytest.approx(1.0023744672545452, rel=1e-12)
 
     def test_pressure_to_spl_inverse(self):
         for level in (0.0, 30.0, 61.7, 94.0):
-            assert pressure_to_spl(spl_to_pressure(level)) == pytest.approx(level, abs=1e-12)
+            assert pressure_to_spl(spl_to_pressure(level, SPL_REF), SPL_REF) \
+                == pytest.approx(level, abs=1e-12)
 
     def test_zero_pressure_maps_to_minus_inf(self):
-        assert pressure_to_spl(0.0) == -np.inf
+        assert pressure_to_spl(0.0, SPL_REF) == -np.inf
 
 
 class TestVoiceToPhase:
-    coupling = AcousticCoupling(sensitivity=0.07)
+    coupling = replace(CFG.coupling, sensitivity=0.07)
 
     def test_zero_audio_gives_zero_phase(self):
         audio = SampledTrace(1000.0, np.zeros(100), AUDIO)
@@ -220,9 +216,8 @@ class TestSynthesizeHeterodyne:
 
     def test_noise_phase_is_deterministic(self):
         cfg = small_config(reference_length=2306.0,
-                           laser=LaserSpec(wavelength=1.55e-6,
-                                           white_freq_psd=1256.6,
-                                           flicker_coeff=5.68e6))
+                           laser=replace(CFG.interferometer.laser,
+                                         white_freq_psd=1256.6, flicker_coeff=5.68e6))
         a, b, c = (synthesize_heterodyne(cfg, quiet(cfg, 8000),
                                          synthesize_system_noise(cfg, 8000, seed, 10.0))
                    for seed in (42, 42, 43))

@@ -1,30 +1,32 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fibertap import (
-    AcousticCoupling,
     MitigationScenario,
     compare_mitigations,
+    default_config,
     scenario_voice_rms,
 )
 from fibertap.errors import ConfigurationError
 
-COUPLING = AcousticCoupling(sensitivity=0.0717)
-
-
-class TestTypes:
-    def test_scenario_bounds(self):
-        with pytest.raises(ConfigurationError):
-            MitigationScenario(label="x", sensing_length=-1.0)
-        with pytest.raises(ConfigurationError):
-            MitigationScenario(label="x", sensing_length=1.0, bulk_modulus_scale=0.5)
-        with pytest.raises(ConfigurationError):
-            MitigationScenario(label="x", sensing_length=1.0, reflection_amplitude=2.0)
+COUPLING = replace(default_config().coupling, sensitivity=0.0717)
 
 
 def scenario(label="s", length=3.0, scale=1.0, alpha=0.2):
     return MitigationScenario(label=label, sensing_length=length,
                               bulk_modulus_scale=scale, reflection_amplitude=alpha)
+
+
+class TestTypes:
+    def test_scenario_bounds(self):
+        with pytest.raises(ConfigurationError):
+            scenario("x", length=-1.0)
+        with pytest.raises(ConfigurationError):
+            scenario("x", length=1.0, scale=0.5)
+        with pytest.raises(ConfigurationError):
+            scenario("x", length=1.0, alpha=2.0)
 
 
 class TestCompareMitigations:
