@@ -45,10 +45,12 @@ def sidecar_path(path) -> str:
 
 
 def write_json(path, obj):
-    """Write `obj` as JSON with indent 2, sorted keys and a trailing newline."""
+    """Write `obj` as standard JSON with indent 2, sorted keys and a trailing
+    newline. A NaN or infinite number raises `ValueError` before the file
+    is opened, since JSON has no token for it."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _wav_format(body, path):

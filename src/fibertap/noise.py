@@ -272,7 +272,12 @@ def phase_rms_to_spl(rms_phase: float, coupling: AcousticCoupling,
 def _budget(thermal: float, laser: float, band: AudioBand, coupling: AcousticCoupling,
             sensing_length: float, snr_threshold: float) -> NoiseBudget:
     total = float(np.hypot(thermal, laser))
-    limit = phase_rms_to_spl(snr_threshold * total, coupling, sensing_length)
+    with np.errstate(over="ignore"):
+        limit = phase_rms_to_spl(snr_threshold * total, coupling, sensing_length)
+    if not math.isfinite(limit):
+        raise DomainError(
+            f"the detection limit of {snr_threshold!r} x {total!r} rad RMS noise is "
+            f"{limit!r} dB SPL, outside the float range")
     return NoiseBudget(band=band, thermal_rms=thermal, laser_rms=laser,
                        total_rms=total, detection_limit_db=limit)
 

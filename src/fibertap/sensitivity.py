@@ -9,11 +9,12 @@ of its probe echo instead, which weakens the carrier rather than the phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .model import AcousticCoupling
 from .noise import voice_rms_phase
 
@@ -28,15 +29,15 @@ class MitigationScenario:
     reflection_amplitude: float
 
     def __post_init__(self):
-        if self.sensing_length < 0:
+        if not self.sensing_length > 0:
             raise ConfigurationError(
-                f"scenario {self.label!r}: sensing_length must be >= 0")
+                f"scenario {self.label!r}: sensing_length must be > 0, got {self.sensing_length}")
         if self.bulk_modulus_scale < 1:
             raise ConfigurationError(
                 f"scenario {self.label!r}: bulk_modulus_scale must be >= 1")
-        if not 0 <= self.reflection_amplitude <= 1:
-            raise ConfigurationError(
-                f"scenario {self.label!r}: reflection_amplitude must be in [0, 1]")
+        if not 0 < self.reflection_amplitude <= 1:
+            raise ConfigurationError(f"scenario {self.label!r}: reflection_amplitude must be "
+                                     f"in (0, 1], got {self.reflection_amplitude}")
 
 
 @dataclass(frozen=True)
@@ -70,19 +71,22 @@ def compare_mitigations(baseline: MitigationScenario, variants,
 
     The baseline appears as the first row with zero deltas. The carrier
     column reports the echo amplitude change (APC modeling); it affects the
-    recoverable SNR, not the phase itself.
+    recoverable SNR, not the phase itself. A row with a value outside the
+    float range raises `DomainError` naming its scenario.
     """
-    if baseline.sensing_length <= 0:
-        raise ConfigurationError("baseline sensing_length must be > 0")
-    base_rms = scenario_voice_rms(baseline, coupling, test_level_db)
+    with np.errstate(over="ignore"):
+        base_rms = scenario_voice_rms(baseline, coupling, test_level_db)
 
     def row(s):
-        rms = scenario_voice_rms(s, coupling, test_level_db)
-        with np.errstate(divide="ignore"):
-            delta = float(20.0 * np.log10(rms / base_rms)) if base_rms > 0 else float("nan")
+        with np.errstate(over="ignore", divide="ignore"):
+            rms = scenario_voice_rms(s, coupling, test_level_db)
+            delta = float(20.0 * np.log10(rms / base_rms)) if base_rms > 0 else math.nan
             carrier = float(20.0 * np.log10(
-                s.reflection_amplitude / baseline.reflection_amplitude)) \
-                if baseline.reflection_amplitude > 0 else float("nan")
+                s.reflection_amplitude / baseline.reflection_amplitude))
+        if not all(map(math.isfinite, (rms, delta, carrier))):
+            raise DomainError(
+                f"scenario {s.label!r} at {test_level_db!r} dB SPL: voice phase {rms!r} rad, "
+                f"{delta!r} dB from the baseline's {base_rms!r} rad, outside the float range")
         return MitigationRow(
             label=s.label, sensing_length=s.sensing_length,
             bulk_modulus_scale=s.bulk_modulus_scale,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
@@ -795,6 +796,28 @@ class TestBudget:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    # config leaves that once wrote a limit of inf (printing numpy's overflow
+    # warning) and of -inf (-Infinity in a JSON table), exiting 0; a
+    # RuntimeWarning fails the test
+    @pytest.mark.parametrize("config,flags,message", [
+        ("noise:\n  snr_threshold: 1.0e+308\n", ["--sweep", "length"],
+         "length 10.0: the detection limit of 1e+308 x "),
+        ("laser:\n  white_freq_psd: 0.0\n  flicker_coeff: 0.0\n",
+         ["--sweep", "mismatch", "--format", "json"],
+         "mismatch 10.0: the detection limit of 1.0 x 0.0 rad RMS noise is -inf dB SPL"),
+    ], ids=["snr-threshold-1e308", "noiseless-laser"])
+    def test_non_finite_limit_exits_4_writing_nothing(self, tmp_path, capsys, config,
+                                                      flags, message):
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(config)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["budget", *flags, "--config", str(cfgp),
+                     "--out", str(out / "table")]) == 4
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
+        assert not list(out.iterdir())
+
     @settings(max_examples=150)
     @given(sweep=st.sampled_from(["length", "mismatch"]),
            start=st.one_of(st.floats(), st.floats(1e-320, 1e308)),
@@ -877,6 +900,22 @@ class TestSensitivityCmd:
         assert main(["sensitivity", "--config", str(cfgp), "--out", str(out)]) == 2
         assert "unknown config key: scenarios.test_level" in capsys.readouterr().err
         assert not list(tmp_path.glob("mit.csv*"))
+
+    # each once wrote -inf to the CSV and -Infinity to the summary, exit 0
+    @pytest.mark.parametrize("field,message", [
+        ("sensing_length_m", "scenario 'short-1m': sensing_length must be > 0, got 0.0"),
+        ("reflection_amplitude", "scenario 'short-1m': reflection_amplitude must be in (0, 1]"),
+    ])
+    def test_zero_scenario_field_exits_2(self, tmp_path, capsys, field, message):
+        tree = default_config().raw["scenarios"]
+        tree["variants"][0][field] = 0.0
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(yaml.safe_dump({"scenarios": tree}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sensitivity", "--config", str(cfgp), "--out", str(out / "mit.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_malformed_scenario_exits_2(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.yaml"

@@ -456,6 +456,17 @@ class TestTables:
         back = read_budget_table(p)
         assert back[0].limit_db == -np.inf
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    def test_json_is_standard_or_not_written(self, tmp_path, value):
+        # json's default writes NaN, Infinity and -Infinity, which no JSON
+        # parser but Python's reads
+        p = tmp_path / "table.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fileio.write_json(p, [{"limit_db": value}])
+        assert not p.exists()
+        fileio.write_json(p, [{"limit_db": 1.0}])
+        assert p.read_text() == '[\n  {\n    "limit_db": 1.0\n  }\n]\n'
+
     def test_mitigation_header(self, tmp_path):
         rows = [MitigationRow("base", 3.0, 1.0, 0.2, 1e-3, 0.0, 0.0)]
         p = tmp_path / "mit.csv"

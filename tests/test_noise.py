@@ -425,8 +425,10 @@ class TestDetectionLimits:
         base, = detection_limit_vs_mismatch([100.0], *sweep_args(cfg))
         quieter = replace(ifo, laser=replace(ifo.laser, white_freq_psd=0.0,
                                              flicker_coeff=0.0))
-        row, = detection_limit_vs_mismatch([100.0], quieter, cfg.coupling, cfg.band, 1.0)
-        assert row.laser_rms == 0.0
+        # with no other noise its limit would be -inf dB
+        row, = detection_limit_vs_mismatch([100.0], quieter, cfg.coupling, cfg.band, 1.0,
+                                           include_thermal=True)
+        assert row.laser_rms == 0.0 and row.total_rms == row.thermal_rms > 0
         slower = replace(ifo, detect_fiber=replace(ifo.detect_fiber, refractive_index=2.936))
         row, = detection_limit_vs_mismatch([100.0], slower, cfg.coupling, cfg.band, 1.0)
         assert row.laser_rms == pytest.approx(2.0 * base.laser_rms, rel=1e-12)
@@ -443,9 +445,13 @@ class TestDetectionLimits:
         assert both.total_rms == pytest.approx(
             np.hypot(both.thermal_rms, both.laser_rms), rel=1e-12)
 
-    def test_zero_mismatch_limit_is_minus_inf(self, cfg):
-        rows = detection_limit_vs_mismatch([0.0], *sweep_args(cfg))
-        assert rows[0].limit_db == -np.inf
+    def test_zero_mismatch_limit_is_rejected(self, cfg):
+        # no noise at all: a limit of -inf dB, once written as a table row
+        with pytest.raises(DomainError, match=r"^mismatch 0\.0: the detection limit of "
+                                              r"1\.0 x 0\.0 rad RMS noise is -inf dB SPL"):
+            detection_limit_vs_mismatch([0.0], *sweep_args(cfg))
+        row, = detection_limit_vs_mismatch([0.0], *sweep_args(cfg), include_thermal=True)
+        assert row.laser_rms == 0.0 and np.isfinite(row.limit_db)
 
     def test_empty_and_negative_inputs_rejected(self, cfg):
         with pytest.raises(InputError):
