@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -189,6 +190,27 @@ class TestLaserRms:
                       for a, b in zip(edges[:-1], edges[1:]))
             assert laser_rms(laser(), tau0, band, form="full") == \
                 pytest.approx(np.sqrt(var), rel=1e-12, abs=0.0), mismatch
+
+    # the full form's values before its panels were summed in blocks
+    @pytest.mark.parametrize("mismatch,expected", [
+        (1e3, 0.03040074360036204), (1e6, 4.411052078887523), (1e9, 3.874110924991266),
+    ])
+    def test_full_form_values_kept(self, mismatch, expected):
+        tau0 = mismatch_to_delay(mismatch, 1.468)
+        assert laser_rms(laser(), tau0, BAND, form="full") == \
+            pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_full_form_peak_bounded(self):
+        # ~97 000 half periods at 1e9 m: 6.2 M nodes, once 192 MB at a time
+        laser_rms(laser(), 1e-6, BAND, form="full")  # imports
+        tau0 = mismatch_to_delay(1e9, 1.468)
+        tracemalloc.start()
+        try:
+            laser_rms(laser(), tau0, BAND, form="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ConfigurationError):
