@@ -1,6 +1,8 @@
+import csv
 import json
 import os
 import shlex
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -842,6 +844,73 @@ class TestBudget:
                     rows = [list(row.values()) for row in json.load(fh)]
         assert len(rows) == points
         assert np.all(np.isfinite(rows)), rows
+
+
+def strict_json(path):
+    """A JSON file parsed as standard JSON: NaN and Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def table_leaf(*marks, low=0.0, high=1e308):
+    """A config number feeding the tables: one of `marks` (the extremes
+    and the packaged value), or any float in [low, high]."""
+    return st.one_of(st.sampled_from(marks), st.floats(low, high, allow_subnormal=False))
+
+
+#: every command that writes a table, with small sweeps
+TABLE_COMMANDS = (
+    ["budget", "--sweep", "length", "--points", "3", "--out", "length.csv"],
+    ["budget", "--sweep", "mismatch", "--points", "3", "--format", "json",
+     "--out", "mismatch.json"],
+    ["budget", "--sweep", "mismatch", "--points", "3", "--include-thermal",
+     "--out", "mismatch.csv"],
+    ["sensitivity", "--out", "mitigations.csv"],
+)
+
+
+@settings(max_examples=40)
+@given(snr=table_leaf(1e-300, 1.0, 1e300, 1e308, low=1e-300),
+       laser=st.one_of(st.just((0.0, 0.0)), st.tuples(
+           *[table_leaf(0.0, 1e-300, 1e300, value, high=1e300)
+             for value in (1256.6370614359173, 5680294.361677727)])),
+       length=table_leaf(0.0, 1e-300, 1.0, 1e300),
+       scale=table_leaf(1.0, 10.0, 1e300, low=1.0),
+       reflection=table_leaf(0.0, 1e-300, 0.0025, 1.0, high=1.0))
+def test_tables_write_finite_values_or_nothing(snr, laser, length, scale, reflection):
+    """The error contract of `budget` and `sensitivity` over the config
+    leaves that feed them: exit 0 with finite CSV values and standard JSON
+    files, or exit 2-5 with no table, summary or manifest."""
+    tree = {"noise": {"snr_threshold": snr},
+            "laser": dict(zip(("white_freq_psd", "flicker_coeff"), laser)),
+            "scenarios": {"variants": [{"label": "v", "sensing_length_m": length,
+                                        "bulk_modulus_scale": scale,
+                                        "reflection_amplitude": reflection}]}}
+    with tempfile.TemporaryDirectory() as work:
+        config = os.path.join(work, "cfg.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(tree, fh)
+        outdir = os.path.join(work, "out")
+        for argv in TABLE_COMMANDS:
+            os.mkdir(outdir)
+            out = os.path.join(outdir, argv[-1])
+            code = main([*argv[:-1], out, "--config", config])
+            written = sorted(os.listdir(outdir))
+            if code != 0:
+                assert code in (2, 3, 4, 5), argv
+                assert written == [], argv
+            for name in written:
+                path = os.path.join(outdir, name)
+                if name.endswith(".json"):
+                    strict_json(path)
+                else:
+                    with open(path, newline="", encoding="utf-8") as fh:
+                        header, *rows = csv.reader(fh)
+                    values = [float(v) for row in rows for v in row[header[0] == "label":]]
+                    assert rows and np.all(np.isfinite(values)), (argv, rows)
+            shutil.rmtree(outdir)
 
 
 class TestSensitivityCmd:
