@@ -35,9 +35,11 @@ from .errors import ConfigurationError, InputError, NyquistError
 from .noise import AudioBand
 from .trace import BASEBAND, HETERODYNE, PHASE, SampledTrace
 
-#: Stopband attenuation of the demodulation FIR. Sized so the DC photocurrent
-#: term, mixed down to -f_beat, perturbs the recovered phase by < 1e-6 rad
-#: even against the weakest supported beat amplitude.
+#: Stopband attenuation of the demodulation FIR. The DC photocurrent term,
+#: 1 + alpha^2 against a beat of 2 alpha, is not left to it:
+#: `decimate_to_audio` nulls DC in the taps. Through the stop band alone, a
+#: 2 s quiet record at 40 kS/s carried a 15 kHz line of 2.1e-7 rad RMS at
+#: alpha = 0.2 and 1.6e-5 rad at alpha = 0.0025.
 IQ_STOPBAND_DB = 140.0
 
 #: Points of each FFT block of the high-pass's overlap-save convolutions.
@@ -530,11 +532,16 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     `resample` applies the demodulation FIR (`_audio_filter`), its taps
     ``h[k]`` moved to ``h[k] exp(j 2 pi (f_beat / fs) (k - half) / up)``, to
     the real record: the band around +f_beat passes, the DC term and the
-    band around -f_beat stop. The ``baseband`` trace returned is labelled
-    ``cfg.audio_rate``, which the rate reached, ``fs up / down``, matches to
-    1e-12 relative (`resample_ratio`), and still turns at f_beat: output m
-    is the mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``,
-    which `iq_demodulate` removes. The first and last `edge_guard` outputs
+    band around -f_beat stop. Each polyphase branch of the translated taps
+    (taps ``p, p + up, ...``, which one class of outputs applies) then
+    loses its mean, so it sums to zero: the record's DC term, 1 + alpha^2
+    against a beat of 2 alpha, reaches no output, where the stop band
+    alone would pass a line at ``|audio_rate - f_beat|`` that grows as
+    1/alpha. The ``baseband`` trace returned is labelled ``cfg.audio_rate``,
+    which the rate reached, ``fs up / down``, matches to 1e-12 relative
+    (`resample_ratio`), and still turns at f_beat: output m is the
+    mix-then-filter output times ``exp(j 2 pi f_beat m / rate)``, which
+    `iq_demodulate` removes. The first and last `edge_guard` outputs
     see the record's edges.
     """
     if het.kind != HETERODYNE:
@@ -544,6 +551,8 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     h = _kaiser_lowpass(*design)
     offsets = np.arange(h.size) - (h.size - 1) // 2
     h = h * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
+    for branch in range(up):  # taps branch, branch + up, ...: one output class each
+        h[branch::up] -= np.mean(h[branch::up])
     return SampledTrace(cfg.audio_rate, resample(het.samples, up, down, h), BASEBAND)
 
 

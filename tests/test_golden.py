@@ -35,11 +35,11 @@ GOLDEN = {
     "het_pcm16.wav":
         "037611e83e575ebc97de8500dcb1097d8c23ba402c4cc09f1e821b8dd5f76a2c",
     "rec40.wav":
-        "c008a6b50f21a3c0401259dc02163b5ddb9bd424447f962bc8603fd6b7050775",
+        "5aa459b6c0e1239e79942517244e06b84033f62f1e7e42af071748cfa04cdb94",
     "phase.csv":
-        "93cfc79454a36d8d8d4e1bc3df274b6a4bcd121f6ab9ef3030c4ef252ca8cbab",
+        "541f506462ed6fbb7d4166fd9cba238db724821df1359c3ee45fd9413d3ceff2",
     "rec32.wav":
-        "225d06008ee129489c4de8c8d51ea1c1939ae10a07213be3e4e78078ae58a43c",
+        "02c06b8487b7a9c44b7fe3200385415d32eb6716105b69cd3ba4583add43223c",
     "het.wav.meta.json":
         "28d1cdd04195a27e79cb814a6de2e6cbe1ad0b0f3387eb98897c3726f002ae0c",
     "het.csv.meta.json":
@@ -57,15 +57,15 @@ GOLDEN = {
     "rec32.wav.meta.json":
         "daea38c19fbd3ac6c9b0d1712e1e816249dac7ab9316fb356ad5da51f3a911af",
     "rec_flags.wav":
-        "5ad0afe3439df48dcc81d622e0b5db08418caf889bec8defedb26de5011ce1b8",
+        "e3204ff1bb10e807e8b9b70959b020922ea464aa840181ca41d2a8c5d9833e9b",
     "rec_nohp.wav":
-        "190dcdf5ccb17d85eaa1ce715f47e73319271e3000349a6d26481ec05dc3481f",
+        "f9f96c88c238519a781e5fe2fb5cd0d6277ea984a5cdd27e6cc0e35a203e49fd",
     "rec_flags.wav.meta.json":
         "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "rec_nohp.wav.meta.json":
         "c2ad3438b4ed6ac13ab543f66bba14e6a7316ed65d4d7dd15042c658aac105ed",
     "enh.wav":
-        "ce343076192e5724397eade2be5423dd1e8714025c700a970cc543d38fb6a643",
+        "7156562c9fd5807d4b91712425aa43d0a16494673760f47fccb1a036270a2b63",
     "enh.wav.report.json":
         "deb0bb67c5d37b765d8cd04c6b32474d2a3317f6e784002ddda6c28e15498fcb",
     "mitigations.csv":
