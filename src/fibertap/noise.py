@@ -152,9 +152,9 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> floa
     ``tau0 sqrt(S0 (f_high - f_low) + k ln(f_high/f_low))``; the full form is
     integrated by 64-point Gauss-Legendre on 8 log-spaced panels, split again
     at every half period 1/(2 tau0) of sin^2(pi f tau0), and summed
-    `LASER_PANEL_BLOCK` panels at a time. A band variance past
-    the float range, or one that underflows to a subnormal or zero although
-    the laser has noise, raises `DomainError`.
+    `LASER_PANEL_BLOCK` panels at a time. A band variance past the float
+    range, or one that underflows to a subnormal or zero although the laser
+    has noise, raises `DomainError`.
     """
     if tau0 < 0:
         raise DomainError(f"tau0 must be >= 0, got {tau0}")
