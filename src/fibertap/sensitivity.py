@@ -74,15 +74,10 @@ def compare_mitigations(baseline: MitigationScenario, variants,
     recoverable SNR, not the phase itself. A row with a value outside the
     float range raises `DomainError` naming its scenario.
     """
-    with np.errstate(over="ignore"):
-        base_rms = scenario_voice_rms(baseline, coupling, test_level_db)
-
     def row(s):
-        with np.errstate(over="ignore", divide="ignore"):
-            rms = scenario_voice_rms(s, coupling, test_level_db)
-            delta = float(20.0 * np.log10(rms / base_rms)) if base_rms > 0 else math.nan
-            carrier = float(20.0 * np.log10(
-                s.reflection_amplitude / baseline.reflection_amplitude))
+        rms = scenario_voice_rms(s, coupling, test_level_db)
+        delta = float(20.0 * np.log10(rms / base_rms)) if base_rms > 0 else math.nan
+        carrier = float(20.0 * np.log10(s.reflection_amplitude / baseline.reflection_amplitude))
         if not all(map(math.isfinite, (rms, delta, carrier))):
             raise DomainError(
                 f"scenario {s.label!r} at {test_level_db!r} dB SPL: voice phase {rms!r} rad, "
@@ -94,4 +89,6 @@ def compare_mitigations(baseline: MitigationScenario, variants,
             signal_rms_rad=rms, delta_db_vs_baseline=delta,
             carrier_delta_db=carrier)
 
-    return [row(baseline)] + [row(s) for s in variants]
+    with np.errstate(over="ignore", divide="ignore"):
+        base_rms = scenario_voice_rms(baseline, coupling, test_level_db)
+        return [row(s) for s in (baseline, *variants)]

@@ -126,14 +126,6 @@ class TestUserOverrides:
         with pytest.raises(ConfigurationError, match="lasers"):
             load_config(p)
 
-    def test_scenarios_merge_like_every_section(self, tmp_path):
-        p = tmp_path / "user.yaml"
-        p.write_text("scenarios:\n  test_level_db: 60.0\n")
-        scenarios = load_config(p).scenarios
-        assert scenarios.test_level_db == 60.0
-        assert scenarios.baseline == default_config().scenarios.baseline
-        assert scenarios.variants == default_config().scenarios.variants
-
     def test_partial_baseline_merges_field_by_field(self, tmp_path):
         p = tmp_path / "user.yaml"
         p.write_text("scenarios:\n  baseline:\n    sensing_length_m: 5.0\n")
