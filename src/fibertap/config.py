@@ -1,15 +1,14 @@
 """Config file loading, validation and digesting.
 
-A run is fully described by one YAML key/value tree (see
-``default_config.yaml`` for the documented schema), and that file is the
-only place a setting's default is stated. User files may be partial: every
+A run is fully described by one YAML key/value tree. ``default_config.yaml``
+is its schema: the only place a setting's default is stated, and the type of
+each default is the type its key takes. User files may be partial: every
 section merges over the packaged defaults key by key, a list replaces the
 default list whole, and unknown keys are rejected by name.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -37,67 +36,59 @@ def _packaged_defaults() -> dict:
     return yaml.safe_load(text)
 
 
-def _merge(base, override, path=""):
-    """Deep-merge override into base, rejecting unknown keys; lists replace whole."""
-    if not isinstance(override, dict):
-        raise ConfigurationError(f"config section {path or '<root>'} must be a mapping")
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigurationError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
+def _shown(value) -> str:
+    return "null" if value is None else repr(value)
+
+
+def _merge(base, override, path="", whole=False):
+    """Walk override over base, the packaged tree, which states each type.
+
+    A mapping merges key by key and rejects unknown keys; a list replaces the
+    default whole, each item a mapping with exactly the keys of the default's
+    first item; a leaf takes its default's type: a bool, text, or a finite
+    number, an integer where the default is one.
+    """
+    if isinstance(base, dict):
+        if not isinstance(override, dict):
+            raise ConfigurationError(f"config section {path or '<root>'} must be a mapping")
+        merged = dict(base)
+        for key, value in override.items():
+            where = f"{path}.{key}" if path else key
+            if key not in base:
+                raise ConfigurationError(f"unknown config key: {where}")
             merged[key] = _merge(base[key], value, where)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _number(section, key, where):
-    if key not in section:
-        raise ConfigurationError(f"missing config key: {where}.{key}")
-    value = section[key]
-    if value is None:
-        raise ConfigurationError(f"config key {where}.{key} must be a number, got null")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        missing = [key for key in base if key not in override]
+        if whole and missing:
+            raise ConfigurationError(f"missing config key: {path}.{missing[0]}")
+        return merged
+    if isinstance(base, list):
+        if not isinstance(override, list):
+            raise ConfigurationError(f"config key {path} must be a list, got {_shown(override)}")
+        return [_merge(base[0], item, f"{path}[{i}]", whole=True)
+                for i, item in enumerate(override)]
+    if isinstance(base, (bool, str)):
+        if not isinstance(override, type(base)):
+            kind = "a boolean" if isinstance(base, bool) else "text"
+            raise ConfigurationError(f"config key {path} must be {kind}, got {_shown(override)}")
+        return override
+    if isinstance(override, bool) or not isinstance(override, (int, float)):
         rule = ""
-        if isinstance(value, str) and re.fullmatch(_EXPONENT_TEXT, value):
+        if isinstance(override, str) and re.fullmatch(_EXPONENT_TEXT, override):
             rule = ("; YAML reads a number with an exponent only when it has a dot "
                     "and a signed exponent, as 4.0e+5")
         raise ConfigurationError(
-            f"config key {where}.{key} must be a number, got {value!r}{rule}")
+            f"config key {path} must be a number, got {_shown(override)}{rule}")
     try:
-        number = float(value)
+        number = float(override)
     except OverflowError:  # an integer past the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigurationError(
-            f"config key {where}.{key} must be finite, got {value!r}")
+        raise ConfigurationError(f"config key {path} must be finite, got {override!r}")
+    if isinstance(base, int):
+        if not number.is_integer():
+            raise ConfigurationError(f"config key {path} must be an integer, got {number!r}")
+        return int(number)
     return number
-
-
-def _integer(section, key, where):
-    value = _number(section, key, where)
-    if not value.is_integer():
-        raise ConfigurationError(f"config key {where}.{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _scenario(block, where) -> MitigationScenario:
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{where} must be a mapping")
-    if "label" not in block or not isinstance(block["label"], str):
-        raise ConfigurationError(f"missing or invalid field: {where}.label")
-    known = {"label", "sensing_length_m", "bulk_modulus_scale", "reflection_amplitude"}
-    for key in block:
-        if key not in known:
-            raise ConfigurationError(f"unknown field: {where}.{key}")
-    return MitigationScenario(
-        label=block["label"],
-        sensing_length=_number(block, "sensing_length_m", where),
-        bulk_modulus_scale=_number(block, "bulk_modulus_scale", where),
-        reflection_amplitude=_number(block, "reflection_amplitude", where),
-    )
 
 
 @dataclass(frozen=True)
@@ -142,69 +133,60 @@ class SimulationConfig:
 
 
 def _build(tree: dict) -> SimulationConfig:
+    """The typed view of a resolved tree: the packaged one, or `_merge`'s."""
     laser_d, fiber_d = tree["laser"], tree["fiber"]
     ifo_d, coup_d = tree["interferometer"], tree["coupling"]
-    band_d, demod_d = tree["band"], tree["demod"]
-    enh_d, noise_d = tree["enhance"], tree["noise"]
+    demod_d, enh_d, scen_d = tree["demod"], tree["enhance"], tree["scenarios"]
 
-    laser = LaserSpec(
-        wavelength=_number(laser_d, "wavelength_m", "laser"),
-        white_freq_psd=_number(laser_d, "white_freq_psd", "laser"),
-        flicker_coeff=_number(laser_d, "flicker_coeff", "laser"))
+    laser = LaserSpec(wavelength=laser_d["wavelength_m"],
+                      white_freq_psd=laser_d["white_freq_psd"],
+                      flicker_coeff=laser_d["flicker_coeff"])
 
     detect_fiber = FiberSpec(
-        length=_number(ifo_d, "detect_length_m", "interferometer"),
-        refractive_index=_number(fiber_d, "refractive_index", "fiber"),
-        bulk_modulus_area_product=_number(fiber_d, "bulk_modulus_area_product_n", "fiber"),
-        loss_angle=_number(fiber_d, "loss_angle", "fiber"),
-        temperature=_number(fiber_d, "temperature_k", "fiber"))
+        length=ifo_d["detect_length_m"],
+        refractive_index=fiber_d["refractive_index"],
+        bulk_modulus_area_product=fiber_d["bulk_modulus_area_product_n"],
+        loss_angle=fiber_d["loss_angle"],
+        temperature=fiber_d["temperature_k"])
 
     interferometer = InterferometerConfig(
         laser=laser,
         detect_fiber=detect_fiber,
-        reference_length=_number(ifo_d, "reference_length_m", "interferometer"),
-        sensing_length=_number(ifo_d, "sensing_length_m", "interferometer"),
-        reflection_amplitude=_number(ifo_d, "reflection_amplitude", "interferometer"),
-        intermediate_frequency=_number(ifo_d, "intermediate_frequency_hz", "interferometer"),
-        sample_rate=_number(ifo_d, "sample_rate_hz", "interferometer"),
-        initial_phase=_number(ifo_d, "initial_phase_rad", "interferometer"))
+        reference_length=ifo_d["reference_length_m"],
+        sensing_length=ifo_d["sensing_length_m"],
+        reflection_amplitude=ifo_d["reflection_amplitude"],
+        intermediate_frequency=ifo_d["intermediate_frequency_hz"],
+        sample_rate=ifo_d["sample_rate_hz"],
+        initial_phase=ifo_d["initial_phase_rad"])
 
-    coupling = AcousticCoupling(
-        sensitivity=_number(coup_d, "sensitivity_rad_per_pa_m", "coupling"),
-        spl_reference=_number(coup_d, "spl_reference_pa", "coupling"))
+    coupling = AcousticCoupling(sensitivity=coup_d["sensitivity_rad_per_pa_m"],
+                                spl_reference=coup_d["spl_reference_pa"])
 
-    band = AudioBand(f_low=_number(band_d, "f_low_hz", "band"),
-                     f_high=_number(band_d, "f_high_hz", "band"))
+    band = AudioBand(f_low=tree["band"]["f_low_hz"], f_high=tree["band"]["f_high_hz"])
 
     demod = DemodConfig(
         beat_frequency=interferometer.intermediate_frequency,
-        highpass_cutoff=_number(demod_d, "highpass_cutoff_hz", "demod"),
-        filter_order=_integer(demod_d, "filter_order", "demod"),
-        audio_rate=_number(demod_d, "audio_rate_hz", "demod"))
+        highpass_cutoff=demod_d["highpass_cutoff_hz"],
+        filter_order=demod_d["filter_order"],
+        audio_rate=demod_d["audio_rate_hz"])
 
     enhance = SpectralSubtractParams(
-        frame_ms=_number(enh_d, "frame_ms", "enhance"),
-        overlap=_number(enh_d, "overlap", "enhance"),
-        oversubtraction=_number(enh_d, "oversubtraction", "enhance"),
-        spectral_floor=_number(enh_d, "spectral_floor", "enhance"),
-        silence_threshold_db=_number(enh_d, "silence_threshold_db", "enhance"))
+        frame_ms=enh_d["frame_ms"],
+        overlap=enh_d["overlap"],
+        oversubtraction=enh_d["oversubtraction"],
+        spectral_floor=enh_d["spectral_floor"],
+        silence_threshold_db=enh_d["silence_threshold_db"])
 
-    if not isinstance(noise_d.get("enabled"), bool):
-        raise ConfigurationError("config key noise.enabled must be a boolean")
-    noise = NoiseSettings(
-        enabled=noise_d["enabled"],
-        flatten_below_hz=_number(noise_d, "flatten_below_hz", "noise"),
-        snr_threshold=_number(noise_d, "snr_threshold", "noise"))
+    noise = NoiseSettings(**tree["noise"])
 
-    scen_d = tree["scenarios"]
-    variants_d = scen_d["variants"] or []
-    if not isinstance(variants_d, list):
-        raise ConfigurationError("scenarios.variants must be a list")
-    scenarios = ScenarioSet(
-        test_level_db=_number(scen_d, "test_level_db", "scenarios"),
-        baseline=_scenario(scen_d["baseline"], "scenarios.baseline"),
-        variants=tuple(_scenario(v, f"scenarios.variants[{i}]")
-                       for i, v in enumerate(variants_d)))
+    def scenario(d):
+        return MitigationScenario(label=d["label"], sensing_length=d["sensing_length_m"],
+                                  bulk_modulus_scale=d["bulk_modulus_scale"],
+                                  reflection_amplitude=d["reflection_amplitude"])
+
+    scenarios = ScenarioSet(test_level_db=scen_d["test_level_db"],
+                            baseline=scenario(scen_d["baseline"]),
+                            variants=tuple(map(scenario, scen_d["variants"])))
 
     return SimulationConfig(
         interferometer=interferometer, coupling=coupling, band=band,
