@@ -38,9 +38,9 @@ from .model import (
 from .trace import PHASE, SampledTrace
 
 
-#: Panels of `laser_rms`'s full form evaluated at once. The panel count grows
-#: with the arm mismatch (about 97 000 over the default band at 1e9 m), so
-#: summing in blocks keeps the nodes' temporaries near 3 MB.
+#: Half periods of `laser_rms`'s full form evaluated at once. Their count
+#: grows with the arm mismatch (about 97 000 over the default band at 1e9 m),
+#: so each block's edges and nodes are made in turn, near 2 MB at any mismatch.
 LASER_PANEL_BLOCK = 1024
 
 
@@ -152,7 +152,7 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> floa
     ``tau0 sqrt(S0 (f_high - f_low) + k ln(f_high/f_low))``; the full form is
     integrated by 64-point Gauss-Legendre on 8 log-spaced panels, split again
     at every half period 1/(2 tau0) of sin^2(pi f tau0), and summed
-    `LASER_PANEL_BLOCK` panels at a time. A band variance past the float
+    `LASER_PANEL_BLOCK` half periods at a time. A band variance past the float
     range, or one that underflows to a subnormal or zero although the laser
     has noise, raises `DomainError`.
     """
@@ -170,14 +170,20 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> floa
             var = math.inf
     elif form == "full":
         half = 0.5 / tau0
-        breaks = np.arange(np.floor(band.f_low / half) + 1, np.ceil(band.f_high / half)) * half
-        edges = np.unique(np.concatenate([np.geomspace(band.f_low, band.f_high, 9), breaks]))
+        logs = np.geomspace(band.f_low, band.f_high, 9)
         nodes, weights = np.polynomial.legendre.leggauss(64)
-        var = 0.0
-        for i in range(0, edges.size - 1, LASER_PANEL_BLOCK):
-            block = edges[i:i + LASER_PANEL_BLOCK + 1]
+        # the k-th break is k * half; each block's are made inside the loop
+        k, k_end = np.floor(band.f_low / half) + 1, np.ceil(band.f_high / half)
+        var, left = 0.0, band.f_low
+        while left < band.f_high:
+            breaks = np.arange(k, min(k + LASER_PANEL_BLOCK, k_end)) * half
+            k += LASER_PANEL_BLOCK
+            right = breaks[-1] if k < k_end else band.f_high
+            block = np.unique(np.concatenate(
+                [[left], logs[(logs > left) & (logs < right)], breaks, [right]]))
             mid, rad = (block[1:] + block[:-1])[:, None] / 2, np.diff(block)[:, None] / 2
             var += np.sum(rad * weights * laser_phase_psd_full(laser, tau0, mid + rad * nodes))
+            left = right
     else:
         raise ConfigurationError(f"form must be 'full' or 'approx', got {form!r}")
     noisy = laser.white_freq_psd > 0 or laser.flicker_coeff > 0

@@ -194,6 +194,7 @@ class TestLaserRms:
     # the full form's values before its panels were summed in blocks
     @pytest.mark.parametrize("mismatch,expected", [
         (1e3, 0.03040074360036204), (1e6, 4.411052078887523), (1e9, 3.874110924991266),
+        (1e10, 3.8750778537420483),
     ])
     def test_full_form_values_kept(self, mismatch, expected):
         tau0 = mismatch_to_delay(mismatch, 1.468)
@@ -201,9 +202,10 @@ class TestLaserRms:
             pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_full_form_peak_bounded(self):
-        # ~97 000 half periods at 1e9 m: 6.2 M nodes, once 192 MB at a time
+        # ~290 000 half periods at 3e9 m: 19 M nodes, once 580 MB at a time,
+        # and then 9.2 MB of panel edges made before the first block
         laser_rms(laser(), 1e-6, BAND, form="full")  # imports
-        tau0 = mismatch_to_delay(1e9, 1.468)
+        tau0 = mismatch_to_delay(3e9, 1.468)
         tracemalloc.start()
         try:
             laser_rms(laser(), tau0, BAND, form="full")
