@@ -262,6 +262,13 @@ def cmd_budget(args, stage):
 def cmd_sensitivity(args, stage):
     with stage("load"):
         config = load_config(args.config)
+        # the baseline row reads only scenarios.baseline, so it must be the tap
+        base, tap = config.raw["scenarios"]["baseline"], config.raw["interferometer"]
+        for key in ("sensing_length_m", "reflection_amplitude"):
+            if base[key] != tap[key]:
+                raise ConfigurationError(
+                    f"scenarios.baseline.{key} is {base[key]!r} but interferometer.{key} "
+                    f"is {tap[key]!r}: the baseline must be the configured tap")
 
     with stage("compare"):
         scen = config.scenarios

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import shutil
 import tempfile
@@ -29,6 +30,7 @@ from fibertap import (
     voice_to_phase,
 )
 from fibertap.cli import main
+from fibertap.config import dump_config
 from fibertap.fileio import read_trace, read_wav
 
 from conftest import read_budget_table
@@ -133,6 +135,14 @@ class TestSimulate:
         rc = main(["simulate", "--audio", str(tmp_path / "nope.wav"),
                    "--out", str(tmp_path / "het.wav")])
         assert rc == 3
+
+    def test_level_of_a_silent_input_exits_2_writing_nothing(self, tmp_path, capsys):
+        src = tmp_path / "silent.wav"
+        wavfile.write(src, FS, np.zeros(4000, dtype=np.float32))
+        assert main(["simulate", "--audio", str(src), "--out", str(tmp_path / "het.wav"),
+                     "--level-db", "70"]) == 2
+        assert "cannot scale a silent input to a sound level" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["silent.wav"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, chirp_wav):
         bad = tmp_path / "bad.yaml"
@@ -386,6 +396,20 @@ class TestDemod:
         err = capsys.readouterr().err
         assert "het.csv" in err and "abc" in err
 
+    def test_unknown_trace_extension_exits_2_writing_nothing(self, tmp_path, capsys):
+        (tmp_path / "x.txt").write_text("0.0,1.0\n")
+        assert main(["demod", "--in", str(tmp_path / "x.txt"),
+                     "--out", str(tmp_path / "rec.wav")]) == 2
+        assert "unsupported trace extension '.txt'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
+
+    def test_three_column_csv_exits_3_writing_nothing(self, tmp_path, capsys):
+        (tmp_path / "het.csv").write_text("0.0,1.0,2.0\n0.0000025,1.0,2.0\n")
+        assert main(["demod", "--in", str(tmp_path / "het.csv"),
+                     "--out", str(tmp_path / "rec.wav")]) == 3
+        assert "het.csv: expected 'time,value' rows" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["het.csv"]
+
     def test_long_record_does_not_warn(self, tmp_path, chirp_wav, capsys):
         het = self.run_sim(tmp_path, chirp_wav)
         capsys.readouterr()
@@ -503,13 +527,31 @@ class TestConfigCheckedOnLoad:
         "print-config": ["print-config", "--out", "out.yaml"],
     }
 
-    # two keys that are gone, and so unknown, and two detection thresholds
-    # that budget turned into -inf and nan limits
+    # two keys that are gone, and so unknown; two detection thresholds that
+    # budget turned into -inf and nan limits; four settings the tap rejects;
+    # and files that do not fit the packaged tree's shape or types (a null
+    # variants list once read as an empty one, and sensitivity exited 0)
     @pytest.mark.parametrize("text,key", [
         ("demod:\n  lowpass_cutoff_hz: 30000.0\n", "demod.lowpass_cutoff"),
         ("laser:\n  linewidth_hz: 200\n", "laser.linewidth_hz"),
         ("noise:\n  snr_threshold: 0\n", "noise.snr_threshold must be > 0, got 0.0"),
         ("noise:\n  snr_threshold: -1\n", "noise.snr_threshold must be > 0, got -1.0"),
+        ("band:\n  f_low_hz: 200.0\n  f_high_hz: 100.0\n",
+         "band requires 0 < f_low < f_high, got [200.0, 100.0]"),
+        ("coupling:\n  sensitivity_rad_per_pa_m: 0.0\n",
+         "coupling.sensitivity must be > 0, got 0.0"),
+        ("interferometer:\n  sample_rate_hz: 0.0\n",
+         "interferometer.sample_rate must be > 0, got 0.0"),
+        ("interferometer:\n  sensing_length_m: -1.0\n",
+         "interferometer.sensing_length must be >= 0, got -1.0"),
+        ("- laser\n", "config section <root> must be a mapping"),
+        ("band:\n  f_low_hz: null\n", "config key band.f_low_hz must be a number, got null"),
+        ("noise:\n  enabled: 1\n", "config key noise.enabled must be a boolean, got 1"),
+        ("scenarios:\n  variants:\n    - sensing_length_m: 1.0\n"
+         "      bulk_modulus_scale: 1.0\n      reflection_amplitude: 0.2\n",
+         "missing config key: scenarios.variants[0].label"),
+        ("scenarios:\n  variants: null\n",
+         "config key scenarios.variants must be a list, got null"),
     ])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, command, text, key):
@@ -574,6 +616,28 @@ def test_readme_library_example_runs():
     audio, enhanced = namespace["audio"], namespace["enhanced"]
     assert enhanced.sample_rate == audio.sample_rate == 40e3
     assert enhanced.n_samples == audio.n_samples
+
+
+def schema_keys(tree):
+    """Every key of a config section, nested ones and a list item's included."""
+    for key, value in tree.items():
+        yield key
+        value = value[0] if isinstance(value, list) else value
+        if isinstance(value, dict):
+            yield from schema_keys(value)
+
+
+def test_readme_names_every_config_key():
+    """README's "Configuration" table has one row per section of the packaged
+    config, naming each of its keys, so a key cannot be added or removed
+    without the docs."""
+    text = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", text.split("\n## ")[0], re.M))
+    tree = default_config().raw
+    assert list(rows) == list(tree)
+    for section, keys in tree.items():
+        for key in schema_keys(keys):
+            assert f"`{key}`" in rows[section], (section, key)
 
 
 @pytest.mark.parametrize("error,code", [
@@ -772,6 +836,14 @@ class TestBudget:
         assert main(["budget", "--sweep", "length", "--from", "3", "--to", "3000",
                      "--points", "31", "--out", str(out)]) == 0
         assert read_budget_table(out)[0].x_value == 3.0
+
+    def test_zero_sensing_fiber_exits_2_writing_nothing(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("interferometer:\n  sensing_length_m: 0.0\n")
+        assert main(["budget", "--sweep", "length", "--config", str(config),
+                     "--out", str(tmp_path / "len.csv")]) == 2
+        assert "length 10.0: sensing_length must be > 0, got 0.0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
     # a length whose balanced reference 2L overflows to inf (once a
     # ValueError traceback from the nan mismatch inf - inf), a mismatch
@@ -1006,6 +1078,27 @@ class TestSensitivityCmd:
         assert rc == 2
         assert "reflector" in capsys.readouterr().err
 
+    # the baseline row reads only scenarios.baseline, so a tap that differs
+    # from it once left the table byte-identical to the default's, exit 0
+    @pytest.mark.parametrize("key,value", [
+        ("sensing_length_m", 1.0), ("reflection_amplitude", 0.05)])
+    def test_baseline_contradicting_the_tap_exits_2(self, tmp_path, capsys, key, value):
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(f"interferometer:\n  {key}: {value}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sensitivity", "--config", str(cfgp), "--out", str(out / "mit.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"scenarios.baseline.{key}" in err and f"interferometer.{key}" in err
+        assert not list(out.iterdir())
+        # other commands take the tap as it is
+        assert main(["budget", "--sweep", "length", "--points", "3", "--config", str(cfgp),
+                     "--out", str(out / "len.csv")]) == 0
+        # and a baseline that restates the tap passes
+        cfgp.write_text(f"interferometer:\n  {key}: {value}\n"
+                        f"scenarios:\n  baseline:\n    {key}: {value}\n")
+        assert main(["sensitivity", "--config", str(cfgp), "--out", str(out / "mit.csv")]) == 0
+
 
 class TestPrintConfig:
     def test_round_trip_digest(self, tmp_path):
@@ -1013,3 +1106,17 @@ class TestPrintConfig:
         assert main(["print-config", "--out", str(out)]) == 0
         from fibertap import load_config
         assert load_config(out).digest() == default_config().digest()
+
+    def test_without_out_writes_the_defaults_to_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["print-config"]) == 0
+        assert capsys.readouterr().out == dump_config(default_config())
+        assert not list(tmp_path.iterdir())
+
+    def test_numbers_are_shown_resolved(self, tmp_path, capsys):
+        # an integer where the default is a float is that float, digest included
+        config = tmp_path / "cfg.yaml"
+        config.write_text("demod:\n  audio_rate_hz: 40000\n")
+        assert main(["print-config", "--config", str(config)]) == 0
+        assert "  audio_rate_hz: 40000.0\n" in capsys.readouterr().out
+        assert load_config(config).digest() == default_config().digest()

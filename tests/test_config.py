@@ -1,7 +1,10 @@
+import contextlib
 import copy
 import dataclasses
 import inspect
+import io
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -324,6 +327,22 @@ def test_non_finite_number_rejected_naming_the_key(tmp_path, path, value):
         load_config(config)
 
 
+def test_packaged_file_is_the_schema():
+    """A key takes its default's type, so the packaged file pins each one:
+    every number is a finite float but the integer demod.filter_order, and
+    the one list holds the item that every item of a user's list matches."""
+    text = resources.files("fibertap").joinpath("default_config.yaml").read_text()
+    tree = yaml.safe_load(text)
+    for path, value in value_leaves(tree):
+        if key_name(path) == "demod.filter_order":
+            assert type(value) is int
+        elif not isinstance(value, bool):
+            assert type(value) is float and np.isfinite(value), key_name(path)
+    lists = [f"{name}.{key}" for name, section in tree.items()
+             for key, value in section.items() if isinstance(value, list)]
+    assert lists == ["scenarios.variants"] and tree["scenarios"]["variants"]
+
+
 def test_integer_past_the_float_range_rejected(tmp_path):
     config = tmp_path / "user.yaml"
     config.write_text("laser:\n  wavelength_m: 1" + "0" * 400 + "\n")
@@ -354,7 +373,8 @@ PIPELINE = (
 
 def pipeline_outputs(d, config):
     """Each command's output files (not the manifests, which carry the
-    config digest), run in directory `d` under `config`."""
+    config digest), run in directory `d` under `config`. A command that
+    rejects the config (exit 2) yields its message instead."""
     fs = 400000
     t = np.arange(fs // 4) / fs
     wavfile.write(d / "voice.wav", fs,
@@ -362,7 +382,13 @@ def pipeline_outputs(d, config):
     for argv in PIPELINE:
         out = argv[argv.index("--out") + 1]
         files = [str(d / a) if a.endswith((".csv", ".wav")) else a for a in argv]
-        assert main([*files, "--config", str(config)]) == 0, argv
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*files, "--config", str(config)])
+        if code == 2:
+            yield err.getvalue()
+            continue
+        assert code == 0, argv
         yield {p.name: p.read_bytes() for p in d.glob(out + "*")
                if not p.name.endswith(".manifest.json")}
 
@@ -371,7 +397,9 @@ def pipeline_outputs(d, config):
 def default_outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("defaults")
     (d / "defaults.yaml").write_text(dump_config(default_config()))
-    return list(pipeline_outputs(d, d / "defaults.yaml"))
+    outputs = list(pipeline_outputs(d, d / "defaults.yaml"))
+    assert all(isinstance(o, dict) for o in outputs)
+    return outputs
 
 
 @pytest.mark.parametrize("path,value", [
@@ -387,7 +415,12 @@ def test_every_config_key_has_an_effect_or_is_rejected(
         load_config(config)
     except ConfigurationError:
         return
+    rejected = False
     for ours, default in zip(pipeline_outputs(tmp_path, config), default_outputs):
-        if ours != default:
+        if isinstance(ours, str):  # a command rejected the config; it names the key
+            assert key_name(path) in ours, ours
+            rejected = True
+        elif ours != default:
             return
-    pytest.fail(f"{key_name(path)} = {perturbed(value)} changes no output")
+    if not rejected:
+        pytest.fail(f"{key_name(path)} = {perturbed(value)} changes no output")

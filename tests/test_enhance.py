@@ -437,3 +437,7 @@ class TestSegmentalSnr:
         b = SampledTrace(16000.0, np.zeros(FRAME), AUDIO)
         with pytest.raises(InputError):
             segmental_snr(a, b, FRAME)
+
+    def test_traces_shorter_than_a_frame_rejected(self):
+        with pytest.raises(InputError, match="shorter than one metric frame"):
+            segmental_snr(trace(np.zeros(FRAME - 1)), trace(np.zeros(FRAME - 1)), FRAME)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
-from fibertap import HETERODYNE, PHASE, SampledTrace, fileio
+from fibertap import BASEBAND, HETERODYNE, PHASE, SampledTrace, fileio
 from fibertap.cli import main
 from fibertap.errors import ConfigurationError, FileFormatError, InputError
 from fibertap.fileio import (
@@ -180,6 +180,12 @@ class TestWav:
 
 
 class TestTraceFiles:
+    def test_baseband_trace_not_written(self, tmp_path):
+        tr = SampledTrace(40e3, np.ones(8, dtype=complex), BASEBAND)
+        with pytest.raises(InputError, match="complex baseband traces have no file"):
+            write_trace(tr, tmp_path / "bb.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_wav_trace_with_sidecar(self, tmp_path):
         rng = np.random.default_rng(2)
         tr = SampledTrace(400e3, rng.standard_normal(256).astype(np.float32),

@@ -218,6 +218,11 @@ class TestLaserRms:
         with pytest.raises(ConfigurationError):
             laser_rms(laser(), 1e-7, BAND, form="exact")
 
+    @pytest.mark.parametrize("form", ["approx", "full"])
+    def test_negative_delay_rejected(self, form):
+        with pytest.raises(DomainError, match="tau0 must be >= 0"):
+            laser_rms(laser(), -1e-9, BAND, form=form)
+
 
 class TestMismatchToDelay:
     def test_zero(self):
