@@ -172,7 +172,8 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> floa
         half = 0.5 / tau0
         logs = np.geomspace(band.f_low, band.f_high, 9)
         nodes, weights = np.polynomial.legendre.leggauss(64)
-        # the k-th break is k * half; each block's are made inside the loop
+        # break k is k * half; a block's breaks are made in its turn, so the
+        # memory does not grow with the mismatch
         k, k_end = np.floor(band.f_low / half) + 1, np.ceil(band.f_high / half)
         var, left = 0.0, band.f_low
         while left < band.f_high:
