@@ -38,10 +38,8 @@ from .model import (
 from .trace import PHASE, SampledTrace
 
 
-#: Half periods of `laser_rms`'s full form evaluated at once. Their count
-#: grows with the arm mismatch (about 97 000 over the default band at 1e9 m),
-#: so each block's edges and nodes are made in turn, near 2 MB at any mismatch.
-LASER_PANEL_BLOCK = 1024
+#: Euler's constant, the constant term of Ci's power series
+EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -145,22 +143,73 @@ def laser_phase_psd_approx(laser: LaserSpec, tau0: float, f):
     return tau0 ** 2 * laser_freq_psd(laser, f)
 
 
-def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> float:
-    """Band RMS of laser-induced phase noise.
+def _sici(x: float) -> tuple[float, float]:
+    """Sine and cosine integrals at 0 < x < inf (Abramowitz & Stegun ch. 5).
 
-    The approx form has the closed expression
-    ``tau0 sqrt(S0 (f_high - f_low) + k ln(f_high/f_low))``; the full form is
-    integrated by 64-point Gauss-Legendre on 8 log-spaced panels, split again
-    at every half period 1/(2 tau0) of sin^2(pi f tau0), and summed
-    `LASER_PANEL_BLOCK` half periods at a time. A band variance past the float
-    range, or one that underflows to a subnormal or zero although the laser
-    has noise, raises `DomainError`.
+    (Si, Ci) from their power series for x <= 2. Above 2, the remainders of
+    their leading asymptotic terms, ``(Si - pi/2 + cos x / x, Ci - sin x / x)``,
+    from the continued fraction ``e^(ix) E1(ix) = 1/(1 + ix - t)`` (Numerical
+    Recipes' ``cisi``) less its ``1/(ix)``, formed as ``(t - 1)/(ix (1 + ix - t))``
+    so that they keep their relative precision at any x.
+    """
+    if x <= 2.0:
+        # sum of (ix)^n / (n n!), n >= 1: odd n make Si, even n Ci - gamma - ln x
+        n, term = 1, 1j * x
+        total = term
+        while abs(term) > 1e-17 * abs(total):
+            n += 1
+            term *= 1j * x / n
+            total += term / n
+        return total.imag, EULER_GAMMA + math.log(x) + total.real
+    # t = 1/(3 + ix - 2^2/(5 + ix - 3^2/(7 + ix - ...))) by Lentz's method
+    b = complex(3.0, x)
+    c, d = math.inf, 1.0 / b
+    t = d
+    for j in range(2, 200):
+        b += 2.0
+        d = 1.0 / (b - j * j * d)
+        c = b - j * j / c
+        t *= c * d
+        if abs(c * d - 1.0) <= 4e-16:
+            break
+    rest = (t - 1.0) / (complex(1.0, x) - t) / complex(0.0, x)
+    rest *= complex(math.cos(x), -math.sin(x))  # -(Ci - sin x/x) + i (Si - pi/2 + cos x/x)
+    return rest.imag, -rest.real
+
+
+def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> float:
+    """Band RMS of laser-induced phase noise, in closed form.
+
+    approx: ``tau0 sqrt(S0 (f_high - f_low) + k ln(f_high/f_low))``. full:
+    with a = 2 pi tau0 and x = a f, ``[S0 a dA + k a^2 dB] / (2 pi^2)`` over the
+    band's ends for ``A = Si - (1 - cos x)/x`` and
+    ``B = Ci/2 - (1 - cos x)/(2 x^2) - sin x/(2x)`` (`_sici`), or the approx
+    form where a f_high < 1e-8, exact to rounding there. A phase a f or its
+    square past the normal float range, or a band variance past the float
+    range or below it although the laser has noise, raises `DomainError`.
     """
     if tau0 < 0:
         raise DomainError(f"tau0 must be >= 0, got {tau0}")
     if tau0 == 0.0:
         return 0.0
-    if form == "approx":
+    a = 2.0 * math.pi * tau0
+    if form == "full" and a * band.f_high >= 1e-8:
+        x1, x2 = a * band.f_low, a * band.f_high
+        if not (sys.float_info.min <= x1 and x2 * x2 < math.inf):
+            raise DomainError(f"the delay phase 2 pi tau0 f over the band, [{x1!r}, {x2!r}] "
+                              "rad, is outside the normal float range")
+        ends = []
+        for x in (x1, x2):
+            si, ci = _sici(x)
+            h = x / 2.0
+            s = math.sin(h) / h  # 1 - cos x = 2 sin^2(h): (1 - cos x)/x = h s^2
+            ends.append((si - h * s * s, ci / 2.0 - s * s / 4.0 - s * math.cos(h) / 2.0)
+                        if x <= 2.0 else (si - 1.0 / x, ci / 2.0 - s * s / 4.0))  # A - pi/2, B
+        (a1, b1), (a2, b2) = ends
+        a2 += math.pi / 2.0 if x1 <= 2.0 < x2 else 0.0
+        var = (laser.white_freq_psd * a * (a2 - a1)
+               + laser.flicker_coeff * a * a * (b2 - b1)) / (2.0 * math.pi ** 2)
+    elif form in ("full", "approx"):
         # Python floats, so that a product past the float range is inf
         # without numpy's warning; only the power raises
         try:
@@ -168,23 +217,6 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> floa
                                + laser.flicker_coeff * float(np.log(band.f_high / band.f_low)))
         except OverflowError:
             var = math.inf
-    elif form == "full":
-        half = 0.5 / tau0
-        logs = np.geomspace(band.f_low, band.f_high, 9)
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        # break k is k * half; a block's breaks are made in its turn, so the
-        # memory does not grow with the mismatch
-        k, k_end = np.floor(band.f_low / half) + 1, np.ceil(band.f_high / half)
-        var, left = 0.0, band.f_low
-        while left < band.f_high:
-            breaks = np.arange(k, min(k + LASER_PANEL_BLOCK, k_end)) * half
-            k += LASER_PANEL_BLOCK
-            right = breaks[-1] if k < k_end else band.f_high
-            block = np.unique(np.concatenate(
-                [[left], logs[(logs > left) & (logs < right)], breaks, [right]]))
-            mid, rad = (block[1:] + block[:-1])[:, None] / 2, np.diff(block)[:, None] / 2
-            var += np.sum(rad * weights * laser_phase_psd_full(laser, tau0, mid + rad * nodes))
-            left = right
     else:
         raise ConfigurationError(f"form must be 'full' or 'approx', got {form!r}")
     noisy = laser.white_freq_psd > 0 or laser.flicker_coeff > 0
