@@ -149,9 +149,9 @@ class InterferometerConfig:
         if not 0 <= self.reference_length < np.inf:
             raise ConfigurationError("interferometer.reference_length must be finite "
                                      f"and >= 0, got {self.reference_length}")
-        if self.sensing_length < 0:
+        if not self.sensing_length > 0:
             raise ConfigurationError(
-                f"interferometer.sensing_length must be >= 0, got {self.sensing_length}")
+                f"interferometer.sensing_length must be > 0, got {self.sensing_length}")
         if self.sensing_length > self.detect_fiber.length:
             raise ConfigurationError(
                 "interferometer.sensing_length cannot exceed the detecting arm length: "

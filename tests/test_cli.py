@@ -543,7 +543,7 @@ class TestConfigCheckedOnLoad:
         ("interferometer:\n  sample_rate_hz: 0.0\n",
          "interferometer.sample_rate must be > 0, got 0.0"),
         ("interferometer:\n  sensing_length_m: -1.0\n",
-         "interferometer.sensing_length must be >= 0, got -1.0"),
+         "interferometer.sensing_length must be > 0, got -1.0"),
         ("- laser\n", "config section <root> must be a mapping"),
         ("band:\n  f_low_hz: null\n", "config key band.f_low_hz must be a number, got null"),
         ("noise:\n  enabled: 1\n", "config key noise.enabled must be a boolean, got 1"),
@@ -837,13 +837,19 @@ class TestBudget:
                      "--points", "31", "--out", str(out)]) == 0
         assert read_budget_table(out)[0].x_value == 3.0
 
-    def test_zero_sensing_fiber_exits_2_writing_nothing(self, tmp_path, capsys):
-        config = tmp_path / "cfg.yaml"
-        config.write_text("interferometer:\n  sensing_length_m: 0.0\n")
-        assert main(["budget", "--sweep", "length", "--config", str(config),
-                     "--out", str(tmp_path / "len.csv")]) == 2
-        assert "length 10.0: sensing_length must be > 0, got 0.0" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+    def test_zero_sensing_fiber_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        # the tap rejects it on load: simulate once wrote a record that held
+        # no voice, and budget named its first sweep point, not the key
+        monkeypatch.chdir(tmp_path)
+        write_chirp(tmp_path / "voice.wav")
+        (tmp_path / "cfg.yaml").write_text("interferometer:\n  sensing_length_m: 0.0\n")
+        for argv in (["budget", "--sweep", "length", "--out", "len.csv"],
+                     ["simulate", "--audio", "voice.wav", "--out", "het.wav",
+                      "--level-db", "70"]):
+            assert main(argv + ["--config", "cfg.yaml"]) == 2
+            assert "interferometer.sensing_length must be > 0, got 0.0" \
+                in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "voice.wav"]
 
     # a length whose balanced reference 2L overflows to inf (once a
     # ValueError traceback from the nan mismatch inf - inf), a mismatch

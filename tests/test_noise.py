@@ -309,11 +309,12 @@ class TestSystemNoise:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_periodogram_matches_system_psd_in_log_bands(self, length, mismatch, seed):
         # thermal noise of the detecting arm plus laser noise through the
-        # arm mismatch, which is zero when the reference arm is balanced
+        # arm mismatch, which is zero when the reference arm is balanced; the
+        # 1 m sensing fiber fits the shortest arm and does not enter the PSD
         ifo = replace(
             CFG.interferometer, laser=laser(), detect_fiber=fiber(length),
             reference_length=2.0 * length + mismatch,
-            sensing_length=0.0, sample_rate=self.FS)
+            sensing_length=1.0, sample_rate=self.FS)
         x = synthesize_system_noise(ifo, self.N, seed, self.FLAT).samples
         f = np.fft.rfftfreq(self.N, 1.0 / self.FS)[1:-1]
         pxx = 2.0 * np.abs(np.fft.rfft(x)[1:-1]) ** 2 / (self.FS * self.N)
