@@ -147,13 +147,15 @@ def test_criterion_4_rms_quadrature_oracles():
             band.f_low, band.f_high, epsrel=1e-12, epsabs=0.0)
         worst = max(worst, abs(closed_th / np.sqrt(var_th) - 1.0))
 
-        closed_la = laser_rms(laser_t, tau0, band, form="approx")
-        var_la, _ = integrate.quad(
-            lambda x: laser_phase_psd_approx(laser_t, tau0, x),
-            band.f_low, band.f_high, epsrel=1e-12, epsabs=0.0)
-        worst = max(worst, abs(closed_la / np.sqrt(var_la) - 1.0))
+        for form, psd in (("approx", laser_phase_psd_approx), ("full", laser_phase_psd_full)):
+            closed_la = laser_rms(laser_t, tau0, band, form=form)
+            var_la, _ = integrate.quad(
+                lambda x: psd(laser_t, tau0, x),
+                band.f_low, band.f_high, epsrel=1e-12, epsabs=0.0)
+            worst = max(worst, abs(closed_la / np.sqrt(var_la) - 1.0))
 
-    check(4, "closed-form band RMS equals adaptive quadrature (20 random cases)",
+    check(4, "closed-form band RMS (thermal, laser approx and full) equals adaptive "
+          "quadrature (20 random cases)",
           worst <= 1e-9, f"worst rel error={worst:.2e}")
 
 

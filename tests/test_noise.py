@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, signal
+from scipy import integrate, signal, special
 
 from fibertap import (
     AudioBand,
@@ -34,6 +34,7 @@ from fibertap.errors import (
     SynthesisError,
 )
 from fibertap.model import BOLTZMANN, SPEED_OF_LIGHT
+from fibertap.noise import _sici
 
 CFG = default_config()
 WAVELENGTH = 1.55e-6
@@ -152,6 +153,34 @@ class TestLaserPsd:
             laser_phase_psd_approx(laser(), -1e-9, 100.0)
 
 
+class TestSici:
+    GRID = np.concatenate([np.geomspace(1e-8, 1e8, 161),
+                           [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]])
+
+    def test_matches_scipy_on_a_log_grid(self):
+        # above 2 _sici returns Si - pi/2 + cos x / x and Ci - sin x / x
+        for x in self.GRID.tolist():
+            si, ci = _sici(x)
+            if x > 2.0:
+                si, ci = si + np.pi / 2 - np.cos(x) / x, ci + np.sin(x) / x
+            ref_si, ref_ci = special.sici(x)
+            assert si == pytest.approx(ref_si, rel=1e-14, abs=0.0), x
+            assert ci == pytest.approx(ref_ci, rel=1e-14, abs=0.0), x
+
+    def test_remainders_keep_their_precision(self):
+        # Si - pi/2 + cos x/x = -(f - 1/x) cos x - g sin x and
+        # Ci - sin x/x = (f - 1/x) sin x - g cos x, with the auxiliary
+        # functions' asymptotic series (Abramowitz & Stegun 5.2.34-35) written
+        # without their leading terms; at x >= 1e3 the next terms are < 1e-16
+        # of the O(1/x^2) remainders, which scipy's Si and Ci cannot resolve
+        for x in np.geomspace(1e3, 1e8, 41).tolist():
+            df = -2 / x ** 3 + 24 / x ** 5 - 720 / x ** 7
+            g = 1 / x ** 2 - 6 / x ** 4 + 120 / x ** 6 - 5040 / x ** 8
+            si, ci = _sici(x)
+            assert abs(si - (-df * np.cos(x) - g * np.sin(x))) <= 2e-15 / x ** 2, x
+            assert abs(ci - (df * np.sin(x) - g * np.cos(x))) <= 2e-15 / x ** 2, x
+
+
 class TestLaserRms:
     def test_zero_delay(self):
         assert laser_rms(laser(), 0.0, BAND, form="approx") == 0.0
@@ -201,6 +230,16 @@ class TestLaserRms:
         assert laser_rms(laser(), tau0, BAND, form="full") == \
             pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    # 50-digit values of the same closed form (mpmath's si and ci) at delays
+    # of ~1e8 and ~1e10 half periods across the band, past any panel rule
+    @pytest.mark.parametrize("mismatch,expected", [
+        (1e12, 3.8751998212085477), (1e14, 3.8751991598536253),
+    ])
+    def test_full_form_exact_at_long_delays(self, mismatch, expected):
+        tau0 = mismatch_to_delay(mismatch, 1.468)
+        assert laser_rms(laser(), tau0, BAND, form="full") == \
+            pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_full_form_peak_bounded(self):
         # ~290 000 half periods at 3e9 m: 19 M nodes, once 580 MB at a time,
         # and then 9.2 MB of panel edges made before the first block
@@ -213,6 +252,36 @@ class TestLaserRms:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
+
+    def test_full_form_tends_to_its_mean_at_a_long_delay(self):
+        # sin^2(pi f tau0) = (1 - cos(a f))/2 with a = 2 pi tau0, so the
+        # variance is the mean term below less the integral of
+        # cos(a f) (S0/f^2 + k/f^3) / (2 pi^2); by parts, with the bracket
+        # positive and falling, that is at most 2 (S0/f1^2 + k/f1^3) / a
+        # over 2 pi^2. At 1e12 m a is 3.1e4 s: ~1e8 half periods in the band
+        s0, k = laser().white_freq_psd, laser().flicker_coeff
+        f1, f2 = BAND.f_low, BAND.f_high
+        a = 2 * np.pi * mismatch_to_delay(1e12, 1.468)
+        mean = (s0 * (1 / f1 - 1 / f2) + k * (1 / f1 ** 2 - 1 / f2 ** 2) / 2) / (2 * np.pi ** 2)
+        bound = (s0 / f1 ** 2 + k / f1 ** 3) / (np.pi ** 2 * a)
+        var = laser_rms(laser(), a / (2 * np.pi), BAND, form="full") ** 2
+        assert abs(var - mean) <= bound < 1e-5 * mean
+
+    def test_full_form_meets_the_approx_form_at_its_edge(self):
+        # below a f_high = 1e-8 the full form is the approx one; just above
+        # it the closed form must agree to rounding, since the two PSDs part
+        # by (pi f tau0)^2 / 3 < 1e-16 there
+        edge = 1e-8 / (2 * np.pi * BAND.f_high)
+        for tau0 in (edge * (1 - 1e-9), edge * (1 + 1e-9), edge * 3):
+            assert laser_rms(laser(), tau0, BAND, form="full") == pytest.approx(
+                laser_rms(laser(), tau0, BAND, form="approx"), rel=1e-14, abs=0.0), tau0
+
+    @pytest.mark.parametrize("tau0,band", [
+        (np.inf, BAND), (1e150, BAND), (1e-3, AudioBand(1e-320, 1e4)),
+    ], ids=["infinite-delay", "phase-squared-overflows", "subnormal-phase"])
+    def test_delay_phase_past_the_float_range_rejected(self, tau0, band):
+        with pytest.raises(DomainError, match="delay phase 2 pi tau0 f"):
+            laser_rms(laser(), tau0, band, form="full")
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ConfigurationError):
