@@ -161,7 +161,7 @@ def _sici(x: float) -> tuple[float, float]:
             term *= 1j * x / n
             total += term / n
         return total.imag, EULER_GAMMA + math.log(x) + total.real
-    # t = 1/(3 + ix - 2^2/(5 + ix - 3^2/(7 + ix - ...))) by Lentz's method
+    # t = 1/(3 + ix - 2^2/(5 + ix - 3^2/(7 + ix - ...))) by Lentz's method; c = inf makes c = b
     b = complex(3.0, x)
     c, d = math.inf, 1.0 / b
     t = d
@@ -204,7 +204,7 @@ def laser_rms(laser: LaserSpec, tau0: float, band: AudioBand, form: str) -> floa
             h = x / 2.0
             s = math.sin(h) / h  # 1 - cos x = 2 sin^2(h): (1 - cos x)/x = h s^2
             ends.append((si - h * s * s, ci / 2.0 - s * s / 4.0 - s * math.cos(h) / 2.0)
-                        if x <= 2.0 else (si - 1.0 / x, ci / 2.0 - s * s / 4.0))  # A - pi/2, B
+                        if x <= 2.0 else (si - 1.0 / x, ci / 2.0 - s * s / 4.0))  # A - pi/2
         (a1, b1), (a2, b2) = ends
         a2 += math.pi / 2.0 if x1 <= 2.0 < x2 else 0.0
         var = (laser.white_freq_psd * a * (a2 - a1)

@@ -241,8 +241,7 @@ class TestLaserRms:
             pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_full_form_peak_bounded(self):
-        # ~290 000 half periods at 3e9 m: 19 M nodes, once 580 MB at a time,
-        # and then 9.2 MB of panel edges made before the first block
+        # ~290 000 half periods at 3e9 m: nothing held may grow with them
         laser_rms(laser(), 1e-6, BAND, form="full")  # imports
         tau0 = mismatch_to_delay(3e9, 1.468)
         tracemalloc.start()
