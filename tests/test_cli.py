@@ -956,14 +956,17 @@ TABLE_COMMANDS = (
              for value in (1256.6370614359173, 5680294.361677727)])),
        length=table_leaf(0.0, 1e-300, 1.0, 1e300),
        scale=table_leaf(1.0, 10.0, 1e300, low=1.0),
-       reflection=table_leaf(0.0, 1e-300, 0.0025, 1.0, high=1.0))
-def test_tables_write_finite_values_or_nothing(snr, laser, length, scale, reflection):
+       reflection=table_leaf(0.0, 1e-300, 0.0025, 1.0, high=1.0),
+       level=table_leaf(-1e308, 70.0, 1e308, low=-1e308))
+def test_tables_write_finite_values_or_nothing(snr, laser, length, scale, reflection,
+                                               level):
     """The error contract of `budget` and `sensitivity` over the config
     leaves that feed them: exit 0 with finite CSV values and standard JSON
     files, or exit 2-5 with no table, summary or manifest."""
     tree = {"noise": {"snr_threshold": snr},
             "laser": dict(zip(("white_freq_psd", "flicker_coeff"), laser)),
-            "scenarios": {"variants": [{"label": "v", "sensing_length_m": length,
+            "scenarios": {"test_level_db": level,
+                          "variants": [{"label": "v", "sensing_length_m": length,
                                         "bulk_modulus_scale": scale,
                                         "reflection_amplitude": reflection}]}}
     with tempfile.TemporaryDirectory() as work:
@@ -1047,6 +1050,24 @@ class TestSensitivityCmd:
         assert main(["sensitivity", "--config", str(cfgp), "--out", str(out)]) == 2
         assert "unknown config key: scenarios.test_level" in capsys.readouterr().err
         assert not list(tmp_path.glob("mit.csv*"))
+
+    # the level's pressure, 10^(level/20), overflows at +1e308 dB and
+    # underflows to 0 at -1e308 dB, so no row has a finite delta
+    @pytest.mark.parametrize("level,message", [
+        (1e308, "scenario 'pc-3m' at 1e+308 dB SPL: voice phase inf rad, nan dB "
+                "from the baseline's inf rad, outside the float range"),
+        (-1e308, "scenario 'pc-3m' at -1e+308 dB SPL: voice phase 0.0 rad, nan dB "
+                 "from the baseline's 0.0 rad, outside the float range"),
+    ])
+    def test_test_level_past_the_float_range_exits_4(self, tmp_path, capsys, level,
+                                                     message):
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(yaml.safe_dump({"scenarios": {"test_level_db": level}}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sensitivity", "--config", str(cfgp), "--out", str(out / "mit.csv")]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out.iterdir())
 
     # each once wrote -inf to the CSV and -Infinity to the summary, exit 0
     @pytest.mark.parametrize("field,message", [
