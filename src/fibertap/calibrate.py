@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
+from ._numpy import np
 from .model import AcousticCoupling, FiberSpec, mismatch_to_delay
 from .noise import AudioBand, thermal_rms, voice_rms_phase
 

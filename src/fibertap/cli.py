@@ -13,9 +13,8 @@ import sys
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .config import dump_config, load_config
 from .demod import (
     decimate_to_audio,

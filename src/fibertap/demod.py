@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigurationError, InputError, NyquistError
 from .noise import AudioBand
 from .trace import BASEBAND, HETERODYNE, PHASE, SampledTrace
@@ -54,7 +53,7 @@ HIGHPASS_BLOCK = 2 ** 15
 #: for its 2 pi alias. At 40 kS/s a 10 kHz tone of amplitude A steps by up
 #: to 2 A sin(pi/4) = 1.41 A, so the margin is a 1.11 rad tone: 108 dB SPL
 #: (peak) on the default 3 m tail at 0.0717 rad/(Pa m).
-UNWRAP_MARGIN = np.pi / 2
+UNWRAP_MARGIN = math.pi / 2
 
 #: Highest Butterworth order of `highpass`. Against ``sosfiltfilt`` of
 #: ``butter``'s sections at 40 kS/s (a drifting tone of unit peak, cutoffs
@@ -81,17 +80,17 @@ class DemodConfig:
     audio_rate: float
 
     def __post_init__(self):
-        if not 0 < self.beat_frequency < np.inf:
+        if not 0 < self.beat_frequency < math.inf:
             raise ConfigurationError(
                 f"demod.beat_frequency must be finite and > 0, got {self.beat_frequency}")
-        if not 0 < self.highpass_cutoff < np.inf:
+        if not 0 < self.highpass_cutoff < math.inf:
             raise ConfigurationError(
                 f"demod.highpass_cutoff must be finite and > 0, got {self.highpass_cutoff}")
         if not 1 <= self.filter_order <= MAX_FILTER_ORDER:
             raise ConfigurationError(
                 f"demod.filter_order must lie in [1, {MAX_FILTER_ORDER}], "
                 f"got {self.filter_order}")
-        if not np.isfinite(self.audio_rate):
+        if not math.isfinite(self.audio_rate):
             raise ConfigurationError(f"demod.audio_rate must be finite, got {self.audio_rate}")
 
     def validate_rate(self, sample_rate: float):

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
+from ._numpy import np
 from .errors import ConfigurationError, EstimationError, InputError
 from .trace import SampledTrace
 
@@ -92,7 +90,7 @@ def _frames(x, frame, hop):
     """Read-only frame matrix at offsets m*hop, last frame zero-padded."""
     m = frame_count(x.size, frame, hop)
     padded = np.concatenate([x, np.zeros((m - 1) * hop + frame - x.size)])
-    return sliding_window_view(padded, frame)[::hop]
+    return np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop]
 
 
 def _overlap_add(frames, hop):

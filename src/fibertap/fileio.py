@@ -10,8 +10,7 @@ from dataclasses import astuple
 from functools import partial
 from itertools import chain, islice
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigurationError, FileFormatError, InputError
 from .trace import KINDS, SampledTrace
 

@@ -13,10 +13,10 @@ where ``alpha`` is the reflection amplitude (power reflectivity alpha^2) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigurationError, DomainError, InputError, NyquistError
 from .trace import AUDIO, HETERODYNE, PHASE, SampledTrace
 
@@ -75,7 +75,7 @@ class FiberSpec:
     temperature: float
 
     def __post_init__(self):
-        if not 0 <= self.length < np.inf:
+        if not 0 <= self.length < math.inf:
             raise ConfigurationError(
                 f"fiber.length must be finite and >= 0, got {self.length}")
         if self.refractive_index <= 1:
@@ -146,7 +146,7 @@ class InterferometerConfig:
             raise ConfigurationError(
                 "interferometer.reflection_amplitude must be in [0, 1], "
                 f"got {self.reflection_amplitude}")
-        if not 0 <= self.reference_length < np.inf:
+        if not 0 <= self.reference_length < math.inf:
             raise ConfigurationError("interferometer.reference_length must be finite "
                                      f"and >= 0, got {self.reference_length}")
         if not self.sensing_length > 0:

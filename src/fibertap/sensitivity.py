@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigurationError, DomainError
 from .model import AcousticCoupling
 from .noise import voice_rms_phase
@@ -53,6 +51,11 @@ class MitigationRow:
     carrier_delta_db: float
 
 
+def _db(ratio: float) -> float:
+    """An amplitude ratio in dB, ``20 log10(ratio)``: -inf at 0, nan at nan."""
+    return 20.0 * math.log10(ratio) if ratio else -math.inf
+
+
 def scenario_voice_rms(scenario: MitigationScenario, coupling: AcousticCoupling,
                        test_level_db: float) -> float:
     """Sine-equivalent voice RMS phase of a scenario at the test level.
@@ -76,8 +79,8 @@ def compare_mitigations(baseline: MitigationScenario, variants,
     """
     def row(s):
         rms = scenario_voice_rms(s, coupling, test_level_db)
-        delta = float(20.0 * np.log10(rms / base_rms)) if base_rms > 0 else math.nan
-        carrier = float(20.0 * np.log10(s.reflection_amplitude / baseline.reflection_amplitude))
+        delta = _db(rms / base_rms) if base_rms > 0 else math.nan
+        carrier = _db(s.reflection_amplitude / baseline.reflection_amplitude)
         if not all(map(math.isfinite, (rms, delta, carrier))):
             raise DomainError(
                 f"scenario {s.label!r} at {test_level_db!r} dB SPL: voice phase {rms!r} rad, "
@@ -89,6 +92,5 @@ def compare_mitigations(baseline: MitigationScenario, variants,
             signal_rms_rad=rms, delta_db_vs_baseline=delta,
             carrier_delta_db=carrier)
 
-    with np.errstate(over="ignore", divide="ignore"):
-        base_rms = scenario_voice_rms(baseline, coupling, test_level_db)
-        return [row(s) for s in (baseline, *variants)]
+    base_rms = scenario_voice_rms(baseline, coupling, test_level_db)
+    return [row(s) for s in (baseline, *variants)]

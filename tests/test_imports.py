@@ -1,8 +1,9 @@
-"""The package's import rules: no fibertap code loads scipy, and only the
+"""The package's import rules: no fibertap code loads scipy, only the
 trace-CSV writer loads the process pool (`multiprocessing`,
-`concurrent.futures`). Those checks run in a fresh interpreter, because this
-test process already has scipy loaded. They read `sys.modules`, so they do
-not depend on timing.
+`concurrent.futures`), and numpy loads on first use, so the commands that
+compute on no array run without it. Those checks run in a fresh
+interpreter, because this test process already has scipy and numpy loaded.
+They read `sys.modules`, so they do not depend on timing.
 
 The import graph is read from the source with `ast`: the forward model and
 the file layer import nothing from `noise`, whose budgets and synthesis
@@ -142,6 +143,32 @@ def test_demod_and_resampling_simulate_load_no_scipy(tmp_path):
     ):
         script = "import fibertap, fibertap.cli\n" + run_commands(argv)
         assert scipy_modules_after(script, tmp_path) == [], argv
+
+
+#: `--version`, `--help`, a usage error (exit 2), `print-config` and
+#: `sensitivity`: the commands that compute on no array
+NO_ARRAY_COMMANDS = """import fibertap, fibertap.cli
+for argv, code in ((["--version"], 0), (["--help"], 0), (["budget"], 2)):
+    try:
+        fibertap.cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == code, (argv, exc.code)
+    else:
+        raise AssertionError(argv)
+""" + run_commands(["print-config", "--out", "cfg.yaml"], ["sensitivity", "--out", "sens.csv"])
+
+
+def test_commands_without_arrays_load_no_numpy(tmp_path):
+    write_inputs(tmp_path)
+    assert "numpy._core" not in modules_after(NO_ARRAY_COMMANDS, tmp_path)
+    # numpy loads on first use in the same process, and the array commands run
+    script = NO_ARRAY_COMMANDS + "\n" + run_commands(
+        ["budget", "--sweep", "length", "--points", "5", "--out", "len.csv"],
+        ["simulate", "--audio", "voice.wav", "--out", "het.wav", "--seed", "3",
+         "--level-db", "70"],
+        ["demod", "--in", "het.wav", "--out", "rec.wav"],
+        ["enhance", "--in", "noisy.wav", "--out", "clean.wav"])
+    assert "numpy._core" in modules_after(script, tmp_path)
 
 
 def test_csv_phase_output_loads_the_pool(tmp_path):
