@@ -249,13 +249,17 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
         if trace.n_samples != n:
             raise InputError(f"{name} has {trace.n_samples} samples, voice_phase {n}")
 
-    t = np.arange(n) / fs
-    phase = 2.0 * np.pi * config.intermediate_frequency * t + config.initial_phase \
-        + voice_phase.samples
+    # one buffer, in the order of 2 pi f_if t + phi_0 + voice + noise, then
+    # (1 + alpha^2) P + 2 alpha P cos(phase)
+    x = np.arange(n) / fs
+    x *= 2.0 * math.pi * config.intermediate_frequency
+    x += config.initial_phase
+    x += voice_phase.samples
     if noise_phase is not None:
-        phase = phase + noise_phase.samples
+        x += noise_phase.samples
 
     alpha = config.reflection_amplitude
-    intensity = (1.0 + alpha ** 2) * CARRIER_POWER \
-        + 2.0 * alpha * CARRIER_POWER * np.cos(phase)
-    return SampledTrace(fs, intensity, HETERODYNE)
+    np.cos(x, out=x)
+    x *= 2.0 * alpha * CARRIER_POWER
+    x += (1.0 + alpha ** 2) * CARRIER_POWER
+    return SampledTrace(fs, x, HETERODYNE)

@@ -264,14 +264,22 @@ def synthesize_colored_noise(psd, n_samples: int, sample_rate: float, seed: int,
         raise SynthesisError("target PSD is non-finite or negative inside the band")
 
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
+    spectrum = np.empty(freqs.size, dtype=complex)
+    spectrum.real = rng.standard_normal(freqs.size)
+    spectrum.imag = rng.standard_normal(freqs.size)
+    # real Nyquist bin carries no one-sided factor of two
+    nyquist = spectrum[-1].real * np.sqrt(target[-1] * sample_rate * n_samples)
     # E|X_k|^2 = S_k * fs * N / 2 makes the one-sided periodogram match S_k.
-    spectrum = (re + 1j * im) / np.sqrt(2.0) * np.sqrt(target * sample_rate * n_samples / 2.0)
+    # In place, with the bytes of (re + 1j im) / sqrt(2) * sqrt(S fs N / 2):
+    # numpy divides a complex by a real through its reciprocal.
+    scale = target * sample_rate
+    scale *= n_samples
+    scale /= 2.0
+    spectrum *= 1.0 / np.sqrt(2.0)
+    spectrum *= np.sqrt(scale, out=scale)
     spectrum[0] = 0.0
     if n_samples % 2 == 0:
-        # real Nyquist bin carries no one-sided factor of two
-        spectrum[-1] = re[-1] * np.sqrt(target[-1] * sample_rate * n_samples)
+        spectrum[-1] = nyquist
     samples = np.fft.irfft(spectrum, n=n_samples)
     return SampledTrace(sample_rate, samples, PHASE)
 
