@@ -174,8 +174,12 @@ def mismatch_to_delay(mismatch: float, refractive_index: float) -> float:
 
 
 def spl_to_pressure(level_db, spl_reference):
-    """Convert a dB SPL level to pressure, ``spl_reference * 10^(level/20)``."""
-    return spl_reference * 10.0 ** (np.asarray(level_db, dtype=float) / 20.0)
+    """Convert a dB SPL level to pressure, ``spl_reference * 10^(level/20)``;
+    inf for a level whose pressure is past the float range."""
+    try:
+        return spl_reference * 10.0 ** (level_db / 20.0)
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        return math.inf
 
 
 def pressure_to_spl(pressure, spl_reference):

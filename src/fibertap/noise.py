@@ -32,6 +32,7 @@ from .model import (
     LaserSpec,
     mismatch_to_delay,
     pressure_to_spl,
+    spl_to_pressure,
 )
 from .trace import PHASE, SampledTrace
 
@@ -305,13 +306,10 @@ def synthesize_system_noise(config: InterferometerConfig, n_samples: int, seed: 
 
 def voice_rms_phase(level_db: float, coupling: AcousticCoupling,
                     sensing_length: float) -> float:
-    """RMS phase of a sine at the given dB SPL level on the sensing fiber;
-    inf where the level's pressure is past the float range."""
-    try:  # `spl_to_pressure` in Python floats, which need no numpy
-        pressure = coupling.spl_reference * 10.0 ** (level_db / 20.0)
-    except OverflowError:
-        pressure = math.inf
-    return coupling.sensitivity * sensing_length * pressure / math.sqrt(2.0)
+    """RMS phase of a sine at the given dB SPL level on the sensing fiber."""
+    amplitude = coupling.sensitivity * sensing_length \
+        * spl_to_pressure(level_db, coupling.spl_reference)
+    return float(amplitude / math.sqrt(2.0))
 
 
 def phase_rms_to_spl(rms_phase: float, coupling: AcousticCoupling,
