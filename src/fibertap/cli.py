@@ -223,7 +223,8 @@ def cmd_enhance(args, stage):
 
 
 def _sweep_points(start, stop, count):
-    """`count` log-spaced sweep values from `start` to `stop`, or `start` alone."""
+    """`count` log-spaced sweep values from `start` to `stop` (`start` alone
+    when `count` is 1)."""
     if count < 1:
         raise ConfigurationError(f"--points must be at least 1, got {count}")
     if not (np.isfinite(start) and np.isfinite(stop)):
@@ -231,8 +232,6 @@ def _sweep_points(start, stop, count):
     if start <= 0 or stop <= 0:
         raise ConfigurationError(
             f"sweeps are log-spaced, so --from and --to must be > 0, got {start} and {stop}")
-    if count == 1:
-        return np.array([start])
     return np.geomspace(start, stop, count)
 
 

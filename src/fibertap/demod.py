@@ -93,12 +93,6 @@ class DemodConfig:
         if not math.isfinite(self.audio_rate):
             raise ConfigurationError(f"demod.audio_rate must be finite, got {self.audio_rate}")
 
-    def validate_rate(self, sample_rate: float):
-        if not 0 < self.beat_frequency < sample_rate / 2:
-            raise NyquistError(
-                "demod.beat_frequency must lie in (0, sample_rate/2): "
-                f"got {self.beat_frequency} at {sample_rate} S/s")
-
 
 #: Cephes' Chebyshev coefficients of exp(-x) I0(x) on [0, 8] and of
 #: exp(-x) sqrt(x) I0(x) on (8, inf), the expansions scipy.special.i0 uses.
@@ -197,10 +191,15 @@ def _audio_filter(cfg: DemodConfig, rate_in: float, band: AudioBand):
     The FIR passes `band` and stops at the audio Nyquist frequency or at the
     beat, whichever is lower: nothing that would alias into the audio record
     gets through, and neither does the DC term that mixing moves to -beat.
-    So the audio rate must be rationally related to `rate_in` (see
-    `resample_ratio`), and both its Nyquist frequency and the beat must lie
-    above the band.
+    So the beat must lie below the Nyquist frequency of `rate_in` (checked
+    first, `NyquistError`), the audio rate must be rationally related to
+    `rate_in` (see `resample_ratio`), and both its Nyquist frequency and the
+    beat must lie above the band.
     """
+    if not 0 < cfg.beat_frequency < rate_in / 2:
+        raise NyquistError(
+            "demod.beat_frequency must lie in (0, sample_rate/2): "
+            f"got {cfg.beat_frequency} at {rate_in} S/s")
     up, down = resample_ratio(rate_in, cfg.audio_rate)
     if cfg.audio_rate / 2.0 <= band.f_high:
         raise ConfigurationError(
@@ -219,16 +218,15 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
     """Check `cfg` against an n-sample record at `sample_rate`; size the edge guard.
 
     Runs every rule that ties the parameters to the record and the band
-    (beat below Nyquist, the rules of `decimate_to_audio`, high-pass cutoff
-    below the audio Nyquist frequency), so a record is rejected before any
-    of it is demodulated. Returns the guard: the FIR's length in audio
-    samples, which covers every `decimate_to_audio` output near either edge
-    whose taps reach past the record. `demod` trims the guard from both
-    edges, so a record whose audio output has 3 x guard samples or fewer is
-    rejected (`InputError`); with `highpass`, so is one that leaves the
-    high-pass too few samples after the trim.
+    (the rules of `decimate_to_audio`, beat below Nyquist first, and the
+    high-pass cutoff below the audio Nyquist frequency), so a record is
+    rejected before any of it is demodulated. Returns the guard: the FIR's
+    length in audio samples, which covers every `decimate_to_audio` output
+    near either edge whose taps reach past the record. `demod` trims the
+    guard from both edges, so a record whose audio output has 3 x guard
+    samples or fewer is rejected (`InputError`); with `highpass`, so is one
+    that leaves the high-pass too few samples after the trim.
     """
-    cfg.validate_rate(sample_rate)
     up, down, design = _audio_filter(cfg, sample_rate, band)
     if cfg.highpass_cutoff >= cfg.audio_rate / 2:
         raise ConfigurationError(
@@ -450,10 +448,11 @@ def resample(samples: np.ndarray, up: int, down: int,
     which applies one phase of the taps to a window of the input that moves
     by `down` per output. A class reads its windows as a strided view of
     the record (no copy) in rows of ``w = min(taps per phase, down)``
-    samples; with more taps than `down` it takes Q rows and sums their
-    products with the phase's Q pieces along the diagonals (one matrix
-    product per chunk of outputs instead of Q passes). Outputs whose window
-    reaches past either end of the record are summed directly.
+    samples, takes Q rows per output and sums their products with the
+    phase's Q pieces along the diagonals (one matrix product per chunk of
+    outputs instead of Q passes); Q is 1 when a phase has no more taps than
+    `down`. Outputs whose window reaches past either end of the record are
+    summed directly.
     """
     if taps is None:
         rate = max(up, down)
@@ -503,9 +502,6 @@ def resample(samples: np.ndarray, up: int, down: int,
             b = min(a + chunk, hi)
             window = rows[first + a * down::down][:b - a + pieces - 1]
             out = slice(m0 + a * up, m0 + (b - 1) * up + 1, up)
-            if pieces == 1:  # one row per output: matrix-vector products, no diagonals
-                y_parts[out] = window @ phase.T
-                continue
             products = phase @ window.T
             # output s takes piece q of part i from row s + q:
             # products[i Q + q, s + q]
@@ -545,7 +541,6 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     """
     if het.kind != HETERODYNE:
         raise InputError(f"decimate_to_audio expects a {HETERODYNE!r} trace, got {het.kind!r}")
-    cfg.validate_rate(het.sample_rate)
     up, down, design = _audio_filter(cfg, het.sample_rate, band)
     h = _kaiser_lowpass(*design)
     offsets = np.arange(h.size) - (h.size - 1) // 2

@@ -212,6 +212,4 @@ def segmental_snr(processed: SampledTrace, reference: SampledTrace,
     den = np.sum(err ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.clip(10.0 * np.log10(num / den), SEGSNR_FLOOR_DB, SEGSNR_CEIL_DB)
-    values = np.where(den == 0.0, SEGSNR_CEIL_DB,
-                      np.where(num == 0.0, SEGSNR_FLOOR_DB, snr))
-    return float(np.mean(values))
+    return float(np.mean(np.where(den == 0.0, SEGSNR_CEIL_DB, snr)))

@@ -24,9 +24,6 @@ from .trace import AUDIO, HETERODYNE, PHASE, SampledTrace
 SPEED_OF_LIGHT = 299792458.0
 BOLTZMANN = 1.380649e-23
 
-#: Optical carrier power is normalized so E0^2 = 1.
-CARRIER_POWER = 1.0
-
 
 @dataclass(frozen=True)
 class LaserSpec:
@@ -254,7 +251,7 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
             raise InputError(f"{name} has {trace.n_samples} samples, voice_phase {n}")
 
     # one buffer, in the order of 2 pi f_if t + phi_0 + voice + noise, then
-    # (1 + alpha^2) P + 2 alpha P cos(phase)
+    # (1 + alpha^2) + 2 alpha cos(phase)
     x = np.arange(n) / fs
     x *= 2.0 * math.pi * config.intermediate_frequency
     x += config.initial_phase
@@ -264,6 +261,6 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
 
     alpha = config.reflection_amplitude
     np.cos(x, out=x)
-    x *= 2.0 * alpha * CARRIER_POWER
-    x += (1.0 + alpha ** 2) * CARRIER_POWER
+    x *= 2.0 * alpha
+    x += 1.0 + alpha ** 2
     return SampledTrace(fs, x, HETERODYNE)

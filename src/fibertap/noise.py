@@ -58,7 +58,6 @@ class AudioBand:
 class NoiseBudget:
     """Per-source band RMS phase and the resulting detection limit."""
 
-    band: AudioBand
     thermal_rms: float
     laser_rms: float
     total_rms: float
@@ -107,8 +106,6 @@ def thermal_psd(fiber: FiberSpec, wavelength: float, f):
 
 def thermal_rms(fiber: FiberSpec, wavelength: float, band: AudioBand) -> float:
     """Band RMS of thermal phase noise, closed form sqrt(C L ln(f_high/f_low))."""
-    if fiber.length == 0:
-        return 0.0
     c1 = thermal_psd(fiber, wavelength, 1.0)  # C*L, since S(f) = C*L/f
     return float(np.sqrt(c1 * np.log(band.f_high / band.f_low)))
 
@@ -325,7 +322,7 @@ def phase_rms_to_spl(rms_phase: float, coupling: AcousticCoupling,
         amplitude / (coupling.sensitivity * sensing_length), coupling.spl_reference))
 
 
-def _budget(thermal: float, laser: float, band: AudioBand, coupling: AcousticCoupling,
+def _budget(thermal: float, laser: float, coupling: AcousticCoupling,
             sensing_length: float, snr_threshold: float) -> NoiseBudget:
     total = float(np.hypot(thermal, laser))
     with np.errstate(over="ignore"):
@@ -334,7 +331,7 @@ def _budget(thermal: float, laser: float, band: AudioBand, coupling: AcousticCou
         raise DomainError(
             f"the detection limit of {snr_threshold!r} x {total!r} rad RMS noise is "
             f"{limit!r} dB SPL, outside the float range")
-    return NoiseBudget(band=band, thermal_rms=thermal, laser_rms=laser,
+    return NoiseBudget(thermal_rms=thermal, laser_rms=laser,
                        total_rms=total, detection_limit_db=limit)
 
 
@@ -363,7 +360,7 @@ def compute_noise_budget(config: InterferometerConfig, coupling: AcousticCouplin
     laser term is the full form, the PSD that `synthesize_system_noise` draws."""
     th = thermal_rms(config.detect_fiber, config.laser.wavelength, band)
     la = laser_rms(config.laser, config.delay_mismatch(), band, form="full")
-    return _budget(th, la, band, coupling, config.sensing_length, snr_threshold)
+    return _budget(th, la, coupling, config.sensing_length, snr_threshold)
 
 
 def detection_limit_vs_length(lengths, config: InterferometerConfig,
@@ -402,5 +399,5 @@ def detection_limit_vs_mismatch(mismatches, config: InterferometerConfig,
         if mismatch < 0:
             raise InputError("must be >= 0")
         la = laser_rms(laser, mismatch_to_delay(mismatch, n), band, form="approx")
-        return _budget(th, la, band, coupling, config.sensing_length, snr_threshold)
+        return _budget(th, la, coupling, config.sensing_length, snr_threshold)
     return _sweep("mismatch", mismatches, budget_at)

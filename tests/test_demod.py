@@ -66,11 +66,12 @@ def demod_chain(het, cfg, band=BAND):
     return unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
 
 
-def lowpass_to(x, audio_rate, band=BAND):
+def lowpass_to(x, audio_rate, band=BAND, beat=DM.beat_frequency):
     """`decimate_to_audio`'s FIR and rate change, untranslated, on the real
     samples of `x`: its response to a tone at f equals the response of the
     translated FIR to a beat tone at f_beat + f."""
-    up, down, design = _audio_filter(at_rate(audio_rate), x.sample_rate, band)
+    cfg = replace(at_rate(audio_rate), beat_frequency=beat)
+    up, down, design = _audio_filter(cfg, x.sample_rate, band)
     return resample(x.samples, up, down, _kaiser_lowpass(*design))
 
 
@@ -109,9 +110,12 @@ class TestDemodConfig:
             replace(DM, **{field: value})
 
     def test_nyquist_check(self):
-        cfg = replace(DM, beat_frequency=250e3)
-        with pytest.raises(NyquistError):
-            cfg.validate_rate(FS)
+        # the beat-vs-Nyquist rule runs first: a record that also breaks the
+        # rate ratio still raises NyquistError (exit 4)
+        for audio_rate in (DM.audio_rate, 40000.00001):
+            cfg = replace(DM, beat_frequency=250e3, audio_rate=audio_rate)
+            with pytest.raises(NyquistError, match="beat_frequency must lie in"):
+                edge_guard(cfg, FS, BAND, int(FS), highpass=True)
 
     def test_filter_order_capped(self):
         # above the cap the numpy high-pass drifts from sosfiltfilt (see
@@ -836,8 +840,10 @@ class TestDecimateToAudio:
         assert 20 * np.log10(residual / (1.0 / np.sqrt(2))) < -60.0
 
     def test_rational_resampling(self):
+        # the beat lies below the 48 kS/s record's Nyquist frequency; the FIR
+        # stops at the 16 kHz audio Nyquist frequency, as it would at 25 kHz
         tone = make_tone(48e3, 1000.0, 0.5, 1.0)
-        out = lowpass_to(tone, 32e3)
+        out = lowpass_to(tone, 32e3, beat=20e3)
         a = tone_amplitude(trim(out, 2000), 32e3, 1000.0)
         assert abs(20 * np.log10(a)) < 0.1
 

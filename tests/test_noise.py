@@ -399,11 +399,11 @@ class TestSystemNoise:
 class TestNoiseBudget:
     def test_rss_invariant_enforced(self):
         with pytest.raises(ConfigurationError):
-            NoiseBudget(band=BAND, thermal_rms=1.0, laser_rms=1.0,
+            NoiseBudget(thermal_rms=1.0, laser_rms=1.0,
                         total_rms=2.5, detection_limit_db=10.0)
 
     def test_valid_budget(self):
-        b = NoiseBudget(band=BAND, thermal_rms=3e-5, laser_rms=4e-5,
+        b = NoiseBudget(thermal_rms=3e-5, laser_rms=4e-5,
                         total_rms=5e-5, detection_limit_db=20.0)
         assert b.total_rms == pytest.approx(np.hypot(b.thermal_rms, b.laser_rms))
 
