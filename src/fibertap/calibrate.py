@@ -33,7 +33,7 @@ def white_psd_from_linewidth(linewidth_hz: float) -> float:
 
 def calibrate_sensitivity(fiber_template: FiberSpec, wavelength: float,
                           band: AudioBand, spl_reference: float,
-                          sensing_length: float = 3.0,
+                          sensing_length: float,
                           anchor_length: float = 3000.0,
                           anchor_level_db: float = 30.0) -> float:
     """Coupling sensitivity (rad / Pa m) pinned to the thermal anchor.
@@ -48,7 +48,7 @@ def calibrate_sensitivity(fiber_template: FiberSpec, wavelength: float,
 
 def calibrate_flicker(white_freq_psd: float, coupling: AcousticCoupling,
                       band: AudioBand, refractive_index: float,
-                      sensing_length: float = 3.0,
+                      sensing_length: float,
                       anchor_mismatch: float = 100.0,
                       anchor_level_db: float = 60.0) -> float:
     """Flicker coefficient (rad^2 s^-2) pinned to the mismatch anchor."""

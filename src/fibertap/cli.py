@@ -9,6 +9,7 @@ noise profile).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -104,12 +105,19 @@ def cmd_simulate(args, stage):
     with stage("prepare-audio"):
         if rate != ifo.sample_rate:
             samples = resample(samples, *resample_ratio(rate, ifo.sample_rate))
+        if samples.size < 2:
+            raise InputError(f"{args.audio}: simulate needs at least 2 samples at "
+                             f"{ifo.sample_rate} S/s, got {samples.size}")
         if args.level_db is not None:
             peak = float(np.max(np.abs(samples)))
             if peak == 0:
                 raise InputError("cannot scale a silent input to a sound level")
-            samples = samples * (spl_to_pressure(args.level_db,
-                                                 config.coupling.spl_reference) / peak)
+            scale = spl_to_pressure(args.level_db, config.coupling.spl_reference) / peak
+            if not math.isfinite(scale):
+                raise ConfigurationError(
+                    f"--level-db {args.level_db!r} scales {args.audio}'s peak of {peak!r} "
+                    "past the float range")
+            samples = samples * scale
         audio = SampledTrace(ifo.sample_rate, samples, AUDIO)
 
     with stage("voice-to-phase"):

@@ -62,6 +62,8 @@ def _wav_format(body, path):
         tag = struct.unpack_from("<I", body, 24)[0]
     if channels != 1:
         raise InputError(f"{path}: only mono WAV is supported, got {channels} channels")
+    if rate == 0:
+        raise FileFormatError(f"{path}: WAV header gives a sample rate of 0")
     dtype = _WAV_DTYPES.get((tag, bits))
     if dtype is None or align != bits // 8:
         raise FileFormatError(
@@ -76,7 +78,8 @@ def read_wav(path):
     Reads little-endian RIFF holding 16-bit PCM or 32/64-bit IEEE float,
     plain or WAVE_FORMAT_EXTENSIBLE. Chunks other than ``fmt `` and
     ``data`` are skipped, with the pad byte after an odd-sized chunk. Other
-    files raise FileFormatError, and more than one channel InputError.
+    files, a rate of 0 and a data chunk that is not a whole number of
+    samples raise FileFormatError, and more than one channel InputError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -103,6 +106,9 @@ def read_wav(path):
         if fmt is None:
             raise FileFormatError(f"{path}: WAV data chunk comes before any fmt chunk")
         rate, dtype = fmt
+        if n % dtype.itemsize:
+            raise FileFormatError(f"{path}: WAV data chunk of {n} bytes is not a whole "
+                                  f"number of {dtype.itemsize}-byte samples")
         data = np.fromfile(fh, dtype=dtype, count=n // dtype.itemsize)
     samples = data.astype(np.float64, copy=False)
     if dtype.kind == "i":

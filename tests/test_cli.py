@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import chirp
@@ -144,6 +144,24 @@ class TestSimulate:
         assert "cannot scale a silent input to a sound level" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["silent.wav"]
 
+    # an empty input with a level ended in numpy's zero-size traceback, a
+    # 1-sample one without noise in a record that read_trace rejects, and a
+    # level past the float range in "non-finite values" after a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,flags,message", [
+        (0, ["--level-db", "70"], "needs at least 2 samples at 400000.0 S/s, got 0"),
+        (1, [], "needs at least 2 samples at 400000.0 S/s, got 1"),
+        (4000, ["--level-db=1e308"], "--level-db 1e+308 scales"),
+    ], ids=["empty", "one-sample", "level-past-float-range"])
+    def test_bad_input_exits_2_writing_nothing(self, tmp_path, capsys, n, flags, message):
+        src = tmp_path / "in.wav"
+        wavfile.write(src, FS, np.full(n, 0.5, dtype=np.float32))
+        assert main(["simulate", "--config", str(quiet_config(tmp_path)), "--audio", str(src),
+                     "--out", str(tmp_path / "het.wav"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(src) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "quiet.yaml"]
+
     def test_unknown_config_key_exits_2(self, tmp_path, chirp_wav):
         bad = tmp_path / "bad.yaml"
         bad.write_text("interferometer:\n  sample_rate: 400000.0\n")
@@ -188,6 +206,45 @@ class TestSimulate:
             assert sorted(p.name for p in tmp_path.iterdir()) == inputs
         else:
             assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
+
+
+#: a WAV rate `simulate` keeps, one it raises 50-fold and one it quarters
+SIMULATE_INPUT_RATES = (FS, 8000, 4 * FS)
+
+
+@settings(max_examples=60)
+@example(level=70.0, n=0, rate=FS, noise=True, ext="wav")
+@example(level=None, n=1, rate=FS, noise=False, ext="csv")
+@example(level=1e308, n=400, rate=FS, noise=True, ext="wav")
+@given(level=st.one_of(st.none(), st.sampled_from([-1e308, 0.0, 70.0, 1e308]),
+                       st.floats(-1e308, 1e308)),
+       n=st.one_of(st.integers(0, 4), st.just(400)),
+       rate=st.sampled_from(SIMULATE_INPUT_RATES), noise=st.booleans(),
+       ext=st.sampled_from(["wav", "csv"]))
+def test_simulate_writes_a_record_or_nothing(level, n, rate, noise, ext):
+    """The error contract of `simulate` over `--level-db` and the input's
+    length and rate: exit 0 with a record that `read_trace` reads back (at
+    least 2 finite samples), its sidecar and its manifest, or exit 2-5 with
+    none of them."""
+    with tempfile.TemporaryDirectory() as work:
+        audio = os.path.join(work, "in.wav")
+        samples = np.random.default_rng(n).standard_normal(n).astype(np.float32)
+        wavfile.write(audio, rate, samples)
+        config = os.path.join(work, "cfg.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(f"noise:\n  enabled: {str(noise).lower()}\n")
+        out = os.path.join(work, "out", f"het.{ext}")
+        os.mkdir(os.path.dirname(out))
+        argv = ["simulate", "--config", config, "--audio", audio, "--out", out]
+        code = main(argv + ([] if level is None else [f"--level-db={level!r}"]))
+        written = sorted(os.listdir(os.path.dirname(out)))
+        if code != 0:
+            assert code in (2, 3, 4, 5)
+            assert written == []
+            return
+        assert written == sorted(os.path.basename(out) + tail
+                                 for tail in ("", ".manifest.json", ".meta.json"))
+        assert read_trace(out).n_samples >= 2
 
 
 class TestDemod:

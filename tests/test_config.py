@@ -98,7 +98,8 @@ class TestOneSourceOfDefaults:
 
     @pytest.mark.parametrize("function,name", [
         (spl_to_pressure, "spl_reference"), (pressure_to_spl, "spl_reference"),
-        (calibrate_sensitivity, "spl_reference"), (highpass, "order"),
+        (calibrate_sensitivity, "spl_reference"), (calibrate_sensitivity, "sensing_length"),
+        (calibrate_flicker, "sensing_length"), (highpass, "order"),
         (edge_guard, "highpass"), (compare_mitigations, "test_level_db"),
         (laser_rms, "form")])
     def test_functions_restate_no_setting(self, function, name):

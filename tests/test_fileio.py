@@ -125,8 +125,12 @@ class TestWav:
         riff(fmt_chunk(3, 32), chunk(b"data", SAMPLES.tobytes()))[:-4],
         riff(chunk(b"fmt ", b"\x03\x00\x01\x00"), chunk(b"data", SAMPLES.tobytes())),
         riff(extensible_fmt_chunk(1, 32), chunk(b"data", PCM.tobytes())),
+        riff(fmt_chunk(3, 32), chunk(b"data", np.zeros(1000, np.float32).tobytes() + b"\0" * 3)),
+        riff(fmt_chunk(1, 16), chunk(b"data", PCM.tobytes() + b"\1")),
+        riff(fmt_chunk(3, 32, rate=0), chunk(b"data", SAMPLES.tobytes())),
     ], ids=["pcm8", "pcm24", "rifx", "rf64", "no-data", "data-before-fmt",
-            "data-past-end", "short-fmt", "extensible-pcm32"])
+            "data-past-end", "short-fmt", "extensible-pcm32", "float32-partial-sample",
+            "pcm16-partial-sample", "zero-rate"])
     def test_malformed_or_unsupported_rejected(self, tmp_path, capsys, content):
         p = tmp_path / "bad.wav"
         p.write_bytes(content)
