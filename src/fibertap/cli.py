@@ -113,10 +113,10 @@ def cmd_simulate(args, stage):
             if peak == 0:
                 raise InputError("cannot scale a silent input to a sound level")
             scale = spl_to_pressure(args.level_db, config.coupling.spl_reference) / peak
-            if not math.isfinite(scale):
+            if not 0 < scale < math.inf:
                 raise ConfigurationError(
                     f"--level-db {args.level_db!r} scales {args.audio}'s peak of {peak!r} "
-                    "past the float range")
+                    f"by {scale!r}; the factor must be finite and > 0")
             samples = samples * scale
         audio = SampledTrace(ifo.sample_rate, samples, AUDIO)
 
@@ -231,8 +231,7 @@ def cmd_enhance(args, stage):
 
 
 def _sweep_points(start, stop, count):
-    """`count` log-spaced sweep values from `start` to `stop` (`start` alone
-    when `count` is 1)."""
+    """`count` log-spaced sweep values from `start` to `stop`, or `start` alone."""
     if count < 1:
         raise ConfigurationError(f"--points must be at least 1, got {count}")
     if not (np.isfinite(start) and np.isfinite(stop)):

@@ -146,13 +146,15 @@ class TestSimulate:
 
     # an empty input with a level ended in numpy's zero-size traceback, a
     # 1-sample one without noise in a record that read_trace rejects, and a
-    # level past the float range in "non-finite values" after a RuntimeWarning
+    # level past the float range in "non-finite values" after a RuntimeWarning,
+    # and one below it in a voiceless record
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,flags,message", [
         (0, ["--level-db", "70"], "needs at least 2 samples at 400000.0 S/s, got 0"),
         (1, [], "needs at least 2 samples at 400000.0 S/s, got 1"),
         (4000, ["--level-db=1e308"], "--level-db 1e+308 scales"),
-    ], ids=["empty", "one-sample", "level-past-float-range"])
+        (4000, ["--level-db=-1e308"], "--level-db -1e+308 scales"),
+    ], ids=["empty", "one-sample", "level-past-float-range", "level-below-float-range"])
     def test_bad_input_exits_2_writing_nothing(self, tmp_path, capsys, n, flags, message):
         src = tmp_path / "in.wav"
         wavfile.write(src, FS, np.full(n, 0.5, dtype=np.float32))
