@@ -60,5 +60,6 @@ from .sensitivity import (
     scenario_voice_rms,
 )
 from .config import SimulationConfig, default_config, load_config
+from .chain import record, recover
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,23 +9,14 @@ noise profile).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from contextlib import contextmanager
 
 from . import __version__
 from ._numpy import np
+from .chain import record, recover
 from .config import dump_config, load_config
-from .demod import (
-    decimate_to_audio,
-    edge_guard,
-    highpass,
-    iq_demodulate,
-    resample,
-    resample_ratio,
-    unwrap_phase,
-)
 from .enhance import (
     detect_silent_frames,
     estimate_noise_spectrum,
@@ -46,12 +37,7 @@ from .fileio import (
     write_trace,
     write_wav,
 )
-from .model import spl_to_pressure, synthesize_heterodyne, voice_to_phase
-from .noise import (
-    detection_limit_vs_length,
-    detection_limit_vs_mismatch,
-    synthesize_system_noise,
-)
+from .noise import detection_limit_vs_length, detection_limit_vs_mismatch
 from .sensitivity import compare_mitigations
 from .trace import AUDIO, HETERODYNE, SampledTrace
 
@@ -98,37 +84,13 @@ def cmd_simulate(args, stage):
         if args.level_db is not None and not np.isfinite(args.level_db):
             raise ConfigurationError(f"--level-db must be finite, got {args.level_db}")
         config = load_config(args.config)
-        ifo = config.interferometer
-        check_trace_rate(args.out, ifo.sample_rate, "interferometer.sample_rate_hz")
-        rate, samples = read_wav(args.audio)
-
-    with stage("prepare-audio"):
-        if rate != ifo.sample_rate:
-            samples = resample(samples, *resample_ratio(rate, ifo.sample_rate))
-        if samples.size < 2:
-            raise InputError(f"{args.audio}: simulate needs at least 2 samples at "
-                             f"{ifo.sample_rate} S/s, got {samples.size}")
-        if args.level_db is not None:
-            peak = float(np.max(np.abs(samples)))
-            if peak == 0:
-                raise InputError("cannot scale a silent input to a sound level")
-            scale = spl_to_pressure(args.level_db, config.coupling.spl_reference) / peak
-            if not 0 < scale < math.inf:
-                raise ConfigurationError(
-                    f"--level-db {args.level_db!r} scales {args.audio}'s peak of {peak!r} "
-                    f"by {scale!r}; the factor must be finite and > 0")
-            samples = samples * scale
-        audio = SampledTrace(ifo.sample_rate, samples, AUDIO)
-
-    with stage("voice-to-phase"):
-        phase = voice_to_phase(audio, config.coupling, ifo.sensing_length)
-
-    with stage("synthesize"):
-        # drawn before `synthesize_heterodyne` makes its record-sized arrays
-        noise = (synthesize_system_noise(ifo, phase.n_samples, args.seed,
-                                         config.noise.flatten_below_hz)
-                 if config.noise.enabled else None)
-        het = synthesize_heterodyne(ifo, phase, noise)
+        check_trace_rate(args.out, config.interferometer.sample_rate,
+                         "interferometer.sample_rate_hz")
+        audio = read_wav(args.audio)
+    try:
+        het = record(audio, config, args.seed, args.level_db, stage)
+    except FiberTapError as exc:
+        raise type(exc)(f"{args.audio}: {exc}") from exc
 
     with stage("write"):
         write_trace(het, args.out)
@@ -138,27 +100,10 @@ def cmd_simulate(args, stage):
 def cmd_demod(args, stage):
     with stage("load"):
         config = load_config(args.config)
-        cfg = config.demod
         for path in filter(None, (args.out, args.phase_csv)):
-            check_trace_rate(path, cfg.audio_rate, "demod.audio_rate_hz")
+            check_trace_rate(path, config.demod.audio_rate, "demod.audio_rate_hz")
         het = read_trace(args.trace_in, kind=HETERODYNE)
-        guard = edge_guard(cfg, het.sample_rate, config.band, het.n_samples,
-                           highpass=not args.no_highpass)
-
-    with stage("decimate"):
-        baseband = decimate_to_audio(het, cfg, config.band)
-
-    with stage("iq-demodulate"):
-        baseband = iq_demodulate(baseband, cfg)
-
-    with stage("unwrap"):
-        phase = unwrap_phase(baseband.with_samples(
-            baseband.samples[guard:baseband.n_samples - guard]))
-    start_time = guard / baseband.sample_rate
-
-    if not args.no_highpass:
-        with stage("highpass"):
-            phase = highpass(phase, cfg.highpass_cutoff, cfg.filter_order)
+    phase, start_time = recover(het, config.demod, config.band, not args.no_highpass, stage)
 
     outputs = {"audio": args.out}
     if args.phase_csv:

@@ -222,7 +222,7 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
     high-pass cutoff below the audio Nyquist frequency), so a record is
     rejected before any of it is demodulated. Returns the guard: the FIR's
     length in audio samples, which covers every `decimate_to_audio` output
-    near either edge whose taps reach past the record. `demod` trims the
+    near either edge whose taps reach past the record. `recover` trims the
     guard from both edges, so a record whose audio output has 3 x guard
     samples or fewer is rejected (`InputError`); with `highpass`, so is one
     that leaves the high-pass too few samples after the trim.

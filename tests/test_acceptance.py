@@ -19,28 +19,24 @@ from fibertap import (
     SampledTrace,
     compare_mitigations,
     compute_noise_budget,
-    decimate_to_audio,
     default_config,
     detect_silent_frames,
     detection_limit_vs_mismatch,
-    edge_guard,
     estimate_noise_spectrum,
     highpass,
-    iq_demodulate,
     laser_phase_psd_approx,
     laser_phase_psd_full,
     laser_rms,
     mismatch_to_delay,
+    record,
+    recover,
     segmental_snr,
     spectral_subtract,
     spl_to_pressure,
     synthesize_colored_noise,
-    synthesize_heterodyne,
-    synthesize_system_noise,
     system_phase_noise_psd,
     thermal_psd,
     thermal_rms,
-    unwrap_phase,
     voice_to_phase,
 )
 from fibertap.cli import main
@@ -64,21 +60,19 @@ def test_criterion_1_round_trip_fidelity():
     t = np.arange(int(fs)) / fs
     chirp = signal.chirp(t, 500.0, 1.0, 5000.0)
     pressure = spl_to_pressure(70.0, CFG.coupling.spl_reference) * chirp
-    audio = SampledTrace(fs, pressure, AUDIO)
-    phase = voice_to_phase(audio, CFG.coupling, CFG.interferometer.sensing_length)
-
-    het = synthesize_heterodyne(CFG.interferometer, voice_phase=phase)
+    quiet = replace(CFG, noise=replace(CFG.noise, enabled=False))
     dm = CFG.demod
-    guard = edge_guard(dm, fs, CFG.band, het.n_samples, highpass=True)
-    baseband = iq_demodulate(decimate_to_audio(het, dm, CFG.band), dm)
+    recovered, start = recover(record((fs, pressure), quiet, 0), dm, CFG.band, highpass=True)
 
-    # drop the FIR settling region before filtering, then the filter edges;
-    # the chirp is compared at the audio rate, where every 10th sample falls
-    recovered = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
+    # the chirp is compared at the audio rate, where every 10th sample falls,
+    # from the first recovered sample on; then the filter edges are dropped
+    phase = voice_to_phase(SampledTrace(fs, pressure, AUDIO), CFG.coupling,
+                           CFG.interferometer.sensing_length)
+    guard = round(start * dm.audio_rate)
     src = SampledTrace(dm.audio_rate, phase.samples[::10][guard:-guard], PHASE)
     edge = 400
-    a = highpass(recovered, 500.0, 4).samples[edge:-edge]
-    b = highpass(src, 500.0, 4).samples[edge:-edge]
+    a = recovered.samples[edge:-edge]
+    b = highpass(src, dm.highpass_cutoff, dm.filter_order).samples[edge:-edge]
     err = a - b
     err = err - np.mean(err)
     rms_err = float(np.sqrt(np.mean(err ** 2)))
@@ -331,8 +325,8 @@ def test_criterion_10_recovered_noise_floor(tmp_path):
 
 def recovered_tone_snr_db(length, offset_db, seed, seconds=2, f0=1000.0):
     """In-band SNR of an `f0` tone `offset_db` above the budget's limit for a
-    balanced tap of detecting arm `length`, through the chain as `simulate`
-    and `demod --no-highpass` compose it.
+    balanced tap of detecting arm `length`, through `record` and `recover`,
+    the chain that `simulate` and `demod --no-highpass` run.
 
     The tone is a least-squares fit of a sine at `f0` (with a constant)
     over the whole record, so only the noise in its 1/`seconds` Hz
@@ -347,15 +341,8 @@ def recovered_tone_snr_db(length, offset_db, seed, seconds=2, f0=1000.0):
     fs, n = ifo.sample_rate, seconds * int(ifo.sample_rate)
     pressure = spl_to_pressure(limit + offset_db, CFG.coupling.spl_reference) \
         * np.sin(2 * np.pi * f0 * np.arange(n) / fs)
-    phase = voice_to_phase(SampledTrace(fs, pressure, AUDIO), CFG.coupling,
-                           ifo.sensing_length)
-    noise = synthesize_system_noise(ifo, n, seed, CFG.noise.flatten_below_hz)
-    het = synthesize_heterodyne(ifo, phase, noise)
-
-    dm = CFG.demod
-    guard = edge_guard(dm, fs, CFG.band, n, highpass=False)
-    z = iq_demodulate(decimate_to_audio(het, dm, CFG.band), dm)
-    rec = unwrap_phase(z.with_samples(z.samples[guard:z.n_samples - guard]))
+    rec, _ = recover(record((fs, pressure), replace(CFG, interferometer=ifo), seed),
+                     CFG.demod, CFG.band, highpass=False)
 
     t = np.arange(rec.n_samples) / rec.sample_rate
     basis = np.stack([np.sin(2 * np.pi * f0 * t), np.cos(2 * np.pi * f0 * t),

@@ -32,10 +32,12 @@ def test_traced_function_resolves(module, name):
 
 
 def test_demod_steps_take_and_return_a_trace(tmp_path, monkeypatch):
-    # the tracer wraps each `demod` name on `fibertap.cli` and reads
-    # `n_samples` from its first argument and from its result; run `demod`
-    # on a short record with each name so wrapped, in the CLI's own order
+    # the tracer wraps each `demod` name on `fibertap.demod`, where
+    # `recover` looks it up, and reads `n_samples` from its first argument
+    # and from its result; run `demod` on a short record with each name so
+    # wrapped, in the CLI's own order
     import fibertap.cli
+    import fibertap.demod
     from fibertap import PHASE, SampledTrace, default_config, synthesize_heterodyne
     from fibertap.fileio import write_trace
 
@@ -53,7 +55,8 @@ def test_demod_steps_take_and_return_a_trace(tmp_path, monkeypatch):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(fibertap.cli, name, recording(name, getattr(fibertap.cli, name)))
+        monkeypatch.setattr(fibertap.demod, name,
+                            recording(name, getattr(fibertap.demod, name)))
     assert fibertap.cli.main(["demod", "--in", str(tmp_path / "het.wav"),
                               "--out", str(tmp_path / "rec.wav")]) == 0
     assert [name for name, _, _ in calls] == [

@@ -20,12 +20,13 @@ from fibertap import (
     PHASE,
     SampledTrace,
     cli,
-    decimate_to_audio,
     default_config,
     edge_guard,
     errors,
     highpass,
     load_config,
+    record,
+    recover,
     spl_to_pressure,
     voice_to_phase,
 )
@@ -256,6 +257,21 @@ class TestDemod:
                      "--audio", str(chirp_wav), "--out", str(het), "--level-db", "70"]) == 0
         return het
 
+    # the benchmark reads each stage's seconds as `cli.<command>.<stage>_s`
+    @pytest.mark.parametrize("flags,stages", [
+        ([], ["highpass"]), (["--no-highpass"], []),
+        (["--phase-csv", "phase.csv"], ["highpass", "write-phase"]),
+    ])
+    def test_manifests_name_the_stages_in_order(self, tmp_path, monkeypatch, chirp_wav,
+                                                 flags, stages):
+        monkeypatch.chdir(tmp_path)
+        het = self.run_sim(tmp_path, chirp_wav)
+        assert main(["demod", "--in", str(het), "--out", "rec.wav", *flags]) == 0
+        assert [name for name, _ in manifest_of(het)["stage_timings"]] == [
+            "load", "prepare-audio", "voice-to-phase", "synthesize", "write"]
+        assert [name for name, _ in manifest_of("rec.wav")["stage_timings"]] == [
+            "load", "decimate", "iq-demodulate", "unwrap", *stages, "write"]
+
     def test_round_trip_correlation(self, tmp_path, chirp_wav):
         het = self.run_sim(tmp_path, chirp_wav)
         rec = tmp_path / "rec.wav"
@@ -321,12 +337,12 @@ class TestDemod:
                      "--out", str(tmp_path / "again.wav")]) == 2
 
     def fail_if_demodulated(self, monkeypatch):
-        import fibertap.cli
+        import fibertap.demod
 
         # decimate_to_audio is demod's first DSP step
         def decimate_to_audio(*args, **kwargs):
             raise AssertionError("decimate ran before the rate check")
-        monkeypatch.setattr(fibertap.cli, "decimate_to_audio", decimate_to_audio)
+        monkeypatch.setattr(fibertap.demod, "decimate_to_audio", decimate_to_audio)
 
     def test_zero_audio_rate_config_exits_2(self, tmp_path, monkeypatch, capsys):
         src = tmp_path / "short.wav"
@@ -549,23 +565,14 @@ class TestDemod:
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_file_pipeline_matches_in_process(self, tmp_path, chirp_wav):
-        from fibertap import iq_demodulate, synthesize_heterodyne, unwrap_phase
         het_file = self.run_sim(tmp_path, chirp_wav)
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--in", str(het_file), "--out", str(rec)]) == 0
         via_files = read_trace(rec)
 
-        cfg = default_config()
-        rate0, src = read_wav(chirp_wav)
-        level = spl_to_pressure(70.0, cfg.coupling.spl_reference)
-        audio = SampledTrace(rate0, src / np.max(np.abs(src)) * level, AUDIO)
-        phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
-        het = synthesize_heterodyne(cfg.interferometer, voice_phase=phase)
-        dm = cfg.demod
-        guard = edge_guard(dm, het.sample_rate, cfg.band, het.n_samples, highpass=True)
-        baseband = iq_demodulate(decimate_to_audio(het, dm, cfg.band), dm)
-        phase = unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
-        rec2 = highpass(phase, dm.highpass_cutoff, dm.filter_order)
+        cfg = load_config(quiet_config(tmp_path))
+        het = record(read_wav(chirp_wav), cfg, 0, level_db=70.0)
+        rec2, _ = recover(het, cfg.demod, cfg.band, highpass=True)
         # equality up to float32 storage of the heterodyne trace and output
         scale = np.max(np.abs(rec2.samples))
         np.testing.assert_allclose(via_files.samples, rec2.samples,

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibertap import (
@@ -18,6 +18,8 @@ from fibertap import (
     edge_guard,
     highpass,
     iq_demodulate,
+    record,
+    recover,
     synthesize_heterodyne,
     unwrap_phase,
 )
@@ -56,14 +58,6 @@ def quiet_record(ifo, duration):
     """The heterodyne record of a quiet room: a zero voice phase."""
     n = int(round(duration * ifo.sample_rate))
     return synthesize_heterodyne(ifo, SampledTrace(ifo.sample_rate, np.zeros(n), PHASE))
-
-
-def demod_chain(het, cfg, band=BAND):
-    """`demod`'s steps up to the high-pass: the translated FIR and the
-    decimation, the mix at the audio rate, the edge-guard trim, the unwrap."""
-    guard = edge_guard(cfg, het.sample_rate, band, het.n_samples, highpass=False)
-    baseband = iq_demodulate(decimate_to_audio(het, cfg, band), cfg)
-    return unwrap_phase(baseband.with_samples(baseband.samples[guard:-guard]))
 
 
 def lowpass_to(x, audio_rate, band=BAND, beat=DM.beat_frequency):
@@ -214,7 +208,7 @@ class TestEdgeGuard:
 class TestIqDemodulate:
     def test_pure_carrier_recovers_constant_phase(self):
         het = quiet_record(tap(), 0.2)
-        phase = demod_chain(het, DM).samples
+        phase = recover(het, DM, BAND, False)[0].samples
         inner = trim(phase, 200)
         assert np.max(np.abs(inner - np.mean(inner))) < 1e-6
 
@@ -245,8 +239,8 @@ class TestIqDemodulate:
         het = synthesize_heterodyne(tap(), voice_phase=tone)
         # same record with the constant photocurrent term removed
         ac = het.with_samples(het.samples - (1 + 0.2 ** 2))
-        with_dc = demod_chain(het, cfg).samples
-        without_dc = demod_chain(ac, cfg).samples
+        with_dc = recover(het, cfg, BAND, False)[0].samples
+        without_dc = recover(ac, cfg, BAND, False)[0].samples
         assert np.max(np.abs(trim(with_dc - without_dc, 200))) < 1e-6
 
     @pytest.mark.parametrize("audio_rate", [40e3, 32e3, 44100.0])
@@ -255,14 +249,32 @@ class TestIqDemodulate:
         # alone its DC term, 1 + alpha^2 against a beat of 2 alpha, left a
         # line at |audio_rate - beat| of 1.6e-5 rad RMS at 40 kS/s
         cfg = replace(DM, audio_rate=audio_rate)
-        phase = demod_chain(quiet_record(tap(alpha=0.0025), 0.5), cfg).samples
+        phase = recover(quiet_record(tap(alpha=0.0025), 0.5), cfg, BAND, False)[0].samples
         assert np.sqrt(np.mean((phase - np.mean(phase)) ** 2)) <= 1e-8
+
+    @settings(derandomize=True, max_examples=20)
+    @given(alpha=st.floats(0.01, 1.0), f0=st.floats(600.0, 8000.0),
+           peak=st.floats(1e-3, 1.0), highpass_on=st.booleans())
+    def test_recovered_phase_does_not_depend_on_alpha(self, alpha, f0, peak, highpass_on):
+        # the DC term, 1 + alpha^2, and the beat, 2 alpha, change with the
+        # echo; the DC null and the demodulation must leave the phase as it
+        # is at alpha = 0.2, on 0.25 s of a tone that peaks at `peak` rad
+        ifo = CFG.interferometer
+        pressure = peak / (CFG.coupling.sensitivity * ifo.sensing_length) \
+            * np.sin(2 * np.pi * f0 * np.arange(int(FS) // 4) / FS)
+
+        def recovered(a):
+            cfg = replace(CFG, interferometer=replace(ifo, reflection_amplitude=a),
+                          noise=replace(CFG.noise, enabled=False))
+            return recover(record((FS, pressure), cfg, 0), DM, BAND, highpass_on)[0].samples
+
+        np.testing.assert_allclose(recovered(alpha), recovered(0.2), rtol=0, atol=1e-9 * peak)
 
     def test_round_trip_half_radian_kilohertz(self):
         tone = make_tone(FS, 1000.0, 0.5, 0.5)
         het = synthesize_heterodyne(tap(), voice_phase=tone)
         cfg = DM
-        rec = demod_chain(het, cfg).samples
+        rec = recover(het, cfg, BAND, False)[0].samples
         # the 40 kS/s samples after the 37-sample guard
         err = trim(rec - tone.samples[::10][37:-37], 200)
         err = err - np.mean(err)
@@ -272,8 +284,8 @@ class TestIqDemodulate:
         tone = make_tone(FS, 700.0, 0.1, 0.4)
         het = synthesize_heterodyne(tap(), voice_phase=tone)
         cfg = DM
-        a = demod_chain(het, cfg).samples
-        b = demod_chain(het.with_samples(het.samples * 3.7), cfg).samples
+        a = recover(het, cfg, BAND, False)[0].samples
+        b = recover(het.with_samples(het.samples * 3.7), cfg, BAND, False)[0].samples
         assert np.max(np.abs(trim(a - b, 200))) < 1e-6
 
     def test_round_trip_property_random_bandlimited(self):
@@ -297,7 +309,7 @@ class TestIqDemodulate:
             het = synthesize_heterodyne(
                 tap(f_if=80e3, alpha=alpha),
                 voice_phase=SampledTrace(FS, scale * phi(t), PHASE))
-            rec = demod_chain(het, cfg, band).samples
+            rec = recover(het, cfg, band, False)[0].samples
             err = trim(rec - scale * phi(t_audio), 800)
             err = err - np.mean(err)
             assert np.sqrt(np.mean(err ** 2)) < 1e-3
@@ -448,7 +460,7 @@ class TestMemory:
         cfg = DM
         het = quiet_record(tap(), 1.0)
         # imports, numpy.fft's among them
-        highpass(demod_chain(het.with_samples(het.samples[:2000]), cfg), 500.0, 4)
+        recover(het.with_samples(het.samples[:2000]), cfg, BAND, True)
         baseband = decimate_to_audio(het, cfg, BAND)
         mixed = iq_demodulate(baseband, cfg)
         return het, cfg, baseband, mixed.with_samples(mixed.samples[37:-37])
