@@ -4,44 +4,37 @@ Exit codes: 0 success, else the failing error class's ``exit_code``:
 2 configuration error, 3 I/O error (also any ``OSError``), 4 numeric or
 Nyquist error, 5 noise estimation impossible (no silent frames and no
 noise profile).
+
+Each command calls fibertap's functions through their modules
+(``config.load_config``), which load on first use, so `--version`, `--help`
+and a usage error run no fibertap module but the package's ``__init__``,
+this one, `errors` and `_numpy`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager
 
 from . import __version__
+from . import chain, config, enhance, fileio, noise, sensitivity, trace
 from ._numpy import np
-from .chain import record, recover
-from .config import dump_config, load_config
-from .enhance import (
-    detect_silent_frames,
-    estimate_noise_spectrum,
-    frame_count,
-    segmental_snr,
-    spectral_subtract,
-)
 from .errors import ConfigurationError, FiberTapError, InputError
-from .fileio import (
-    BUDGET_HEADER,
-    MITIGATION_HEADER,
-    check_trace_rate,
-    read_trace,
-    read_wav,
-    sha256_file,
-    write_csv_table,
-    write_json,
-    write_trace,
-    write_wav,
-)
-from .noise import detection_limit_vs_length, detection_limit_vs_mismatch
-from .sensitivity import compare_mitigations
-from .trace import AUDIO, HETERODYNE, SampledTrace
 
 EXIT_IO = 3
+
+#: Each command's input and output file options, by argparse ``dest``
+FILE_OPTIONS = {
+    "simulate": (("config", "audio"), ("out",)),
+    "demod": (("config", "trace_in"), ("out", "phase_csv")),
+    "enhance": (("config", "audio_in", "noise_profile", "reference"), ("out", "report")),
+    "budget": (("config",), ("out",)),
+    "sensitivity": (("config",), ("out",)),
+    "print-config": (("config",), ("out",)),
+}
 
 
 def _run(command, args):
@@ -60,20 +53,20 @@ def _run(command, args):
         yield
         timings.append([name, time.perf_counter() - t0])
 
-    config, inputs, outputs = command(args, stage)
+    cfg, inputs, outputs = command(args, stage)
     manifest = {
         "tool": "fibertap",
         "version": __version__,
         "command": args.command,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
-        "config_digest": config.digest(),
-        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)}
+        "config_digest": cfg.digest(),
+        "inputs": {name: {"path": str(p), "sha256": fileio.sha256_file(p)}
                    for name, p in inputs.items()},
-        "outputs": {name: {"path": str(p), "sha256": sha256_file(p)}
+        "outputs": {name: {"path": str(p), "sha256": fileio.sha256_file(p)}
                     for name, p in outputs.items()},
         "stage_timings": timings,
     }
-    write_json(str(args.out) + ".manifest.json", manifest)
+    fileio.write_json(str(args.out) + ".manifest.json", manifest)
     print(f"wrote {args.out}")
 
 
@@ -83,78 +76,78 @@ def cmd_simulate(args, stage):
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         if args.level_db is not None and not np.isfinite(args.level_db):
             raise ConfigurationError(f"--level-db must be finite, got {args.level_db}")
-        config = load_config(args.config)
-        check_trace_rate(args.out, config.interferometer.sample_rate,
-                         "interferometer.sample_rate_hz")
-        audio = read_wav(args.audio)
+        cfg = config.load_config(args.config)
+        fileio.check_trace_rate(args.out, cfg.interferometer.sample_rate,
+                                "interferometer.sample_rate_hz")
+        audio = fileio.read_wav(args.audio)
     try:
-        het = record(audio, config, args.seed, args.level_db, stage)
+        het = chain.record(audio, cfg, args.seed, args.level_db, stage)
     except FiberTapError as exc:
         raise type(exc)(f"{args.audio}: {exc}") from exc
 
     with stage("write"):
-        write_trace(het, args.out)
-    return config, {"audio": args.audio}, {"heterodyne": args.out}
+        fileio.write_trace(het, args.out)
+    return cfg, {"audio": args.audio}, {"heterodyne": args.out}
 
 
 def cmd_demod(args, stage):
     with stage("load"):
-        config = load_config(args.config)
+        cfg = config.load_config(args.config)
         for path in filter(None, (args.out, args.phase_csv)):
-            check_trace_rate(path, config.demod.audio_rate, "demod.audio_rate_hz")
-        het = read_trace(args.trace_in, kind=HETERODYNE)
-    phase, start_time = recover(het, config.demod, config.band, not args.no_highpass, stage)
+            fileio.check_trace_rate(path, cfg.demod.audio_rate, "demod.audio_rate_hz")
+        het = fileio.read_trace(args.trace_in, kind=trace.HETERODYNE)
+    phase, start_time = chain.recover(het, cfg.demod, cfg.band, not args.no_highpass, stage)
 
     outputs = {"audio": args.out}
     if args.phase_csv:
         with stage("write-phase"):
-            write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
+            fileio.write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
         outputs["phase"] = args.phase_csv
 
     with stage("write"):
-        write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
-    return config, {"heterodyne": args.trace_in}, outputs
+        fileio.write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
+    return cfg, {"heterodyne": args.trace_in}, outputs
 
 
 def cmd_enhance(args, stage):
     with stage("load"):
-        config = load_config(args.config)
-        params = config.enhance
-        rate, samples = read_wav(args.audio_in)
-        noisy = SampledTrace(rate, samples, AUDIO)
+        cfg = config.load_config(args.config)
+        params = cfg.enhance
+        rate, samples = fileio.read_wav(args.audio_in)
+        noisy = trace.SampledTrace(rate, samples, trace.AUDIO)
         frame, hop, _ = params.resolve(rate)
         ref = profile = None
         if args.reference:
-            rrate, rsamples = read_wav(args.reference)
+            rrate, rsamples = fileio.read_wav(args.reference)
             if rrate != rate or rsamples.size != noisy.n_samples:
                 raise InputError("reference must match the input rate and length")
-            ref = SampledTrace(rrate, rsamples, AUDIO)
+            ref = trace.SampledTrace(rrate, rsamples, trace.AUDIO)
         if args.noise_profile:
-            prate, psamples = read_wav(args.noise_profile)
+            prate, psamples = fileio.read_wav(args.noise_profile)
             if prate != rate:
                 raise InputError(
                     f"noise profile rate {prate} differs from input rate {rate}")
-            profile = SampledTrace(prate, psamples, AUDIO)
+            profile = trace.SampledTrace(prate, psamples, trace.AUDIO)
 
     with stage("estimate-noise"):
         if profile is not None:
-            noise_spectrum = estimate_noise_spectrum(
-                profile, np.arange(frame_count(profile.n_samples, frame, hop)), params)
+            noise_spectrum = enhance.estimate_noise_spectrum(
+                profile, np.arange(enhance.frame_count(profile.n_samples, frame, hop)), params)
             silent = None
         else:
-            silent = detect_silent_frames(noisy, params)
-            noise_spectrum = estimate_noise_spectrum(noisy, silent, params)
+            silent = enhance.detect_silent_frames(noisy, params)
+            noise_spectrum = enhance.estimate_noise_spectrum(noisy, silent, params)
 
     with stage("subtract"):
-        enhanced = spectral_subtract(noisy, noise_spectrum, params)
+        enhanced = enhance.spectral_subtract(noisy, noise_spectrum, params)
 
     with stage("write"):
-        write_wav(args.out, rate, enhanced.samples)
+        fileio.write_wav(args.out, rate, enhanced.samples)
 
     report = {
         "frame_length": frame,
         "hop": hop,
-        "n_frames": frame_count(noisy.n_samples, frame, hop),
+        "n_frames": enhance.frame_count(noisy.n_samples, frame, hop),
         "n_silent_frames": None if silent is None else int(silent.size),
         "noise_source": "profile" if args.noise_profile else "silent-frames",
         "segmental_snr_before_db": None,
@@ -162,16 +155,16 @@ def cmd_enhance(args, stage):
         "gain_db": None,
     }
     if ref is not None:
-        before = segmental_snr(noisy, ref, frame)
-        after = segmental_snr(enhanced, ref, frame)
+        before = enhance.segmental_snr(noisy, ref, frame)
+        after = enhance.segmental_snr(enhanced, ref, frame)
         report.update(segmental_snr_before_db=before,
                       segmental_snr_after_db=after,
                       gain_db=after - before)
     report_path = args.report or (str(args.out) + ".report.json")
-    write_json(report_path, report)
+    fileio.write_json(report_path, report)
     inputs = {"audio": args.audio_in, "noise_profile": args.noise_profile,
               "reference": args.reference}
-    return (config, {name: path for name, path in inputs.items() if path},
+    return (cfg, {name: path for name, path in inputs.items() if path},
             {"audio": args.out, "report": report_path})
 
 
@@ -189,31 +182,30 @@ def _sweep_points(start, stop, count):
 
 def cmd_budget(args, stage):
     with stage("load"):
-        config = load_config(args.config)
+        cfg = config.load_config(args.config)
 
     with stage("sweep"):
         points = _sweep_points(args.sweep_from, args.sweep_to, args.points)
-        tap = (config.interferometer, config.coupling, config.band,
-               config.noise.snr_threshold)
+        tap = (cfg.interferometer, cfg.coupling, cfg.band, cfg.noise.snr_threshold)
         if args.sweep == "length":
-            rows = detection_limit_vs_length(points, *tap)
+            rows = noise.detection_limit_vs_length(points, *tap)
         else:
-            rows = detection_limit_vs_mismatch(points, *tap,
-                                               include_thermal=args.include_thermal)
+            rows = noise.detection_limit_vs_mismatch(points, *tap,
+                                                     include_thermal=args.include_thermal)
 
     with stage("write"):
         if args.format == "json":
-            write_json(args.out, [r.__dict__ for r in rows])
+            fileio.write_json(args.out, [r.__dict__ for r in rows])
         else:
-            write_csv_table(args.out, BUDGET_HEADER, rows)
-    return config, {}, {"table": args.out}
+            fileio.write_csv_table(args.out, fileio.BUDGET_HEADER, rows)
+    return cfg, {}, {"table": args.out}
 
 
 def cmd_sensitivity(args, stage):
     with stage("load"):
-        config = load_config(args.config)
+        cfg = config.load_config(args.config)
         # the baseline row reads only scenarios.baseline, so it must be the tap
-        base, tap = config.raw["scenarios"]["baseline"], config.raw["interferometer"]
+        base, tap = cfg.raw["scenarios"]["baseline"], cfg.raw["interferometer"]
         for key in ("sensing_length_m", "reflection_amplitude"):
             if base[key] != tap[key]:
                 raise ConfigurationError(
@@ -221,30 +213,56 @@ def cmd_sensitivity(args, stage):
                     f"is {tap[key]!r}: the baseline must be the configured tap")
 
     with stage("compare"):
-        scen = config.scenarios
-        rows = compare_mitigations(scen.baseline, list(scen.variants),
-                                   config.coupling, scen.test_level_db)
+        scen = cfg.scenarios
+        rows = sensitivity.compare_mitigations(scen.baseline, list(scen.variants),
+                                               cfg.coupling, scen.test_level_db)
 
     with stage("write"):
-        write_csv_table(args.out, MITIGATION_HEADER, rows)
+        fileio.write_csv_table(args.out, fileio.MITIGATION_HEADER, rows)
         summary = {
             "test_level_db": scen.test_level_db,
             "baseline": scen.baseline.label,
             "rows": [r.__dict__ for r in rows],
         }
         summary_path = str(args.out) + ".summary.json"
-        write_json(summary_path, summary)
-    return config, {}, {"table": args.out, "summary": summary_path}
+        fileio.write_json(summary_path, summary)
+    return cfg, {}, {"table": args.out, "summary": summary_path}
 
 
 def cmd_print_config(args):
-    text = dump_config(load_config(args.config))
+    text = config.dump_config(config.load_config(args.config))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
+
+
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_distinct_files(args):
+    """Reject an output that names an input or another output, before any
+    read or write: the run would overwrite its input, and its manifest
+    would give the output's digest as the input's."""
+    def named(dests):
+        return [("--in" if dest.endswith("_in") else "--" + dest.replace("_", "-"),
+                 getattr(args, dest)) for dest in dests if getattr(args, dest)]
+
+    inputs, outputs = map(named, FILE_OPTIONS[args.command])
+    if args.command != "print-config":
+        outputs.append(("the manifest", str(args.out) + ".manifest.json"))
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in outputs[i + 1:] + inputs:
+            if _same_file(path, other_path):
+                raise ConfigurationError(
+                    f"{flag} {path} and {other} {other_path} are the same file; "
+                    "an output may not overwrite an input or another output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,6 +331,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_distinct_files(args)
         if args.command == "print-config":
             args.func(args)
         else:

@@ -301,6 +301,8 @@ def read_trace(path, kind=None) -> SampledTrace:
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
                     or not np.isfinite(value):
                 raise FileFormatError(f"{side}: {key} must be a finite number, got {value!r}")
+        if meta.get("scale") == 0:
+            raise FileFormatError(f"{side}: scale must not be 0, which zeroes every sample")
     ext = os.path.splitext(path)[1].lower()
     if ext == ".wav":
         (rate, samples), stated = read_wav(path), True

@@ -106,7 +106,7 @@ class TestSimulate:
     def test_bad_flag_exits_2_writing_nothing(self, tmp_path, chirp_wav, capsys, monkeypatch,
                                               flag, message):
         inputs = sorted(p.name for p in tmp_path.iterdir())
-        monkeypatch.setattr(cli, "read_wav", None)  # rejected before anything is read
+        monkeypatch.setattr("fibertap.fileio.read_wav", None)  # rejected before anything is read
         assert main(["simulate", "--audio", str(chirp_wav), "--out", str(tmp_path / "het.wav"),
                      flag]) == 2
         assert message in capsys.readouterr().err
@@ -199,7 +199,7 @@ class TestSimulate:
         conf.write_text("interferometer:\n  sample_rate_hz: 133333.33333333334\n")
         inputs = sorted(p.name for p in tmp_path.iterdir())
         if code:
-            monkeypatch.setattr(cli, "read_wav", None)  # nothing is read or computed
+            monkeypatch.setattr("fibertap.fileio.read_wav", None)  # nothing is read or computed
         rc = main(["simulate", "--config", str(conf), "--audio", str(chirp_wav),
                    "--out", str(tmp_path / out)])
         assert rc == code
@@ -717,6 +717,48 @@ def test_exit_code_of_each_error_class(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "cmd_print_config", fail)
     assert main(["print-config"]) == code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+# `demod --in het.wav --out het.wav` used to overwrite its input and give the
+# output's sha256 as the input's in the manifest
+@pytest.mark.parametrize("argv,pair", [
+    ("simulate --audio a.wav --out a.wav", "--out a.wav and --audio a.wav"),
+    ("simulate --config a.yaml --audio a.wav --out a.yaml", "--out a.yaml and --config a.yaml"),
+    ("demod --in a.wav --out a.wav", "--out a.wav and --in a.wav"),
+    ("demod --in a.wav --out ./a.wav", "--out ./a.wav and --in a.wav"),
+    ("demod --in a.wav --out sub/../a.wav", "--out sub/../a.wav and --in a.wav"),
+    ("demod --in link.wav --out a.wav", "--out a.wav and --in link.wav"),
+    ("demod --in a.wav --out b.wav --phase-csv a.wav", "--phase-csv a.wav and --in a.wav"),
+    ("demod --in a.wav --out b.csv --phase-csv b.csv", "--out b.csv and --phase-csv b.csv"),
+    ("demod --in a.wav --out b.wav --phase-csv b.wav.manifest.json",
+     "--phase-csv b.wav.manifest.json and the manifest b.wav.manifest.json"),
+    ("demod --in b.wav.manifest.json --out b.wav",
+     "the manifest b.wav.manifest.json and --in b.wav.manifest.json"),
+    ("enhance --in a.wav --out a.wav", "--out a.wav and --in a.wav"),
+    ("enhance --in a.wav --out b.wav --report a.wav", "--report a.wav and --in a.wav"),
+    ("enhance --in a.wav --out b.wav --reference c.wav --report c.wav",
+     "--report c.wav and --reference c.wav"),
+    ("enhance --in a.wav --out c.wav --noise-profile c.wav", "--out c.wav and --noise-profile c.wav"),
+    ("enhance --in a.wav --out b.wav --report b.wav", "--out b.wav and --report b.wav"),
+    ("budget --sweep length --config a.yaml --out a.yaml", "--out a.yaml and --config a.yaml"),
+    ("sensitivity --config a.yaml --out a.yaml", "--out a.yaml and --config a.yaml"),
+    ("print-config --config a.yaml --out a.yaml", "--out a.yaml and --config a.yaml"),
+])
+def test_an_output_naming_an_input_or_output_exits_2_first(tmp_path, monkeypatch, capsys,
+                                                           argv, pair):
+    monkeypatch.chdir(tmp_path)
+    write_chirp(tmp_path / "a.wav")
+    write_chirp(tmp_path / "c.wav")
+    (tmp_path / "a.yaml").write_text("noise:\n  enabled: false\n")
+    (tmp_path / "b.wav.manifest.json").write_text("{}")
+    (tmp_path / "link.wav").symlink_to("a.wav")
+    (tmp_path / "sub").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    for name in ("config.load_config", "fileio.read_wav", "fileio.read_trace"):
+        monkeypatch.setattr(f"fibertap.{name}", None)  # nothing is read
+    assert main(shlex.split(argv)) == 2
+    assert f"error: {pair} are the same file" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 class TestEnhance:

@@ -281,6 +281,21 @@ class TestTraceFiles:
         assert "scale must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    # a scale of 0 zeroed the beat, and demod exited 4 on its phase steps
+    @pytest.mark.parametrize("scale", ["0", "0.0", "-0.0"])
+    def test_demod_exits_3_on_a_zero_sidecar_scale(self, tmp_path, capsys, scale):
+        p = tmp_path / "het.wav"
+        t = np.arange(40000) / 400e3
+        write_trace(SampledTrace(400e3, np.cos(2 * np.pi * 25e3 * t), HETERODYNE), p)
+        side = tmp_path / "het.wav.meta.json"
+        side.write_text(f'{{"kind": "heterodyne", "scale": {scale}}}')
+        with pytest.raises(FileFormatError, match=re.escape(f"{side}: scale must not be 0")):
+            read_trace(p)
+        out = tmp_path / "rec.wav"
+        assert main(["demod", "--in", str(p), "--out", str(out)]) == 3
+        assert f"{side}: scale must not be 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["het.wav", "het.csv"])
     def test_sidecar_rate_contradicting_the_file_exits_3(self, tmp_path, capsys, name):
         # a WAV header and a CSV rate line each state the rate themselves

@@ -1,9 +1,10 @@
 """The package's import rules: no fibertap code loads scipy, only the
 trace-CSV writer loads the process pool (`multiprocessing`,
-`concurrent.futures`), and numpy loads on first use, so the commands that
-compute on no array run without it. Those checks run in a fresh
-interpreter, because this test process already has scipy and numpy loaded.
-They read `sys.modules`, so they do not depend on timing.
+`concurrent.futures`), and numpy and fibertap's own submodules load on
+first use, so `--version`, `--help` and a usage error run only the CLI, and
+the commands that compute on no array run without numpy. Those checks run
+in a fresh interpreter, because this test process already has scipy and
+numpy loaded. They read `sys.modules`, so they do not depend on timing.
 
 The import graph is read from the source with `ast`: the forward model and
 the file layer import nothing from `noise`, whose budgets and synthesis
@@ -15,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +32,24 @@ PACKAGE = Path(fibertap.__file__).parent
 #: Prints the loaded modules as JSON after the script's own lines.
 REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
+#: Prints the modules whose code has run: one that `importlib.util.LazyLoader`
+#: registered keeps its lazy class until its first use.
+RAN_REPORT = ("import json, sys; print(json.dumps(sorted(name for name, m in "
+              "sys.modules.items() if type(m).__name__ != '_LazyModule')))")
 
-def modules_after(script, cwd):
+
+def json_after(script, cwd):
+    """The JSON that the last line `script` prints, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", script + "\n" + REPORT],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def modules_after(script, cwd):
+    return json_after(script + "\n" + REPORT, cwd)
 
 
 def loaded_from(packages, modules):
@@ -102,6 +113,53 @@ def test_table_commands_load_no_pool(table_command_modules):
     assert pool_modules(table_command_modules) == []
 
 
+#: `fibertap.__all__` as it was when the package imported every submodule
+PUBLIC_NAMES = [
+    "AUDIO", "AcousticCoupling", "AudioBand", "BASEBAND", "BudgetRow", "DemodConfig",
+    "FiberSpec", "HETERODYNE", "InterferometerConfig", "LaserSpec", "MitigationRow",
+    "MitigationScenario", "NoiseBudget", "PHASE", "SampledTrace", "SimulationConfig",
+    "SpectralSubtractParams", "chain", "compare_mitigations", "compute_noise_budget",
+    "config", "decimate_to_audio", "default_config", "demod", "detect_silent_frames",
+    "detection_limit_vs_length", "detection_limit_vs_mismatch", "edge_guard", "enhance",
+    "errors", "estimate_noise_spectrum", "highpass", "iq_demodulate",
+    "laser_phase_psd_approx", "laser_phase_psd_full", "laser_rms", "load_config",
+    "mismatch_to_delay", "model", "noise", "phase_rms_to_spl", "pressure_to_spl", "record",
+    "recover", "resample", "scenario_voice_rms", "segmental_snr", "sensitivity",
+    "spectral_subtract", "spl_to_pressure", "subtract_power_spectrum",
+    "synthesize_colored_noise", "synthesize_heterodyne", "synthesize_system_noise",
+    "system_phase_noise_psd", "thermal_psd", "thermal_rms", "trace", "unwrap_phase",
+    "voice_rms_phase", "voice_to_phase",
+]
+
+
+def test_public_names_are_unchanged(tmp_path):
+    assert fibertap.__all__ == PUBLIC_NAMES
+    # dir() lists them all before any is read
+    names = json_after("import json, fibertap; print(json.dumps(dir(fibertap)))", tmp_path)
+    assert [name for name in names if not name.startswith("_")] == PUBLIC_NAMES
+
+
+def test_each_public_name_is_its_submodules_object():
+    assert fibertap.record is fibertap.chain.record
+    for name in fibertap.__all__:
+        obj = getattr(fibertap, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"fibertap.{name}"]
+        elif isinstance(obj, str):  # a trace kind
+            assert obj is getattr(fibertap.trace, name)
+        else:
+            assert obj.__module__.startswith("fibertap."), name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'fibertap' has no attribute 'nope'"):
+        getattr(fibertap, "nope")
+    assert not hasattr(fibertap, "main")
+    with pytest.raises(ImportError):
+        from fibertap import nope  # noqa: F401
+
+
 def write_inputs(d):
     """A gated 16 kHz tone for `enhance`, a 20 ms voice at the beat record
     rate and a 20 ms voice at 44.1 kHz."""
@@ -145,9 +203,9 @@ def test_demod_and_resampling_simulate_load_no_scipy(tmp_path):
         assert scipy_modules_after(script, tmp_path) == [], argv
 
 
-#: `--version`, `--help`, a usage error (exit 2), `print-config` and
-#: `sensitivity`: the commands that compute on no array
-NO_ARRAY_COMMANDS = """import fibertap, fibertap.cli
+#: `--version`, `--help` and a usage error (exit 2), which parse the
+#: arguments and stop
+START_ONLY = """import fibertap, fibertap.cli
 for argv, code in ((["--version"], 0), (["--help"], 0), (["budget"], 2)):
     try:
         fibertap.cli.main(argv)
@@ -155,7 +213,18 @@ for argv, code in ((["--version"], 0), (["--help"], 0), (["budget"], 2)):
         assert exc.code == code, (argv, exc.code)
     else:
         raise AssertionError(argv)
-""" + run_commands(["print-config", "--out", "cfg.yaml"], ["sensitivity", "--out", "sens.csv"])
+"""
+
+#: those, `print-config` and `sensitivity`: the commands that compute on no array
+NO_ARRAY_COMMANDS = START_ONLY + run_commands(["print-config", "--out", "cfg.yaml"],
+                                              ["sensitivity", "--out", "sens.csv"])
+
+
+def test_version_help_and_usage_errors_run_only_the_cli(tmp_path):
+    ran = json_after(START_ONLY + RAN_REPORT, tmp_path)
+    assert loaded_from(("fibertap",), ran) == ["fibertap", "fibertap._numpy", "fibertap.cli",
+                                                 "fibertap.errors"]
+    assert "yaml" not in ran and "dataclasses" not in ran
 
 
 def test_commands_without_arrays_load_no_numpy(tmp_path):
