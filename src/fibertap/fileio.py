@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import shutil
 import struct
 from dataclasses import astuple
-from functools import partial
 from itertools import chain, islice
 
 from ._numpy import np
@@ -22,14 +23,6 @@ MITIGATION_HEADER = ("label", "sensing_length_m", "bulk_modulus_scale",
 #: Rows a trace CSV is written and read in per block, which bounds the
 #: text and the temporary arrays held at once.
 CSV_BLOCK_ROWS = 2 ** 12
-#: Rows from which a trace CSV's blocks are formatted in forked worker
-#: processes instead of this one. Starting two workers costs 10-50 ms; on a
-#: 2-vCPU VM the pool broke even between 16 k and 32 k rows.
-CSV_POOL_MIN_ROWS = 8 * CSV_BLOCK_ROWS
-#: Most worker processes that format one trace CSV, and the blocks each
-#: worker task formats.
-CSV_POOL_MAX_WORKERS = 8
-CSV_POOL_TASK_BLOCKS = 2
 
 #: WAVE format tags. An extensible file names its real tag in the first four
 #: bytes of a sub-format GUID that ends in `_GUID_TAIL`.
@@ -148,71 +141,28 @@ def write_wav(path, sample_rate, samples):
         data.tofile(fh)
 
 
-#: The trace a forked CSV worker formats, set by `_pool_init` in the worker.
-_pool_trace = None
-
-
-def _csv_block(trace, start):
-    """Trace-CSV rows of `trace` from sample `start`, one block of them."""
-    values = trace.samples[start:start + CSV_BLOCK_ROWS]
-    times = np.arange(start, start + values.size) / trace.sample_rate
-    return "".join(map("{!r},{!r}\r\n".format, times.tolist(), values.tolist()))
-
-
-def _pool_init(trace):
-    global _pool_trace
-    _pool_trace = trace
-
-
-def _pool_csv_block(start):
-    return _csv_block(_pool_trace, start)
-
-
-def _csv_workers():
-    """CPUs this process may run on, at most `CSV_POOL_MAX_WORKERS`."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, CSV_POOL_MAX_WORKERS)
-
-
 def _write_csv_trace(trace, path):
-    """Write `trace` as CSV text, block by block.
-
-    From `CSV_POOL_MIN_ROWS` rows on, with more than one CPU and where
-    processes can fork, the blocks are formatted by forked workers, which
-    inherit the trace, and written here in order. The bytes are the same.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    starts = range(0, trace.n_samples, CSV_BLOCK_ROWS)
-    workers = _csv_workers()
-    if (workers < 2 or trace.n_samples < CSV_POOL_MIN_ROWS
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        _write_csv_blocks(path, trace.sample_rate, map(partial(_csv_block, trace), starts))
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_pool_init, initargs=(trace,))
-    try:
-        # the workers fork at the first submit, before the output file is open
-        blocks = pool.map(_pool_csv_block, starts, chunksize=CSV_POOL_TASK_BLOCKS)
-        _write_csv_blocks(path, trace.sample_rate, blocks)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _write_csv_blocks(path, sample_rate, blocks):
+    """Write `trace` as CSV text, formatting and writing `CSV_BLOCK_ROWS`
+    rows at a time."""
+    rate = trace.sample_rate
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# sample_rate_hz={sample_rate!r}\ntime_s,value\r\n")
-        fh.writelines(blocks)
+        fh.write(f"# sample_rate_hz={rate!r}\ntime_s,value\r\n")
+        for start in range(0, trace.n_samples, CSV_BLOCK_ROWS):
+            values = trace.samples[start:start + CSV_BLOCK_ROWS]
+            times = np.arange(start, start + values.size) / rate
+            fh.write("".join([f"{t!r},{v!r}\r\n"
+                              for t, v in zip(times.tolist(), values.tolist())]))
+
+
+def _extension(path) -> str:
+    """The lower-case extension of `path`, which picks a trace file's format."""
+    return os.path.splitext(str(path))[1].lower()
 
 
 def check_trace_rate(path, sample_rate, name):
     """Reject, before any work, a rate that the trace file `path` cannot
     hold: a .wav holds an integer rate (`wav_rate`; `name` names the rate)."""
-    if os.path.splitext(str(path))[1].lower() == ".wav":
+    if _extension(path) == ".wav":
         wav_rate(sample_rate, f"{name} (for {path})")
 
 
@@ -227,7 +177,7 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     if np.iscomplexobj(trace.samples):
         raise InputError("complex baseband traces have no file representation")
     path = str(path)
-    ext = os.path.splitext(path)[1].lower()
+    ext = _extension(path)
     if ext == ".wav":
         write_wav(path, trace.sample_rate, trace.samples)
     elif ext == ".csv":
@@ -242,14 +192,33 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     return side
 
 
+def same_format(path, other) -> bool:
+    """Whether `write_trace` writes the trace files `path` and `other` in
+    the same format."""
+    return _extension(path) == _extension(other)
+
+
+def copy_trace(src, dst):
+    """Copy the trace file `src` and its sidecar to `dst`, a path of the
+    same format."""
+    shutil.copyfile(src, dst)
+    shutil.copyfile(sidecar_path(src), sidecar_path(dst))
+
+
+def _is_rate(value) -> bool:
+    """Whether `value` can be a sample rate: finite and > 0."""
+    return 0 < value < math.inf
+
+
 def _read_csv_trace(path):
-    """(sample rate, values, whether a rate line stated the rate) of a trace CSV.
+    """(rate the rate line states, or None; values; first two times) of a trace CSV.
 
     Blank, ``#`` and ``time_s`` lines before the first row are the header;
-    a ``# sample_rate_hz=`` line there gives the rate, else the first two
-    times do. `np.loadtxt` reads the rows in blocks: freeing one whole-file
-    array of both columns would make glibc serve later record-sized arrays
-    from its heap, which raises the peak RSS of `demod` by one of them.
+    a ``# sample_rate_hz=`` line there states the rate, which must be finite
+    and > 0, and more than one such line must agree. `np.loadtxt` reads the
+    rows in blocks: freeing one whole-file array of both columns would make
+    glibc serve later record-sized arrays from its heap, which raises the
+    peak RSS of `demod` by one of them.
     """
     rate, first = None, None
     try:
@@ -257,7 +226,7 @@ def _read_csv_trace(path):
             lines = map(str.strip, fh)
             for line in lines:
                 if line.startswith("#") and "sample_rate_hz=" in line:
-                    rate = float(line.split("sample_rate_hz=")[1])
+                    rate = _rate_line(path, line, rate)
                 elif line and not line.startswith(("#", "time_s")):
                     first = line
                     break
@@ -270,10 +239,34 @@ def _read_csv_trace(path):
         raise FileFormatError(f"{path}: expected 'time,value' rows")
     if sum(block.shape[0] for block in blocks) < 2:
         raise FileFormatError(f"{path}: CSV trace needs at least two samples")
-    stated = rate is not None
-    if not stated:
-        rate = 1.0 / (blocks[0][1, 0] - blocks[0][0, 0])
-    return rate, np.concatenate([block[:, 1] for block in blocks]), stated
+    # each block but the last holds CSV_BLOCK_ROWS rows, so the first holds two
+    return rate, np.concatenate([block[:, 1] for block in blocks]), blocks[0][:2, 0].tolist()
+
+
+def _rate_line(path, line, rate):
+    """The rate a ``# sample_rate_hz=`` line of the CSV `path` states, where
+    `rate` is what an earlier such line stated, or None."""
+    try:
+        value = float(line.split("sample_rate_hz=")[1])
+    except ValueError:
+        raise FileFormatError(f"{path}: rate line {line!r} does not hold a number") from None
+    if not _is_rate(value):
+        raise FileFormatError(f"{path}: rate line {line!r} gives a sample rate of {value!r}; "
+                              "a rate must be finite and > 0")
+    if rate is not None and value != rate:
+        raise FileFormatError(f"{path}: rate lines disagree: {rate!r} and then {value!r}")
+    return value
+
+
+def _rate_from_times(path, times):
+    """The rate that the first two `times` of the CSV `path` give."""
+    step = times[1] - times[0]
+    rate = 1.0 / step if step > 0 else 0.0
+    if not _is_rate(rate):
+        raise FileFormatError(
+            f"{path}: the first two times, {times[0]!r} and {times[1]!r}, give no sample "
+            "rate; without a rate line or a sidecar rate they must ascend")
+    return rate
 
 
 def read_trace(path, kind=None) -> SampledTrace:
@@ -282,7 +275,9 @@ def read_trace(path, kind=None) -> SampledTrace:
     `kind` names the kind the caller expects. It supplies the kind of a file
     without a sidecar; a sidecar that records a different kind is rejected.
     A sidecar's rate must equal the rate the file states (a WAV header or a
-    CSV rate line), and gives the rate of a CSV without a rate line.
+    CSV rate line), and gives the rate of a CSV without a rate line; a CSV
+    with neither takes it from its first two times. Each of these rates must
+    be finite and > 0, or FileFormatError names the file that gives it.
     """
     path = str(path)
     meta = {}
@@ -303,11 +298,14 @@ def read_trace(path, kind=None) -> SampledTrace:
                 raise FileFormatError(f"{side}: {key} must be a finite number, got {value!r}")
         if meta.get("scale") == 0:
             raise FileFormatError(f"{side}: scale must not be 0, which zeroes every sample")
-    ext = os.path.splitext(path)[1].lower()
+        if not _is_rate(meta.get("sample_rate_hz", 1.0)):
+            raise FileFormatError(
+                f"{side}: sample_rate_hz must be > 0, got {meta['sample_rate_hz']!r}")
+    ext = _extension(path)
     if ext == ".wav":
-        (rate, samples), stated = read_wav(path), True
+        rate, samples = read_wav(path)
     elif ext == ".csv":
-        rate, samples, stated = _read_csv_trace(path)
+        rate, samples, times = _read_csv_trace(path)
     else:
         raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
 
@@ -320,10 +318,12 @@ def read_trace(path, kind=None) -> SampledTrace:
         raise InputError(
             f"{path}: trace kind is unknown; pass kind= or provide a sidecar")
     if "sample_rate_hz" in meta:
-        if stated and meta["sample_rate_hz"] != rate:
+        if rate is not None and meta["sample_rate_hz"] != rate:
             raise FileFormatError(f"{side}: sample_rate_hz {meta['sample_rate_hz']!r} "
                                   f"differs from the rate {rate!r} that {path} states")
         rate = float(meta["sample_rate_hz"])
+    elif rate is None:
+        rate = _rate_from_times(path, times)
     samples *= scale  # the readers return a fresh array
     return SampledTrace(rate, samples, resolved_kind)
 

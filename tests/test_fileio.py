@@ -1,16 +1,12 @@
 import csv
 import json
-import multiprocessing
-import os
 import re
 import struct
-import threading
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
@@ -21,7 +17,6 @@ from fibertap.errors import ConfigurationError, FileFormatError, InputError
 from fibertap.fileio import (
     BUDGET_HEADER,
     CSV_BLOCK_ROWS,
-    CSV_POOL_MIN_ROWS,
     MITIGATION_HEADER,
     read_trace,
     read_wav,
@@ -403,64 +398,81 @@ class TestCsvTraceFormat:
         with pytest.raises(FileFormatError, match="t.csv"):
             read_trace(p, kind=PHASE)
 
+    # each exited 2 with "sample_rate must be positive", naming no file;
+    # "abc" was reported as a bad row, equal times divided by zero, and of
+    # two rate lines the later won
+    @pytest.mark.parametrize("text,side,message", [
+        ("# sample_rate_hz=0\n0.0,1.0\n0.5,2.0\n", None,
+         "rate line '# sample_rate_hz=0' gives a sample rate of 0.0"),
+        ("# sample_rate_hz=-400000\n0.0,1.0\n0.5,2.0\n", None,
+         "rate line '# sample_rate_hz=-400000' gives a sample rate of -400000.0"),
+        ("# sample_rate_hz=nan\n0.0,1.0\n0.5,2.0\n", None,
+         "rate line '# sample_rate_hz=nan' gives a sample rate of nan"),
+        ("# sample_rate_hz=inf\n0.0,1.0\n0.5,2.0\n", None,
+         "rate line '# sample_rate_hz=inf' gives a sample rate of inf"),
+        ("# sample_rate_hz=abc\n0.0,1.0\n0.5,2.0\n", None,
+         "rate line '# sample_rate_hz=abc' does not hold a number"),
+        ("0.5,1.0\n0.5,2.0\n", None, "the first two times, 0.5 and 0.5, give no sample rate"),
+        ("0.5,1.0\n0.25,2.0\n", None, "the first two times, 0.5 and 0.25, give no sample rate"),
+        ("0.0,1.0\n0.5,2.0\n", '{"kind": "heterodyne", "sample_rate_hz": 0}',
+         "sample_rate_hz must be > 0, got 0"),
+        ("0.0,1.0\n0.5,2.0\n", '{"kind": "heterodyne", "sample_rate_hz": -5}',
+         "sample_rate_hz must be > 0, got -5"),
+        ("# sample_rate_hz=400000.0\n# sample_rate_hz=40000.0\n0.0,1.0\n2.5e-06,2.0\n",
+         None, "rate lines disagree: 400000.0 and then 40000.0"),
+    ], ids=["line-0", "line-negative", "line-nan", "line-inf", "line-text", "times-equal",
+            "times-descending", "sidecar-0", "sidecar-negative", "lines-disagree"])
+    def test_a_bad_rate_exits_3_naming_its_file(self, tmp_path, capsys, text, side, message):
+        p = self.write(tmp_path, text)
+        named = p
+        if side is not None:
+            named = tmp_path / "t.csv.meta.json"
+            named.write_text(side)
+        with pytest.raises(FileFormatError, match=re.escape(f"{named}: {message}")):
+            read_trace(p, kind=HETERODYNE)
+        out = tmp_path / "rec.wav"
+        assert main(["demod", "--in", str(p), "--out", str(out)]) == 3
+        assert f"{named}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="worker processes are forked")
+    def test_rate_lines_that_agree_are_read(self, tmp_path):
+        p = self.write(tmp_path, "# sample_rate_hz=4e5\n# sample_rate_hz=400000.0\n"
+                                 "0.0,1.0\n0.5,2.0\n")
+        assert read_trace(p, kind=PHASE).sample_rate == 400e3
 
+    def test_a_sidecar_rate_overrides_times_that_give_none(self, tmp_path):
+        p = self.write(tmp_path, "0.0,1.0\n0.0,2.0\n")
+        (tmp_path / "t.csv.meta.json").write_text('{"kind": "phase", "sample_rate_hz": 8.0}')
+        assert read_trace(p).sample_rate == 8.0
 
-class TestCsvWorkerPool:
-    """From `CSV_POOL_MIN_ROWS` rows on, forked workers format the blocks."""
+    # the writer's bytes, across block edges and for the values whose repr
+    # is least regular, against one f-string per row
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
 
-    @staticmethod
-    def use_workers(monkeypatch, n):
-        monkeypatch.setattr(fileio, "_csv_workers", lambda: n)
+    EDGES = [k * CSV_BLOCK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
-    @pytest.mark.parametrize("n", [
-        0, 1, CSV_POOL_MIN_ROWS - 1, CSV_POOL_MIN_ROWS, CSV_POOL_MIN_ROWS + 1,
-        9 * CSV_BLOCK_ROWS - 1, 9 * CSV_BLOCK_ROWS + 1,
-        12 * CSV_BLOCK_ROWS - 1, 12 * CSV_BLOCK_ROWS + 1])
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, n):
-        tr = SampledTrace(400e3, np.random.default_rng(n).standard_normal(n), HETERODYNE)
-        files = []
-        for workers in (1, 2, 3):
-            self.use_workers(monkeypatch, workers)
-            files.append(tmp_path / f"w{workers}.csv")
-            write_trace(tr, files[-1])
-            assert multiprocessing.active_children() == []
-        assert files[1].read_bytes() == files[0].read_bytes()
-        assert files[2].read_bytes() == files[0].read_bytes()
-
-    @needs_fork
-    def test_worker_exception_surfaces(self, tmp_path, monkeypatch):
-        def fail(trace, start):
-            raise ValueError(os.getpid())
-
-        self.use_workers(monkeypatch, 2)
-        monkeypatch.setattr(fileio, "_csv_block", fail)
-        tr = SampledTrace(400e3, np.zeros(CSV_POOL_MIN_ROWS), HETERODYNE)
-        with pytest.raises(ValueError) as info:
-            write_trace(tr, tmp_path / "t.csv")
-        assert info.value.args[0] != os.getpid()  # raised in a worker
-        assert multiprocessing.active_children() == []
-
-    @needs_fork
-    def test_killed_worker_raises_instead_of_hanging(self, tmp_path, monkeypatch):
-        self.use_workers(monkeypatch, 2)
-        monkeypatch.setattr(fileio, "_csv_block", lambda trace, start: os._exit(3))
-        tr = SampledTrace(400e3, np.zeros(CSV_POOL_MIN_ROWS), HETERODYNE)
-        raised = []
-
-        def write():
-            try:
-                write_trace(tr, tmp_path / "t.csv")
-            except Exception as exc:
-                raised.append(exc)
-
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        writer.join(timeout=120)
-        assert not writer.is_alive(), "write_trace hung after a worker died"
-        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from(EDGES), st.integers(0, 3 * CSV_BLOCK_ROWS + 1)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           rate=st.sampled_from([3.0, 44100.0, 400e3, 1 / 3]),
+           special=st.lists(st.tuples(st.integers(0, 3 * CSV_BLOCK_ROWS),
+                                      st.sampled_from(SPECIAL)), max_size=12))
+    def test_writer_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, n, seed,
+                                                        rate, special):
+        values = np.random.default_rng(seed).standard_normal(n)
+        if n:
+            for i, v in special:
+                values[i % n] = v
+        p = tmp_path_factory.getbasetemp() / "reference.csv"
+        write_trace(SampledTrace(rate, values, PHASE), p)
+        head = f"# sample_rate_hz={rate!r}\ntime_s,value\r\n"
+        rows = "".join([f"{i / rate!r},{v!r}\r\n" for i, v in enumerate(values.tolist())])
+        assert p.read_bytes() == (head + rows).encode()
+        if n >= 2:
+            back = read_trace(p)
+            assert back.sample_rate == rate
+            np.testing.assert_array_equal(back.samples.view(np.uint64), values.view(np.uint64))
 
 
 class TestTables:

@@ -1,10 +1,10 @@
-"""The package's import rules: no fibertap code loads scipy, only the
-trace-CSV writer loads the process pool (`multiprocessing`,
-`concurrent.futures`), and numpy and fibertap's own submodules load on
-first use, so `--version`, `--help` and a usage error run only the CLI, and
-the commands that compute on no array run without numpy. Those checks run
-in a fresh interpreter, because this test process already has scipy and
-numpy loaded. They read `sys.modules`, so they do not depend on timing.
+"""The package's import rules: no fibertap code loads scipy or a process
+pool (`multiprocessing`, `concurrent`), since every command runs in one
+process, and numpy and fibertap's own submodules load on first use, so
+`--version`, `--help` and a usage error run only the CLI, and the commands
+that compute on no array run without numpy. Those checks run in a fresh
+interpreter, because this test process already has scipy and numpy
+loaded. They read `sys.modules`, so they do not depend on timing.
 
 The import graph is read from the source with `ast`: the forward model and
 the file layer import nothing from `noise`, whose budgets and synthesis
@@ -240,15 +240,20 @@ def test_commands_without_arrays_load_no_numpy(tmp_path):
     assert "numpy._core" in modules_after(script, tmp_path)
 
 
-def test_csv_phase_output_loads_the_pool(tmp_path):
-    write_inputs(tmp_path)
-    assert fibertap.cli.main(["simulate", "--audio", str(tmp_path / "voice.wav"),
-                              "--out", str(tmp_path / "het.wav"), "--seed", "3",
-                              "--level-db", "70"]) == 0
+def test_csv_trace_commands_load_no_pool(tmp_path):
+    # 0.1 s of voice: a het.csv of 40 000 rows, which the writer once
+    # formatted in forked worker processes from 32 768 rows on
+    rate = fibertap.default_config().interferometer.sample_rate
+    n = int(rate) // 10
+    wavfile.write(tmp_path / "voice.wav", int(rate),
+                  np.sin(2 * np.pi * 1000 * np.arange(n) / rate).astype(np.float32))
     script = "import fibertap, fibertap.cli\n" + run_commands(
-        ["demod", "--in", "het.wav", "--out", "rec.wav", "--phase-csv", "phase.csv"])
-    loaded = pool_modules(modules_after(script, tmp_path))
-    assert "multiprocessing" in loaded and "concurrent.futures" in loaded
+        ["simulate", "--audio", "voice.wav", "--out", "het.csv", "--seed", "3",
+         "--level-db", "70"],
+        ["demod", "--in", "het.csv", "--out", "rec.wav", "--phase-csv", "phase.csv"])
+    assert pool_modules(modules_after(script, tmp_path)) == []
+    with open(tmp_path / "het.csv", "rb") as fh:
+        assert sum(1 for _ in fh) - 2 >= 32768
 
 
 def sibling_imports(path):
