@@ -105,10 +105,7 @@ def cmd_demod(args, stage):
         outputs["phase"] = args.phase_csv
 
     with stage("write"):
-        if args.phase_csv and fileio.same_format(args.phase_csv, args.out):
-            fileio.copy_trace(args.phase_csv, args.out)  # the same bytes, formatted once
-        else:
-            fileio.write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
+        fileio.write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
     return cfg, {"heterodyne": args.trace_in}, outputs
 
 

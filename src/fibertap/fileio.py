@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import os
-import shutil
 import struct
 from dataclasses import astuple
 from itertools import chain, islice
@@ -154,15 +153,10 @@ def _write_csv_trace(trace, path):
                               for t, v in zip(times.tolist(), values.tolist())]))
 
 
-def _extension(path) -> str:
-    """The lower-case extension of `path`, which picks a trace file's format."""
-    return os.path.splitext(str(path))[1].lower()
-
-
 def check_trace_rate(path, sample_rate, name):
     """Reject, before any work, a rate that the trace file `path` cannot
     hold: a .wav holds an integer rate (`wav_rate`; `name` names the rate)."""
-    if _extension(path) == ".wav":
+    if os.path.splitext(str(path))[1].lower() == ".wav":
         wav_rate(sample_rate, f"{name} (for {path})")
 
 
@@ -177,7 +171,7 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     if np.iscomplexobj(trace.samples):
         raise InputError("complex baseband traces have no file representation")
     path = str(path)
-    ext = _extension(path)
+    ext = os.path.splitext(path)[1].lower()
     if ext == ".wav":
         write_wav(path, trace.sample_rate, trace.samples)
     elif ext == ".csv":
@@ -190,19 +184,6 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     side = sidecar_path(path)
     write_json(side, meta)
     return side
-
-
-def same_format(path, other) -> bool:
-    """Whether `write_trace` writes the trace files `path` and `other` in
-    the same format."""
-    return _extension(path) == _extension(other)
-
-
-def copy_trace(src, dst):
-    """Copy the trace file `src` and its sidecar to `dst`, a path of the
-    same format."""
-    shutil.copyfile(src, dst)
-    shutil.copyfile(sidecar_path(src), sidecar_path(dst))
 
 
 def _is_rate(value) -> bool:
@@ -301,7 +282,7 @@ def read_trace(path, kind=None) -> SampledTrace:
         if not _is_rate(meta.get("sample_rate_hz", 1.0)):
             raise FileFormatError(
                 f"{side}: sample_rate_hz must be > 0, got {meta['sample_rate_hz']!r}")
-    ext = _extension(path)
+    ext = os.path.splitext(path)[1].lower()
     if ext == ".wav":
         rate, samples = read_wav(path)
     elif ext == ".csv":

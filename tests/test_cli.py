@@ -326,17 +326,6 @@ class TestDemod:
         assert phase.sample_rate == audio.sample_rate == 40000.0
         np.testing.assert_array_equal(phase.samples.astype(np.float32), audio.samples)
 
-    # a CSV --out is a copy of the phase CSV, not a second formatting of it
-    def test_csv_out_holds_the_bytes_demod_formats(self, tmp_path, chirp_wav):
-        het = self.run_sim(tmp_path, chirp_wav)
-        assert main(["demod", "--in", str(het), "--out", str(tmp_path / "alone.csv")]) == 0
-        assert main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.csv"),
-                     "--phase-csv", str(tmp_path / "phase.csv")]) == 0
-        for suffix in (".csv", ".csv.meta.json"):
-            alone = (tmp_path / f"alone{suffix}").read_bytes()
-            assert (tmp_path / f"rec{suffix}").read_bytes() == alone
-            assert (tmp_path / f"phase{suffix}").read_bytes() == alone
-
     def test_phase_csv_is_not_a_heterodyne_input(self, tmp_path):
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.05)
