@@ -111,6 +111,9 @@ def cmd_demod(args, stage):
 
 def cmd_enhance(args, stage):
     with stage("load"):
+        if os.path.splitext(str(args.out))[1].lower() != ".wav":
+            raise ConfigurationError(f"--out {args.out} must name a .wav file: "
+                                     "enhance writes its audio as WAV")
         cfg = config.load_config(args.config)
         params = cfg.enhance
         rate, samples = fileio.read_wav(args.audio_in)

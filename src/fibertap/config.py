@@ -97,6 +97,11 @@ class ScenarioSet:
     baseline: MitigationScenario
     variants: tuple[MitigationScenario, ...]
 
+    def __post_init__(self):
+        if not math.isfinite(self.test_level_db):
+            raise ConfigurationError(
+                f"scenarios.test_level_db must be finite, got {self.test_level_db}")
+
 
 @dataclass(frozen=True)
 class NoiseSettings:
@@ -105,10 +110,10 @@ class NoiseSettings:
     snr_threshold: float
 
     def __post_init__(self):
-        if self.flatten_below_hz < 0:
+        if not 0 <= self.flatten_below_hz < math.inf:
             raise ConfigurationError(
                 f"noise.flatten_below_hz must be >= 0, got {self.flatten_below_hz}")
-        if not self.snr_threshold > 0:
+        if not 0 < self.snr_threshold < math.inf:
             raise ConfigurationError(
                 f"noise.snr_threshold must be > 0, got {self.snr_threshold}")
 

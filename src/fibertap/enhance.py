@@ -10,6 +10,7 @@ reconstructs an unmodified signal exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -50,16 +51,19 @@ class SpectralSubtractParams:
     silence_threshold_db: float
 
     def __post_init__(self):
-        if not self.frame_ms > 0:
+        if not 0 < self.frame_ms < math.inf:
             raise ConfigurationError(f"frame_ms must be > 0, got {self.frame_ms}")
         if not 0 <= self.overlap < 1:
             raise ConfigurationError(f"overlap must be in [0, 1), got {self.overlap}")
-        if self.oversubtraction < 1:
+        if not 1 <= self.oversubtraction < math.inf:
             raise ConfigurationError(
                 f"oversubtraction must be >= 1, got {self.oversubtraction}")
         if not 0 <= self.spectral_floor < 1:
             raise ConfigurationError(
                 f"spectral_floor must be in [0, 1), got {self.spectral_floor}")
+        if not math.isfinite(self.silence_threshold_db):
+            raise ConfigurationError(
+                f"silence_threshold_db must be finite, got {self.silence_threshold_db}")
 
     def resolve(self, sample_rate):
         """Concrete (frame_length, hop, window array) for a given rate."""

@@ -153,10 +153,20 @@ def _write_csv_trace(trace, path):
                               for t, v in zip(times.tolist(), values.tolist())]))
 
 
+def trace_format(path) -> str:
+    """The format of the trace file `path`, ``".wav"`` or ``".csv"``, from its
+    extension; any other extension raises InputError."""
+    ext = os.path.splitext(str(path))[1].lower()
+    if ext not in (".wav", ".csv"):
+        raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
+    return ext
+
+
 def check_trace_rate(path, sample_rate, name):
-    """Reject, before any work, a rate that the trace file `path` cannot
-    hold: a .wav holds an integer rate (`wav_rate`; `name` names the rate)."""
-    if os.path.splitext(str(path))[1].lower() == ".wav":
+    """Reject, before any work, a trace file `path` of no trace format
+    (`trace_format`) or a rate it cannot hold: a .wav holds an integer rate
+    (`wav_rate`; `name` names the rate)."""
+    if trace_format(path) == ".wav":
         wav_rate(sample_rate, f"{name} (for {path})")
 
 
@@ -171,13 +181,10 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     if np.iscomplexobj(trace.samples):
         raise InputError("complex baseband traces have no file representation")
     path = str(path)
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".wav":
+    if trace_format(path) == ".wav":
         write_wav(path, trace.sample_rate, trace.samples)
-    elif ext == ".csv":
-        _write_csv_trace(trace, path)
     else:
-        raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
+        _write_csv_trace(trace, path)
     meta = {"kind": trace.kind, "sample_rate_hz": trace.sample_rate, "scale": 1.0}
     if extra_meta:
         meta.update(extra_meta)
@@ -186,20 +193,17 @@ def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     return side
 
 
-def _is_rate(value) -> bool:
-    """Whether `value` can be a sample rate: finite and > 0."""
-    return 0 < value < math.inf
-
-
 def _read_csv_trace(path):
-    """(rate the rate line states, or None; values; first two times) of a trace CSV.
+    """(rate, values) of a trace CSV, as `_write_csv_trace` writes it.
 
-    Blank, ``#`` and ``time_s`` lines before the first row are the header;
-    a ``# sample_rate_hz=`` line there states the rate, which must be finite
-    and > 0, and more than one such line must agree. `np.loadtxt` reads the
-    rows in blocks: freeing one whole-file array of both columns would make
-    glibc serve later record-sized arrays from its heap, which raises the
-    peak RSS of `demod` by one of them.
+    Blank, ``#`` and ``time_s`` lines before the first row are the header,
+    and a ``# sample_rate_hz=`` line there must state the rate, which must be
+    finite and > 0; more than one such line must agree. Each row after is
+    ``time,value``, and row i (from 0) must hold the time ``i / rate`` that
+    the writer gives it; a ``#`` line among the rows is a bad row.
+    `np.loadtxt` reads the rows in blocks: freeing one whole-file array of
+    both columns would make glibc serve later record-sized arrays from its
+    heap, which raises the peak RSS of `demod` by one of them.
     """
     rate, first = None, None
     try:
@@ -211,17 +215,27 @@ def _read_csv_trace(path):
                 elif line and not line.startswith(("#", "time_s")):
                     first = line
                     break
+            if rate is None:
+                raise FileFormatError(f"{path}: no '# sample_rate_hz=' line before the "
+                                      "first row; a trace CSV must state its rate")
             rows = filter(None, chain([first], lines) if first else ())
-            blocks = [np.loadtxt(block, delimiter=",", ndmin=2)
+            blocks = [np.loadtxt(block, delimiter=",", ndmin=2, comments=None)
                       for block in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), [])]
     except ValueError as exc:
         raise FileFormatError(f"{path}: expected 'time,value' rows of numbers ({exc})") from exc
     if any(block.shape[1] != 2 for block in blocks):
         raise FileFormatError(f"{path}: expected 'time,value' rows")
-    if sum(block.shape[0] for block in blocks) < 2:
+    start = 0
+    for block in blocks:
+        wrong = np.flatnonzero(block[:, 0] != np.arange(start, start + len(block)) / rate)
+        if wrong.size:
+            row = start + int(wrong[0])
+            raise FileFormatError(f"{path}: row {row} holds the time {float(block[wrong[0], 0])!r}"
+                                  f", not {row / rate!r}: row i of a trace CSV is at i / rate")
+        start += len(block)
+    if start < 2:
         raise FileFormatError(f"{path}: CSV trace needs at least two samples")
-    # each block but the last holds CSV_BLOCK_ROWS rows, so the first holds two
-    return rate, np.concatenate([block[:, 1] for block in blocks]), blocks[0][:2, 0].tolist()
+    return rate, np.concatenate([block[:, 1] for block in blocks])
 
 
 def _rate_line(path, line, rate):
@@ -231,7 +245,7 @@ def _rate_line(path, line, rate):
         value = float(line.split("sample_rate_hz=")[1])
     except ValueError:
         raise FileFormatError(f"{path}: rate line {line!r} does not hold a number") from None
-    if not _is_rate(value):
+    if not 0 < value < math.inf:
         raise FileFormatError(f"{path}: rate line {line!r} gives a sample rate of {value!r}; "
                               "a rate must be finite and > 0")
     if rate is not None and value != rate:
@@ -239,26 +253,14 @@ def _rate_line(path, line, rate):
     return value
 
 
-def _rate_from_times(path, times):
-    """The rate that the first two `times` of the CSV `path` give."""
-    step = times[1] - times[0]
-    rate = 1.0 / step if step > 0 else 0.0
-    if not _is_rate(rate):
-        raise FileFormatError(
-            f"{path}: the first two times, {times[0]!r} and {times[1]!r}, give no sample "
-            "rate; without a rate line or a sidecar rate they must ascend")
-    return rate
-
-
 def read_trace(path, kind=None) -> SampledTrace:
     """Read a WAV or CSV trace, applying any sidecar scale/kind.
 
     `kind` names the kind the caller expects. It supplies the kind of a file
     without a sidecar; a sidecar that records a different kind is rejected.
-    A sidecar's rate must equal the rate the file states (a WAV header or a
-    CSV rate line), and gives the rate of a CSV without a rate line; a CSV
-    with neither takes it from its first two times. Each of these rates must
-    be finite and > 0, or FileFormatError names the file that gives it.
+    The rate is the one the file states, in a WAV header or a CSV's rate line
+    (`_read_csv_trace`), and a sidecar's rate must equal it, or
+    FileFormatError names the sidecar.
     """
     path = str(path)
     meta = {}
@@ -279,16 +281,10 @@ def read_trace(path, kind=None) -> SampledTrace:
                 raise FileFormatError(f"{side}: {key} must be a finite number, got {value!r}")
         if meta.get("scale") == 0:
             raise FileFormatError(f"{side}: scale must not be 0, which zeroes every sample")
-        if not _is_rate(meta.get("sample_rate_hz", 1.0)):
-            raise FileFormatError(
-                f"{side}: sample_rate_hz must be > 0, got {meta['sample_rate_hz']!r}")
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".wav":
+    if trace_format(path) == ".wav":
         rate, samples = read_wav(path)
-    elif ext == ".csv":
-        rate, samples, times = _read_csv_trace(path)
     else:
-        raise InputError(f"unsupported trace extension {ext!r} (use .wav or .csv)")
+        rate, samples = _read_csv_trace(path)
 
     scale = float(meta.get("scale", 1.0))
     if kind and "kind" in meta and meta["kind"] != kind:
@@ -298,13 +294,9 @@ def read_trace(path, kind=None) -> SampledTrace:
     if resolved_kind not in KINDS:
         raise InputError(
             f"{path}: trace kind is unknown; pass kind= or provide a sidecar")
-    if "sample_rate_hz" in meta:
-        if rate is not None and meta["sample_rate_hz"] != rate:
-            raise FileFormatError(f"{side}: sample_rate_hz {meta['sample_rate_hz']!r} "
-                                  f"differs from the rate {rate!r} that {path} states")
-        rate = float(meta["sample_rate_hz"])
-    elif rate is None:
-        rate = _rate_from_times(path, times)
+    if meta.get("sample_rate_hz", rate) != rate:
+        raise FileFormatError(f"{side}: sample_rate_hz {meta['sample_rate_hz']!r} "
+                              f"differs from the rate {rate!r} that {path} states")
     samples *= scale  # the readers return a fresh array
     return SampledTrace(rate, samples, resolved_kind)
 

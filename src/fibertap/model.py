@@ -47,11 +47,11 @@ class LaserSpec:
     flicker_coeff: float
 
     def __post_init__(self):
-        if self.wavelength <= 0:
+        if not 0 < self.wavelength < math.inf:
             raise ConfigurationError(f"laser.wavelength must be > 0, got {self.wavelength}")
-        if self.white_freq_psd < 0:
+        if not 0 <= self.white_freq_psd < math.inf:
             raise ConfigurationError(f"laser.white_freq_psd must be >= 0, got {self.white_freq_psd}")
-        if self.flicker_coeff < 0:
+        if not 0 <= self.flicker_coeff < math.inf:
             raise ConfigurationError(f"laser.flicker_coeff must be >= 0, got {self.flicker_coeff}")
 
 
@@ -75,15 +75,15 @@ class FiberSpec:
         if not 0 <= self.length < math.inf:
             raise ConfigurationError(
                 f"fiber.length must be finite and >= 0, got {self.length}")
-        if self.refractive_index <= 1:
+        if not 1 < self.refractive_index < math.inf:
             raise ConfigurationError(
                 f"fiber.refractive_index must be > 1, got {self.refractive_index}")
-        if self.bulk_modulus_area_product <= 0:
+        if not 0 < self.bulk_modulus_area_product < math.inf:
             raise ConfigurationError(
                 f"fiber.bulk_modulus_area_product must be > 0, got {self.bulk_modulus_area_product}")
-        if self.loss_angle <= 0:
+        if not 0 < self.loss_angle < math.inf:
             raise ConfigurationError(f"fiber.loss_angle must be > 0, got {self.loss_angle}")
-        if self.temperature <= 0:
+        if not 0 < self.temperature < math.inf:
             raise ConfigurationError(f"fiber.temperature must be > 0, got {self.temperature}")
 
 
@@ -101,9 +101,9 @@ class AcousticCoupling:
     spl_reference: float
 
     def __post_init__(self):
-        if self.sensitivity <= 0:
+        if not 0 < self.sensitivity < math.inf:
             raise ConfigurationError(f"coupling.sensitivity must be > 0, got {self.sensitivity}")
-        if self.spl_reference <= 0:
+        if not 0 < self.spl_reference < math.inf:
             raise ConfigurationError(f"coupling.spl_reference must be > 0, got {self.spl_reference}")
 
 
@@ -131,7 +131,7 @@ class InterferometerConfig:
     initial_phase: float
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
+        if not 0 < self.sample_rate < math.inf:
             raise ConfigurationError(
                 f"interferometer.sample_rate must be > 0, got {self.sample_rate}")
         if not 0 < self.intermediate_frequency < self.sample_rate / 2:
@@ -149,6 +149,9 @@ class InterferometerConfig:
         if not self.sensing_length > 0:
             raise ConfigurationError(
                 f"interferometer.sensing_length must be > 0, got {self.sensing_length}")
+        if not math.isfinite(self.initial_phase):
+            raise ConfigurationError(
+                f"interferometer.initial_phase must be finite, got {self.initial_phase}")
         if self.sensing_length > self.detect_fiber.length:
             raise ConfigurationError(
                 "interferometer.sensing_length cannot exceed the detecting arm length: "

@@ -49,7 +49,7 @@ class AudioBand:
     f_high: float
 
     def __post_init__(self):
-        if not 0 < self.f_low < self.f_high:
+        if not 0 < self.f_low < self.f_high < math.inf:
             raise ConfigurationError(
                 f"band requires 0 < f_low < f_high, got [{self.f_low}, {self.f_high}]")
 

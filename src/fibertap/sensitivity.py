@@ -27,10 +27,10 @@ class MitigationScenario:
     reflection_amplitude: float
 
     def __post_init__(self):
-        if not self.sensing_length > 0:
+        if not 0 < self.sensing_length < math.inf:
             raise ConfigurationError(
                 f"scenario {self.label!r}: sensing_length must be > 0, got {self.sensing_length}")
-        if self.bulk_modulus_scale < 1:
+        if not 1 <= self.bulk_modulus_scale < math.inf:
             raise ConfigurationError(
                 f"scenario {self.label!r}: bulk_modulus_scale must be >= 1")
         if not 0 < self.reflection_amplitude <= 1:

@@ -32,7 +32,7 @@ from fibertap import (
 )
 from fibertap.cli import main
 from fibertap.config import dump_config
-from fibertap.fileio import read_trace, read_wav
+from fibertap.fileio import read_trace, read_wav, write_trace
 
 from conftest import read_budget_table
 
@@ -110,6 +110,16 @@ class TestSimulate:
         assert main(["simulate", "--audio", str(chirp_wav), "--out", str(tmp_path / "het.wav"),
                      flag]) == 2
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    # synthesized the whole record before the write rejected the extension
+    def test_unknown_out_extension_exits_2_writing_nothing(self, tmp_path, chirp_wav, capsys,
+                                                           monkeypatch):
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr("fibertap.fileio.read_wav", None)  # rejected before anything is read
+        assert main(["simulate", "--audio", str(chirp_wav),
+                     "--out", str(tmp_path / "het.txt")]) == 2
+        assert "unsupported trace extension '.txt'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_flatten_below_reaches_synthesis(self, tmp_path, chirp_wav):
@@ -418,27 +428,6 @@ class TestDemod:
         else:
             assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
 
-    # without its rate line and sidecar, a trace CSV's rate comes from its
-    # first two times, 1 / 2.5e-06 = 399999.99999999994, which still reaches
-    # each audio rate to rounding; the output is labelled the configured
-    # rate, so a WAV output takes it as its integer header rate
-    @pytest.mark.parametrize("out", ["rec.csv", "rec.wav"])
-    @pytest.mark.parametrize("rate", [40000, 32000, 44100])
-    def test_headerless_csv_record_demodulates(self, tmp_path, rate, out):
-        src = tmp_path / "short.wav"
-        write_chirp(src, duration=0.05)
-        het = tmp_path / "het.csv"
-        assert main(["simulate", "--config", str(quiet_config(tmp_path)),
-                     "--audio", str(src), "--out", str(het)]) == 0
-        het.write_bytes(het.read_bytes().split(b"\n", 1)[1])
-        Path(str(het) + ".meta.json").unlink()
-        conf = tmp_path / "rate.yaml"
-        conf.write_text(f"demod:\n  audio_rate_hz: {rate}\n")
-        rec = tmp_path / out
-        assert main(["demod", "--config", str(conf), "--in", str(het), "--out", str(rec)]) == 0
-        assert json.loads(Path(str(rec) + ".meta.json").read_text())["sample_rate_hz"] == rate
-        assert read_trace(rec).sample_rate == rate
-
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
         src = tmp_path / "short.wav"
@@ -478,8 +467,23 @@ class TestDemod:
         assert "unsupported trace extension '.txt'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
+    # ran the whole chain and wrote --phase-csv before the write of --out
+    # rejected its extension
+    def test_unknown_out_extension_exits_2_writing_nothing(self, tmp_path, monkeypatch,
+                                                           capsys):
+        src = tmp_path / "short.wav"
+        write_chirp(src, duration=0.01)
+        het = self.run_sim(tmp_path, src)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr("fibertap.fileio.read_trace", None)  # rejected before any read
+        assert main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.mp3"),
+                     "--phase-csv", str(tmp_path / "p.csv")]) == 2
+        assert "unsupported trace extension '.mp3'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
     def test_three_column_csv_exits_3_writing_nothing(self, tmp_path, capsys):
-        (tmp_path / "het.csv").write_text("0.0,1.0,2.0\n0.0000025,1.0,2.0\n")
+        (tmp_path / "het.csv").write_text("# sample_rate_hz=400000.0\n"
+                                          "0.0,1.0,2.0\n2.5e-06,1.0,2.0\n")
         assert main(["demod", "--in", str(tmp_path / "het.csv"),
                      "--out", str(tmp_path / "rec.wav")]) == 3
         assert "het.csv: expected 'time,value' rows" in capsys.readouterr().err
@@ -684,6 +688,20 @@ def test_readme_library_example_runs():
     assert enhanced.n_samples == audio.n_samples
 
 
+def test_readme_trace_csv_is_read_as_written(tmp_path):
+    """README's trace CSV block reads back with `read_trace`, and the writer
+    gives its lines for the same samples, so the documented layout cannot
+    drift from the reader or the writer."""
+    (block,) = [block for _, block in readme_blocks("csv")]
+    p = tmp_path / "doc.csv"
+    p.write_text("\n".join(block) + "\n", encoding="utf-8")
+    doc = read_trace(p, kind=PHASE)
+    write_trace(doc, tmp_path / "written.csv")
+    assert (tmp_path / "written.csv").read_text(encoding="utf-8").splitlines() == block
+    assert doc.sample_rate == 40e3
+    np.testing.assert_array_equal(doc.samples, [0.5, -1.25, 3e-7])
+
+
 def schema_keys(tree):
     """Every key of a config section, nested ones and a list item's included."""
     for key, value in tree.items():
@@ -851,6 +869,17 @@ class TestEnhance:
                    "--noise-profile", str(profile)])
         assert rc == 2
         assert "shorter than one frame" in capsys.readouterr().err
+
+    # wrote WAV bytes into clean.csv and exited 0
+    @pytest.mark.parametrize("name", ["clean.csv", "clean.mp3", "clean"])
+    def test_out_that_is_not_a_wav_exits_2_writing_nothing(self, tmp_path, monkeypatch,
+                                                           capsys, name):
+        src = self.make_bursty(tmp_path)
+        monkeypatch.setattr("fibertap.fileio.read_wav", None)  # rejected before anything is read
+        out = tmp_path / name
+        assert main(["enhance", "--in", str(src), "--out", str(out)]) == 2
+        assert f"--out {out} must name a .wav file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["clean.wav"]
 
     def test_reference_reporting(self, tmp_path):
         src = self.make_bursty(tmp_path)

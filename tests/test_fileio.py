@@ -306,14 +306,6 @@ class TestTraceFiles:
         assert "sample_rate_hz 123456 differs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sidecar_gives_the_rate_of_a_csv_without_a_rate_line(self, tmp_path):
-        # the times alone would give 4 S/s
-        p = tmp_path / "t.csv"
-        p.write_text("time_s,value\n0.0,1.0\n0.25,2.0\n0.5,3.0\n")
-        (tmp_path / "t.csv.meta.json").write_text(
-            '{"kind": "phase", "sample_rate_hz": 8.0}')
-        assert read_trace(p).sample_rate == 8.0
-
     def test_unknown_extension_rejected(self, tmp_path):
         tr = SampledTrace(8000.0, np.zeros(4), PHASE)
         with pytest.raises(InputError):
@@ -365,7 +357,8 @@ class TestCsvTraceFormat:
             np.testing.assert_array_equal(read_trace(p).samples, tr.samples)
 
     def test_three_fields_rejected(self, tmp_path):
-        p = self.write(tmp_path, "time_s,value\n0.0,1.0\n0.5,2.0,3.0\n1.0,3.0\n")
+        p = self.write(tmp_path, "# sample_rate_hz=2.0\ntime_s,value\n"
+                                 "0.0,1.0\n0.5,2.0,3.0\n1.0,3.0\n")
         with pytest.raises(FileFormatError, match="expected 'time,value' rows"):
             read_trace(p, kind=PHASE)
 
@@ -381,16 +374,6 @@ class TestCsvTraceFormat:
         back = read_trace(p, kind=PHASE)
         assert back.sample_rate == 2.0
         np.testing.assert_array_equal(back.samples, [1.0, -2.0, 4.0])
-
-    def test_rate_from_time_column_without_header(self, tmp_path):
-        p = self.write(tmp_path, "0.0,1.0\n0.25,2.0\n0.5,3.0\n")
-        back = read_trace(p, kind=PHASE)
-        assert back.sample_rate == 4.0
-        np.testing.assert_array_equal(back.samples, [1.0, 2.0, 3.0])
-
-    def test_header_without_rate_line(self, tmp_path):
-        p = self.write(tmp_path, "time_s,value\r\n0.0,1.0\r\n0.125,2.0\r\n")
-        assert read_trace(p, kind=PHASE).sample_rate == 8.0
 
     def test_non_numeric_value_names_file(self, tmp_path):
         p = self.write(tmp_path, "# sample_rate_hz=400000.0\ntime_s,value\r\n"
@@ -412,16 +395,15 @@ class TestCsvTraceFormat:
          "rate line '# sample_rate_hz=inf' gives a sample rate of inf"),
         ("# sample_rate_hz=abc\n0.0,1.0\n0.5,2.0\n", None,
          "rate line '# sample_rate_hz=abc' does not hold a number"),
-        ("0.5,1.0\n0.5,2.0\n", None, "the first two times, 0.5 and 0.5, give no sample rate"),
-        ("0.5,1.0\n0.25,2.0\n", None, "the first two times, 0.5 and 0.25, give no sample rate"),
-        ("0.0,1.0\n0.5,2.0\n", '{"kind": "heterodyne", "sample_rate_hz": 0}',
-         "sample_rate_hz must be > 0, got 0"),
-        ("0.0,1.0\n0.5,2.0\n", '{"kind": "heterodyne", "sample_rate_hz": -5}',
-         "sample_rate_hz must be > 0, got -5"),
+        ("# sample_rate_hz=2.0\n0.0,1.0\n0.5,2.0\n", '{"kind": "heterodyne", "sample_rate_hz": 0}',
+         "sample_rate_hz 0 differs from the rate 2.0"),
+        ("# sample_rate_hz=2.0\n0.0,1.0\n0.5,2.0\n",
+         '{"kind": "heterodyne", "sample_rate_hz": -5}',
+         "sample_rate_hz -5 differs from the rate 2.0"),
         ("# sample_rate_hz=400000.0\n# sample_rate_hz=40000.0\n0.0,1.0\n2.5e-06,2.0\n",
          None, "rate lines disagree: 400000.0 and then 40000.0"),
-    ], ids=["line-0", "line-negative", "line-nan", "line-inf", "line-text", "times-equal",
-            "times-descending", "sidecar-0", "sidecar-negative", "lines-disagree"])
+    ], ids=["line-0", "line-negative", "line-nan", "line-inf", "line-text", "sidecar-0",
+            "sidecar-negative", "lines-disagree"])
     def test_a_bad_rate_exits_3_naming_its_file(self, tmp_path, capsys, text, side, message):
         p = self.write(tmp_path, text)
         named = p
@@ -435,15 +417,44 @@ class TestCsvTraceFormat:
         assert f"{named}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    # a CSV without a rate line took its rate from its first two times, no
+    # later time was checked, and a rate line after the first row was
+    # skipped as a comment
+    @pytest.mark.parametrize("text,message", [
+        ("time_s,value\r\n0.0,1.0\r\n0.5,2.0\r\n",
+         "no '# sample_rate_hz=' line before the first row"),
+        ("# sample_rate_hz=400000.0\n0.0,1.0\n7.0,2.0\n-3.0,3.0\n",
+         "row 1 holds the time 7.0, not 2.5e-06"),
+        ("# sample_rate_hz=400000.0\n0.0,1.0\n2.5e-06,2.0\n5e-06,3.0\n2.5e-06,4.0\n",
+         "row 3 holds the time 2.5e-06, not 7.5e-06"),
+        ("# sample_rate_hz=2.0\n0.0,1.0\n0.5,2.0\n# sample_rate_hz=5\n1.0,3.0\n",
+         "expected 'time,value' rows of numbers"),
+    ], ids=["no-rate-line", "wrong-time", "time-repeated", "rate-line-after-a-row"])
+    def test_a_file_off_the_layout_exits_3_writing_nothing(self, tmp_path, capsys, text,
+                                                           message):
+        p = self.write(tmp_path, text)
+        with pytest.raises(FileFormatError, match=re.escape(f"{p}: {message}")):
+            read_trace(p, kind=HETERODYNE)
+        assert main(["demod", "--in", str(p), "--out", str(tmp_path / "rec.wav"),
+                     "--phase-csv", str(tmp_path / "p.csv")]) == 3
+        assert f"{p}: {message}" in capsys.readouterr().err
+        assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_times_are_checked_past_the_first_block(self, tmp_path):
+        tr = SampledTrace(3.0, np.zeros(2 * CSV_BLOCK_ROWS + 5), PHASE)
+        p = tmp_path / "t.csv"
+        write_trace(tr, p)
+        lines = p.read_bytes().split(b"\r\n")
+        row = CSV_BLOCK_ROWS + 7
+        lines[row + 1] = repr((row + 1) / 3.0).encode() + b",0.0"  # the next row's time
+        p.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(FileFormatError, match=f"row {row} holds the time"):
+            read_trace(p)
+
     def test_rate_lines_that_agree_are_read(self, tmp_path):
         p = self.write(tmp_path, "# sample_rate_hz=4e5\n# sample_rate_hz=400000.0\n"
-                                 "0.0,1.0\n0.5,2.0\n")
+                                 "0.0,1.0\n2.5e-06,2.0\n")
         assert read_trace(p, kind=PHASE).sample_rate == 400e3
-
-    def test_a_sidecar_rate_overrides_times_that_give_none(self, tmp_path):
-        p = self.write(tmp_path, "0.0,1.0\n0.0,2.0\n")
-        (tmp_path / "t.csv.meta.json").write_text('{"kind": "phase", "sample_rate_hz": 8.0}')
-        assert read_trace(p).sample_rate == 8.0
 
     # the writer's bytes, across block edges and for the values whose repr
     # is least regular, against one f-string per row
