@@ -20,13 +20,14 @@ def record(audio, config, seed, level_db=None, stage=nullcontext):
     rate, samples = audio
     ifo = config.interferometer
     with stage("prepare-audio"):
-        if rate != ifo.sample_rate:
+        fresh = rate != ifo.sample_rate  # `samples` is an array made here
+        if fresh:
             samples = demod.resample(samples, *demod.resample_ratio(rate, ifo.sample_rate))
         if samples.size < 2:
             raise InputError(f"simulate needs at least 2 samples at "
                              f"{ifo.sample_rate} S/s, got {samples.size}")
         if level_db is not None:
-            peak = float(np.max(np.abs(samples)))
+            peak = float(max(np.max(samples), -np.min(samples)))
             if peak == 0:
                 raise InputError("cannot scale a silent input to a sound level")
             scale = model.spl_to_pressure(level_db, config.coupling.spl_reference) / peak
@@ -34,8 +35,13 @@ def record(audio, config, seed, level_db=None, stage=nullcontext):
                 raise ConfigurationError(
                     f"--level-db {level_db!r} scales the input's peak of {peak!r} "
                     f"by {scale!r}; the factor must be finite and > 0")
-            samples = samples * scale
-        voice = SampledTrace(ifo.sample_rate, samples, AUDIO)
+            if fresh:
+                samples *= scale
+            else:
+                samples = samples * scale
+                fresh = True
+        # the caller's own input is copied, an array made here handed over
+        voice = (SampledTrace._adopt if fresh else SampledTrace)(ifo.sample_rate, samples, AUDIO)
         del samples  # the caller still holds the input: keep no third copy
 
     with stage("voice-to-phase"):
@@ -61,8 +67,9 @@ def recover(het, demod_cfg, band, highpass, stage=nullcontext):
         baseband = demod.iq_demodulate(baseband, demod_cfg)
 
     with stage("unwrap"):
-        phase = demod.unwrap_phase(baseband.with_samples(
-            baseband.samples[guard:baseband.n_samples - guard]))
+        phase = demod.unwrap_phase(SampledTrace._adopt(
+            baseband.sample_rate, baseband.samples[guard:baseband.n_samples - guard],
+            baseband.kind))
 
     if highpass:
         with stage("highpass"):

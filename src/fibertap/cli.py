@@ -117,20 +117,20 @@ def cmd_enhance(args, stage):
         cfg = config.load_config(args.config)
         params = cfg.enhance
         rate, samples = fileio.read_wav(args.audio_in)
-        noisy = trace.SampledTrace(rate, samples, trace.AUDIO)
+        noisy = trace.SampledTrace._adopt(rate, samples, trace.AUDIO)
         frame, hop, _ = params.resolve(rate)
         ref = profile = None
         if args.reference:
             rrate, rsamples = fileio.read_wav(args.reference)
             if rrate != rate or rsamples.size != noisy.n_samples:
                 raise InputError("reference must match the input rate and length")
-            ref = trace.SampledTrace(rrate, rsamples, trace.AUDIO)
+            ref = trace.SampledTrace._adopt(rrate, rsamples, trace.AUDIO)
         if args.noise_profile:
             prate, psamples = fileio.read_wav(args.noise_profile)
             if prate != rate:
                 raise InputError(
                     f"noise profile rate {prate} differs from input rate {rate}")
-            profile = trace.SampledTrace(prate, psamples, trace.AUDIO)
+            profile = trace.SampledTrace._adopt(prate, psamples, trace.AUDIO)
 
     with stage("estimate-noise"):
         if profile is not None:

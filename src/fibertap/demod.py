@@ -287,7 +287,7 @@ def unwrap_phase(baseband: SampledTrace) -> SampledTrace:
             f"{baseband.sample_rate} S/s, past the unwrap margin of pi/2: it moves too "
             "fast for this rate (a sound too loud or too high, or a beat frequency "
             "that is not the record's)")
-    return SampledTrace(baseband.sample_rate, phase, PHASE)
+    return SampledTrace._adopt(baseband.sample_rate, phase, PHASE)
 
 
 def _butter_highpass_sos(order, cutoff, fs):
@@ -406,7 +406,7 @@ def highpass(trace: SampledTrace, cutoff: float, order: int) -> SampledTrace:
     for view in (ext, ext[::-1]):
         view -= view[0]
         _overlap_save(h, view)
-    return trace.with_samples(ext[pad:-pad])
+    return SampledTrace._adopt(trace.sample_rate, ext[pad:-pad], trace.kind)
 
 
 def resample_ratio(rate_in: float, rate_out: float) -> tuple[int, int]:
@@ -547,7 +547,7 @@ def decimate_to_audio(het: SampledTrace, cfg: DemodConfig,
     h = h * np.exp(2j * np.pi * (cfg.beat_frequency / het.sample_rate / up) * offsets)
     for branch in range(up):  # taps branch, branch + up, ...: one output class each
         h[branch::up] -= np.mean(h[branch::up])
-    return SampledTrace(cfg.audio_rate, resample(het.samples, up, down, h), BASEBAND)
+    return SampledTrace._adopt(cfg.audio_rate, resample(het.samples, up, down, h), BASEBAND)
 
 
 def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:
@@ -560,8 +560,11 @@ def iq_demodulate(z: SampledTrace, cfg: DemodConfig) -> SampledTrace:
     """
     if z.kind != BASEBAND:
         raise InputError(f"iq_demodulate expects a {BASEBAND!r} trace, got {z.kind!r}")
-    turns = np.longdouble(cfg.beat_frequency) / z.sample_rate  # per sample
-    mixed = np.mod(np.arange(z.n_samples) * turns, 1).astype(float) * (-2j * np.pi)
+    turns = np.arange(z.n_samples, dtype=np.longdouble)
+    turns *= np.longdouble(cfg.beat_frequency) / z.sample_rate  # per sample
+    mixed = np.mod(turns, 1, out=turns).astype(float)
+    del turns
+    mixed = mixed * (-2j * np.pi)
     np.exp(mixed, out=mixed)
     mixed *= z.samples
-    return SampledTrace(z.sample_rate, mixed, BASEBAND)
+    return SampledTrace._adopt(z.sample_rate, mixed, BASEBAND)

@@ -187,7 +187,7 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
     out = _overlap_add(np.fft.irfft(spec * gain, n=frame, axis=1), hop)
     wsum = _overlap_add(np.broadcast_to(win, frames.shape), hop)
     y = np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
-    return noisy.with_samples(y[lead:lead + n])
+    return SampledTrace._adopt(noisy.sample_rate, y[lead:lead + n], noisy.kind)
 
 
 def segmental_snr(processed: SampledTrace, reference: SampledTrace,

@@ -200,7 +200,8 @@ def _read_csv_trace(path):
     and a ``# sample_rate_hz=`` line there must state the rate, which must be
     finite and > 0; more than one such line must agree. Each row after is
     ``time,value``, and row i (from 0) must hold the time ``i / rate`` that
-    the writer gives it; a ``#`` line among the rows is a bad row.
+    the writer gives it; a ``#`` line among the rows is a bad row. An
+    error names a row by that i.
     `np.loadtxt` reads the rows in blocks: freeing one whole-file array of
     both columns would make glibc serve later record-sized arrays from its
     heap, which raises the peak RSS of `demod` by one of them.
@@ -219,23 +220,37 @@ def _read_csv_trace(path):
                 raise FileFormatError(f"{path}: no '# sample_rate_hz=' line before the "
                                       "first row; a trace CSV must state its rate")
             rows = filter(None, chain([first], lines) if first else ())
-            blocks = [np.loadtxt(block, delimiter=",", ndmin=2, comments=None)
-                      for block in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), [])]
-    except ValueError as exc:
+            start, blocks = 0, []
+            for text in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), []):
+                block = _csv_rows(text)
+                if block is None:
+                    i = next(i for i, line in enumerate(text) if _csv_rows([line]) is None)
+                    raise FileFormatError(
+                        f"{path}: expected 'time,value' rows of numbers; row {start + i} "
+                        f"(at {(start + i) / rate!r} s) reads {text[i]!r}")
+                wrong = np.flatnonzero(block[:, 0] != np.arange(start, start + len(block)) / rate)
+                if wrong.size:
+                    row = start + int(wrong[0])
+                    raise FileFormatError(
+                        f"{path}: row {row} holds the time {float(block[wrong[0], 0])!r}, "
+                        f"not {row / rate!r}: row i of a trace CSV is at i / rate")
+                blocks.append(block)
+                start += len(block)
+    except ValueError as exc:  # not UTF-8
         raise FileFormatError(f"{path}: expected 'time,value' rows of numbers ({exc})") from exc
-    if any(block.shape[1] != 2 for block in blocks):
-        raise FileFormatError(f"{path}: expected 'time,value' rows")
-    start = 0
-    for block in blocks:
-        wrong = np.flatnonzero(block[:, 0] != np.arange(start, start + len(block)) / rate)
-        if wrong.size:
-            row = start + int(wrong[0])
-            raise FileFormatError(f"{path}: row {row} holds the time {float(block[wrong[0], 0])!r}"
-                                  f", not {row / rate!r}: row i of a trace CSV is at i / rate")
-        start += len(block)
     if start < 2:
         raise FileFormatError(f"{path}: CSV trace needs at least two samples")
     return rate, np.concatenate([block[:, 1] for block in blocks])
+
+
+def _csv_rows(lines):
+    """The rows `lines` of a trace CSV as a (rows, 2) array, or None if a
+    line is not two numbers or the lines do not have the same columns."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 2 else None
 
 
 def _rate_line(path, line, rate):
@@ -297,8 +312,8 @@ def read_trace(path, kind=None) -> SampledTrace:
     if meta.get("sample_rate_hz", rate) != rate:
         raise FileFormatError(f"{side}: sample_rate_hz {meta['sample_rate_hz']!r} "
                               f"differs from the rate {rate!r} that {path} states")
-    samples *= scale  # the readers return a fresh array
-    return SampledTrace(rate, samples, resolved_kind)
+    samples *= scale  # the readers return a fresh array, which the trace takes
+    return SampledTrace._adopt(rate, samples, resolved_kind)
 
 
 def write_csv_table(path, header, rows):

@@ -215,7 +215,7 @@ def voice_to_phase(audio: SampledTrace, coupling: AcousticCoupling,
     if sensing_length < 0:
         raise InputError(f"sensing_length must be >= 0, got {sensing_length}")
     phase = coupling.sensitivity * sensing_length * audio.samples
-    return SampledTrace(audio.sample_rate, phase, PHASE)
+    return SampledTrace._adopt(audio.sample_rate, phase, PHASE)
 
 
 def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrace,
@@ -255,7 +255,8 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
 
     # one buffer, in the order of 2 pi f_if t + phi_0 + voice + noise, then
     # (1 + alpha^2) + 2 alpha cos(phase)
-    x = np.arange(n) / fs
+    x = np.arange(n, dtype=float)
+    x /= fs
     x *= 2.0 * math.pi * config.intermediate_frequency
     x += config.initial_phase
     x += voice_phase.samples
@@ -266,4 +267,4 @@ def synthesize_heterodyne(config: InterferometerConfig, voice_phase: SampledTrac
     np.cos(x, out=x)
     x *= 2.0 * alpha
     x += 1.0 + alpha ** 2
-    return SampledTrace(fs, x, HETERODYNE)
+    return SampledTrace._adopt(fs, x, HETERODYNE)

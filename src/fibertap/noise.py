@@ -254,32 +254,38 @@ def synthesize_colored_noise(psd, n_samples: int, sample_rate: float, seed: int,
     """
     if n_samples < 2:
         raise InputError(f"n_samples must be >= 2, got {n_samples}")
-    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-    f_eval = np.maximum(freqs[1:], flatten_below) if flatten_below > 0 else freqs[1:]
-    target = np.zeros_like(freqs)
-    target[1:] = np.asarray(psd(f_eval), dtype=float)
+    # one bin-sized buffer holds the frequencies, clamped, then the target PSD
+    # (its DC bin stays 0), then its scale
+    target = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+    f_eval = target[1:]
+    if flatten_below > 0:
+        np.maximum(f_eval, flatten_below, out=f_eval)
+    f_eval[:] = np.asarray(psd(f_eval), dtype=float)
     if not np.all(np.isfinite(target)) or np.any(target < 0):
         raise SynthesisError("target PSD is non-finite or negative inside the band")
 
     rng = np.random.default_rng(seed)
-    spectrum = np.empty(freqs.size, dtype=complex)
-    spectrum.real = rng.standard_normal(freqs.size)
-    spectrum.imag = rng.standard_normal(freqs.size)
+    spectrum = np.empty(target.size, dtype=complex)
+    normal = np.empty(target.size)  # both halves are drawn through it
+    spectrum.real = rng.standard_normal(out=normal)
+    spectrum.imag = rng.standard_normal(out=normal)
+    del normal
     # real Nyquist bin carries no one-sided factor of two
     nyquist = spectrum[-1].real * np.sqrt(target[-1] * sample_rate * n_samples)
     # E|X_k|^2 = S_k * fs * N / 2 makes the one-sided periodogram match S_k.
     # In place, with the bytes of (re + 1j im) / sqrt(2) * sqrt(S fs N / 2):
     # numpy divides a complex by a real through its reciprocal.
-    scale = target * sample_rate
-    scale *= n_samples
-    scale /= 2.0
+    target *= sample_rate
+    target *= n_samples
+    target /= 2.0
     spectrum *= 1.0 / np.sqrt(2.0)
-    spectrum *= np.sqrt(scale, out=scale)
+    spectrum *= np.sqrt(target, out=target)
+    del target, f_eval
     spectrum[0] = 0.0
     if n_samples % 2 == 0:
         spectrum[-1] = nyquist
     samples = np.fft.irfft(spectrum, n=n_samples)
-    return SampledTrace(sample_rate, samples, PHASE)
+    return SampledTrace._adopt(sample_rate, samples, PHASE)
 
 
 def system_phase_noise_psd(config: InterferometerConfig, f):

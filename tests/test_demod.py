@@ -421,13 +421,13 @@ class TestMemory:
     42 MB in all on this record. The mix at the record's rate that followed
     it held 40 B per record sample, 400 B per 40 kS/s output."""
 
-    #: per audio sample: the complex rotation, mixed in place, its copy into
-    #: the trace and the trace's finiteness mask; the turns before it (two
-    #: np.longdouble arrays while they are reduced) hold less
-    IQ_BYTES_PER_OUTPUT = 33
+    #: per audio sample: the turns, reduced in place in np.longdouble, and
+    #: their cast to float; then that cast and the complex rotation, which
+    #: is mixed in place and handed to the trace without a copy
+    IQ_BYTES_PER_OUTPUT = 24
     #: one 8192-element buffer of numpy's cast of the angles to complex, and
     #: the small objects of the call
-    IQ_EXTRA_BYTES = 2 ** 17
+    IQ_EXTRA_BYTES = 2 ** 17 + 2 ** 12
     #: np.unwrap's temporaries on the audio-rate baseband: the angle, its
     #: differences, their wraps and corrections, the output, and the steps
     #: checked against the margin
@@ -436,12 +436,20 @@ class TestMemory:
     HIGHPASS_BYTES_PER_SAMPLE = 16
     #: the high-pass's FFT blocks and impulse response
     HIGHPASS_BLOCK_BYTES = 2 * 2 ** 20
-    #: per audio sample: the complex output, its copy into the trace and the
-    #: trace's finiteness mask
-    DECIMATE_BYTES_PER_OUTPUT = 33
+    #: per audio sample: the complex output, handed to the trace without a
+    #: copy, and the trace's finiteness mask
+    DECIMATE_BYTES_PER_OUTPUT = 17
     #: the translated FIR taps and one polyphase product (at most 2^16
     #: multiply-adds)
     DECIMATE_EXTRA_BYTES = 2 ** 17
+    #: `record` per record sample: the voice and its phase, while the noise
+    #: is drawn into a complex half-length spectrum and transformed (8 B
+    #: each), then the four of them while the beat is built
+    RECORD_BYTES_PER_SAMPLE = 33
+    #: the calls' small objects
+    RECORD_EXTRA_BYTES = 2 ** 16
+    #: `recover` per audio sample: the mixed baseband, held while it is unwrapped
+    RECOVER_BYTES_PER_OUTPUT = 16 + UNWRAP_BYTES_PER_SAMPLE
     #: the removed path's bounds on this record, summed
     FULL_RATE_PATH_BYTES = (40 + 20) * 400000 + 8 * 2 ** 20 \
         + 16 * 400000 + 2 * 2 ** 20 + 17 * 40000 + 4 * 2 ** 10
@@ -512,6 +520,21 @@ class TestMemory:
         bound = self.bounds(record)["highpass"]
         assert bound <= 9609509  # scipy's sosfiltfilt on the full-rate phase
         assert peak <= bound
+
+    @pytest.mark.parametrize("level_db", [None, 70.0])
+    def test_record_peak(self, level_db):
+        # the input is the caller's, so a voice at its own level is copied
+        # and a rescaled one is handed over; either way no step's output is
+        # copied into its trace
+        tone = make_tone(FS, 440.0, 1.0, 0.5).samples
+        record((FS, tone[:2000]), CFG, 1, level_db)  # imports
+        peak = self.traced_peak(record, (FS, tone), CFG, 1, level_db)
+        assert peak <= self.RECORD_BYTES_PER_SAMPLE * tone.size + self.RECORD_EXTRA_BYTES
+
+    def test_recover_peak(self, record):
+        het, cfg, _, _ = record
+        peak = self.traced_peak(recover, het, cfg, BAND, True)
+        assert peak <= self.RECOVER_BYTES_PER_OUTPUT * (het.n_samples // 10)
 
     def test_44k1_decimation_design_peak(self):
         # the 134 645 taps of the 44.1 kHz design; evaluating the Kaiser

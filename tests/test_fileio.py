@@ -185,6 +185,20 @@ class TestTraceFiles:
             write_trace(tr, tmp_path / "bb.csv")
         assert list(tmp_path.iterdir()) == []
 
+    def test_read_samples_are_handed_to_the_trace(self, tmp_path, monkeypatch):
+        p = tmp_path / "het.wav"
+        write_trace(SampledTrace(400e3, np.ones(8), HETERODYNE), p)
+        read = []
+
+        def reading(path):
+            rate, samples = read_wav(path)
+            read.append(samples)
+            return rate, samples
+
+        monkeypatch.setattr(fileio, "read_wav", reading)
+        tr = read_trace(p)
+        assert np.shares_memory(tr.samples, read[0]) and not read[0].flags.writeable
+
     def test_wav_trace_with_sidecar(self, tmp_path):
         rng = np.random.default_rng(2)
         tr = SampledTrace(400e3, rng.standard_normal(256).astype(np.float32),
@@ -450,6 +464,28 @@ class TestCsvTraceFormat:
         p.write_bytes(b"\r\n".join(lines))
         with pytest.raises(FileFormatError, match=f"row {row} holds the time"):
             read_trace(p)
+
+    # np.loadtxt reads a block at a time, and its message counted rows from
+    # the block's start: 'abc' in row 4106 read "at row 10, column 2", and a
+    # rate line there "at row 11; use `usecols` to select a subset"
+    @pytest.mark.parametrize("line", ["{t!r},abc", "# sample_rate_hz=400000.0"],
+                             ids=["text-value", "rate-line"])
+    def test_a_bad_row_past_the_first_block_is_named_by_its_row(self, tmp_path, capsys,
+                                                                line):
+        rate, row = 400e3, CSV_BLOCK_ROWS + 10
+        p = tmp_path / "t.csv"
+        write_trace(SampledTrace(rate, np.zeros(2 * CSV_BLOCK_ROWS + 5), HETERODYNE), p)
+        lines = p.read_bytes().split(b"\r\n")
+        bad = line.format(t=row / rate)
+        lines[row + 1] = bad.encode()
+        p.write_bytes(b"\r\n".join(lines))
+        message = (f"{p}: expected 'time,value' rows of numbers; row {row} "
+                   f"(at {row / rate!r} s) reads {bad!r}")
+        with pytest.raises(FileFormatError) as err:
+            read_trace(p)
+        assert str(err.value) == message
+        assert main(["demod", "--in", str(p), "--out", str(tmp_path / "rec.wav")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rate_lines_that_agree_are_read(self, tmp_path):
         p = self.write(tmp_path, "# sample_rate_hz=4e5\n# sample_rate_hz=400000.0\n"
