@@ -46,6 +46,7 @@ def record(audio, config, seed, level_db=None, stage=nullcontext):
 
     with stage("voice-to-phase"):
         phase = model.voice_to_phase(voice, config.coupling, ifo.sensing_length)
+        del voice  # the phase is all the rest reads
 
     with stage("synthesize"):
         # drawn before `synthesize_heterodyne` makes its record-sized arrays

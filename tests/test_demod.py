@@ -442,10 +442,11 @@ class TestMemory:
     #: the translated FIR taps and one polyphase product (at most 2^16
     #: multiply-adds)
     DECIMATE_EXTRA_BYTES = 2 ** 17
-    #: `record` per record sample: the voice and its phase, while the noise
-    #: is drawn into a complex half-length spectrum and transformed (8 B
-    #: each), then the four of them while the beat is built
-    RECORD_BYTES_PER_SAMPLE = 33
+    #: `record` per record sample, 8 B for each record-sized array: the
+    #: phase, the noise's complex half-length spectrum and its transform,
+    #: and later the phase, the noise and the beat, each time with the new
+    #: trace's 1 B finiteness mask; the voice is dropped once it is phase
+    RECORD_BYTES_PER_SAMPLE = 25
     #: the calls' small objects
     RECORD_EXTRA_BYTES = 2 ** 16
     #: `recover` per audio sample: the mixed baseband, held while it is unwrapped
