@@ -9,20 +9,20 @@ from contextlib import nullcontext
 from . import demod, model, noise
 from ._numpy import np
 from .errors import ConfigurationError, InputError
-from .trace import AUDIO, SampledTrace
+from .trace import SampledTrace
 
 
 def record(audio, config, seed, level_db=None, stage=nullcontext):
-    """The heterodyne record of the voice `audio`, (rate, samples) in Pa as
-    `read_wav` gives it, on `config`'s tap: resampled, scaled to a peak of
-    `level_db` dB SPL if given, with noise drawn from `seed` if enabled.
-    Errors name no file."""
-    rate, samples = audio
+    """The heterodyne record of the voice `audio`, an ``audio_pressure``
+    trace in Pa as `read_trace` gives it, on `config`'s tap: resampled,
+    scaled to a peak of `level_db` dB SPL if given, with noise drawn from
+    `seed` if enabled. Errors name no file."""
     ifo = config.interferometer
     with stage("prepare-audio"):
-        fresh = rate != ifo.sample_rate  # `samples` is an array made here
-        if fresh:
-            samples = demod.resample(samples, *demod.resample_ratio(rate, ifo.sample_rate))
+        samples = audio.samples
+        if audio.sample_rate != ifo.sample_rate:
+            samples = demod.resample(samples,
+                                     *demod.resample_ratio(audio.sample_rate, ifo.sample_rate))
         if samples.size < 2:
             raise InputError(f"simulate needs at least 2 samples at "
                              f"{ifo.sample_rate} S/s, got {samples.size}")
@@ -35,18 +35,17 @@ def record(audio, config, seed, level_db=None, stage=nullcontext):
                 raise ConfigurationError(
                     f"--level-db {level_db!r} scales the input's peak of {peak!r} "
                     f"by {scale!r}; the factor must be finite and > 0")
-            if fresh:
-                samples *= scale
-            else:
+            if samples is audio.samples:  # the input is frozen: scale into a new array
                 samples = samples * scale
-                fresh = True
-        # the caller's own input is copied, an array made here handed over
-        voice = (SampledTrace._adopt if fresh else SampledTrace)(ifo.sample_rate, samples, AUDIO)
-        del samples  # the caller still holds the input: keep no third copy
+            else:
+                samples *= scale
+        # the input as it is, or the array made here handed over
+        voice = audio if samples is audio.samples else \
+            SampledTrace._adopt(ifo.sample_rate, samples, audio.kind)
 
     with stage("voice-to-phase"):
         phase = model.voice_to_phase(voice, config.coupling, ifo.sensing_length)
-        del voice  # the phase is all the rest reads
+        del voice, samples  # the phase is all the rest reads
 
     with stage("synthesize"):
         # drawn before `synthesize_heterodyne` makes its record-sized arrays

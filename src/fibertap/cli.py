@@ -79,7 +79,7 @@ def cmd_simulate(args, stage):
         cfg = config.load_config(args.config)
         fileio.check_trace_rate(args.out, cfg.interferometer.sample_rate,
                                 "interferometer.sample_rate_hz")
-        audio = fileio.read_wav(args.audio)
+        audio = fileio.read_trace(args.audio, kind=trace.AUDIO)
     try:
         het = chain.record(audio, cfg, args.seed, args.level_db, stage)
     except FiberTapError as exc:
@@ -116,21 +116,22 @@ def cmd_enhance(args, stage):
                                      "enhance writes its audio as WAV")
         cfg = config.load_config(args.config)
         params = cfg.enhance
-        rate, samples = fileio.read_wav(args.audio_in)
-        noisy = trace.SampledTrace._adopt(rate, samples, trace.AUDIO)
-        frame, hop, _ = params.resolve(rate)
+        noisy = fileio.read_trace(args.audio_in, kind=trace.AUDIO)
+        rate = noisy.sample_rate
+        fileio.wav_rate(rate, f"the rate of --in {args.audio_in}")
+        frame, hop = params.framing(rate)
+        n_frames = enhance.frame_count(noisy.n_samples, frame, hop)  # before any window
+        params.resolve(rate)  # rejects an overlap too thin for the window
         ref = profile = None
         if args.reference:
-            rrate, rsamples = fileio.read_wav(args.reference)
-            if rrate != rate or rsamples.size != noisy.n_samples:
+            ref = fileio.read_trace(args.reference, kind=trace.AUDIO)
+            if ref.sample_rate != rate or ref.n_samples != noisy.n_samples:
                 raise InputError("reference must match the input rate and length")
-            ref = trace.SampledTrace._adopt(rrate, rsamples, trace.AUDIO)
         if args.noise_profile:
-            prate, psamples = fileio.read_wav(args.noise_profile)
-            if prate != rate:
-                raise InputError(
-                    f"noise profile rate {prate} differs from input rate {rate}")
-            profile = trace.SampledTrace._adopt(prate, psamples, trace.AUDIO)
+            profile = fileio.read_trace(args.noise_profile, kind=trace.AUDIO)
+            if profile.sample_rate != rate:
+                raise InputError(f"noise profile rate {profile.sample_rate} differs "
+                                 f"from input rate {rate}")
 
     with stage("estimate-noise"):
         if profile is not None:
@@ -150,7 +151,7 @@ def cmd_enhance(args, stage):
     report = {
         "frame_length": frame,
         "hop": hop,
-        "n_frames": enhance.frame_count(noisy.n_samples, frame, hop),
+        "n_frames": n_frames,
         "n_silent_frames": None if silent is None else int(silent.size),
         "noise_source": "profile" if args.noise_profile else "silent-frames",
         "segmental_snr_before_db": None,
@@ -249,10 +250,12 @@ def _same_file(a, b):
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _check_distinct_files(args):
-    """Reject an output that names an input or another output, before any
-    read or write: the run would overwrite its input, and its manifest
-    would give the output's digest as the input's."""
+def _check_files(args):
+    """Before any read or write, reject an output that names an input or
+    another output (exit 2: the run would overwrite its input, and its
+    manifest would give the output's digest as the input's), then one whose
+    directory does not exist (exit 3: the run would fail only at that write,
+    after the work and the outputs written before it)."""
     def named(dests):
         return [("--in" if dest.endswith("_in") else "--" + dest.replace("_", "-"),
                  getattr(args, dest)) for dest in dests if getattr(args, dest)]
@@ -266,6 +269,10 @@ def _check_distinct_files(args):
                 raise ConfigurationError(
                     f"{flag} {path} and {other} {other_path} are the same file; "
                     "an output may not overwrite an input or another output")
+    for flag, path in outputs:
+        folder = os.path.dirname(str(path)) or os.curdir
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"{flag} {path}: no directory {folder} to write it in")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="audio -> phase -> heterodyne trace")
     common(p)
-    p.add_argument("--audio", required=True, help="input WAV (pressure)")
+    p.add_argument("--audio", required=True, help="input trace, WAV or CSV (pressure)")
     p.add_argument("--seed", type=int, default=0, help="noise synthesis seed")
     p.add_argument("--level-db", type=float, default=None,
                    help="rescale input so its peak equals this dB SPL")
@@ -299,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enhance", help="spectral-subtraction noise reduction")
     common(p)
-    p.add_argument("--in", dest="audio_in", required=True, help="noisy WAV")
+    p.add_argument("--in", dest="audio_in", required=True, help="noisy trace (WAV or CSV)")
     p.add_argument("--noise-profile", default=None,
-                   help="noise-only WAV; skips silent-frame detection")
+                   help="noise-only trace (WAV or CSV); skips silent-frame detection")
     p.add_argument("--reference", default=None,
-                   help="clean WAV for segmental SNR reporting")
+                   help="clean trace (WAV or CSV) for segmental SNR reporting")
     p.add_argument("--report", default=None, help="JSON report path")
     p.set_defaults(func=cmd_enhance)
 
@@ -334,7 +341,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_distinct_files(args)
+        _check_files(args)
         if args.command == "print-config":
             args.func(args)
         else:

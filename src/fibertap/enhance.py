@@ -65,11 +65,21 @@ class SpectralSubtractParams:
             raise ConfigurationError(
                 f"silence_threshold_db must be finite, got {self.silence_threshold_db}")
 
+    def framing(self, sample_rate):
+        """(frame_length, hop) in samples at `sample_rate`, as `resolve` gives
+        them, without building the window. A frame past the float range
+        raises `ConfigurationError` naming ``enhance.frame_ms``."""
+        length = self.frame_ms * 1e-3 * sample_rate
+        if length == math.inf:
+            raise ConfigurationError(f"enhance.frame_ms {self.frame_ms!r} gives a frame of "
+                                     f"inf samples at {sample_rate!r} S/s")
+        frame = max(2, int(round(length)))
+        frame += frame % 2
+        return frame, max(1, int(round(frame * (1.0 - self.overlap))))
+
     def resolve(self, sample_rate):
         """Concrete (frame_length, hop, window array) for a given rate."""
-        frame = max(2, int(round(self.frame_ms * 1e-3 * sample_rate)))
-        frame += frame % 2
-        hop = max(1, int(round(frame * (1.0 - self.overlap))))
+        frame, hop = self.framing(sample_rate)
         # periodic Hann, as scipy's get_window("hann", frame) computes it
         fac = np.linspace(-np.pi, np.pi, frame + 1)
         win = (0.5 + 0.5 * np.cos(fac))[:-1]
@@ -119,7 +129,11 @@ def detect_silent_frames(trace: SampledTrace, params: SpectralSubtractParams) ->
     """
     frame, hop, _ = params.resolve(trace.sample_rate)
     energies = np.sum(_frames(trace.samples, frame, hop) ** 2, axis=1)
-    cutoff = np.median(energies) * 10.0 ** (-params.silence_threshold_db / 10.0)
+    median = float(np.median(energies))
+    try:
+        cutoff = median * 10.0 ** (-params.silence_threshold_db / 10.0)
+    except OverflowError:  # the factor passes the float range, and so does any cutoff over 0
+        cutoff = math.inf if median else 0.0
     return np.where(energies <= cutoff)[0]
 
 
@@ -149,8 +163,9 @@ def subtract_power_spectrum(power, noise_power, params: SpectralSubtractParams) 
     if power.shape != noise_power.shape:
         raise InputError(
             f"spectrum shapes differ: {power.shape} vs {noise_power.shape}")
-    return np.maximum(power - params.oversubtraction * noise_power,
-                      params.spectral_floor * power)
+    with np.errstate(over="ignore"):  # a product past the float range leaves the floor
+        return np.maximum(power - params.oversubtraction * noise_power,
+                          params.spectral_floor * power)
 
 
 def spectral_subtract(noisy: SampledTrace, noise_spectrum,

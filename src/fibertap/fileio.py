@@ -12,7 +12,7 @@ from itertools import chain, islice
 
 from ._numpy import np
 from .errors import ConfigurationError, FileFormatError, InputError
-from .trace import KINDS, SampledTrace
+from .trace import SampledTrace
 
 BUDGET_HEADER = ("x_value", "thermal_rms_rad", "laser_rms_rad", "total_rms_rad", "limit_db")
 MITIGATION_HEADER = ("label", "sensing_length_m", "bulk_modulus_scale",
@@ -27,7 +27,7 @@ CSV_BLOCK_ROWS = 2 ** 12
 #: bytes of a sub-format GUID that ends in `_GUID_TAIL`.
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-#: Sample dtype of each (format tag, bits per sample) that `read_wav` reads.
+#: Sample dtype of each (format tag, bits per sample) that `_read_wav` reads.
 _WAV_DTYPES = {(_PCM, 16): "<i2", (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
 
 
@@ -64,7 +64,7 @@ def _wav_format(body, path):
     return float(rate), np.dtype(dtype)
 
 
-def read_wav(path):
+def _read_wav(path):
     """Mono WAV as (sample_rate, float64 samples). PCM16 scaled to [-1, 1).
 
     Reads little-endian RIFF holding 16-bit PCM or 32/64-bit IEEE float,
@@ -112,12 +112,18 @@ def wav_rate(sample_rate, name="sample rate") -> int:
     """The rate a WAV header holds for `sample_rate`.
 
     The header holds an integer, so a rate with a fractional part raises
-    `ConfigurationError`, naming it as `name`, rather than being rounded.
+    `ConfigurationError`, naming it as `name`, rather than being rounded;
+    so does one whose byte rate, 4 bytes a sample, passes its 32-bit field.
     """
     if not float(sample_rate).is_integer():
         raise ConfigurationError(
             f"{name} {sample_rate!r} is not an integer, which a WAV header needs: "
             "write a .csv trace or set an integer rate")
+    top = (2 ** 32 - 1) // 4
+    if sample_rate > top:
+        raise ConfigurationError(
+            f"{name} {int(sample_rate)} is past the {top} S/s that a WAV header holds: "
+            "write a .csv trace or set a lower rate")
     return int(sample_rate)
 
 
@@ -148,9 +154,16 @@ def _write_csv_trace(trace, path):
         fh.write(f"# sample_rate_hz={rate!r}\ntime_s,value\r\n")
         for start in range(0, trace.n_samples, CSV_BLOCK_ROWS):
             values = trace.samples[start:start + CSV_BLOCK_ROWS]
-            times = np.arange(start, start + values.size) / rate
+            times = _row_times(start, values.size, rate)
             fh.write("".join([f"{t!r},{v!r}\r\n"
                               for t, v in zip(times.tolist(), values.tolist())]))
+
+
+def _row_times(start, n, rate):
+    """The times ``i / rate`` of the `n` rows from row `start` of a trace
+    CSV; a time past the float range (at rates below ~1e-304) is inf."""
+    with np.errstate(over="ignore"):
+        return np.arange(start, start + n) / rate
 
 
 def trace_format(path) -> str:
@@ -173,10 +186,10 @@ def check_trace_rate(path, sample_rate, name):
 def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
     """Write a real trace as WAV or CSV (by extension) plus a sidecar.
 
-    The sidecar records kind, sample rate and the scale factor that converts
-    file values back to physical units (``physical = file_value * scale``;
-    always 1.0 as written here, honoured by `read_trace`), plus any
-    `extra_meta` entries. Returns the sidecar path.
+    The sidecar records kind, sample rate and a scale of 1.0 (``physical =
+    file_value * scale``), plus any `extra_meta` entries, for readers
+    outside fibertap: fibertap never reads it back (`read_trace`). Returns
+    the sidecar path.
     """
     if np.iscomplexobj(trace.samples):
         raise InputError("complex baseband traces have no file representation")
@@ -228,7 +241,7 @@ def _read_csv_trace(path):
                     raise FileFormatError(
                         f"{path}: expected 'time,value' rows of numbers; row {start + i} "
                         f"(at {(start + i) / rate!r} s) reads {text[i]!r}")
-                wrong = np.flatnonzero(block[:, 0] != np.arange(start, start + len(block)) / rate)
+                wrong = np.flatnonzero(block[:, 0] != _row_times(start, len(block), rate))
                 if wrong.size:
                     row = start + int(wrong[0])
                     raise FileFormatError(
@@ -268,52 +281,15 @@ def _rate_line(path, line, rate):
     return value
 
 
-def read_trace(path, kind=None) -> SampledTrace:
-    """Read a WAV or CSV trace, applying any sidecar scale/kind.
-
-    `kind` names the kind the caller expects. It supplies the kind of a file
-    without a sidecar; a sidecar that records a different kind is rejected.
-    The rate is the one the file states, in a WAV header or a CSV's rate line
-    (`_read_csv_trace`), and a sidecar's rate must equal it, or
-    FileFormatError names the sidecar.
-    """
-    path = str(path)
-    meta = {}
-    side = sidecar_path(path)
-    if os.path.exists(side):
-        with open(side, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise FileFormatError(f"{side}: not a JSON sidecar ({exc})") from None
-        if not isinstance(meta, dict):
-            raise FileFormatError(f"{side}: a sidecar holds a JSON object, "
-                                  f"got {type(meta).__name__}")
-        for key in ("scale", "sample_rate_hz"):
-            value = meta.get(key, 1.0)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not np.isfinite(value):
-                raise FileFormatError(f"{side}: {key} must be a finite number, got {value!r}")
-        if meta.get("scale") == 0:
-            raise FileFormatError(f"{side}: scale must not be 0, which zeroes every sample")
+def read_trace(path, kind) -> SampledTrace:
+    """The trace of kind `kind` that the WAV or CSV file `path` holds, read
+    from the file alone: its rate is the one a WAV header or a CSV's rate
+    line (`_read_csv_trace`) states. A sidecar next to it is not read."""
     if trace_format(path) == ".wav":
-        rate, samples = read_wav(path)
+        rate, samples = _read_wav(path)
     else:
         rate, samples = _read_csv_trace(path)
-
-    scale = float(meta.get("scale", 1.0))
-    if kind and "kind" in meta and meta["kind"] != kind:
-        raise InputError(
-            f"{path}: sidecar says kind {meta['kind']!r}, expected {kind!r}")
-    resolved_kind = kind or meta.get("kind")
-    if resolved_kind not in KINDS:
-        raise InputError(
-            f"{path}: trace kind is unknown; pass kind= or provide a sidecar")
-    if meta.get("sample_rate_hz", rate) != rate:
-        raise FileFormatError(f"{side}: sample_rate_hz {meta['sample_rate_hz']!r} "
-                              f"differs from the rate {rate!r} that {path} states")
-    samples *= scale  # the readers return a fresh array, which the trace takes
-    return SampledTrace._adopt(rate, samples, resolved_kind)
+    return SampledTrace._adopt(rate, samples, kind)  # the readers make a fresh array
 
 
 def write_csv_table(path, header, rows):

@@ -62,12 +62,12 @@ def test_criterion_1_round_trip_fidelity():
     pressure = spl_to_pressure(70.0, CFG.coupling.spl_reference) * chirp
     quiet = replace(CFG, noise=replace(CFG.noise, enabled=False))
     dm = CFG.demod
-    recovered, start = recover(record((fs, pressure), quiet, 0), dm, CFG.band, highpass=True)
+    voice = SampledTrace(fs, pressure, AUDIO)
+    recovered, start = recover(record(voice, quiet, 0), dm, CFG.band, highpass=True)
 
     # the chirp is compared at the audio rate, where every 10th sample falls,
     # from the first recovered sample on; then the filter edges are dropped
-    phase = voice_to_phase(SampledTrace(fs, pressure, AUDIO), CFG.coupling,
-                           CFG.interferometer.sensing_length)
+    phase = voice_to_phase(voice, CFG.coupling, CFG.interferometer.sensing_length)
     guard = round(start * dm.audio_rate)
     src = SampledTrace(dm.audio_rate, phase.samples[::10][guard:-guard], PHASE)
     edge = 400
@@ -307,7 +307,7 @@ def test_criterion_10_recovered_noise_floor(tmp_path):
     het, rec = tmp_path / "het.wav", tmp_path / "rec.wav"
     assert main(["simulate", "--audio", str(quiet), "--out", str(het), "--seed", "7"]) == 0
     assert main(["demod", "--in", str(het), "--out", str(rec), "--no-highpass"]) == 0
-    phase = read_trace(rec)
+    phase = read_trace(rec, kind=PHASE)
 
     f, pxx = signal.welch(phase.samples, phase.sample_rate, nperseg=2048)
     band = (f >= CFG.band.f_low) & (f <= CFG.band.f_high)
@@ -341,7 +341,8 @@ def recovered_tone_snr_db(length, offset_db, seed, seconds=2, f0=1000.0):
     fs, n = ifo.sample_rate, seconds * int(ifo.sample_rate)
     pressure = spl_to_pressure(limit + offset_db, CFG.coupling.spl_reference) \
         * np.sin(2 * np.pi * f0 * np.arange(n) / fs)
-    rec, _ = recover(record((fs, pressure), replace(CFG, interferometer=ifo), seed),
+    voice = SampledTrace(fs, pressure, AUDIO)
+    rec, _ = recover(record(voice, replace(CFG, interferometer=ifo), seed),
                      CFG.demod, CFG.band, highpass=False)
 
     t = np.arange(rec.n_samples) / rec.sample_rate

@@ -71,7 +71,7 @@ def test_every_trace_of_the_chain_runs_post_init(monkeypatch):
     # the tracer counts traces with a one-argument wrapper that it sets as
     # `SampledTrace.__post_init__`, so every trace `record` and `recover`
     # build, copied or handed over, must be built through that attribute
-    from fibertap import SampledTrace, default_config, record, recover
+    from fibertap import AUDIO, SampledTrace, default_config, record, recover
 
     seen = []
     post_init = SampledTrace.__post_init__
@@ -82,13 +82,14 @@ def test_every_trace_of_the_chain_runs_post_init(monkeypatch):
 
     monkeypatch.setattr(SampledTrace, "__post_init__", counting)
     cfg = default_config()
-    # resampled and rescaled, so handed over; and the caller's own, so copied
-    for rate, level_db in ((16000.0, 70.0), (cfg.interferometer.sample_rate, None)):
+    # resampled and rescaled, so a new voice trace; and the caller's own,
+    # used as it is
+    for rate, level_db, voices in ((16000.0, 70.0, 1), (cfg.interferometer.sample_rate, None, 0)):
+        voice = SampledTrace(rate, 0.1 * np.sin(np.arange(int(rate / 20)) * 0.3), AUDIO)  # 50 ms
         seen.clear()
-        voice = 0.1 * np.sin(np.arange(int(rate / 20)) * 0.3)  # 50 ms
-        het = record((rate, voice), cfg, 1, level_db)
-        # the voice, its phase, the noise and the beat
-        assert len(seen) == 4 and seen[-1] is het
+        het = record(voice, cfg, 1, level_db)
+        # the voice made here, if any, its phase, the noise and the beat
+        assert len(seen) == voices + 3 and seen[-1] is het
         phase, _ = recover(het, cfg.demod, cfg.band, True)
         # decimated, mixed, guard-trimmed, unwrapped and high-passed
-        assert len(seen) == 9 and seen[-1] is phase
+        assert len(seen) == voices + 8 and seen[-1] is phase

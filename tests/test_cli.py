@@ -17,6 +17,7 @@ from scipy.signal import chirp
 
 from fibertap import (
     AUDIO,
+    HETERODYNE,
     PHASE,
     SampledTrace,
     cli,
@@ -32,7 +33,7 @@ from fibertap import (
 )
 from fibertap.cli import main
 from fibertap.config import dump_config
-from fibertap.fileio import read_trace, read_wav, write_trace
+from fibertap.fileio import read_trace, write_trace
 
 from conftest import read_budget_table
 
@@ -106,7 +107,7 @@ class TestSimulate:
     def test_bad_flag_exits_2_writing_nothing(self, tmp_path, chirp_wav, capsys, monkeypatch,
                                               flag, message):
         inputs = sorted(p.name for p in tmp_path.iterdir())
-        monkeypatch.setattr("fibertap.fileio.read_wav", None)  # rejected before anything is read
+        monkeypatch.setattr("fibertap.fileio.read_trace", None)  # rejected before anything is read
         assert main(["simulate", "--audio", str(chirp_wav), "--out", str(tmp_path / "het.wav"),
                      flag]) == 2
         assert message in capsys.readouterr().err
@@ -116,11 +117,24 @@ class TestSimulate:
     def test_unknown_out_extension_exits_2_writing_nothing(self, tmp_path, chirp_wav, capsys,
                                                            monkeypatch):
         inputs = sorted(p.name for p in tmp_path.iterdir())
-        monkeypatch.setattr("fibertap.fileio.read_wav", None)  # rejected before anything is read
+        monkeypatch.setattr("fibertap.fileio.read_trace", None)  # rejected before anything is read
         assert main(["simulate", "--audio", str(chirp_wav),
                      "--out", str(tmp_path / "het.txt")]) == 2
         assert "unsupported trace extension '.txt'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    # a trace CSV exited 3 as "not a little-endian RIFF/WAVE file"
+    @pytest.mark.parametrize("rate,level", [(FS, None), (FS, "70"), (16000, "70")])
+    def test_a_csv_voice_gives_the_bytes_of_its_wav(self, tmp_path, rate, level):
+        voice = np.random.default_rng(rate).standard_normal(rate // 20).astype(np.float32)
+        hets = []
+        for ext in ("wav", "csv"):
+            write_trace(SampledTrace(rate, voice, AUDIO), tmp_path / f"voice.{ext}")
+            het = tmp_path / f"het_from_{ext}.wav"
+            assert main(["simulate", "--audio", str(tmp_path / f"voice.{ext}"), "--out", str(het),
+                         "--seed", "3", *([] if level is None else ["--level-db", level])]) == 0
+            hets.append(het.read_bytes())
+        assert hets[0] == hets[1]
 
     def test_flatten_below_reaches_synthesis(self, tmp_path, chirp_wav):
         outs = []
@@ -209,7 +223,7 @@ class TestSimulate:
         conf.write_text("interferometer:\n  sample_rate_hz: 133333.33333333334\n")
         inputs = sorted(p.name for p in tmp_path.iterdir())
         if code:
-            monkeypatch.setattr("fibertap.fileio.read_wav", None)  # nothing is read or computed
+            monkeypatch.setattr("fibertap.fileio.read_trace", None)  # nothing is read or computed
         rc = main(["simulate", "--config", str(conf), "--audio", str(chirp_wav),
                    "--out", str(tmp_path / out)])
         assert rc == code
@@ -218,7 +232,7 @@ class TestSimulate:
                     "is not an integer") in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == inputs
         else:
-            assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
+            assert read_trace(tmp_path / out, kind=HETERODYNE).sample_rate == 400e3 / 3
 
 
 #: a WAV rate `simulate` keeps, one it raises 50-fold and one it quarters
@@ -257,7 +271,7 @@ def test_simulate_writes_a_record_or_nothing(level, n, rate, noise, ext):
             return
         assert written == sorted(os.path.basename(out) + tail
                                  for tail in ("", ".manifest.json", ".meta.json"))
-        assert read_trace(out).n_samples >= 2
+        assert read_trace(out, kind=HETERODYNE).n_samples >= 2
 
 
 class TestDemod:
@@ -288,12 +302,12 @@ class TestDemod:
         assert main(["demod", "--in", str(het), "--out", str(rec)]) == 0
 
         cfg = default_config()
-        recovered = read_trace(rec)
+        recovered = read_trace(rec, kind=PHASE)
         meta = json.loads((tmp_path / "rec.wav.meta.json").read_text())
         offset = int(round(meta["start_time_s"] * 40000.0))
-        rate0, src = read_wav(chirp_wav)
+        src = read_trace(chirp_wav, kind=AUDIO)
         level = spl_to_pressure(70.0, cfg.coupling.spl_reference)
-        audio = SampledTrace(rate0, src / np.max(np.abs(src)) * level, AUDIO)
+        audio = src.with_samples(src.samples / np.max(np.abs(src.samples)) * level)
         phase = voice_to_phase(audio, cfg.coupling, cfg.interferometer.sensing_length)
         # the 500 Hz-5 kHz chirp at 40 kS/s: every 10th sample
         expected = highpass(phase, 500.0, 4).samples[::10]
@@ -310,7 +324,7 @@ class TestDemod:
                      "--audio", str(silent_src), "--out", str(het)]) == 0
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--in", str(het), "--out", str(rec)]) == 0
-        _, out = read_wav(rec)
+        out = read_trace(rec, kind=PHASE).samples
         assert np.sqrt(np.mean(out ** 2)) < 1e-4
 
     def test_no_highpass_flag(self, tmp_path, chirp_wav):
@@ -320,8 +334,8 @@ class TestDemod:
         assert main(["demod", "--in", str(het), "--out", str(with_hp)]) == 0
         assert main(["demod", "--in", str(het), "--out", str(without_hp),
                      "--no-highpass"]) == 0
-        _, a = read_wav(with_hp)
-        _, b = read_wav(without_hp)
+        a = read_trace(with_hp, kind=PHASE).samples
+        b = read_trace(without_hp, kind=PHASE).samples
         assert not np.allclose(a, b)
 
     def test_phase_csv_export(self, tmp_path, chirp_wav):
@@ -331,20 +345,27 @@ class TestDemod:
         assert main(["demod", "--in", str(het), "--out", str(rec),
                      "--phase-csv", str(pcsv)]) == 0
         # the audio-rate phase, as the WAV holds it in float32
-        phase, audio = read_trace(pcsv), read_trace(rec)
+        phase, audio = read_trace(pcsv, kind=PHASE), read_trace(rec, kind=PHASE)
         assert phase.kind == PHASE
         assert phase.sample_rate == audio.sample_rate == 40000.0
         np.testing.assert_array_equal(phase.samples.astype(np.float32), audio.samples)
 
-    def test_phase_csv_is_not_a_heterodyne_input(self, tmp_path):
+    # exited 2 on its sidecar's kind; read from the file alone, it is a
+    # 40 kS/s trace, which cannot carry the configured 25 kHz beat
+    def test_phase_csv_is_not_a_heterodyne_input(self, tmp_path, capsys):
         src = tmp_path / "short.wav"
         write_chirp(src, duration=0.05)
         het = self.run_sim(tmp_path, src)
         pcsv = tmp_path / "phase.csv"
         assert main(["demod", "--in", str(het), "--out", str(tmp_path / "rec.wav"),
                      "--phase-csv", str(pcsv)]) == 0
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
         assert main(["demod", "--in", str(pcsv),
-                     "--out", str(tmp_path / "again.wav")]) == 2
+                     "--out", str(tmp_path / "again.wav")]) == 4
+        assert ("demod.beat_frequency must lie in (0, sample_rate/2): got 25000.0 at "
+                "40000.0 S/s") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def fail_if_demodulated(self, monkeypatch):
         import fibertap.demod
@@ -426,7 +447,7 @@ class TestDemod:
                     "integer, which a WAV header needs") in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == inputs
         else:
-            assert read_trace(tmp_path / out).sample_rate == 400e3 / 3
+            assert read_trace(tmp_path / out, kind=PHASE).sample_rate == 400e3 / 3
 
     @pytest.mark.parametrize("rate,up,down", [(44100, 441, 4000), (22050, 441, 8000)])
     def test_cd_audio_rates_accepted(self, tmp_path, rate, up, down):
@@ -438,11 +459,11 @@ class TestDemod:
         conf.write_text(f"demod:\n  audio_rate_hz: {rate}\n")
         assert main(["demod", "--config", str(conf), "--in", str(het), "--out", str(rec),
                      "--phase-csv", str(pcsv)]) == 0
-        n = read_trace(het).n_samples
-        audio = read_trace(rec)
+        n = read_trace(het, kind=HETERODYNE).n_samples
+        audio = read_trace(rec, kind=PHASE)
         guard = edge_guard(load_config(conf).demod, FS, default_config().band, n,
                            highpass=True)
-        assert audio.sample_rate == read_trace(pcsv).sample_rate == rate
+        assert audio.sample_rate == read_trace(pcsv, kind=PHASE).sample_rate == rate
         assert audio.n_samples == -(-n * up // down) - 2 * guard
 
     def test_non_numeric_csv_value_exits_3_naming_file(self, tmp_path, capsys):
@@ -526,7 +547,7 @@ class TestDemod:
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--config", str(conf), "--in", str(het),
                      "--out", str(rec)] + flags) == 0
-        assert read_trace(rec).n_samples == 38
+        assert read_trace(rec, kind=PHASE).n_samples == 38
         meta = json.loads((tmp_path / "rec.wav.meta.json").read_text())
         assert meta["start_time_s"] == 37 / 40000
 
@@ -572,10 +593,10 @@ class TestDemod:
         het_file = self.run_sim(tmp_path, chirp_wav)
         rec = tmp_path / "rec.wav"
         assert main(["demod", "--in", str(het_file), "--out", str(rec)]) == 0
-        via_files = read_trace(rec)
+        via_files = read_trace(rec, kind=PHASE)
 
         cfg = load_config(quiet_config(tmp_path))
-        het = record(read_wav(chirp_wav), cfg, 0, level_db=70.0)
+        het = record(read_trace(chirp_wav, kind=AUDIO), cfg, 0, level_db=70.0)
         rec2, _ = recover(het, cfg.demod, cfg.band, highpass=True)
         # equality up to float32 storage of the heterodyne trace and output
         scale = np.max(np.abs(rec2.samples))
@@ -772,11 +793,33 @@ def test_an_output_naming_an_input_or_output_exits_2_first(tmp_path, monkeypatch
     (tmp_path / "link.wav").symlink_to("a.wav")
     (tmp_path / "sub").mkdir()
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    for name in ("config.load_config", "fileio.read_wav", "fileio.read_trace"):
+    for name in ("config.load_config", "fileio.read_trace"):
         monkeypatch.setattr(f"fibertap.{name}", None)  # nothing is read
     assert main(shlex.split(argv)) == 2
     assert f"error: {pair} are the same file" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+# enhance wrote clean.wav before its report failed; demod ran the whole
+# chain and wrote p.csv and its sidecar before --out failed; simulate built
+# the whole record before its write failed. Each exited 3
+@pytest.mark.parametrize("argv,flag", [
+    ("enhance --in a.wav --out clean.wav --report nodir/r.json", "--report nodir/r.json"),
+    ("demod --in het.wav --out nodir/rec.wav --phase-csv p.csv", "--out nodir/rec.wav"),
+    ("simulate --audio a.wav --out nodir/het.wav", "--out nodir/het.wav"),
+], ids=["enhance", "demod", "simulate"])
+def test_an_output_in_no_directory_exits_3_first(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    write_chirp(tmp_path / "a.wav", duration=0.05)
+    assert main(["simulate", "--config", str(quiet_config(tmp_path)), "--audio", "a.wav",
+                 "--out", "het.wav"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if argv.startswith("simulate"):
+        monkeypatch.setattr("fibertap.fileio.read_trace", None)  # nothing is read
+    capsys.readouterr()
+    assert main(shlex.split(argv)) == 3
+    assert capsys.readouterr().err == f"error: {flag}: no directory nodir to write it in\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestEnhance:
@@ -794,13 +837,34 @@ class TestEnhance:
         out = tmp_path / "enh.wav"
         rc = main(["enhance", "--in", str(src), "--out", str(out)])
         assert rc == 0
-        _, x = read_wav(src)
-        _, y = read_wav(out)
+        x = read_trace(src, kind=AUDIO).samples
+        y = read_trace(out, kind=AUDIO).samples
         # float32 storage bounds the achievable identity here
         assert np.linalg.norm(y - x) / np.linalg.norm(x) < 1e-6
         report = json.loads((tmp_path / "enh.wav.report.json").read_text())
         assert report["noise_source"] == "silent-frames"
         assert report["n_silent_frames"] > 0
+
+    # a trace CSV, as demod writes it, exited 3 as "not a little-endian
+    # RIFF/WAVE file"
+    @pytest.mark.parametrize("flags", [[], ["--reference", "ref", "--noise-profile", "prof"]],
+                             ids=["in", "all-three"])
+    def test_csv_inputs_give_the_bytes_of_their_wavs(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(8)
+        gate = (np.arange(8000) % 4000) < 1600
+        signals = {"in": (gate * 0.3 + 0.01) * rng.standard_normal(8000),
+                   "ref": 0.3 * gate * rng.standard_normal(8000),
+                   "prof": 0.01 * rng.standard_normal(4000)}
+        outs = []
+        for ext in ("wav", "csv"):
+            for name, x in signals.items():
+                write_trace(SampledTrace(16000, x.astype(np.float32), AUDIO), f"{name}.{ext}")
+            out = f"clean_{ext}.wav"
+            argv = ["enhance", "--in", f"in.{ext}", "--out", out, "--report", f"{ext}.json"]
+            assert main(argv + [f"{a}.{ext}" if a in signals else a for a in flags]) == 0
+            outs.append((Path(out).read_bytes(), Path(f"{ext}.json").read_bytes()))
+        assert outs[0] == outs[1]
 
     def test_no_silent_frames_exits_5(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -830,6 +894,55 @@ class TestEnhance:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out.wav").exists()
+
+    # a frame past the float range ended in an OverflowError traceback, and
+    # one of 1.6e301 samples in numpy's "Maximum allowed size exceeded": the
+    # window was built before the record's length was checked
+    @pytest.mark.parametrize("frame_ms,message", [
+        (1.7976931348623157e308, "enhance.frame_ms 1.7976931348623157e+308 gives a frame of "
+                                 "inf samples at 16000.0 S/s"),
+        ("1.0e+300", "trace of 32000 samples is shorter than one frame (1600000000000000"),
+    ], ids=["max", "1e300"])
+    def test_a_frame_longer_than_the_record_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                                      frame_ms, message):
+        src = self.make_bursty(tmp_path)
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(f"enhance:\n  frame_ms: {frame_ms}\n")
+        rc = main(["enhance", "--config", str(cfgp), "--in", str(src),
+                   "--out", str(tmp_path / "out.wav")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "clean.wav"]
+
+    def run_on_noise(self, tmp_path, config, *flags):
+        noisy = tmp_path / "noisy.wav"
+        x = np.random.default_rng(9).standard_normal(16000).astype(np.float32)
+        wavfile.write(noisy, 16000, x)
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(config)
+        out = tmp_path / "out.wav"
+        assert main(["enhance", "--config", str(cfgp), "--in", str(noisy), "--out", str(out),
+                     *flags]) == 0
+        report = json.loads((tmp_path / "out.wav.report.json").read_text())
+        return x, read_trace(out, kind=AUDIO).samples, report
+
+    # the silence cutoff's factor 10^(-x/10) past the float range ended in an
+    # OverflowError traceback; a cutoff past it is above every frame
+    def test_a_threshold_past_the_float_range_makes_every_frame_silent(self, tmp_path):
+        _, _, report = self.run_on_noise(
+            tmp_path, "enhance:\n  silence_threshold_db: -1.7976931348623157e+308\n")
+        assert report["n_silent_frames"] == report["n_frames"]
+
+    # the oversubtracted noise past the float range made numpy warn of an
+    # overflow; it clamps every bin to the spectral floor
+    def test_an_oversubtraction_past_the_float_range_leaves_the_floor(self, tmp_path):
+        profile = tmp_path / "prof.wav"
+        wavfile.write(profile, 16000,
+                      np.random.default_rng(10).standard_normal(4000).astype(np.float32))
+        x, y, _ = self.run_on_noise(
+            tmp_path, "enhance:\n  oversubtraction: 1.7976931348623157e+308\n",
+            "--noise-profile", str(profile))
+        np.testing.assert_allclose(y, np.sqrt(0.02) * x, rtol=0, atol=1e-6)
 
     def test_noise_profile_skips_detection(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -875,7 +988,7 @@ class TestEnhance:
     def test_out_that_is_not_a_wav_exits_2_writing_nothing(self, tmp_path, monkeypatch,
                                                            capsys, name):
         src = self.make_bursty(tmp_path)
-        monkeypatch.setattr("fibertap.fileio.read_wav", None)  # rejected before anything is read
+        monkeypatch.setattr("fibertap.fileio.read_trace", None)  # rejected before anything is read
         out = tmp_path / name
         assert main(["enhance", "--in", str(src), "--out", str(out)]) == 2
         assert f"--out {out} must name a .wav file" in capsys.readouterr().err
@@ -902,6 +1015,59 @@ class TestEnhance:
         assert rc == 2
         assert "reference must match the input rate and length" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.wav", "ref.wav"]
+
+
+#: Each `enhance` config leaf at its extreme finite values, a usual value and
+#: values just past its bound
+MAX = 1.7976931348623157e308
+ENHANCE_LEAVES = {
+    "frame_ms": [5e-324, MAX, 1.0, 20.0, 0.0, -5e-324],
+    "overlap": [0.0, 0.9999999999999999, 0.5, 1.0, -5e-324],
+    "oversubtraction": [1.0, MAX, 2.0, 0.9999999999999999],
+    "spectral_floor": [0.0, 0.9999999999999999, 0.02, 1.0, -5e-324],
+    "silence_threshold_db": [-MAX, MAX, -10.0],
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(leaves=st.fixed_dictionaries({key: st.sampled_from(values)
+                                     for key, values in ENHANCE_LEAVES.items()}),
+       ext=st.sampled_from(["wav", "csv"]), n=st.sampled_from([0, 2, 100, 8000]),
+       silent=st.booleans(),
+       reference=st.sampled_from([None, "same", "length", "rate"]),
+       profile=st.sampled_from([None, "same", "short", "rate"]))
+def test_enhance_writes_all_its_outputs_or_none(leaves, ext, n, silent, reference, profile):
+    """The error contract of `enhance` over its config leaves and its three
+    inputs, WAV or CSV: exit 0 with the enhanced WAV, its report and its
+    manifest, or exit 2-5 with none of them."""
+    with tempfile.TemporaryDirectory() as work:
+        def trace(name, rate, size, level):
+            rng = np.random.default_rng(size)
+            x = level * rng.standard_normal(size) * (0.1 + ((np.arange(size) % 4000) < 1600))
+            path = os.path.join(work, f"{name}.{ext}")
+            write_trace(SampledTrace(rate, x.astype(np.float32), AUDIO), path)
+            return path
+
+        config = os.path.join(work, "cfg.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({"enhance": leaves}, fh)
+        argv = ["enhance", "--config", config,
+                "--in", trace("in", 16000, n, 0.0 if silent else 1.0)]
+        inputs = {"same": (16000, n), "length": (16000, n + 1), "rate": (8000, n),
+                  "short": (16000, 10)}
+        if reference:
+            argv += ["--reference", trace("ref", *inputs[reference], 1.0)]
+        if profile:
+            argv += ["--noise-profile", trace("prof", *inputs[profile], 1.0)]
+        out = os.path.join(work, "out", "clean.wav")
+        os.mkdir(os.path.dirname(out))
+        code = main(argv + ["--out", out, "--report", os.path.join(work, "out", "report.json")])
+        written = sorted(os.listdir(os.path.dirname(out)))
+        if code != 0:
+            assert code in (2, 3, 4, 5)
+            assert written == []
+            return
+        assert written == ["clean.wav", "clean.wav.manifest.json", "report.json"]
 
 
 class TestBudget:

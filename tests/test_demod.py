@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibertap import (
+    AUDIO,
     BASEBAND,
     HETERODYNE,
     PHASE,
@@ -262,11 +263,12 @@ class TestIqDemodulate:
         ifo = CFG.interferometer
         pressure = peak / (CFG.coupling.sensitivity * ifo.sensing_length) \
             * np.sin(2 * np.pi * f0 * np.arange(int(FS) // 4) / FS)
+        voice = SampledTrace(FS, pressure, AUDIO)
 
         def recovered(a):
             cfg = replace(CFG, interferometer=replace(ifo, reflection_amplitude=a),
                           noise=replace(CFG.noise, enabled=False))
-            return recover(record((FS, pressure), cfg, 0), DM, BAND, highpass_on)[0].samples
+            return recover(record(voice, cfg, 0), DM, BAND, highpass_on)[0].samples
 
         np.testing.assert_allclose(recovered(alpha), recovered(0.2), rtol=0, atol=1e-9 * peak)
 
@@ -524,13 +526,13 @@ class TestMemory:
 
     @pytest.mark.parametrize("level_db", [None, 70.0])
     def test_record_peak(self, level_db):
-        # the input is the caller's, so a voice at its own level is copied
-        # and a rescaled one is handed over; either way no step's output is
-        # copied into its trace
-        tone = make_tone(FS, 440.0, 1.0, 0.5).samples
-        record((FS, tone[:2000]), CFG, 1, level_db)  # imports
-        peak = self.traced_peak(record, (FS, tone), CFG, 1, level_db)
-        assert peak <= self.RECORD_BYTES_PER_SAMPLE * tone.size + self.RECORD_EXTRA_BYTES
+        # the input is the caller's trace, so a voice at its own level is
+        # used as it is and a rescaled one is handed over; either way no
+        # step's output is copied into its trace
+        tone = make_tone(FS, 440.0, 1.0, 0.5, kind=AUDIO)
+        record(tone.with_samples(tone.samples[:2000]), CFG, 1, level_db)  # imports
+        peak = self.traced_peak(record, tone, CFG, 1, level_db)
+        assert peak <= self.RECORD_BYTES_PER_SAMPLE * tone.n_samples + self.RECORD_EXTRA_BYTES
 
     def test_recover_peak(self, record):
         het, cfg, _, _ = record
