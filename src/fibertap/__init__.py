@@ -33,7 +33,7 @@ _EXPORTS = {
     "sensitivity": ("MitigationRow", "MitigationScenario", "compare_mitigations",
                     "scenario_voice_rms"),
     "config": ("SimulationConfig", "default_config", "load_config"),
-    "chain": ("record", "recover"),
+    "chain": ("clean", "record", "recover"),
     "errors": (),
     "fileio": (),
 }

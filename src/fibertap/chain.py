@@ -1,12 +1,12 @@
-"""The chain as the two calls `simulate` and `demod` run between their file
-reads and writes; the CLI times each named `stage` of its manifest."""
+"""The chain as the three calls `simulate`, `demod` and `enhance` run between
+their file reads and writes; the CLI times each named `stage` of its manifest."""
 
 from contextlib import nullcontext
 
 # The steps are called through their modules, so a wrapper set on a module
 # attribute (as the benchmark's per-layer tracer sets) is the one that runs;
 # the chain joins `model` to `noise`, which `model` may not import.
-from . import demod, model, noise
+from . import demod, enhance, model, noise
 from ._numpy import np
 from .errors import ConfigurationError, InputError
 from .trace import SampledTrace
@@ -75,3 +75,41 @@ def recover(het, demod_cfg, band, highpass, stage=nullcontext):
         with stage("highpass"):
             phase = demod.highpass(phase, demod_cfg.highpass_cutoff, demod_cfg.filter_order)
     return phase, guard / baseband.sample_rate
+
+
+def clean(noisy, params, profile=None, reference=None, stage=nullcontext):
+    """`noisy` with its stationary noise spectrally subtracted, and the report
+    `enhance` writes. The noise spectrum is the mean over every frame of
+    `profile` if given, else over the silent frames of `noisy`; a `reference`
+    gives the segmental SNRs before and after. The frames (`params.resolve`)
+    and the rates and lengths are checked before the first stage."""
+    rate = noisy.sample_rate
+    frame, hop, n_frames, _ = params.resolve(rate, noisy.n_samples)
+    if reference is not None and (reference.sample_rate != rate
+                                  or reference.n_samples != noisy.n_samples):
+        raise InputError("reference must match the input rate and length")
+    if profile is not None and profile.sample_rate != rate:
+        raise InputError(f"noise profile rate {profile.sample_rate} differs "
+                         f"from input rate {rate}")
+
+    with stage("estimate-noise"):
+        if profile is not None:
+            every = np.arange(params.resolve(rate, profile.n_samples)[2])
+            noise_spectrum = enhance.estimate_noise_spectrum(profile, every, params)
+            silent = None
+        else:
+            silent = enhance.detect_silent_frames(noisy, params)
+            noise_spectrum = enhance.estimate_noise_spectrum(noisy, silent, params)
+
+    with stage("subtract"):
+        enhanced = enhance.spectral_subtract(noisy, noise_spectrum, params)
+
+    report = dict(frame_length=frame, hop=hop, n_frames=n_frames,
+                  n_silent_frames=None if silent is None else int(silent.size),
+                  noise_source="silent-frames" if profile is None else "profile",
+                  segmental_snr_before_db=None, segmental_snr_after_db=None, gain_db=None)
+    if reference is not None:
+        before, after = (enhance.segmental_snr(x, reference, frame) for x in (noisy, enhanced))
+        report.update(segmental_snr_before_db=before, segmental_snr_after_db=after,
+                      gain_db=after - before)
+    return enhanced, report

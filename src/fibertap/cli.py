@@ -20,9 +20,9 @@ import time
 from contextlib import contextmanager
 
 from . import __version__
-from . import chain, config, enhance, fileio, noise, sensitivity, trace
+from . import chain, config, fileio, noise, sensitivity, trace
 from ._numpy import np
-from .errors import ConfigurationError, FiberTapError, InputError
+from .errors import ConfigurationError, FiberTapError
 
 EXIT_IO = 3
 
@@ -115,56 +115,15 @@ def cmd_enhance(args, stage):
             raise ConfigurationError(f"--out {args.out} must name a .wav file: "
                                      "enhance writes its audio as WAV")
         cfg = config.load_config(args.config)
-        params = cfg.enhance
         noisy = fileio.read_trace(args.audio_in, kind=trace.AUDIO)
-        rate = noisy.sample_rate
-        fileio.wav_rate(rate, f"the rate of --in {args.audio_in}")
-        frame, hop = params.framing(rate)
-        n_frames = enhance.frame_count(noisy.n_samples, frame, hop)  # before any window
-        params.resolve(rate)  # rejects an overlap too thin for the window
-        ref = profile = None
-        if args.reference:
-            ref = fileio.read_trace(args.reference, kind=trace.AUDIO)
-            if ref.sample_rate != rate or ref.n_samples != noisy.n_samples:
-                raise InputError("reference must match the input rate and length")
-        if args.noise_profile:
-            profile = fileio.read_trace(args.noise_profile, kind=trace.AUDIO)
-            if profile.sample_rate != rate:
-                raise InputError(f"noise profile rate {profile.sample_rate} differs "
-                                 f"from input rate {rate}")
-
-    with stage("estimate-noise"):
-        if profile is not None:
-            noise_spectrum = enhance.estimate_noise_spectrum(
-                profile, np.arange(enhance.frame_count(profile.n_samples, frame, hop)), params)
-            silent = None
-        else:
-            silent = enhance.detect_silent_frames(noisy, params)
-            noise_spectrum = enhance.estimate_noise_spectrum(noisy, silent, params)
-
-    with stage("subtract"):
-        enhanced = enhance.spectral_subtract(noisy, noise_spectrum, params)
+        fileio.wav_rate(noisy.sample_rate, f"the rate of --in {args.audio_in}")
+        reference, profile = (path and fileio.read_trace(path, kind=trace.AUDIO)
+                              for path in (args.reference, args.noise_profile))
+    enhanced, report = chain.clean(noisy, cfg.enhance, profile, reference, stage)
 
     with stage("write"):
-        fileio.write_wav(args.out, rate, enhanced.samples)
-
-    report = {
-        "frame_length": frame,
-        "hop": hop,
-        "n_frames": n_frames,
-        "n_silent_frames": None if silent is None else int(silent.size),
-        "noise_source": "profile" if args.noise_profile else "silent-frames",
-        "segmental_snr_before_db": None,
-        "segmental_snr_after_db": None,
-        "gain_db": None,
-    }
-    if ref is not None:
-        before = enhance.segmental_snr(noisy, ref, frame)
-        after = enhance.segmental_snr(enhanced, ref, frame)
-        report.update(segmental_snr_before_db=before,
-                      segmental_snr_after_db=after,
-                      gain_db=after - before)
-    report_path = args.report or (str(args.out) + ".report.json")
+        fileio.write_wav(args.out, noisy.sample_rate, enhanced.samples)
+    report_path = args.report or str(args.out) + ".report.json"
     fileio.write_json(report_path, report)
     inputs = {"audio": args.audio_in, "noise_profile": args.noise_profile,
               "reference": args.reference}

@@ -65,21 +65,21 @@ class SpectralSubtractParams:
             raise ConfigurationError(
                 f"silence_threshold_db must be finite, got {self.silence_threshold_db}")
 
-    def framing(self, sample_rate):
-        """(frame_length, hop) in samples at `sample_rate`, as `resolve` gives
-        them, without building the window. A frame past the float range
-        raises `ConfigurationError` naming ``enhance.frame_ms``."""
+    def resolve(self, sample_rate, n_samples):
+        """(frame_length, hop, n_frames, window array) for a trace of
+        `n_samples` at `sample_rate`. A frame past the float range raises
+        `ConfigurationError` naming ``enhance.frame_ms``, then a trace shorter
+        than one frame `InputError`, before any window is built, and then a
+        window sum below the floor `ConfigurationError` naming
+        ``enhance.overlap``."""
         length = self.frame_ms * 1e-3 * sample_rate
         if length == math.inf:
             raise ConfigurationError(f"enhance.frame_ms {self.frame_ms!r} gives a frame of "
                                      f"inf samples at {sample_rate!r} S/s")
         frame = max(2, int(round(length)))
         frame += frame % 2
-        return frame, max(1, int(round(frame * (1.0 - self.overlap))))
-
-    def resolve(self, sample_rate):
-        """Concrete (frame_length, hop, window array) for a given rate."""
-        frame, hop = self.framing(sample_rate)
+        hop = max(1, int(round(frame * (1.0 - self.overlap))))
+        n_frames = _count_frames(n_samples, frame, hop)
         # periodic Hann, as scipy's get_window("hann", frame) computes it
         fac = np.linspace(-np.pi, np.pi, frame + 1)
         win = (0.5 + 0.5 * np.cos(fac))[:-1]
@@ -90,10 +90,10 @@ class SpectralSubtractParams:
                 f"enhance.overlap {self.overlap} gives hop {hop} for frame length {frame}, "
                 f"where the Hann windows over a sample sum to {low:.3g}, below "
                 f"{WINDOW_SUM_FLOOR}: the frames must overlap more")
-        return frame, hop, win
+        return frame, hop, n_frames, win
 
 
-def frame_count(n, frame, hop):
+def _count_frames(n, frame, hop):
     """Frames at offsets m*hop over `n` samples, the last one zero-padded."""
     if n < frame:
         raise InputError(f"trace of {n} samples is shorter than one frame ({frame})")
@@ -102,7 +102,7 @@ def frame_count(n, frame, hop):
 
 def _frames(x, frame, hop):
     """Read-only frame matrix at offsets m*hop, last frame zero-padded."""
-    m = frame_count(x.size, frame, hop)
+    m = _count_frames(x.size, frame, hop)
     padded = np.concatenate([x, np.zeros((m - 1) * hop + frame - x.size)])
     return np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop]
 
@@ -127,7 +127,7 @@ def detect_silent_frames(trace: SampledTrace, params: SpectralSubtractParams) ->
     Returns a possibly empty index array; emptiness is the caller's signal
     to fall back to an external noise reference.
     """
-    frame, hop, _ = params.resolve(trace.sample_rate)
+    frame, hop, _, _ = params.resolve(trace.sample_rate, trace.n_samples)
     energies = np.sum(_frames(trace.samples, frame, hop) ** 2, axis=1)
     median = float(np.median(energies))
     try:
@@ -144,10 +144,10 @@ def estimate_noise_spectrum(trace: SampledTrace, silent_frames,
     if silent_frames.size == 0:
         raise EstimationError(
             "no silent frames to estimate noise from; supply a noise reference")
-    frame, hop, win = params.resolve(trace.sample_rate)
-    frames = _frames(trace.samples, frame, hop)
-    if np.any(silent_frames < 0) or np.any(silent_frames >= frames.shape[0]):
+    frame, hop, n_frames, win = params.resolve(trace.sample_rate, trace.n_samples)
+    if np.any(silent_frames < 0) or np.any(silent_frames >= n_frames):
         raise InputError("silent frame index out of range")
+    frames = _frames(trace.samples, frame, hop)
     spectra = np.abs(np.fft.rfft(frames[silent_frames] * win, axis=1)) ** 2
     return np.mean(spectra, axis=0)
 
@@ -177,7 +177,7 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
     the accumulated window so the output has the input's exact length and a
     zero noise spectrum reproduces the input to rounding.
     """
-    frame, hop, win = params.resolve(noisy.sample_rate)
+    frame, hop, _, win = params.resolve(noisy.sample_rate, noisy.n_samples)
     noise_spectrum = np.asarray(noise_spectrum, dtype=float)
     n_bins = frame // 2 + 1
     if noise_spectrum.shape != (n_bins,):
@@ -186,7 +186,6 @@ def spectral_subtract(noisy: SampledTrace, noise_spectrum,
             f"got shape {noise_spectrum.shape}")
     x = noisy.samples
     n = x.size
-    frame_count(n, frame, hop)  # rejects a trace shorter than one frame
 
     # whole hops of zeros in front, enough that every frame covering the
     # first sample starts there, give the first samples their full window sum

@@ -200,9 +200,9 @@ def _enhancement_fixture():
     segmental SNR (frame-periodic noise keeps frame spectra deterministic)."""
     fs = 16000.0
     params = replace(CFG.enhance, spectral_floor=0.01)
-    frame, hop, _ = params.resolve(fs)  # the default 20 ms at 50 %: 320, 160
-    rng = np.random.default_rng(2024)
     n = int(fs * 4)
+    frame, hop, _, _ = params.resolve(fs, n)  # the default 20 ms at 50 %: 320, 160
+    rng = np.random.default_rng(2024)
     t = np.arange(n) / fs
 
     noise = np.zeros(n)

@@ -76,7 +76,7 @@ class TestDefaults:
         assert cfg.demod.audio_rate == 40000.0
 
     def test_enhance_params_resolution(self, cfg):
-        assert cfg.enhance.resolve(16000.0)[:2] == (320, 160)
+        assert cfg.enhance.resolve(16000.0, 16000)[:2] == (320, 160)
 
     def test_scenarios_present(self, cfg):
         labels = [v.label for v in cfg.scenarios.variants]

@@ -19,8 +19,8 @@ from fibertap.enhance import (
     SEGSNR_CEIL_DB,
     SEGSNR_FLOOR_DB,
     WINDOW_SUM_FLOOR,
+    _count_frames,
     _frames,
-    frame_count,
 )
 from fibertap.errors import ConfigurationError, EstimationError, InputError
 
@@ -35,7 +35,7 @@ def trace(x):
 
 
 def framing(frame, hop):
-    """The `frame_ms`/`overlap` that `resolve(FS)` turns into `frame` and
+    """The `frame_ms`/`overlap` that `resolve(FS, n)` turns into `frame` and
     `hop` samples; every hop below an even frame is reachable."""
     return dict(frame_ms=1000.0 * frame / FS, overlap=1.0 - hop / frame)
 
@@ -66,7 +66,7 @@ def frames_loop(x, frame, hop):
 
 
 def spectral_subtract_loop(noisy, noise_spectrum, params):
-    frame, hop, win = params.resolve(noisy.sample_rate)
+    frame, hop, _, win = params.resolve(noisy.sample_rate, noisy.n_samples)
     x = noisy.samples
     n = x.size
     lead = int(np.ceil((frame - hop) / hop)) * hop
@@ -111,7 +111,7 @@ class TestParams:
             replace(PARAMS, spectral_floor=1.0)
 
     def test_resolution_defaults(self):
-        frame, hop, win = PARAMS.resolve(FS)
+        frame, hop, _, win = PARAMS.resolve(FS, FRAME)
         assert frame == FRAME and hop == HOP
         assert win.size == FRAME
 
@@ -125,9 +125,9 @@ class TestParams:
 
     def test_resolution_from_frame_ms_and_overlap(self):
         params = replace(PARAMS, frame_ms=25.0, overlap=0.75)
-        assert params.resolve(FS)[:2] == (400, 100)
+        assert params.resolve(FS, 400)[:2] == (400, 100)
         # an odd frame length is made even
-        assert replace(PARAMS, frame_ms=1.0625, overlap=0.25).resolve(FS)[:2] == (18, 14)
+        assert replace(PARAMS, frame_ms=1.0625, overlap=0.25).resolve(FS, 18)[:2] == (18, 14)
 
     @pytest.mark.parametrize("kwargs,key", [
         (dict(overlap=0.0), "overlap"), (dict(overlap=0.001), "overlap"),
@@ -140,7 +140,7 @@ class TestParams:
         # overlap those samples have no window sum to reconstruct from
         params = replace(PARAMS, **kwargs)
         with pytest.raises(ConfigurationError, match=key):
-            params.resolve(FS)
+            params.resolve(FS, 4 * FRAME)
         x = trace(np.random.default_rng(0).standard_normal(4 * FRAME))
         with pytest.raises(ConfigurationError, match=key):
             spectral_subtract(x, np.zeros(FRAME // 2 + 1), params)
@@ -157,9 +157,29 @@ class TestParams:
         with pytest.raises(ConfigurationError,
                            match=f"enhance.overlap .* gives hop {hop} for frame length "
                                  f"{frame}, .* sum to {low:.3g}, below 0.001"):
-            params.resolve(FS)
-        assert replace(PARAMS, **framing(frame, longest)).resolve(FS)[:2] \
+            params.resolve(FS, frame)
+        assert replace(PARAMS, **framing(frame, longest)).resolve(FS, frame)[:2] \
             == (frame, longest)
+
+
+    # a frame past the float range, then a trace shorter than one frame
+    # (before any window is built), then a window sum below the floor
+    @pytest.mark.parametrize("kwargs,n,error,message", [
+        (dict(frame_ms=1.7976931348623157e308, overlap=0.0), 10, ConfigurationError,
+         "enhance.frame_ms"),
+        (dict(frame_ms=1e300, overlap=0.0), 8000, InputError,
+         r"trace of 8000 samples is shorter than one frame \(16000000000000"),
+        (dict(overlap=0.0), FRAME - 1, InputError, "shorter than one frame"),
+        (dict(overlap=0.0), FRAME, ConfigurationError, "enhance.overlap"),
+    ])
+    def test_resolve_checks_in_order(self, kwargs, n, error, message):
+        with pytest.raises(error, match=message):
+            replace(PARAMS, **kwargs).resolve(FS, n)
+
+    def test_resolve_counts_the_frames(self):
+        assert PARAMS.resolve(FS, FRAME)[2] == 1
+        assert PARAMS.resolve(FS, FRAME + 1)[2] == 2
+        assert PARAMS.resolve(FS, FRAME + 99 * HOP)[2] == 100
 
 
 class TestFraming:
@@ -169,11 +189,11 @@ class TestFraming:
         x = np.random.default_rng(extra).standard_normal(frame + extra)
         ref = frames_loop(x, frame, hop)
         assert np.array_equal(_frames(x, frame, hop), ref)
-        assert frame_count(x.size, frame, hop) == ref.shape[0]
+        assert _count_frames(x.size, frame, hop) == ref.shape[0]
 
-    def test_frame_count_rejects_short_record(self):
+    def test_count_frames_rejects_short_record(self):
         with pytest.raises(InputError):
-            frame_count(FRAME - 1, FRAME, HOP)
+            _count_frames(FRAME - 1, FRAME, HOP)
 
     @pytest.mark.parametrize("frame,hop", [(320, 160), (800, 400), (882, 441), (322, 161)])
     @pytest.mark.parametrize("extra", [0, 1, 41, 160, 1001])
@@ -223,10 +243,22 @@ class TestFraming:
         sums = [np.sum(np.hanning(frame + 1)[:-1][k::hop]) for k in range(hop)]
         if min(sums) < WINDOW_SUM_FLOOR:
             with pytest.raises(ConfigurationError, match="enhance.overlap"):
-                params.resolve(FS)
+                params.resolve(FS, n)
             return
         out = spectral_subtract(trace(x), np.zeros(frame // 2 + 1), params).samples
         assert np.linalg.norm(out - x) <= 1e-13 * np.linalg.norm(x)
+
+
+# each step built the window before it checked the trace's length, so a
+# frame of 1.6e301 samples raised numpy's "Maximum allowed size exceeded"
+@pytest.mark.parametrize("step", [
+    lambda tr, params: detect_silent_frames(tr, params),
+    lambda tr, params: estimate_noise_spectrum(tr, [0], params),
+    lambda tr, params: spectral_subtract(tr, np.zeros(FRAME // 2 + 1), params),
+], ids=["detect", "estimate", "subtract"])
+def test_a_frame_past_the_trace_is_an_input_error(step):
+    with pytest.raises(InputError, match="shorter than one frame"):
+        step(trace(np.zeros(8000)), replace(PARAMS, frame_ms=1e300))
 
 
 class TestDetectSilentFrames:
@@ -281,7 +313,7 @@ class TestEstimateNoiseSpectrum:
         n_frames = 400
         tr = trace(sigma * rng.standard_normal(FRAME * n_frames))
         est = estimate_noise_spectrum(tr, np.arange(0, 2 * n_frames, 2), PARAMS)
-        _, _, win = PARAMS.resolve(FS)
+        *_, win = PARAMS.resolve(FS, FRAME)
         expected = sigma ** 2 * np.sum(win ** 2)
         err_db = 10 * np.log10(est / expected)
         assert np.max(np.abs(err_db)) < 1.0
@@ -378,7 +410,7 @@ class TestSpectralSubtract:
         # white noise at 0 dB per-frame SNR: variance = tone power
         noise = rng.standard_normal(n) * np.sqrt(0.5)
         noisy = trace(clean + noise)
-        _, _, win = PARAMS.resolve(FS)
+        *_, win = PARAMS.resolve(FS, FRAME)
         noise_spec = np.full(FRAME // 2 + 1, 0.5 * np.sum(win ** 2))
         out = spectral_subtract(noisy, noise_spec, PARAMS)
         ref = trace(clean)

@@ -118,7 +118,7 @@ PUBLIC_NAMES = [
     "AUDIO", "AcousticCoupling", "AudioBand", "BASEBAND", "BudgetRow", "DemodConfig",
     "FiberSpec", "HETERODYNE", "InterferometerConfig", "LaserSpec", "MitigationRow",
     "MitigationScenario", "NoiseBudget", "PHASE", "SampledTrace", "SimulationConfig",
-    "SpectralSubtractParams", "chain", "compare_mitigations", "compute_noise_budget",
+    "SpectralSubtractParams", "chain", "clean", "compare_mitigations", "compute_noise_budget",
     "config", "decimate_to_audio", "default_config", "demod", "detect_silent_frames",
     "detection_limit_vs_length", "detection_limit_vs_mismatch", "edge_guard", "enhance",
     "errors", "estimate_noise_spectrum", "highpass", "iq_demodulate",

@@ -78,7 +78,7 @@ def test_each_step_output_shares_no_memory_with_its_input():
     unwrapped = unwrap_phase(mixed)
     filtered = highpass(unwrapped, cfg.demod.highpass_cutoff, cfg.demod.filter_order)
     params = cfg.enhance
-    frame = params.resolve(filtered.sample_rate)[0]
+    frame = params.resolve(filtered.sample_rate, filtered.n_samples)[0]
     quiet = np.zeros(frame // 2 + 1)
     enhanced = spectral_subtract(filtered, quiet, params)
     steps = [(audio, phase), (phase, het), (het, baseband), (baseband, mixed),
