@@ -37,6 +37,16 @@ FILE_OPTIONS = {
 }
 
 
+def _report_path(args):
+    """The JSON report `enhance` writes: ``--report``, else ``<out>.report.json``."""
+    return args.report or str(args.out) + ".report.json"
+
+
+def _summary_path(args):
+    """The JSON summary `sensitivity` writes next to its table."""
+    return str(args.out) + ".summary.json"
+
+
 def _run(command, args):
     """Run a command that writes `args.out`, then its run manifest.
 
@@ -92,6 +102,9 @@ def cmd_simulate(args, stage):
 
 def cmd_demod(args, stage):
     with stage("load"):
+        if args.phase_csv and os.path.splitext(args.phase_csv)[1].lower() != ".csv":
+            raise ConfigurationError(f"--phase-csv {args.phase_csv} must name a .csv file: "
+                                     "demod writes the phase there as a trace CSV")
         cfg = config.load_config(args.config)
         for path in filter(None, (args.out, args.phase_csv)):
             fileio.check_trace_rate(path, cfg.demod.audio_rate, "demod.audio_rate_hz")
@@ -123,12 +136,11 @@ def cmd_enhance(args, stage):
 
     with stage("write"):
         fileio.write_wav(args.out, noisy.sample_rate, enhanced.samples)
-    report_path = args.report or str(args.out) + ".report.json"
-    fileio.write_json(report_path, report)
+    fileio.write_json(_report_path(args), report)
     inputs = {"audio": args.audio_in, "noise_profile": args.noise_profile,
               "reference": args.reference}
     return (cfg, {name: path for name, path in inputs.items() if path},
-            {"audio": args.out, "report": report_path})
+            {"audio": args.out, "report": _report_path(args)})
 
 
 def _sweep_points(start, stop, count):
@@ -187,9 +199,8 @@ def cmd_sensitivity(args, stage):
             "baseline": scen.baseline.label,
             "rows": [r.__dict__ for r in rows],
         }
-        summary_path = str(args.out) + ".summary.json"
-        fileio.write_json(summary_path, summary)
-    return cfg, {}, {"table": args.out, "summary": summary_path}
+        fileio.write_json(_summary_path(args), summary)
+    return cfg, {}, {"table": args.out, "summary": _summary_path(args)}
 
 
 def cmd_print_config(args):
@@ -211,7 +222,8 @@ def _same_file(a, b):
 
 def _check_files(args):
     """Before any read or write, reject an output that names an input or
-    another output (exit 2: the run would overwrite its input, and its
+    another output, the files a command names after its outputs included
+    (exit 2: the run would overwrite its input, and its
     manifest would give the output's digest as the input's), then one whose
     directory does not exist (exit 3: the run would fail only at that write,
     after the work and the outputs written before it)."""
@@ -220,6 +232,14 @@ def _check_files(args):
                  getattr(args, dest)) for dest in dests if getattr(args, dest)]
 
     inputs, outputs = map(named, FILE_OPTIONS[args.command])
+    # the files a command names after its outputs
+    if args.command in ("simulate", "demod"):
+        outputs += [(f"the sidecar of {flag}", fileio.sidecar_path(path))
+                    for flag, path in outputs]
+    if args.command == "enhance" and not args.report:
+        outputs.append(("the report", _report_path(args)))
+    if args.command == "sensitivity":
+        outputs.append(("the summary", _summary_path(args)))
     if args.command != "print-config":
         outputs.append(("the manifest", str(args.out) + ".manifest.json"))
     for i, (flag, path) in enumerate(outputs):

@@ -133,10 +133,20 @@ def write_wav(path, sample_rate, samples):
     The bytes are those scipy's wavfile writer gives float32 data: a 58-byte
     header of RIFF, an 18-byte ``fmt `` chunk (IEEE float, cbSize 0) and a
     ``fact`` chunk holding the sample count, then the ``data`` chunk. The
-    rate must be an integer (`wav_rate`).
+    rate must be an integer (`wav_rate`), and a finite sample past the
+    float32 range, which would be written as inf, raises `InputError`
+    naming `path` before the file is opened.
     """
     rate = wav_rate(sample_rate)
-    data = np.asarray(samples, dtype=np.float64).astype("<f4")
+    samples = np.asarray(samples, dtype=np.float64)
+    with np.errstate(over="ignore"):  # checked below
+        data = samples.astype("<f4")
+    # max and min make no record-sized temporary; an inf or NaN shows in one
+    if data.size and not (np.isfinite(data.max()) and np.isfinite(data.min())):
+        over = np.flatnonzero(np.isinf(data) & np.isfinite(samples))
+        if over.size:
+            raise InputError(f"{path}: sample {over[0]} is {float(samples[over[0]])!r}, past "
+                             f"the float32 range of a WAV ({np.finfo(np.float32).max})")
     header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI",
                          b"RIFF", 50 + data.nbytes, b"WAVE",
                          b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,

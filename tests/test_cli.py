@@ -367,6 +367,18 @@ class TestDemod:
                 "40000.0 S/s") in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
+    # wrote a RIFF WAV to p.wav, though the flag names a trace CSV
+    @pytest.mark.parametrize("name", ["p.wav", "p.txt", "p"])
+    def test_a_phase_csv_that_is_not_a_csv_exits_2_writing_nothing(self, tmp_path, monkeypatch,
+                                                                   capsys, name):
+        monkeypatch.chdir(tmp_path)
+        write_chirp(tmp_path / "het.wav", duration=0.05)
+        for fn in ("config.load_config", "fileio.read_trace"):
+            monkeypatch.setattr(f"fibertap.{fn}", None)  # rejected before anything is read
+        assert main(["demod", "--in", "het.wav", "--out", "rec.wav", "--phase-csv", name]) == 2
+        assert f"--phase-csv {name} must name a .csv file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["het.wav"]
+
     def fail_if_demodulated(self, monkeypatch):
         import fibertap.demod
 
@@ -425,7 +437,7 @@ class TestDemod:
     # 400 kS/s / 3, which resample_ratio accepts: a WAV header would round it
     # to 133 333 Hz, and enhance would read that rate back
     @pytest.mark.parametrize("out,phase_csv,code", [
-        ("rec.wav", None, 2), ("rec.csv", "p.wav", 2), ("rec.csv", "p.csv", 0),
+        ("rec.wav", None, 2), ("rec.wav", "p.csv", 2), ("rec.csv", "p.csv", 0),
     ])
     def test_non_integer_audio_rate_needs_csv_outputs(self, tmp_path, monkeypatch, capsys,
                                                       out, phase_csv, code):
@@ -442,8 +454,7 @@ class TestDemod:
             argv += ["--phase-csv", str(tmp_path / phase_csv)]
         assert main(argv) == code
         if code:
-            wav = out if out.endswith(".wav") else phase_csv
-            assert (f"demod.audio_rate_hz (for {tmp_path / wav}) 133333.33333333334 is not an "
+            assert (f"demod.audio_rate_hz (for {tmp_path / out}) 133333.33333333334 is not an "
                     "integer, which a WAV header needs") in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == inputs
         else:
@@ -782,13 +793,27 @@ def test_exit_code_of_each_error_class(monkeypatch, capsys, error, code):
     ("budget --sweep length --config a.yaml --out a.yaml", "--out a.yaml and --config a.yaml"),
     ("sensitivity --config a.yaml --out a.yaml", "--out a.yaml and --config a.yaml"),
     ("print-config --config a.yaml --out a.yaml", "--out a.yaml and --config a.yaml"),
+    # a file named after an output was not checked: each exited 0 having
+    # overwritten its --config
+    ("simulate --config h.wav.meta.json --audio a.wav --out h.wav",
+     "the sidecar of --out h.wav.meta.json and --config h.wav.meta.json"),
+    ("demod --config r.wav.meta.json --in a.wav --out r.wav",
+     "the sidecar of --out r.wav.meta.json and --config r.wav.meta.json"),
+    ("demod --config p.csv.meta.json --in a.wav --out r.wav --phase-csv p.csv",
+     "the sidecar of --phase-csv p.csv.meta.json and --config p.csv.meta.json"),
+    ("enhance --config c.wav.report.json --in a.wav --out c.wav",
+     "the report c.wav.report.json and --config c.wav.report.json"),
+    ("sensitivity --config t.csv.summary.json --out t.csv",
+     "the summary t.csv.summary.json and --config t.csv.summary.json"),
 ])
 def test_an_output_naming_an_input_or_output_exits_2_first(tmp_path, monkeypatch, capsys,
                                                            argv, pair):
     monkeypatch.chdir(tmp_path)
     write_chirp(tmp_path / "a.wav")
     write_chirp(tmp_path / "c.wav")
-    (tmp_path / "a.yaml").write_text("noise:\n  enabled: false\n")
+    for config in ("a.yaml", "h.wav.meta.json", "r.wav.meta.json", "p.csv.meta.json",
+                   "c.wav.report.json", "t.csv.summary.json"):
+        (tmp_path / config).write_text("noise:\n  enabled: false\n")
     (tmp_path / "b.wav.manifest.json").write_text("{}")
     (tmp_path / "link.wav").symlink_to("a.wav")
     (tmp_path / "sub").mkdir()
@@ -993,6 +1018,20 @@ class TestEnhance:
         assert main(["enhance", "--in", str(src), "--out", str(out)]) == 2
         assert f"--out {out} must name a .wav file" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["clean.wav"]
+
+    # wrote an all-inf WAV, which read_trace rejects, with numpy's overflow
+    # warning, and exited 0
+    def test_samples_past_the_float32_range_exit_2_writing_nothing(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        x = 1e39 * np.random.default_rng(12).standard_normal(8000)
+        write_trace(SampledTrace(16000, x, AUDIO), big)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "big.wav"
+        assert main(["enhance", "--in", str(big), "--out", str(out)]) == 2
+        assert re.fullmatch(rf"error: {re.escape(str(out))}: sample \d+ is -?\d\.\d+e\+3[89], "
+                            r"past the float32 range of a WAV \(3\.4028234663852886e\+38\)\n",
+                            capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_reference_reporting(self, tmp_path):
         src = self.make_bursty(tmp_path)

@@ -1,13 +1,15 @@
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from fibertap import (
     AUDIO,
     SampledTrace,
+    clean,
     default_config,
     detect_silent_frames,
     estimate_noise_spectrum,
@@ -161,7 +163,6 @@ class TestParams:
         assert replace(PARAMS, **framing(frame, longest)).resolve(FS, frame)[:2] \
             == (frame, longest)
 
-
     # a frame past the float range, then a trace shorter than one frame
     # (before any window is built), then a window sum below the floor
     @pytest.mark.parametrize("kwargs,n,error,message", [
@@ -191,7 +192,7 @@ class TestFraming:
         assert np.array_equal(_frames(x, frame, hop), ref)
         assert _count_frames(x.size, frame, hop) == ref.shape[0]
 
-    def test_count_frames_rejects_short_record(self):
+    def test_frame_count_rejects_short_record(self):
         with pytest.raises(InputError):
             _count_frames(FRAME - 1, FRAME, HOP)
 
@@ -259,6 +260,75 @@ class TestFraming:
 def test_a_frame_past_the_trace_is_an_input_error(step):
     with pytest.raises(InputError, match="shorter than one frame"):
         step(trace(np.zeros(8000)), replace(PARAMS, frame_ms=1e300))
+
+
+def frame_of(frame_ms):
+    """The frame length at `FS` that `frame_ms` gives: rounded, at least 2, even."""
+    frame = max(2, round(frame_ms * 1e-3 * FS))
+    return frame + frame % 2
+
+
+# frames of a few samples up to past any trace, and also within the traces drawn
+FRAME_MS = st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.floats(0.05, 150.0))
+OVERLAP = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.1, 0.9))
+
+
+@given(frame_ms=FRAME_MS, overlap=OVERLAP, n=st.integers(2, 2000))
+def test_each_step_returns_or_raises_a_fibertap_error(frame_ms, overlap, n):
+    # numpy's ValueError or MemoryError would pass neither except clause
+    params = replace(PARAMS, frame_ms=frame_ms, overlap=overlap)
+    frame = frame_of(frame_ms)
+    x = trace(np.random.default_rng(n).standard_normal(n))
+    steps = [lambda: detect_silent_frames(x, params),
+             lambda: estimate_noise_spectrum(x, [0], params),
+             lambda: spectral_subtract(x, np.zeros(min(frame, n) // 2 + 1), params),
+             lambda: clean(x, params)]
+    for step in steps:
+        try:
+            step()
+        except InputError as exc:
+            assert n < frame and "shorter than one frame" in str(exc)
+            event("shorter than one frame")
+        except ConfigurationError as exc:
+            assert n >= frame and "enhance.overlap" in str(exc)
+            event("window sum below the floor")
+        else:
+            assert n >= frame
+            event("returned")
+
+
+@given(frame_ms=FRAME_MS, overlap=OVERLAP, n=st.integers(2, 2000),
+       reference=st.sampled_from([None, "same", "length", "rate"]),
+       profile=st.sampled_from([None, "same", "rate", "short"]))
+def test_clean_checks_its_inputs_before_its_first_stage(frame_ms, overlap, n, reference,
+                                                        profile):
+    params = replace(PARAMS, frame_ms=frame_ms, overlap=overlap)
+    rng = np.random.default_rng(n)
+    shapes = {"same": (FS, n), "length": (FS, n + 1), "rate": (FS / 2, n), "short": (FS, 1)}
+    ref, prof = (None if kind is None else
+                 SampledTrace(shapes[kind][0], rng.standard_normal(shapes[kind][1]), AUDIO)
+                 for kind in (reference, profile))
+    entered = []
+
+    def stage(name):
+        entered.append(name)
+        return nullcontext()
+
+    x = trace(rng.standard_normal(n))
+    mismatched = reference in ("length", "rate") or profile == "rate"
+    try:
+        enhanced, report = clean(x, params, prof, ref, stage)
+    except (InputError, ConfigurationError):
+        if mismatched or n < frame_of(frame_ms):
+            assert entered == []
+            event("raised before the first stage")
+        return
+    event("ran both stages")
+    assert not mismatched
+    assert entered == ["estimate-noise", "subtract"]
+    assert enhanced.n_samples == n
+    assert report["noise_source"] == ("silent-frames" if prof is None else "profile")
+    assert (report["gain_db"] is None) == (ref is None)
 
 
 class TestDetectSilentFrames:
