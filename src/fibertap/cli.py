@@ -3,7 +3,8 @@
 Exit codes: 0 success, else the failing error class's ``exit_code``:
 2 configuration error, 3 I/O error (also any ``OSError``), 4 numeric or
 Nyquist error, 5 noise estimation impossible (no silent frames and no
-noise profile).
+noise profile). A non-zero exit leaves every output as it was: a command writes
+each file of `OUTPUTS` to a staging file, which `_run` renames once all are written.
 
 Each command calls fibertap's functions through their modules
 (``config.load_config``), which load on first use, so `--version`, `--help`
@@ -17,45 +18,58 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from . import __version__
 from . import chain, config, fileio, noise, sensitivity, trace
 from ._numpy import np
 from .errors import ConfigurationError, FiberTapError
 
-EXIT_IO = 3
+#: Each command's input files but ``--config``: (name in the run manifest, option dest)
+INPUTS = {"simulate": (("audio", "audio"),), "demod": (("heterodyne", "trace_in"),),
+          "enhance": (("audio", "audio_in"), ("noise_profile", "noise_profile"),
+                      ("reference", "reference"))}
 
-#: Each command's input and output file options, by argparse ``dest``
-FILE_OPTIONS = {
-    "simulate": (("config", "audio"), ("out",)),
-    "demod": (("config", "trace_in"), ("out", "phase_csv")),
-    "enhance": (("config", "audio_in", "noise_profile", "reference"), ("out", "report")),
-    "budget": (("config",), ("out",)),
-    "sensitivity": (("config",), ("out",)),
-    "print-config": (("config",), ("out",)),
+#: Every file each command writes, in the order `_run` commits them: (name,
+#: dest, suffix) for option `dest` plus `suffix` (enhance's report without
+#: ``--report``: ``<out>.report.json``). The manifest lists all but sidecars and itself.
+MANIFEST = ("manifest", "out", ".manifest.json")
+OUTPUTS = {
+    "simulate": (("heterodyne", "out", ""), ("sidecar", "out", ".meta.json"), MANIFEST),
+    "demod": (("audio", "out", ""), ("sidecar", "out", ".meta.json"),
+              ("phase", "phase_csv", ""), ("sidecar", "phase_csv", ".meta.json"), MANIFEST),
+    "enhance": (("audio", "out", ""), ("report", "report", ""), MANIFEST),
+    "budget": (("table", "out", ""), MANIFEST),
+    "sensitivity": (("table", "out", ""), ("summary", "out", ".summary.json"), MANIFEST),
+    "print-config": (("config", "out", ""),),
 }
 
 
-def _report_path(args):
-    """The JSON report `enhance` writes: ``--report``, else ``<out>.report.json``."""
-    return args.report or str(args.out) + ".report.json"
+def _flag(dest):
+    return "--in" if dest.endswith("_in") else "--" + dest.replace("_", "-")
 
 
-def _summary_path(args):
-    """The JSON summary `sensitivity` writes next to its table."""
-    return str(args.out) + ".summary.json"
+def _outputs(args):
+    """((name, dest), error label, path) of each file of `OUTPUTS` that `args` name."""
+    files = []
+    for name, dest, suffix in OUTPUTS[args.command]:
+        key = name, dest
+        if dest == "report" and not args.report:
+            dest, suffix = "out", ".report.json"
+        if getattr(args, dest):
+            label = (f"the sidecar of {_flag(dest)}" if name == "sidecar"
+                     else f"the {name}" if suffix else _flag(dest))
+            files.append((key, label, str(getattr(args, dest)) + suffix))
+    return files
 
 
 def _run(command, args):
-    """Run a command that writes `args.out`, then its run manifest.
-
-    `command(args, stage)` does the work inside ``with stage(name):`` blocks
-    and returns ``(config, inputs, outputs)``, each of the last two mapping a
-    name to a path. Each stage's seconds go into ``<out>.manifest.json``
-    (a stage that raises is not recorded), and ``wrote <out>`` is printed.
-    """
-    timings = []
+    """Run `command(args, stage, to)`, which works in ``with stage(name):``
+    blocks, writes each file of `_outputs` to its staging file ``to[name,
+    dest]`` and returns the config; write the manifest, with the seconds of
+    each stage that returned; rename each staging file onto its output, in
+    `OUTPUTS`' order. An exception removes the staging files instead."""
+    timings, files, to = [], _outputs(args), {}
 
     @contextmanager
     def stage(name):
@@ -63,24 +77,37 @@ def _run(command, args):
         yield
         timings.append([name, time.perf_counter() - t0])
 
-    cfg, inputs, outputs = command(args, stage)
-    manifest = {
-        "tool": "fibertap",
-        "version": __version__,
-        "command": args.command,
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
-        "config_digest": cfg.digest(),
-        "inputs": {name: {"path": str(p), "sha256": fileio.sha256_file(p)}
-                   for name, p in inputs.items()},
-        "outputs": {name: {"path": str(p), "sha256": fileio.sha256_file(p)}
-                    for name, p in outputs.items()},
-        "stage_timings": timings,
-    }
-    fileio.write_json(str(args.out) + ".manifest.json", manifest)
-    print(f"wrote {args.out}")
+    try:
+        for key, _, path in files:
+            to[key] = fileio.staging_file(path)
+        cfg = command(args, stage, to)
+        if ("manifest", "out") in to:
+            inputs = [(name, getattr(args, dest)) for name, dest in INPUTS.get(args.command, ())]
+            fileio.write_json(to["manifest", "out"], {
+                "tool": "fibertap", "version": __version__, "command": args.command,
+                "args": {k: v for k, v in vars(args).items() if k != "func"},
+                "config_digest": cfg.digest(),
+                "inputs": {name: {"path": path, "sha256": fileio.sha256_file(path)}
+                           for name, path in inputs if path},
+                "outputs": {key[0]: {"path": path, "sha256": fileio.sha256_file(to[key])}
+                            for key, _, path in files if key[0] not in ("sidecar", "manifest")},
+                "stage_timings": timings})
+        for key, _, path in files:
+            os.replace(to[key], os.path.realpath(path))
+    except FiberTapError as exc:  # an error names the output, not its staging file
+        text = str(exc)
+        for key, _, path in files:
+            text = text.replace(to.get(key, path), path)
+        raise type(exc)(text) from exc
+    finally:
+        for tmp in to.values():
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+    if args.out:
+        print(f"wrote {args.out}")
 
 
-def cmd_simulate(args, stage):
+def cmd_simulate(args, stage, to):
     with stage("load"):
         if args.seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
@@ -96,11 +123,12 @@ def cmd_simulate(args, stage):
         raise type(exc)(f"{args.audio}: {exc}") from exc
 
     with stage("write"):
-        fileio.write_trace(het, args.out)
-    return cfg, {"audio": args.audio}, {"heterodyne": args.out}
+        fileio.write_trace(het, to["heterodyne", "out"])
+        fileio.write_sidecar(to["sidecar", "out"], het)
+    return cfg
 
 
-def cmd_demod(args, stage):
+def cmd_demod(args, stage, to):
     with stage("load"):
         if args.phase_csv and os.path.splitext(args.phase_csv)[1].lower() != ".csv":
             raise ConfigurationError(f"--phase-csv {args.phase_csv} must name a .csv file: "
@@ -111,18 +139,17 @@ def cmd_demod(args, stage):
         het = fileio.read_trace(args.trace_in, kind=trace.HETERODYNE)
     phase, start_time = chain.recover(het, cfg.demod, cfg.band, not args.no_highpass, stage)
 
-    outputs = {"audio": args.out}
     if args.phase_csv:
         with stage("write-phase"):
-            fileio.write_trace(phase, args.phase_csv, extra_meta={"start_time_s": start_time})
-        outputs["phase"] = args.phase_csv
-
+            fileio.write_trace(phase, to["phase", "phase_csv"])
+            fileio.write_sidecar(to["sidecar", "phase_csv"], phase, start_time_s=start_time)
     with stage("write"):
-        fileio.write_trace(phase, args.out, extra_meta={"start_time_s": start_time})
-    return cfg, {"heterodyne": args.trace_in}, outputs
+        fileio.write_trace(phase, to["audio", "out"])
+        fileio.write_sidecar(to["sidecar", "out"], phase, start_time_s=start_time)
+    return cfg
 
 
-def cmd_enhance(args, stage):
+def cmd_enhance(args, stage, to):
     with stage("load"):
         if os.path.splitext(str(args.out))[1].lower() != ".wav":
             raise ConfigurationError(f"--out {args.out} must name a .wav file: "
@@ -135,12 +162,9 @@ def cmd_enhance(args, stage):
     enhanced, report = chain.clean(noisy, cfg.enhance, profile, reference, stage)
 
     with stage("write"):
-        fileio.write_wav(args.out, noisy.sample_rate, enhanced.samples)
-    fileio.write_json(_report_path(args), report)
-    inputs = {"audio": args.audio_in, "noise_profile": args.noise_profile,
-              "reference": args.reference}
-    return (cfg, {name: path for name, path in inputs.items() if path},
-            {"audio": args.out, "report": _report_path(args)})
+        fileio.write_wav(to["audio", "out"], noisy.sample_rate, enhanced.samples)
+    fileio.write_json(to["report", "report"], report)
+    return cfg
 
 
 def _sweep_points(start, stop, count):
@@ -155,7 +179,7 @@ def _sweep_points(start, stop, count):
     return np.geomspace(start, stop, count)
 
 
-def cmd_budget(args, stage):
+def cmd_budget(args, stage, to):
     with stage("load"):
         cfg = config.load_config(args.config)
 
@@ -170,13 +194,13 @@ def cmd_budget(args, stage):
 
     with stage("write"):
         if args.format == "json":
-            fileio.write_json(args.out, [r.__dict__ for r in rows])
+            fileio.write_json(to["table", "out"], [r.__dict__ for r in rows])
         else:
-            fileio.write_csv_table(args.out, fileio.BUDGET_HEADER, rows)
-    return cfg, {}, {"table": args.out}
+            fileio.write_csv_table(to["table", "out"], fileio.BUDGET_HEADER, rows)
+    return cfg
 
 
-def cmd_sensitivity(args, stage):
+def cmd_sensitivity(args, stage, to):
     with stage("load"):
         cfg = config.load_config(args.config)
         # the baseline row reads only scenarios.baseline, so it must be the tap
@@ -193,55 +217,35 @@ def cmd_sensitivity(args, stage):
                                                cfg.coupling, scen.test_level_db)
 
     with stage("write"):
-        fileio.write_csv_table(args.out, fileio.MITIGATION_HEADER, rows)
-        summary = {
-            "test_level_db": scen.test_level_db,
-            "baseline": scen.baseline.label,
-            "rows": [r.__dict__ for r in rows],
-        }
-        fileio.write_json(_summary_path(args), summary)
-    return cfg, {}, {"table": args.out, "summary": _summary_path(args)}
+        fileio.write_csv_table(to["table", "out"], fileio.MITIGATION_HEADER, rows)
+        fileio.write_json(to["summary", "out"], {
+            "test_level_db": scen.test_level_db, "baseline": scen.baseline.label,
+            "rows": [r.__dict__ for r in rows]})
+    return cfg
 
 
-def cmd_print_config(args):
-    text = config.dump_config(config.load_config(args.config))
+def cmd_print_config(args, stage, to):
+    cfg = config.load_config(args.config)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+        fileio.write_utf8(to["config", "out"], config.dump_config(cfg))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(config.dump_config(cfg))
+    return cfg
 
 
-def _same_file(a, b):
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return os.path.realpath(a) == os.path.realpath(b)
+def _same_file(a, b):  # by path, symlink or, where both exist, hard link
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 def _check_files(args):
     """Before any read or write, reject an output that names an input or
-    another output, the files a command names after its outputs included
-    (exit 2: the run would overwrite its input, and its
-    manifest would give the output's digest as the input's), then one whose
-    directory does not exist (exit 3: the run would fail only at that write,
-    after the work and the outputs written before it)."""
-    def named(dests):
-        return [("--in" if dest.endswith("_in") else "--" + dest.replace("_", "-"),
-                 getattr(args, dest)) for dest in dests if getattr(args, dest)]
-
-    inputs, outputs = map(named, FILE_OPTIONS[args.command])
-    # the files a command names after its outputs
-    if args.command in ("simulate", "demod"):
-        outputs += [(f"the sidecar of {flag}", fileio.sidecar_path(path))
-                    for flag, path in outputs]
-    if args.command == "enhance" and not args.report:
-        outputs.append(("the report", _report_path(args)))
-    if args.command == "sensitivity":
-        outputs.append(("the summary", _summary_path(args)))
-    if args.command != "print-config":
-        outputs.append(("the manifest", str(args.out) + ".manifest.json"))
+    another output (exit 2: the run would overwrite its input, and its
+    manifest would give the output's digest as the input's), then one that
+    is a directory or in none (exit 3: the write would fail after the work)."""
+    dests = ["config"] + [dest for _, dest in INPUTS.get(args.command, ())]
+    inputs = [(_flag(dest), getattr(args, dest)) for dest in dests if getattr(args, dest)]
+    outputs = [(label, path) for _, label, path in _outputs(args)]
     for i, (flag, path) in enumerate(outputs):
         for other, other_path in outputs[i + 1:] + inputs:
             if _same_file(path, other_path):
@@ -249,48 +253,45 @@ def _check_files(args):
                     f"{flag} {path} and {other} {other_path} are the same file; "
                     "an output may not overwrite an input or another output")
     for flag, path in outputs:
-        folder = os.path.dirname(str(path)) or os.curdir
+        folder = os.path.dirname(path) or os.curdir
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"{flag} {path}: no directory {folder} to write it in")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path}: a directory, not a file to write")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fibertap",
-        description="Fiber-tap eavesdropping simulator and DSP toolkit")
+        prog="fibertap", description="Fiber-tap eavesdropping simulator and DSP toolkit")
     parser.add_argument("--version", action="version", version=f"fibertap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--out", required=True, help="output file")
+    def common(p, out_required=True):
+        p.add_argument("--config", help="YAML config file")
+        p.add_argument("--out", required=out_required, help="output file")
 
     p = sub.add_parser("simulate", help="audio -> phase -> heterodyne trace")
     common(p)
     p.add_argument("--audio", required=True, help="input trace, WAV or CSV (pressure)")
     p.add_argument("--seed", type=int, default=0, help="noise synthesis seed")
-    p.add_argument("--level-db", type=float, default=None,
-                   help="rescale input so its peak equals this dB SPL")
+    p.add_argument("--level-db", type=float, help="rescale input so its peak equals this dB SPL")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demod", help="heterodyne trace -> recovered audio WAV")
     common(p)
-    p.add_argument("--in", dest="trace_in", required=True,
-                   help="heterodyne trace (WAV or CSV)")
-    p.add_argument("--no-highpass", action="store_true",
-                   help="skip the audio-band high-pass")
-    p.add_argument("--phase-csv", default=None,
+    p.add_argument("--in", dest="trace_in", required=True, help="heterodyne trace (WAV or CSV)")
+    p.add_argument("--no-highpass", action="store_true", help="skip the audio-band high-pass")
+    p.add_argument("--phase-csv",
                    help="also write the recovered audio-rate phase here, as a trace CSV")
     p.set_defaults(func=cmd_demod)
 
     p = sub.add_parser("enhance", help="spectral-subtraction noise reduction")
     common(p)
     p.add_argument("--in", dest="audio_in", required=True, help="noisy trace (WAV or CSV)")
-    p.add_argument("--noise-profile", default=None,
+    p.add_argument("--noise-profile",
                    help="noise-only trace (WAV or CSV); skips silent-frame detection")
-    p.add_argument("--reference", default=None,
-                   help="clean trace (WAV or CSV) for segmental SNR reporting")
-    p.add_argument("--report", default=None, help="JSON report path")
+    p.add_argument("--reference", help="clean trace (WAV or CSV) for segmental SNR reporting")
+    p.add_argument("--report", help="JSON report path")
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("budget", help="detection-limit sweep table")
@@ -309,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("print-config", help="dump the resolved configuration")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
+    common(p, out_required=False)
     p.set_defaults(func=cmd_print_config)
 
     return parser
@@ -321,17 +321,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_files(args)
-        if args.command == "print-config":
-            args.func(args)
-        else:
-            _run(args.func, args)
+        _run(args.func, args)
         return 0
-    except FiberTapError as exc:
+    except (FiberTapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

@@ -61,6 +61,10 @@ UNWRAP_MARGIN = math.pi / 2
 #: 5e-10 to 2e-9 at order 30 and by 2e-7 to 7e-7 at order 40.
 MAX_FILTER_ORDER = 24
 
+#: How near a high-pass cutoff may come to 0 and to fs/2, as a fraction of fs: from
+#: ~1.3e-8 in, float64 puts Butterworth poles on the real axis and the design fails.
+HIGHPASS_MARGIN = 1e-7
+
 
 @dataclass(frozen=True)
 class DemodConfig:
@@ -217,9 +221,9 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
                n_samples: int, highpass: bool) -> int:
     """Check `cfg` against an n-sample record at `sample_rate`; size the edge guard.
 
-    Runs every rule that ties the parameters to the record and the band
-    (the rules of `decimate_to_audio`, beat below Nyquist first, and the
-    high-pass cutoff below the audio Nyquist frequency), so a record is
+    Runs every rule that ties the parameters to the record and the band (the
+    rules of `decimate_to_audio`, beat below Nyquist first, and the high-pass
+    cutoff's, `HIGHPASS_MARGIN` inside (0, audio_rate/2)), so a record is
     rejected before any of it is demodulated. Returns the guard: the FIR's
     length in audio samples, which covers every `decimate_to_audio` output
     near either edge whose taps reach past the record. `recover` trims the
@@ -228,10 +232,10 @@ def edge_guard(cfg: DemodConfig, sample_rate: float, band: AudioBand,
     that leaves the high-pass too few samples after the trim.
     """
     up, down, design = _audio_filter(cfg, sample_rate, band)
-    if cfg.highpass_cutoff >= cfg.audio_rate / 2:
+    if not HIGHPASS_MARGIN <= cfg.highpass_cutoff / cfg.audio_rate <= 0.5 - HIGHPASS_MARGIN:
         raise ConfigurationError(
-            "demod.highpass_cutoff must lie below audio_rate/2: "
-            f"got {cfg.highpass_cutoff} at {cfg.audio_rate} S/s")
+            f"demod.highpass_cutoff must lie below audio_rate/2 and {HIGHPASS_MARGIN} x audio_rate"
+            f" or more from it and from 0: got {cfg.highpass_cutoff} at {cfg.audio_rate} S/s")
     guard = -(-_kaiser_numtaps(*design) // down)
     n_audio = -(-n_samples * up // down)
     if n_audio <= 3 * guard:
@@ -389,9 +393,9 @@ def highpass(trace: SampledTrace, cutoff: float, order: int) -> SampledTrace:
     (`_highpass_response`), done in place by overlap-save FFT blocks; the
     backward pass filters the reversed view of the forward output.
     """
-    if not 0 < cutoff < trace.sample_rate / 2:
-        raise ConfigurationError(
-            f"highpass cutoff must lie in (0, fs/2), got {cutoff} at {trace.sample_rate} S/s")
+    if not HIGHPASS_MARGIN <= cutoff / trace.sample_rate <= 0.5 - HIGHPASS_MARGIN:
+        raise ConfigurationError(f"highpass cutoff {cutoff} at {trace.sample_rate} S/s must lie "
+                                 f"in [{HIGHPASS_MARGIN}, {0.5 - HIGHPASS_MARGIN}] x fs")
     if not 1 <= order <= MAX_FILTER_ORDER or int(order) != order:
         raise ConfigurationError(
             f"highpass order must be an integer in [1, {MAX_FILTER_ORDER}], got {order}")

@@ -31,17 +31,25 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _WAV_DTYPES = {(_PCM, 16): "<i2", (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
 
 
-def sidecar_path(path) -> str:
-    return str(path) + ".meta.json"
+def staging_file(path) -> str:
+    """Create and name an empty file ``<target>.<16 hex digits>.tmp<ext>``,
+    where `path` resolves to the file `target` and has the extension `ext`
+    (which `trace_format` reads), of mode ``0o666`` less the umask, as `open`."""
+    tmp = f"{os.path.realpath(path)}.{os.urandom(8).hex()}.tmp{os.path.splitext(path)[1]}"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    return tmp
+
+
+def write_utf8(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_json(path, obj):
     """Write `obj` as standard JSON with indent 2, sorted keys and a trailing
     newline. A NaN or infinite number raises `ValueError` before the file
     is opened, since JSON has no token for it."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_utf8(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _wav_format(body, path):
@@ -193,27 +201,21 @@ def check_trace_rate(path, sample_rate, name):
         wav_rate(sample_rate, f"{name} (for {path})")
 
 
-def write_trace(trace: SampledTrace, path, extra_meta=None) -> str:
-    """Write a real trace as WAV or CSV (by extension) plus a sidecar.
-
-    The sidecar records kind, sample rate and a scale of 1.0 (``physical =
-    file_value * scale``), plus any `extra_meta` entries, for readers
-    outside fibertap: fibertap never reads it back (`read_trace`). Returns
-    the sidecar path.
-    """
+def write_trace(trace: SampledTrace, path):
+    """Write a real trace as WAV or CSV, by the extension of `path`."""
     if np.iscomplexobj(trace.samples):
         raise InputError("complex baseband traces have no file representation")
-    path = str(path)
     if trace_format(path) == ".wav":
         write_wav(path, trace.sample_rate, trace.samples)
     else:
         _write_csv_trace(trace, path)
-    meta = {"kind": trace.kind, "sample_rate_hz": trace.sample_rate, "scale": 1.0}
-    if extra_meta:
-        meta.update(extra_meta)
-    side = sidecar_path(path)
-    write_json(side, meta)
-    return side
+
+
+def write_sidecar(path, trace: SampledTrace, **extra):
+    """Write the sidecar of a trace file: kind, sample rate and a scale of 1.0
+    (``physical = file_value * scale``), plus `extra`, for readers outside
+    fibertap; fibertap never reads it back (`read_trace`)."""
+    write_json(path, dict(kind=trace.kind, sample_rate_hz=trace.sample_rate, scale=1.0, **extra))
 
 
 def _read_csv_trace(path):

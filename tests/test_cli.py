@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from fibertap import (
     default_config,
     edge_guard,
     errors,
+    fileio,
     highpass,
     load_config,
     record,
@@ -33,6 +35,7 @@ from fibertap import (
 )
 from fibertap.cli import main
 from fibertap.config import dump_config
+from fibertap.demod import MAX_FILTER_ORDER
 from fibertap.fileio import read_trace, write_trace
 
 from conftest import read_budget_table
@@ -75,6 +78,9 @@ class TestSimulate:
         assert m["command"] == "simulate"
         assert m["args"]["seed"] == 3
         assert m["config_digest"]
+        # the sidecar, once written by `write_trace`
+        meta = json.loads((tmp_path / "het.wav.meta.json").read_text())
+        assert meta == {"kind": HETERODYNE, "sample_rate_hz": FS, "scale": 1.0}
 
     def test_manifest_records_the_level(self, tmp_path, chirp_wav):
         levels = []
@@ -413,6 +419,12 @@ class TestDemod:
                      "demod.highpass_cutoff must be finite and > 0", id="highpass-cutoff-0"),
         pytest.param("demod:\n  highpass_cutoff_hz: 200000\n", 2,
                      "demod.highpass_cutoff must lie below", id="highpass-cutoff-nyquist"),
+        # a cutoff this near 0 or the audio Nyquist frequency put Butterworth
+        # poles on the real axis, and the design raised numpy's ValueError
+        pytest.param("demod:\n  highpass_cutoff_hz: 5.0e-324\n", 2,
+                     "1e-07 x audio_rate or more", id="highpass-cutoff-subnormal"),
+        pytest.param("demod:\n  highpass_cutoff_hz: 19999.999999999996\n  filter_order: 24\n",
+                     2, "1e-07 x audio_rate or more", id="highpass-cutoff-at-nyquist"),
         # 1/10 of 400 kS/s misses it by 2.5e-10 relative, far past rounding
         pytest.param("demod:\n  audio_rate_hz: 40000.00001\n", 2,
                      "rate 40000.00001 is not rationally related to 400000.0",
@@ -762,7 +774,7 @@ def test_readme_names_every_config_key():
     (errors.EstimationError, 5), (errors.FileFormatError, 3), (FileNotFoundError, 3),
 ])
 def test_exit_code_of_each_error_class(monkeypatch, capsys, error, code):
-    def fail(args):
+    def fail(args, stage, to):
         raise error("boom")
     monkeypatch.setattr(cli, "cmd_print_config", fail)
     assert main(["print-config"]) == code
@@ -845,6 +857,134 @@ def test_an_output_in_no_directory_exits_3_first(tmp_path, monkeypatch, capsys, 
     assert main(shlex.split(argv)) == 3
     assert capsys.readouterr().err == f"error: {flag}: no directory nodir to write it in\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def tree(root):
+    """Every file under `root`, by relative path, with its bytes (None for a
+    directory): a run that leaves it equal wrote, and left, nothing."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.fixture()
+def het_dir(tmp_path, monkeypatch):
+    """A directory, made the working one, holding a 50 ms chirp `a.wav` and
+    its record `het.wav` (with sidecar and manifest)."""
+    monkeypatch.chdir(tmp_path)
+    write_chirp(tmp_path / "a.wav", duration=0.05)
+    assert main(["simulate", "--config", str(quiet_config(tmp_path)), "--audio", "a.wav",
+                 "--out", "het.wav"]) == 0
+    return tmp_path
+
+
+#: Every output of each command that writes more than one, with the label
+#: an error gives it
+OUTPUTS_OF = {
+    "simulate --audio a.wav --out h.wav": [
+        ("--out", "h.wav"), ("the sidecar of --out", "h.wav.meta.json"),
+        ("the manifest", "h.wav.manifest.json")],
+    "demod --in het.wav --out r.wav --phase-csv p.csv": [
+        ("--out", "r.wav"), ("the sidecar of --out", "r.wav.meta.json"),
+        ("--phase-csv", "p.csv"), ("the sidecar of --phase-csv", "p.csv.meta.json"),
+        ("the manifest", "r.wav.manifest.json")],
+    "enhance --in a.wav --noise-profile a.wav --out c.wav": [
+        ("--out", "c.wav"), ("the report", "c.wav.report.json"),
+        ("the manifest", "c.wav.manifest.json")],
+    "enhance --in a.wav --noise-profile a.wav --out c.wav --report c.rep": [
+        ("--report", "c.rep")],
+    "budget --sweep length --out t.csv": [
+        ("--out", "t.csv"), ("the manifest", "t.csv.manifest.json")],
+    "sensitivity --out t.csv": [
+        ("--out", "t.csv"), ("the summary", "t.csv.summary.json"),
+        ("the manifest", "t.csv.manifest.json")],
+}
+
+
+# each exited 3 at the write of the directory, having written the outputs
+# before it: demod p.csv and its sidecar, enhance c.wav, budget and
+# sensitivity t.csv, and so on
+@pytest.mark.parametrize("argv,label,directory", [
+    pytest.param(argv, label, directory, id=f"{argv.split()[0]}-{directory}")
+    for argv, outputs in OUTPUTS_OF.items() for label, directory in outputs])
+def test_an_output_that_is_a_directory_exits_3_writing_nothing(het_dir, capsys, argv, label,
+                                                               directory):
+    (het_dir / directory).mkdir()
+    for _, name in sum(OUTPUTS_OF.values(), []):
+        if name != directory:
+            (het_dir / name).write_text("an earlier run's output\n")
+    before = tree(het_dir)
+    capsys.readouterr()
+    assert main(shlex.split(argv)) == 3
+    assert capsys.readouterr().err == \
+        f"error: {label} {directory}: a directory, not a file to write\n"
+    assert tree(het_dir) == before
+
+
+def failing(real, error, where=""):
+    """The writer `real`, but one that, for a file whose name holds `where`,
+    writes the start of it and raises `error`. Every writer's first string
+    argument is the path it writes."""
+    def writer(*args):
+        path = next(arg for arg in args if isinstance(arg, str))
+        if where not in path:
+            return real(*args)
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF\0")
+        raise error
+    return writer
+
+
+# a write that fails part-way, or a run stopped there, once left a cut-off
+# file in place of the earlier run's output, and the outputs written before
+# it from this run
+@pytest.mark.parametrize("argv", [
+    "simulate --audio a.wav --out het2.wav --seed 1",
+    "demod --in het.wav --out rec.wav --phase-csv p.csv",
+    "demod --in het.wav --out rec.csv",
+    "enhance --in a.wav --noise-profile a.wav --out c.wav",
+    "budget --sweep mismatch --format json --out t.json",
+    "sensitivity --out t.csv",
+    "print-config --out cfg.yaml",
+])
+@pytest.mark.parametrize("failure", ["interrupt", "disk-full"])
+def test_a_failed_write_leaves_the_earlier_outputs(het_dir, monkeypatch, argv, failure):
+    argv = shlex.split(argv)
+    assert main(argv) == 0
+    before = tree(het_dir)
+    if failure == "interrupt":  # in the write of the command's main output, or its last
+        writer = {"simulate": "write_wav", "demod": "write_wav" if argv[-1].endswith(".wav")
+                  else "_write_csv_trace", "enhance": "write_json", "budget": "write_json",
+                  "sensitivity": "write_json", "print-config": "write_utf8"}[argv[0]]
+        monkeypatch.setattr(fileio, writer, failing(getattr(fileio, writer), KeyboardInterrupt))
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:  # the disk fills in the manifest, the last file written (print-config has none)
+        writer, where = (("write_utf8", "") if argv[0] == "print-config"
+                         else ("write_json", ".manifest.json"))
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(fileio, writer, failing(getattr(fileio, writer), full, where))
+        assert main(argv) == 3
+    assert tree(het_dir) == before
+
+
+# both held before outputs were written through staging files, and still do
+def test_a_new_output_has_the_mode_open_gives_and_a_symlink_is_written_through(het_dir):
+    umask = os.umask(0o027)
+    try:
+        assert main(["print-config", "--out", "cfg.yaml"]) == 0
+        assert main(["budget", "--sweep", "length", "--out", "t.csv"]) == 0
+    finally:
+        os.umask(umask)
+    for name in ("cfg.yaml", "t.csv", "t.csv.manifest.json"):
+        assert (het_dir / name).stat().st_mode & 0o777 == 0o640, name
+    (het_dir / "data").mkdir()
+    (het_dir / "data" / "t.csv").write_text("an earlier run's output\n")
+    (het_dir / "link.csv").symlink_to(os.path.join("data", "t.csv"))
+    assert main(["budget", "--sweep", "length", "--out", "link.csv"]) == 0
+    assert (het_dir / "link.csv").is_symlink()
+    assert (het_dir / "data" / "t.csv").read_bytes() == (het_dir / "t.csv").read_bytes()
+    assert sorted(p.name for p in (het_dir / "data").iterdir()) == ["t.csv"]
+    assert (het_dir / "link.csv.manifest.json").is_file()
 
 
 class TestEnhance:
@@ -1107,6 +1247,66 @@ def test_enhance_writes_all_its_outputs_or_none(leaves, ext, n, silent, referenc
             assert written == []
             return
         assert written == ["clean.wav", "clean.wav.manifest.json", "report.json"]
+
+
+#: demod's config leaves: extreme finite values, each bound and the values
+#: just inside and past it (the high-pass cutoff's against a 40 kS/s audio
+#: rate, the beat's against the band's 10 kHz top and a 400 kS/s record's
+#: Nyquist frequency); a leaf not drawn keeps its default. An audio rate
+#: equal to the record's is left out: its resampler takes ~13 s for 0.1 s
+DEMOD_LEAVES = {
+    "demod": {
+        "highpass_cutoff_hz": [5e-324, MAX, 500.0, 19999.999999999996, 20000.0,
+                               0.004, 0.0039999999999999996, 0.0, -5e-324],
+        "filter_order": [1, MAX_FILTER_ORDER, 4, 0, MAX_FILTER_ORDER + 1],
+        "audio_rate_hz": [40000.0, 44100.0, 20000.000000000004, 20000.0, 5e-324, MAX, 0.0,
+                          -40000.0, 40000.00001],
+    },
+    "interferometer": {
+        "intermediate_frequency_hz": [25000.0, 10000.000000000002, 10000.0,
+                                      199999.99999999997, 200000.0, 5e-324, MAX],
+    },
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(leaves={}, ext="wav", out="wav", phase="csv", no_highpass=False, n=40000)
+@example(leaves={"demod": {"highpass_cutoff_hz": 0.004, "filter_order": MAX_FILTER_ORDER}},
+         ext="csv", out="csv", phase=None, no_highpass=False, n=200000)
+@given(leaves=st.fixed_dictionaries({}, optional={
+           section: st.fixed_dictionaries({}, optional={
+               key: st.sampled_from(values) for key, values in keys.items()})
+           for section, keys in DEMOD_LEAVES.items()}),
+       ext=st.sampled_from(["wav", "csv"]), out=st.sampled_from(["wav", "csv"]),
+       phase=st.sampled_from([None, "csv", "wav"]), no_highpass=st.booleans(),
+       n=st.sampled_from([40000, 200000, 1110, 2, 0]))
+def test_demod_writes_all_its_outputs_or_none(leaves, ext, out, phase, no_highpass, n):
+    """The error contract of `demod` over its config leaves, its flags and
+    its input's length (at most 0.5 s at 400 kS/s), WAV or CSV: exit 0 with
+    the audio, the phase if asked for, their sidecars and the manifest, or
+    exit 2-5 with none of them."""
+    with tempfile.TemporaryDirectory() as work:
+        t = np.arange(n) / FS
+        het = os.path.join(work, f"het.{ext}")
+        write_trace(SampledTrace(FS, np.cos(2 * np.pi * 25e3 * t
+                                            + 0.5 * np.sin(2 * np.pi * 1e3 * t)), HETERODYNE),
+                    het)
+        config = os.path.join(work, "cfg.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(leaves, fh)
+        outputs = [f"rec.{out}"] + ([f"phase.{phase}"] if phase else [])
+        argv = ["demod", "--config", config, "--in", het, "--out",
+                os.path.join(work, "out", outputs[0])]
+        argv += ["--phase-csv", os.path.join(work, "out", outputs[1])] if phase else []
+        os.mkdir(os.path.join(work, "out"))
+        code = main(argv + (["--no-highpass"] if no_highpass else []))
+        written = sorted(os.listdir(os.path.join(work, "out")))
+        if code != 0:
+            assert code in (2, 3, 4, 5)
+            assert written == []
+            return
+        assert written == sorted([outputs[0] + ".manifest.json"] + [
+            name + tail for name in outputs for tail in ("", ".meta.json")])
 
 
 class TestBudget:

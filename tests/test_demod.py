@@ -26,6 +26,7 @@ from fibertap import (
 )
 from fibertap.demod import (
     HIGHPASS_BLOCK,
+    HIGHPASS_MARGIN,
     IQ_STOPBAND_DB,
     MAX_FILTER_ORDER,
     UNWRAP_MARGIN,
@@ -187,6 +188,28 @@ class TestEdgeGuard:
                 edge_guard(cfg, FS, BAND, self.N, highpass=True)
             with pytest.raises(ConfigurationError):
                 highpass(tone, cutoff, 4)
+
+    # nearer, the design raised numpy's ValueError (a NaN cast to int, or a
+    # math domain error) from ~1.3e-8 of the rate in
+    @pytest.mark.parametrize("order", [1, 2, MAX_FILTER_ORDER])
+    @pytest.mark.parametrize("fraction,ok", [
+        (5e-324, False), (1e-9, False), (np.nextafter(HIGHPASS_MARGIN, 0), False),
+        (HIGHPASS_MARGIN, True), (0.5 - HIGHPASS_MARGIN, True),
+        (np.nextafter(0.5 - HIGHPASS_MARGIN, 1), False), (0.5 - 1e-9, False),
+    ])
+    def test_highpass_cutoff_within_the_margin_of_0_or_nyquist_rejected(self, order,
+                                                                        fraction, ok):
+        cutoff = fraction * FS
+        cfg = replace(DM, highpass_cutoff=cutoff, filter_order=order, audio_rate=FS)
+        tone = make_tone(FS, 1000.0, 0.01, 1.0)
+        if ok:
+            edge_guard(cfg, FS, BAND, self.N, highpass=True)
+            assert np.all(np.isfinite(highpass(tone, cutoff, order).samples))
+        else:
+            with pytest.raises(ConfigurationError, match="1e-07 x audio_rate or more"):
+                edge_guard(cfg, FS, BAND, self.N, highpass=True)
+            with pytest.raises(ConfigurationError, match=r"\[1e-07, 0.4999999\] x fs"):
+                highpass(tone, cutoff, order)
 
     @pytest.mark.parametrize("audio_rate", [
         16e3, 20e3, 20001.0, 22050.0, 32e3, 40e3, FS / 3, FS / np.pi, 0.0, -40e3,

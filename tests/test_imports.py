@@ -8,12 +8,15 @@ loaded. They read `sys.modules`, so they do not depend on timing.
 
 The import graph is read from the source with `ast`: the forward model and
 the file layer import nothing from `noise`, whose budgets and synthesis
-build on the model, and no module imports a sibling inside a function.
+build on the model, and no module imports a sibling inside a function. So
+are the calls that open a file: only `fileio` writes one, so every output
+goes through the staging files that the CLI commits.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -221,10 +224,15 @@ NO_ARRAY_COMMANDS = START_ONLY + run_commands(["print-config", "--out", "cfg.yam
 
 
 def test_version_help_and_usage_errors_run_only_the_cli(tmp_path):
-    ran = json_after(START_ONLY + RAN_REPORT, tmp_path)
+    # a site hook may import `tempfile` before the script runs; dropped
+    # here, it shows again only if fibertap imports it
+    ran = json_after("import sys; sys.modules.pop('tempfile', None)\n"
+                     + START_ONLY + RAN_REPORT, tmp_path)
     assert loaded_from(("fibertap",), ran) == ["fibertap", "fibertap._numpy", "fibertap.cli",
                                                  "fibertap.errors"]
     assert "yaml" not in ran and "dataclasses" not in ran
+    # `tempfile` takes ~6 ms to import, with `random` and `shutil`
+    assert "tempfile" not in ran
 
 
 def test_commands_without_arrays_load_no_numpy(tmp_path):
@@ -305,3 +313,39 @@ def test_sibling_imports_reads_each_form(tmp_path):
         "    import numpy\n")
     assert sibling_imports(source) == [("model", False), ("trace", False),
                                        ("noise", True), ("config", True)]
+
+
+#: A mode or flags argument that opens a file for writing
+WRITING = re.compile(r"'[^']*[wax+][^']*'|O_WRONLY|O_RDWR|O_CREAT")
+
+
+def opens_for_writing(source):
+    """The lines of the Python `source` that open a file for writing: a call
+    of `open` (the builtin, `io.open` or `os.open`) whose mode or flags
+    write, and any `tofile`, `write_text` or `write_bytes` call."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+        how = " ".join(ast.unparse(arg) for arg in node.args[1:2] + [
+            kw.value for kw in node.keywords if kw.arg in ("mode", "flags")])
+        if name in ("tofile", "write_text", "write_bytes") or \
+                name == "open" and WRITING.search(how):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_fileio_opens_a_file_for_writing():
+    found = {path.name: opens_for_writing(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("fileio.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_opens_for_writing_reads_each_form():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='ab')\nio.open(p, 'r+')\n"
+              "os.open(p, os.O_RDONLY)\nos.open(p, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+              "a.tofile(fh)\nPath(p).write_text('x')\nPath(p).read_text()\n"
+              "with open(p, 'x', encoding='utf-8') as fh:\n    pass\n")
+    assert opens_for_writing(source) == [3, 4, 5, 7, 8, 9, 11]
